@@ -1,14 +1,10 @@
-"""Inner numeric kernels, in a numba flavour and a pure-numpy flavour.
+"""Shot binning, in a numba flavour and a pure-numpy flavour.
 
-Two loops dominate runtime once circuits get deep or shot counts get
-large: the Kraus sum ``sum_k K_k rho K_k^dag`` (applied once per gate and
-once per noise insertion) and the binning of uniform draws into Born-rule
-outcome counts (once per shot batch).  Both are implemented twice with
-identical semantics.  The numba path is used when numba imports cleanly
-and the environment variable ``PUREMIT_NUMBA`` is unset or truthy; set
-``PUREMIT_NUMBA=0`` to force the numpy path.  Integer outputs are
-bit-identical across the two paths; floating-point outputs may differ at
-rounding level because summation order differs.
+The sampler bins uniform draws into Born-rule outcome counts once per
+shot batch. The kernel is implemented twice with identical semantics.
+The numba path is used when numba imports cleanly and the environment
+variable ``PUREMIT_NUMBA`` is unset or truthy; set ``PUREMIT_NUMBA=0`` to
+force the numpy path. The counts are bit-identical across the two paths.
 """
 
 from __future__ import annotations
@@ -34,11 +30,6 @@ def _flag_enabled() -> bool:
 NUMBA_ENABLED = HAS_NUMBA and _flag_enabled()
 
 
-def kraus_apply_numpy(ops: np.ndarray, ops_dag: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Return ``sum_k ops[k] @ rho @ ops_dag[k]`` via batched matmul."""
-    return np.ascontiguousarray((ops @ rho @ ops_dag).sum(axis=0))
-
-
 def bin_outcomes_numpy(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Count draws per outcome given cumulative probabilities ``cum``.
 
@@ -52,13 +43,6 @@ def bin_outcomes_numpy(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _kraus_apply_numba(ops, ops_dag, rho):  # pragma: no cover - exercised via dispatch
-        acc = np.zeros_like(rho)
-        for k in range(ops.shape[0]):
-            acc += np.dot(np.dot(ops[k], rho), ops_dag[k])
-        return acc
 
     @numba.njit(cache=True)
     def _bin_outcomes_numba(cum, draws):  # pragma: no cover - exercised via dispatch
@@ -80,28 +64,18 @@ if HAS_NUMBA:
             counts[lo] += 1
         return counts
 
-    def kraus_apply_numba(ops, ops_dag, rho):
-        return _kraus_apply_numba(
-            np.ascontiguousarray(ops),
-            np.ascontiguousarray(ops_dag),
-            np.ascontiguousarray(rho),
-        )
-
     def bin_outcomes_numba(cum, draws):
         return _bin_outcomes_numba(
             np.ascontiguousarray(cum), np.ascontiguousarray(draws)
         )
 
 else:  # pragma: no cover
-    kraus_apply_numba = None
     bin_outcomes_numba = None
 
 
 if NUMBA_ENABLED:
-    kraus_apply = kraus_apply_numba
     bin_outcomes = bin_outcomes_numba
 else:
-    kraus_apply = kraus_apply_numpy
     bin_outcomes = bin_outcomes_numpy
 
 

@@ -1,11 +1,27 @@
 """Kraus channels, gate-level noise models, and the dual-state construction.
 
-A channel is a stack of Kraus operators applied as ``sum_k K rho K^dag``.
-Noise is inserted after every gate of a circuit according to a
-``NoiseModel``; the dual state is the adjoint of the noisy inverse-circuit
-channel applied to the all-zeros projector. Dual states are PSD but not
-normalized in general (they are exactly trace-1 when every inserted
-channel is unital).
+States evolve through one local-contraction engine that never builds a
+register-wide operator:
+
+* ``apply_local`` applies a short stack of k-qubit operators (a gate, a
+  Fredkin, a controlled Pauli, or a per-qubit Kraus pair) to the listed
+  qubits of an nq-qubit density matrix in one tensor contraction;
+* ``depolarize`` applies depolarizing noise on any qubit subset in
+  closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
+  4^k-operator Pauli Kraus sum;
+* ``apply_noise`` maps a ``NoiseModel`` onto those two kernels, in the
+  Schrodinger or (``adjoint=True``) the Heisenberg picture.
+
+``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
+``dual_state`` runs the adjoint of the noisy inverse circuit backwards
+from the same projector. Dual states are PSD but not normalized in
+general (they are exactly trace-1 when every inserted channel is
+unital).
+
+The dense Kraus-channel algebra (``noise_channel``,
+``circuit_gate_channels``, ``noisy_circuit_channel``, composition,
+compression, adjoints and ``apply_channel``) materializes whole-register
+channels. It is kept as the reference the engine is checked against.
 """
 
 from __future__ import annotations
@@ -15,9 +31,8 @@ from itertools import product
 
 import numpy as np
 
-from ._accel import kraus_apply
 from .circuits import GateCircuit, embed_operator, inverse_circuit
-from .linalg import DensityOperator, check_dimension, kron_all
+from .linalg import DensityOperator, check_dimension, kron_all, zero_projector
 
 COMPLETENESS_ATOL = 1e-10
 _COMPRESS_TOL = 1e-12
@@ -124,12 +139,6 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel(u[None, :, :], True)
 
 
-def _apply_kraus(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    ops = np.ascontiguousarray(ops)
-    ops_dag = np.ascontiguousarray(ops.conj().transpose(0, 2, 1))
-    return kraus_apply(ops, ops_dag, np.ascontiguousarray(mat))
-
-
 def apply_channel(channel: KrausChannel, state) -> DensityOperator:
     """Apply the channel to a state, returning a validated DensityOperator."""
     if isinstance(state, DensityOperator):
@@ -142,7 +151,9 @@ def apply_channel(channel: KrausChannel, state) -> DensityOperator:
         raise ValueError(
             f"dimension mismatch: channel {channel.dim}, state {mat.shape[0]}"
         )
-    return DensityOperator(_apply_kraus(channel.ops, mat), normalized=normalized)
+    ops = channel.ops
+    out = (ops @ mat @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    return DensityOperator(out, normalized=normalized)
 
 
 def adjoint_channel(channel: KrausChannel) -> KrausChannel:
@@ -271,12 +282,92 @@ def noisy_circuit_channel(circ: GateCircuit, noise: NoiseModel) -> KrausChannel:
     return out
 
 
+# ---------------------------------------------------------------------------
+# local-contraction engine
+
+
+def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
+    """sum_k (op_k on targets) mat (op_k on targets)^dag, without embedding.
+
+    ``ops`` is a short stack of 2^k x 2^k operators (one gate, or one
+    qubit's Kraus pair) acting on the listed qubits of an nq-qubit
+    density matrix, qubit 0 most significant. The operators' own factors
+    map to ``targets`` in order, so targets may be unordered and
+    non-adjacent. The stack is folded into one 4^k x 4^k superoperator,
+    sum_k op_k (x) conj(op_k), on the targets' row and column indices, so
+    the matrix is contracted once whatever the stack size.
+    """
+    rows = [int(t) for t in targets]
+    axes = rows + [nq + q for q in rows]
+    ops = np.asarray(ops)
+    sup = np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape([2] * (2 * len(axes)))
+    x = np.tensordot(sup, mat.reshape([2] * (2 * nq)), (range(len(axes), sup.ndim), axes))
+    return np.moveaxis(x, range(len(axes)), axes).reshape(mat.shape)
+
+
+def depolarize(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
+    """Depolarize the listed qubits: (1-p) X + p I/d_k (x) Tr_targets X.
+
+    Exact for the 4^k-operator Pauli Kraus form of
+    ``depolarizing_channel(k, p)``, at the cost of one partial trace.
+    Self-adjoint, so it serves the Heisenberg picture unchanged.
+    """
+    targets = {int(t) for t in targets}
+    rest = [q for q in range(nq) if q not in targets]
+    # axis labels of the [2] * 2nq view: row q is q, column q is nq + q,
+    # except that a target's column shares its row's label
+    labels = list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
+    kept = rest + [nq + q for q in rest]
+    shape = [2] * (2 * nq)
+    reduced = np.einsum(np.asarray(mat).reshape(shape), labels, kept)
+    out = (1.0 - p) * np.ascontiguousarray(mat)
+    # writable view of the blocks diagonal in the targets, one per target index
+    blocks = np.einsum(out.reshape(shape), labels, sorted(targets) + kept)
+    blocks += (p / 2 ** len(targets)) * reduced
+    return out
+
+
+def apply_noise(
+    mat: np.ndarray,
+    noise: NoiseModel,
+    targets,
+    nq: int,
+    register=None,
+    adjoint: bool = False,
+) -> np.ndarray:
+    """Noise inserted after a gate on ``targets`` of an nq-qubit matrix.
+
+    Local depolarizing acts jointly on the targets; dephasing and
+    amplitude damping act independently per target qubit; global
+    depolarizing hits every qubit of ``register`` (all nq qubits when
+    None) regardless of targets. ``adjoint`` applies the Heisenberg-
+    picture adjoint {K^dag} instead.
+    """
+    if noise.is_trivial:
+        return mat
+    if noise.kind == "depolarizing-global":
+        register = range(nq) if register is None else register
+        return depolarize(mat, noise.strength, register, nq)
+    if noise.kind == "depolarizing-local":
+        return depolarize(mat, noise.strength, targets, nq)
+    if noise.kind == "dephasing":
+        ops = dephasing_channel(noise.strength).ops
+    else:
+        ops = amplitude_damping_channel(noise.strength).ops
+    if adjoint:
+        ops = ops.conj().transpose(0, 2, 1)
+    for q in targets:
+        mat = apply_local(mat, ops, [q], nq)
+    return mat
+
+
 def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator:
     """Run the noisy circuit on |0...0><0...0|."""
-    mat = np.zeros((circ.dim, circ.dim), dtype=complex)
-    mat[0, 0] = 1.0
-    for step in circuit_gate_channels(circ, noise):
-        mat = _apply_kraus(step.ops, mat)
+    n = circ.n_qubits
+    mat = zero_projector(circ.dim)
+    for g in circ.gates:
+        mat = apply_local(mat, [g.matrix()], g.qubits, n)
+        mat = apply_noise(mat, noise, g.qubits, n)
     return DensityOperator(mat)
 
 
@@ -286,16 +377,16 @@ def dual_state(
     """Dual state for verification: adjoint of the noisy inverse circuit on |0...0>.
 
     With channels C_1..C_L making up the noisy inverse circuit (C_1 applied
-    first), the dual is C_1^dag(...C_L^dag(|0><0|)). ``dual_noise``
-    overrides the noise model on the inverse circuit when the mitigation
-    run and the verification run see different hardware.
+    first, each a gate followed by its noise), the dual is
+    C_1^dag(...C_L^dag(|0><0|)). ``dual_noise`` overrides the noise model
+    on the inverse circuit when the mitigation run and the verification
+    run see different hardware.
     """
     if dual_noise is None:
         dual_noise = noise
-    inv = inverse_circuit(circ)
-    steps = circuit_gate_channels(inv, dual_noise)
-    mat = np.zeros((circ.dim, circ.dim), dtype=complex)
-    mat[0, 0] = 1.0
-    for step in reversed(steps):
-        mat = _apply_kraus(step.ops.conj().transpose(0, 2, 1), mat)
+    n = circ.n_qubits
+    mat = zero_projector(circ.dim)
+    for g in reversed(inverse_circuit(circ).gates):
+        mat = apply_noise(mat, dual_noise, g.qubits, n, adjoint=True)
+        mat = apply_local(mat, [g.matrix().conj().T], g.qubits, n)
     return DensityOperator(mat, normalized=False)

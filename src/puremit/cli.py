@@ -26,7 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import NoiseModel, adjoint_channel, dual_state, noisy_circuit_channel
+from .channels import (
+    NOISE_KINDS,
+    NoiseModel,
+    adjoint_channel,
+    apply_channel,
+    dual_state,
+    noisy_circuit_channel,
+    prepare_noisy_state,
+)
 from .circuits import (
     CircuitFormatError,
     inverse_circuit,
@@ -109,17 +117,22 @@ def _verify_checks(seed: int):
         res = max(res, abs(complex(lhs - rhs)))
     yield "adjoint-pairing", res
 
-    res = 0.0
-    for _ in range(10):
+    res_state = 0.0
+    res_dual = 0.0
+    for kind in NOISE_KINDS * 2:
         n = int(rng.integers(1, 3))
         circ = random_circuit(rng, n, 4)
-        noise = NoiseModel("dephasing", 0.1)
+        noise = NoiseModel(kind, 0.1)
+        zero = DensityOperator.computational_zero(n).matrix
+        rho = prepare_noisy_state(circ, noise).matrix
+        want = apply_channel(noisy_circuit_channel(circ, noise), zero).matrix
+        res_state = max(res_state, float(np.max(np.abs(rho - want))))
         rbar = dual_state(circ, noise).matrix
-        inv = inverse_circuit(circ)
-        ch = adjoint_channel(noisy_circuit_channel(inv, noise))
-        want = _apply(ch, DensityOperator.computational_zero(n).matrix)
-        res = max(res, float(np.max(np.abs(rbar - want))))
-    yield "dual-state-reconstruction", res
+        ch = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), noise))
+        want = _apply(ch, zero)
+        res_dual = max(res_dual, float(np.max(np.abs(rbar - want))))
+    yield "noisy-state-reconstruction", res_state
+    yield "dual-state-reconstruction", res_dual
 
     res_sym = 0.0
     res_rot = 0.0
@@ -292,6 +305,11 @@ def cmd_sweep(args) -> int:
     values_text = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values_text:
         raise ConfigError("sweep needs at least one value")
+    if args.parameter == "noise.strength" and config.noise.kind == "none":
+        raise ConfigError(
+            "cannot sweep noise.strength with noise.kind = none: "
+            "every strength would give the noiseless result"
+        )
     config_dir = Path(args.config).parent
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -60,6 +60,13 @@ def check_dimension(dim: int) -> int:
     return dim
 
 
+def zero_projector(dim: int) -> np.ndarray:
+    """|0><0| on a ``dim``-dimensional space, as a writable matrix."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[0, 0] = 1.0
+    return mat
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
@@ -237,10 +244,7 @@ class DensityOperator:
     @classmethod
     def computational_zero(cls, n_qubits: int) -> "DensityOperator":
         """|0...0><0...0| on ``n_qubits`` qubits."""
-        dim = check_dimension(2**n_qubits)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[0, 0] = 1.0
-        return cls(mat)
+        return cls(zero_projector(check_dimension(2**n_qubits)))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":

@@ -24,21 +24,25 @@ register swaps S_{M-2,M-1} ... S_{0,1}, applied rightmost first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .channels import (
     NO_NOISE,
     NoiseModel,
-    amplitude_damping_channel,
-    dephasing_channel,
-    depolarizing_channel,
+    apply_local,
+    apply_noise,
     dual_state,
     prepare_noisy_state,
 )
-from .circuits import GateCircuit, circuit_unitary, gate_matrix, inverse_circuit
-from .linalg import as_matrix, check_dimension, kron_all, kron_power
+from .circuits import GateCircuit, gate_matrix, inverse_circuit
+from .linalg import (
+    as_matrix,
+    check_dimension,
+    kron_all,
+    kron_power,
+    zero_projector,
+)
 from .observables import PauliObservable, pauli_string_matrix
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
@@ -167,7 +171,6 @@ def multicopy_estimate(
     obs = observable.matrix()
     if obs.shape != rho.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape}, observable {obs.shape}")
-    check_dimension(dim**n_copies)
     details = {}
     power = np.linalg.matrix_power(rho, n_copies)
     num_reduced = complex(np.trace(obs @ power))
@@ -383,56 +386,6 @@ class SchemePipeline:
         )
 
 
-def _local_kraus_stack(noise: NoiseModel, n_targets: int) -> np.ndarray | None:
-    """Kraus stack of a noise model restricted to ``n_targets`` qubits."""
-    if noise.is_trivial:
-        return None
-    if noise.kind in ("depolarizing-local", "depolarizing-global"):
-        return depolarizing_channel(n_targets, noise.strength).ops
-    base = (
-        dephasing_channel(noise.strength)
-        if noise.kind == "dephasing"
-        else amplitude_damping_channel(noise.strength)
-    )
-    ops = [kron_all(choice) for choice in product(base.ops, repeat=n_targets)]
-    return np.array(ops)
-
-
-def _apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
-    """sum_k (op_k on targets) mat (op_k on targets)^dag without embedding.
-
-    ``ops`` is a stack of 2^k x 2^k operators acting on the listed qubits
-    of an nq-qubit density matrix (qubit 0 most significant).
-    """
-    targets = list(targets)
-    k = len(targets)
-    rest = [q for q in range(nq) if q not in targets]
-    order = targets + rest
-    perm = order + [nq + q for q in order]
-    dk = 2**k
-    dr = 2 ** (nq - k)
-    t = mat.reshape([2] * (2 * nq)).transpose(perm)
-    t = np.ascontiguousarray(t).reshape(dk, dr, dk, dr)
-    acc = np.zeros_like(t)
-    for op in ops:
-        acc += np.einsum("ab,brcs,dc->ards", op, t, op.conj(), optimize=True)
-    inv = np.argsort(perm)
-    return acc.reshape([2] * (2 * nq)).transpose(inv).reshape(mat.shape)
-
-
-def _apply_global_depolarizing(mat: np.ndarray, p: float) -> np.ndarray:
-    dim = mat.shape[0]
-    return (1.0 - p) * mat + p * np.trace(mat) / dim * np.eye(dim, dtype=complex)
-
-
-def _machinery_step(mat: np.ndarray, noise: NoiseModel, targets, nq: int) -> np.ndarray:
-    if noise.is_trivial:
-        return mat
-    if noise.kind == "depolarizing-global":
-        return _apply_global_depolarizing(mat, noise.strength)
-    return _apply_local(mat, _local_kraus_stack(noise, len(targets)), targets, nq)
-
-
 _CTRL_CACHE: dict = {}
 
 
@@ -471,9 +424,8 @@ def build_pipeline(
         )
     obs_mat = observable.matrix()
     psi_dim = circuit.dim
-    u = circuit_unitary(circuit)
-    ideal_state = u[:, 0]
-    ideal_value = float(np.vdot(ideal_state, obs_mat @ ideal_state).real)
+    ideal = prepare_noisy_state(circuit, NO_NOISE)
+    ideal_value = float(np.trace(obs_mat @ ideal.matrix).real)
     rho = prepare_noisy_state(circuit, noise)
     raw_value = float(np.trace(obs_mat @ rho.matrix).real)
 
@@ -517,68 +469,47 @@ def build_pipeline(
     verify = kind in ("state-verification", "combined")
 
     base = np.kron(_P0, kron_power(rho.matrix, copies))
-    base = _apply_local(base, [gate_matrix("H")], [0], nq)
-    base = _machinery_step(base, machinery, [0], nq)
+    base = apply_local(base, [gate_matrix("H")], [0], nq)
+    base = apply_noise(base, machinery, [0], nq)
 
-    # per-gate plan for the inverse circuits: (gate qubits, gate op,
-    # noise stack, whether the noise hits the whole register)
-    inv_plan = []
-    if verify:
-        inv = inverse_circuit(circuit)
-        inv_noise = noise if dual_noise is None else dual_noise
-        for g in inv.gates:
-            gate_ops = [g.matrix()]
-            if inv_noise.is_trivial:
-                inv_plan.append((g.qubits, gate_ops, None, False))
-            elif inv_noise.kind == "depolarizing-global":
-                # global depolarizing acts register-wide after each gate
-                stack = depolarizing_channel(n, inv_noise.strength).ops
-                inv_plan.append((g.qubits, gate_ops, stack, True))
-            else:
-                stack = _local_kraus_stack(inv_noise, len(g.qubits))
-                inv_plan.append((g.qubits, gate_ops, stack, False))
-
+    inv_noise = noise if dual_noise is None else dual_noise
+    inv_gates = inverse_circuit(circuit).gates if verify else ()
+    inv_plan = [(g.qubits, g.matrix()) for g in inv_gates]
     fredkin = fredkin_matrix()
 
     def run_suffix(mat: np.ndarray) -> np.ndarray:
         for r in range(copies - 1):
             for i in range(n):
                 targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
-                mat = _apply_local(mat, [fredkin], targets, nq)
-                mat = _machinery_step(mat, machinery, targets, nq)
+                mat = apply_local(mat, [fredkin], targets, nq)
+                mat = apply_noise(mat, machinery, targets, nq)
         for reg in range(copies if verify else 0):
             offset = 1 + reg * n
-            for qubits, gate_ops, stack, whole_register in inv_plan:
-                mat = _apply_local(mat, gate_ops, [offset + q for q in qubits], nq)
-                if stack is None:
-                    continue
-                tgt = (
-                    list(range(offset, offset + n))
-                    if whole_register
-                    else [offset + q for q in qubits]
-                )
-                mat = _apply_local(mat, stack, tgt, nq)
-        mat = _apply_local(mat, [gate_matrix("H")], [0], nq)
-        mat = _machinery_step(mat, machinery, [0], nq)
-        return mat
+            register = range(offset, offset + n)
+            for qubits, gate in inv_plan:
+                targets = [offset + q for q in qubits]
+                mat = apply_local(mat, [gate], targets, nq)
+                mat = apply_noise(mat, inv_noise, targets, nq, register=register)
+        mat = apply_local(mat, [gate_matrix("H")], [0], nq)
+        return apply_noise(mat, machinery, [0], nq)
 
     z_anc = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     if verify:
-        proj = kron_power(_projector_zero(psi_dim), copies)
+        proj = kron_power(zero_projector(psi_dim), copies)
     else:
         proj = np.eye(psi_dim**copies, dtype=complex)
     meas = np.kron(z_anc, proj)
 
     numerator_terms = []
     for coeff, string in observable.terms:
-        mat = base.copy()
+        mat = base
         for q, letter in enumerate(string):
             if letter == "I":
                 continue
-            mat = _apply_local(mat, [_controlled_pauli(letter)], [0, 1 + q], nq)
+            mat = apply_local(mat, [_controlled_pauli(letter)], [0, 1 + q], nq)
         mat = run_suffix(mat)
         numerator_terms.append(MeasurableTerm(float(coeff), mat, meas))
-    den_state = run_suffix(base.copy())
+    den_state = run_suffix(base)
     denominator = MeasurableTerm(1.0, den_state, meas)
 
     rbar = None
@@ -606,12 +537,6 @@ def build_pipeline(
         operator_ratio=reference.ratio,
         machinery_noise=machinery,
     )
-
-
-def _projector_zero(dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=complex)
-    out[0, 0] = 1.0
-    return out
 
 
 def circuit_level_combined(

@@ -4,13 +4,16 @@ import pytest
 from puremit.channels import (
     KrausChannel,
     NO_NOISE,
+    NOISE_KINDS,
     NoiseModel,
     adjoint_channel,
     amplitude_damping_channel,
     apply_channel,
+    apply_local,
     completeness_defect,
     compose_channels,
     compress_channel,
+    depolarize,
     depolarizing_channel,
     dephasing_channel,
     dual_state,
@@ -20,7 +23,14 @@ from puremit.channels import (
     prepare_noisy_state,
     unitary_channel,
 )
-from puremit.circuits import Gate, GateCircuit, circuit_unitary, random_circuit
+from puremit.circuits import (
+    Gate,
+    GateCircuit,
+    circuit_unitary,
+    embed_operator,
+    inverse_circuit,
+    random_circuit,
+)
 from puremit.linalg import DensityOperator, random_density, random_hermitian
 
 
@@ -246,3 +256,71 @@ def test_dual_state_dual_noise_override():
     psi = circuit_unitary(circ)[:, 0]
     assert np.max(np.abs(clean.matrix - np.outer(psi, psi.conj()))) < 1e-10
     assert np.max(np.abs(noisy.matrix - clean.matrix)) > 1e-6
+
+
+# --- local-contraction engine against the dense embedded references ---------
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _embedded_sum(ops, targets, nq, mat):
+    full = [embed_operator(op, targets, nq) for op in ops]
+    return sum(k @ mat @ k.conj().T for k in full)
+
+
+# unordered and non-adjacent targets, k = 1..3, nq <= 5
+_LOCAL_CASES = [
+    (1, [0]),
+    (2, [1, 0]),
+    (3, [2, 0]),
+    (4, [3, 0, 1]),
+    (5, [4, 1]),
+    (5, [3, 0, 4]),
+    (5, [2]),
+]
+
+
+def test_apply_local_matches_embedded_operators():
+    rng = np.random.default_rng(11)
+    for nq, targets in _LOCAL_CASES:
+        d = 2**len(targets)
+        mat = _complex(rng, 2**nq, 2**nq)
+        for n_ops in (1, 2, 3):
+            ops = _complex(rng, n_ops, d, d)
+            got = apply_local(mat, ops, targets, nq)
+            want = _embedded_sum(ops, targets, nq, mat)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_depolarize_matches_kraus_sum():
+    rng = np.random.default_rng(12)
+    cases = _LOCAL_CASES + [
+        # register 1 of ancilla + two 2-qubit registers
+        (5, [3, 4]),
+        # a whole register
+        (3, [0, 1, 2]),
+    ]
+    for nq, targets in cases:
+        mat = _complex(rng, 2**nq, 2**nq)
+        for p in (0.0, 0.3, 1.0):
+            ops = depolarizing_channel(len(targets), p).ops
+            got = depolarize(mat, p, targets, nq)
+            want = _embedded_sum(ops, targets, nq, mat)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_engine_states_match_dense_channel_oracles(kind):
+    rng = np.random.default_rng(13)
+    noise = NoiseModel(kind, 0.15)
+    for n in (1, 2, 3):
+        circ = random_circuit(rng, n, 6)
+        zero = DensityOperator.computational_zero(n).matrix
+        want = apply_channel(noisy_circuit_channel(circ, noise), zero).matrix
+        got = prepare_noisy_state(circ, noise).matrix
+        assert np.max(np.abs(got - want)) < 1e-12
+        adj = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), noise))
+        got = dual_state(circ, noise).matrix
+        assert np.max(np.abs(got - _act(adj, zero))) < 1e-12

@@ -124,7 +124,7 @@ def test_cmd_verify_passes(capsys):
     assert main(["verify", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if "residual" in l]
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all("PASS" in l for l in lines)
     assert "all checks passed" in out
 
@@ -244,6 +244,15 @@ def test_cmd_sweep_noise_strength_zero_is_unbiased(tmp_path, capsys):
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert float(rows[0]["exact_bias"]) <= 1e-12
     assert float(rows[1]["exact_bias"]) > 1e-6
+
+
+def test_cmd_sweep_noise_strength_rejects_noise_kind_none(tmp_path, capsys):
+    cfg = _base_config(tmp_path, **{"noise.kind": "none", "noise.strength": "0"})
+    argv = ["sweep", "--config", str(cfg), "--parameter", "noise.strength"]
+    assert main(argv + ["--values", "0,0.05,0.2", "--exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "noise.kind = none" in captured.err
 
 
 def test_cmd_sweep_pure_input_all_schemes_unbiased(tmp_path, capsys):

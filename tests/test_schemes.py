@@ -168,6 +168,19 @@ def test_multicopy_estimate_recycled_kind():
         multicopy_estimate(rho, obs, 2, kind="combined")
 
 
+def test_multicopy_estimate_large_composite_uses_matrix_power():
+    # the 6-qubit M = 3 composite (2^18) is past the dense cap, but the
+    # estimate only needs a 64 x 64 matrix power
+    rng = np.random.default_rng(12)
+    rho = random_density(rng, 64).matrix
+    obs = PauliObservable(((0.6, "XZIYZI"), (-0.3, "ZZZIII")))
+    rep = multicopy_estimate(rho, obs, 3)
+    cube = np.linalg.matrix_power(rho, 3)
+    want = np.trace(obs.matrix() @ cube).real / np.trace(cube).real
+    assert rep.ratio == pytest.approx(want, abs=1e-12)
+    assert rep.details["evaluation"] == "matrix-power"
+
+
 def test_multicopy_estimate_vanishing_denominator():
     tiny = 1e-8 * np.eye(2, dtype=complex) / 2
     with pytest.raises(VanishingDenominatorError):
