@@ -62,9 +62,9 @@ from .resources import resource_profile
 from .sampling import ShotConfig, UnstableDenominatorError, scheme_shot_experiment
 from .schemes import (
     VanishingDenominatorError,
-    _composite_verified,
-    _permutation_contraction,
     build_pipeline,
+    permutation_contraction,
+    verified_composite_contraction,
 )
 
 
@@ -80,7 +80,7 @@ def _verify_checks(seed: int):
             continue
         rho = random_density(rng, d).matrix
         obs = random_hermitian(rng, d)
-        got = _permutation_contraction(obs, [rho] * m)
+        got = permutation_contraction(obs, [rho] * m)
         power = np.linalg.matrix_power(rho, m)
         want = complex(np.trace(obs @ power))
         res = max(res, abs(got - want))
@@ -98,7 +98,7 @@ def _verify_checks(seed: int):
         obs = random_hermitian(rng, d)
         chain = np.linalg.matrix_power(rho @ rbar, m)
         want = complex(np.trace(obs @ chain))
-        got = _composite_verified(kron_power(rbar, m), obs, rho, m)
+        got = verified_composite_contraction(kron_power(rbar, m), obs, rho, m)
         res = max(res, abs(got - want))
     yield "verified-contraction", res
 

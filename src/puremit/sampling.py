@@ -1,10 +1,13 @@
 """Shot-based Monte Carlo estimation on top of the scheme pipelines.
 
-Sampling is exact Born-rule sampling: each measurable unit (one
-numerator term or the denominator) is diagonalized once, outcome
-probabilities are read off the state, and counts are drawn with a
+Sampling is exact Born-rule sampling. Each measurable unit of a
+pipeline (one numerator term or the denominator) is a computational-basis
+readout: its basis-state populations are grouped by readout value into at
+most three outcomes (ancilla +1 or -1, and for the verified schemes
+whether the registers project to zero), and counts are drawn with a
 counter-based seeding scheme so results are reproducible and independent
-across trials and units.
+across trials and units. ``sample_expectation`` takes an arbitrary
+observable and draws in its eigenbasis instead.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from ._accel import bin_outcomes
 from .linalg import as_matrix, hermitian_eig
 from .reports import EstimateReport
-from .schemes import SchemePipeline
+from .schemes import MeasurableTerm, SchemePipeline
 
 _NEG_PROB_ATOL = 1e-6
 _SUM_PROB_ATOL = 1e-6
@@ -48,10 +51,8 @@ class SampleStats:
     shots: int
 
 
-def _distribution(state_mat: np.ndarray, obs_mat: np.ndarray):
-    """Eigenvalues of the observable and cumulative outcome probabilities."""
-    w, v = hermitian_eig(obs_mat)
-    probs = np.einsum("ij,jk,ki->i", v.conj().T, state_mat, v).real
+def _normalized(probs: np.ndarray) -> np.ndarray:
+    """Validated outcome probabilities, clipped at zero and rescaled to sum 1."""
     low = float(probs.min())
     if low < -_NEG_PROB_ATOL:
         raise ValueError(
@@ -61,7 +62,21 @@ def _distribution(state_mat: np.ndarray, obs_mat: np.ndarray):
     total = float(probs.sum())
     if abs(total - 1.0) > _SUM_PROB_ATOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-    return w, np.cumsum(probs / total)
+    return probs / total
+
+
+def _distribution(state_mat: np.ndarray, obs_mat: np.ndarray):
+    """Eigenvalues of the observable and cumulative outcome probabilities."""
+    w, v = hermitian_eig(obs_mat)
+    probs = np.einsum("ij,jk,ki->i", v.conj().T, state_mat, v).real
+    return w, np.cumsum(_normalized(probs))
+
+
+def _readout_distribution(term: MeasurableTerm):
+    """Distinct readout values, descending, and their cumulative probabilities."""
+    values, outcome = np.unique(term.observable, return_inverse=True)
+    probs = np.bincount(outcome, weights=_normalized(term.state), minlength=values.size)
+    return values[::-1], np.cumsum(probs[::-1])
 
 
 def _draw_stats(evals: np.ndarray, cum: np.ndarray, shots: int, rng) -> SampleStats:
@@ -136,7 +151,7 @@ def scheme_shot_experiment(pipeline: SchemePipeline, config: ShotConfig) -> Esti
     per_unit = config.shots // n_units
     extra = config.shots % n_units
     allocation = [per_unit + (1 if i < extra else 0) for i in range(n_units)]
-    dists = [_distribution(t.state, t.observable) for t in units]
+    dists = [_readout_distribution(t) for t in units]
 
     trial_ratios = []
     trial_stderrs = []
@@ -160,7 +175,12 @@ def scheme_shot_experiment(pipeline: SchemePipeline, config: ShotConfig) -> Esti
         )
         shots_used += den_stats.shots
         num_stats = SampleStats(num_mean, float(np.sqrt(num_var)), config.shots)
-        ratio, stderr = ratio_estimator(num_stats, den_stats)
+        try:
+            ratio, stderr = ratio_estimator(num_stats, den_stats)
+        except UnstableDenominatorError as exc:
+            raise UnstableDenominatorError(
+                f"trial {trial} of {config.trials}: {exc}"
+            ) from exc
         trial_ratios.append(ratio)
         trial_stderrs.append(stderr)
         num_means.append(num_mean)

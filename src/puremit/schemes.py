@@ -24,6 +24,7 @@ register swaps S_{M-2,M-1} ... S_{0,1}, applied rightmost first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,16 +42,12 @@ from .linalg import (
     check_dimension,
     kron_all,
     kron_power,
-    zero_projector,
 )
 from .observables import PauliObservable, pauli_string_matrix
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
 
 DENOMINATOR_FLOOR = 1e-12
-# largest composite dimension for which the explicit permutation
-# contraction is evaluated alongside the reduced matrix-power form
-_COMPOSITE_LIMIT = 1024
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _MULTICOPY_KINDS = ("multi-copy", "multi-copy-recycled")
@@ -123,16 +120,12 @@ def controlled_register_swap(n_qubits: int):
     return mat, triples
 
 
-def _chain_trace(factors) -> complex:
-    """Tr(A_1 A_2 ... A_M) by accumulating matrix products."""
-    acc = None
-    for f in factors:
-        acc = f if acc is None else acc @ f
-    return complex(np.trace(acc))
+def permutation_contraction(obs_mat, factors):
+    """Tr(C_M O_1 (A_1 (x) ... (x) A_M)) evaluated on the composite space.
 
-
-def _permutation_contraction(obs_mat, factors):
-    """Tr(C_M O_1 (A_1 (x) ... (x) A_M)) evaluated on the composite space."""
+    The dense oracle for the reduced chain of ``multicopy_estimate``; the
+    estimators never call it.
+    """
     m = len(factors)
     dim = factors[0].shape[0]
     first = obs_mat @ factors[0]
@@ -156,10 +149,11 @@ def multicopy_estimate(
 ) -> EstimateReport:
     """Purified expectation from M copies: Tr(O rho^M) / Tr(rho^M).
 
-    Uses the explicit cyclic-permutation contraction whenever the
-    composite dimension stays small, and the equivalent matrix-power form
-    beyond that. ``kind`` may be "multi-copy-recycled" to account two
-    registers with serialized swaps instead of M registers in depth 1.
+    Evaluated as the reduced matrix power, which equals the cyclic
+    permutation contraction on the M-copy composite
+    (``permutation_contraction``). ``kind`` may be "multi-copy-recycled"
+    to account two registers with serialized swaps instead of M
+    registers in depth 1.
     """
     if kind not in _MULTICOPY_KINDS:
         raise ValueError(f"kind must be one of {_MULTICOPY_KINDS}, got {kind!r}")
@@ -171,21 +165,9 @@ def multicopy_estimate(
     obs = observable.matrix()
     if obs.shape != rho.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape}, observable {obs.shape}")
-    details = {}
     power = np.linalg.matrix_power(rho, n_copies)
-    num_reduced = complex(np.trace(obs @ power))
-    den_reduced = complex(np.trace(power))
-    if dim**n_copies <= _COMPOSITE_LIMIT:
-        copies = [rho] * n_copies
-        num = _permutation_contraction(obs, copies)
-        den = _permutation_contraction(np.eye(dim, dtype=complex), copies)
-        details["evaluation"] = "permutation-contraction"
-        details["reduced_residual"] = float(
-            max(abs(num - num_reduced), abs(den - den_reduced))
-        )
-    else:
-        num, den = num_reduced, den_reduced
-        details["evaluation"] = "matrix-power"
+    num = complex(np.trace(obs @ power))
+    den = complex(np.trace(power))
     if abs(den.real) < DENOMINATOR_FLOOR:
         raise VanishingDenominatorError(
             f"Tr(rho^{n_copies}) = {den.real:.3e} is numerically zero"
@@ -201,7 +183,6 @@ def multicopy_estimate(
         resources=resources,
         exact_ratio=ratio,
         imag_residual=float(max(abs(num.imag), abs(den.imag))),
-        details=details,
     )
 
 
@@ -248,7 +229,9 @@ def combined_estimate(
 
     With ``verified_copies`` = k < M only the last k registers carry the
     inverse-circuit verification, giving the odd-degree family
-    Tr(O rho^(M-k) (rho rho_bar)^k) at operator level.
+    Tr(O rho^(M-k) (rho rho_bar)^k) at operator level. The chain equals
+    the composite contraction Tr(rho_bar^(x)M C_M O_1 rho^(x)M) for
+    k = M (``verified_composite_contraction``).
     """
     if n_copies < 1:
         raise ValueError(f"need n_copies >= 1, got {n_copies}")
@@ -269,21 +252,6 @@ def combined_estimate(
         chain = f if chain is None else chain @ f
     num = complex(np.trace(obs @ chain))
     den = complex(np.trace(chain))
-    details = {"verified_copies": k, "evaluation": "matrix-chain"}
-    if k == n_copies and rho.shape[0] ** n_copies <= _COMPOSITE_LIMIT:
-        # cross-check against the full permutation contraction
-        # Tr(rho_bar^(x)M C_M O_1 rho^(x)M)
-        rb_m = kron_power(rbar, n_copies)
-        num_comp = _composite_verified(rb_m, obs, rho, n_copies)
-        den_comp = _composite_verified(
-            rb_m, np.eye(rho.shape[0], dtype=complex), rho, n_copies
-        )
-        details["evaluation"] = "permutation-contraction"
-        details["composite_numerator"] = num_comp.real
-        details["composite_denominator"] = den_comp.real
-        details["reduced_residual"] = float(
-            max(abs(num_comp - num), abs(den_comp - den))
-        )
     if abs(den.real) < DENOMINATOR_FLOOR:
         raise VanishingDenominatorError(
             f"verified chain trace {den.real:.3e} is numerically zero"
@@ -311,12 +279,16 @@ def combined_estimate(
         resources=resources,
         exact_ratio=ratio,
         imag_residual=float(max(abs(num.imag), abs(den.imag))),
-        details=details,
+        details={"verified_copies": k},
     )
 
 
-def _composite_verified(rb_m, obs_mat, rho, n_copies):
-    """Tr(rho_bar^(x)M C_M O_1 rho^(x)M) on the composite space."""
+def verified_composite_contraction(rb_m, obs_mat, rho, n_copies):
+    """Tr(rho_bar^(x)M C_M O_1 rho^(x)M) on the composite space.
+
+    The dense oracle for the verified chain of ``combined_estimate``; the
+    estimators never call it.
+    """
     dim = rho.shape[0]
     c = cyclic_permutation(n_copies, dim)
     o1 = np.kron(obs_mat, np.eye(dim ** (n_copies - 1), dtype=complex))
@@ -329,11 +301,31 @@ def _composite_verified(rb_m, obs_mat, rho, n_copies):
 
 @dataclass(frozen=True)
 class MeasurableTerm:
-    """One ancilla-readout measurement: coefficient * Tr(observable state)."""
+    """One computational-basis readout: coefficient * observable . state.
+
+    ``state`` holds the final state's basis-state populations,
+    diag(rho_final).real, and ``observable`` the value the readout
+    assigns to each basis state: diag(Z_anc (x) Pi) for the ancilla
+    schemes, the Z parity of the rotated qubits for ``raw``.
+    ``imag_residual`` is |observable . Im diag(rho_final)|, the rounding
+    left by the evolution.
+    """
 
     coefficient: float
     state: np.ndarray
     observable: np.ndarray
+    imag_residual: float = 0.0
+
+    def value(self) -> float:
+        return float(self.observable @ self.state)
+
+
+def _readout(coefficient: float, mat: np.ndarray, values: np.ndarray) -> MeasurableTerm:
+    """Keep only what a basis measurement of ``mat`` with ``values`` reads."""
+    diag = np.diagonal(mat)
+    return MeasurableTerm(
+        float(coefficient), diag.real.copy(), values, abs(float(values @ diag.imag))
+    )
 
 
 @dataclass(frozen=True)
@@ -356,14 +348,12 @@ class SchemePipeline:
         total = 0.0
         resid = 0.0
         for term in self.numerator_terms:
-            val = complex(np.trace(term.observable @ term.state))
-            total += term.coefficient * val.real
-            resid = max(resid, abs(val.imag))
+            total += term.coefficient * term.value()
+            resid = max(resid, term.imag_residual)
         return total, resid
 
     def exact_denominator(self):
-        val = complex(np.trace(self.denominator.observable @ self.denominator.state))
-        return val.real, abs(val.imag)
+        return self.denominator.value(), self.denominator.imag_residual
 
     def exact_report(self) -> EstimateReport:
         num, resid_n = self.exact_numerator()
@@ -387,6 +377,12 @@ class SchemePipeline:
 
 
 _CTRL_CACHE: dict = {}
+# basis change U with U^dag Z U = P, so that P is read as a Z parity
+_TO_Z = {
+    "X": gate_matrix("H"),
+    "Y": gate_matrix("H") @ gate_matrix("S").conj().T,
+}
+_Z_VALUES = np.array([1.0, -1.0])
 
 
 def _controlled_pauli(letter: str) -> np.ndarray:
@@ -407,7 +403,11 @@ def build_pipeline(
     machinery_noise: NoiseModel | None = None,
     dual_noise: NoiseModel | None = None,
 ) -> SchemePipeline:
-    """Construct the full scheme circuit and evaluate its final states.
+    """Construct the full scheme circuit and read out its final states.
+
+    Every unit ends in a computational-basis measurement, so each final
+    state is reduced to its basis-state populations as soon as it is
+    evolved (see ``MeasurableTerm``).
 
     ``noise`` afflicts the state-preparation circuits (and, unless
     ``dual_noise`` overrides it, the inverse circuits of the verification
@@ -430,18 +430,22 @@ def build_pipeline(
     raw_value = float(np.trace(obs_mat @ rho.matrix).real)
 
     if kind == "raw":
-        eye = np.eye(psi_dim, dtype=complex)
-        terms = tuple(
-            MeasurableTerm(c, rho.matrix, pauli_string_matrix(s))
-            for c, s in observable.terms
-        )
-        den = MeasurableTerm(1.0, rho.matrix, eye)
+        # rotate each X or Y qubit onto Z, then read the Z parity
+        terms = []
+        for coeff, string in observable.terms:
+            mat = rho.matrix
+            for q, letter in enumerate(string):
+                if letter in _TO_Z:
+                    mat = apply_local(mat, [_TO_Z[letter]], [q], n)
+            parity = reduce(np.kron, [_Z_VALUES if c != "I" else np.ones(2) for c in string])
+            terms.append(_readout(coeff, mat, parity))
+        den = _readout(1.0, rho.matrix, np.ones(psi_dim))
         return SchemePipeline(
             kind="raw",
             degree=1,
             n_copies=1,
             n_qubits=n,
-            numerator_terms=terms,
+            numerator_terms=tuple(terms),
             denominator=den,
             resources=resource_profile("raw", 1, n),
             ideal_value=ideal_value,
@@ -493,12 +497,13 @@ def build_pipeline(
         mat = apply_local(mat, [gate_matrix("H")], [0], nq)
         return apply_noise(mat, machinery, [0], nq)
 
-    z_anc = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    # diag(Z_anc (x) Pi): Pi projects every register to |0...0> when verifying
     if verify:
-        proj = kron_power(zero_projector(psi_dim), copies)
+        proj = np.zeros(psi_dim**copies)
+        proj[0] = 1.0
     else:
-        proj = np.eye(psi_dim**copies, dtype=complex)
-    meas = np.kron(z_anc, proj)
+        proj = np.ones(psi_dim**copies)
+    values = np.kron(_Z_VALUES, proj)
 
     numerator_terms = []
     for coeff, string in observable.terms:
@@ -507,10 +512,8 @@ def build_pipeline(
             if letter == "I":
                 continue
             mat = apply_local(mat, [_controlled_pauli(letter)], [0, 1 + q], nq)
-        mat = run_suffix(mat)
-        numerator_terms.append(MeasurableTerm(float(coeff), mat, meas))
-    den_state = run_suffix(base)
-    denominator = MeasurableTerm(1.0, den_state, meas)
+        numerator_terms.append(_readout(coeff, run_suffix(mat), values))
+    denominator = _readout(1.0, run_suffix(base), values)
 
     rbar = None
     if verify:

@@ -33,9 +33,9 @@ from puremit.purification import purified_infidelity_bound, purified_state
 from puremit.resources import resource_profile
 from puremit.sampling import ShotConfig, scheme_shot_experiment
 from puremit.schemes import (
-    _composite_verified,
-    _permutation_contraction,
     build_pipeline,
+    permutation_contraction,
+    verified_composite_contraction,
 )
 
 PLUS = GateCircuit(1, (Gate("H", (0,)),))
@@ -73,7 +73,7 @@ def test_c01_cyclic_contraction_identity():
         m = int(rng.integers(2, 5))
         rho = random_density(rng, d).matrix
         obs = random_hermitian(rng, d)
-        got = _permutation_contraction(obs, [rho] * m)
+        got = permutation_contraction(obs, [rho] * m)
         want = complex(np.trace(obs @ np.linalg.matrix_power(rho, m)))
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
@@ -100,7 +100,7 @@ def test_c02_verified_composite_contraction():
         rbar = z @ z.conj().T / d  # PSD, deliberately unnormalized
         obs = random_hermitian(rng, d)
         want = complex(np.trace(obs @ np.linalg.matrix_power(rho @ rbar, m)))
-        got = _composite_verified(kron_power(rbar, m), obs, rho, m)
+        got = verified_composite_contraction(kron_power(rbar, m), obs, rho, m)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0

@@ -181,6 +181,15 @@ def test_cmd_run_sampled_with_overrides(tmp_path, capsys):
     assert payload["report"]["ratio_stderr"] > 0
 
 
+def test_cmd_run_names_the_trial_with_an_unstable_denominator(tmp_path, capsys):
+    # trials 0 and 1 pass the denominator guard at this seed, trial 2 does not
+    cfg = _base_config(
+        tmp_path, m="3", shots="20", trials="4", seed="4", **{"noise.strength": "0.6"}
+    )
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "trial 2 of 4" in capsys.readouterr().err
+
+
 def test_cmd_run_writes_output_file(tmp_path):
     out = tmp_path / "report.json"
     cfg = _base_config(tmp_path, output="ignored.json")

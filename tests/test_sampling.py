@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from puremit import sampling
 from puremit.channels import NoiseModel
 from puremit.circuits import Gate, GateCircuit
-from puremit.observables import PauliObservable
+from puremit.observables import PauliObservable, parse_observable
 from puremit.sampling import (
     SampleStats,
     ShotConfig,
@@ -23,6 +24,31 @@ def _plus_pipeline(p=0.2, kind="multi-copy", copies=2):
         NoiseModel("depolarizing-global", p),
         PauliObservable.single("X"),
         n_copies=copies,
+    )
+
+
+_GENERIC = GateCircuit(
+    2,
+    (
+        Gate("RY", (0,), 0.9),
+        Gate("RZ", (0,), -1.7),
+        Gate("RY", (1,), 2.1),
+        Gate("CNOT", (0, 1)),
+        Gate("RY", (0,), 0.6),
+        Gate("RZ", (1,), -0.8),
+    ),
+)
+_GENERIC_OBS = parse_observable("0.6*ZX + 0.4*YI")
+
+
+def _generic_pipeline(kind, copies, machinery=None):
+    return build_pipeline(
+        kind,
+        _GENERIC,
+        NoiseModel("depolarizing-local", 0.08),
+        _GENERIC_OBS,
+        n_copies=copies,
+        machinery_noise=machinery,
     )
 
 
@@ -142,3 +168,75 @@ def test_sampled_report_carries_references():
     assert rep.exact_ratio == pytest.approx(0.975609756097561, abs=1e-12)
     assert rep.ideal_value == pytest.approx(1.0, abs=1e-12)
     assert rep.raw_value == pytest.approx(0.8, abs=1e-12)
+
+
+# (kind, copies, dephasing machinery, trials): ratio, ratio_stderr,
+# numerator, denominator at 6000 shots, seed 17, recorded from the
+# eigenbasis sampler that drew in the spectrum of each readout operator
+_FROZEN_SAMPLED = {
+    ("raw", 1, False, 1): (-0.08600000000000001, 0.015570696300796757, -0.08600000000000001, 1.0),
+    ("raw", 1, False, 3): (-0.08953333333333335, 0.00787936827699051, -0.08953333333333335, 1.0),
+    ("raw", 1, True, 1): (-0.08600000000000001, 0.015570696300796757, -0.08600000000000001, 1.0),
+    ("raw", 1, True, 3): (-0.08953333333333335, 0.00787936827699051, -0.08953333333333335, 1.0),
+    ("multi-copy", 2, False, 1): (-0.12084805653710248, 0.027948124393630182, -0.0684, 0.566),
+    ("multi-copy", 2, False, 3): (-0.12203255132020434, 0.016884637062257006, -0.0722, 0.5936666666666666),
+    ("multi-copy", 2, True, 1): (-0.11295116772823782, 0.033881364136030205, -0.05320000000000001, 0.471),
+    ("multi-copy", 2, True, 3): (-0.12010479051158023, 0.021740849533794283, -0.05873333333333334, 0.492),
+    ("state-verification", 1, False, 1): (-0.1538720538720539, 0.01641696604136064, -0.09140000000000002, 0.594),
+    ("state-verification", 1, False, 3): (-0.14130798412122605, 0.014058974069334524, -0.08516666666666668, 0.6038333333333333),
+    ("state-verification", 1, True, 1): (-0.15067024128686332, 0.01756761182848566, -0.08430000000000003, 0.5595),
+    ("state-verification", 1, True, 3): (-0.140550259541852, 0.012138633242269818, -0.08000000000000002, 0.57),
+    ("combined", 2, False, 1): (-0.16470588235294117, 0.02399501557727004, -0.0546, 0.3315),
+    ("combined", 2, False, 3): (-0.1448754784113356, 0.0170103006391064, -0.050100000000000006, 0.3481666666666667),
+    ("combined", 2, True, 1): (-0.14459724950884087, 0.030852260557410582, -0.0368, 0.2545),
+    ("combined", 2, True, 3): (-0.12884494674000554, 0.025343985240441885, -0.034066666666666676, 0.26866666666666666),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FROZEN_SAMPLED), ids=str)
+def test_seeded_sampled_outputs_are_frozen(case):
+    kind, copies, noisy_machinery, trials = case
+    mach = NoiseModel("dephasing", 0.03) if noisy_machinery else None
+    pipe = _generic_pipeline(kind, copies, mach)
+    rep = scheme_shot_experiment(pipe, ShotConfig(shots=6000, trials=trials, seed=17))
+    got = (rep.ratio, rep.ratio_stderr, rep.numerator, rep.denominator)
+    assert np.max(np.abs(np.subtract(got, _FROZEN_SAMPLED[case]))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind,copies",
+    [
+        ("raw", 1),
+        ("multi-copy", 2),
+        ("multi-copy-recycled", 3),
+        ("state-verification", 1),
+        ("combined", 2),
+    ],
+)
+def test_scheme_sampling_needs_no_eigendecomposition(monkeypatch, kind, copies):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pipeline sampling called hermitian_eig")
+
+    pipe = _generic_pipeline(kind, copies, NoiseModel("dephasing", 0.03))
+    monkeypatch.setattr(sampling, "hermitian_eig", refuse)
+    rep = scheme_shot_experiment(pipe, ShotConfig(shots=3000, trials=2, seed=1))
+    assert rep.shots_used == 6000
+
+
+def test_readout_outcomes_are_grouped_by_value():
+    # a verified readout has three outcomes: ancilla +1 or -1 with the
+    # registers at zero, and everything else reading 0
+    pipe = _generic_pipeline("combined", 2)
+    values, cum = sampling._readout_distribution(pipe.denominator)
+    assert values.tolist() == [1.0, 0.0, -1.0]
+    assert cum[-1] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(cum) >= 0)
+
+
+def test_unstable_denominator_names_the_failing_trial():
+    # at seed 4 trials 0 and 1 pass the guard and trial 2 trips it
+    pipe = _plus_pipeline(p=0.6, copies=3)
+    for trials in (1, 2):
+        scheme_shot_experiment(pipe, ShotConfig(shots=20, trials=trials, seed=4))
+    with pytest.raises(UnstableDenominatorError, match=r"^trial 2 of 4: denominator"):
+        scheme_shot_experiment(pipe, ShotConfig(shots=20, trials=4, seed=4))

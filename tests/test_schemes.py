@@ -5,14 +5,13 @@ import pytest
 
 from puremit.channels import NO_NOISE, NoiseModel, dual_state, prepare_noisy_state
 from puremit.circuits import Gate, GateCircuit, SWAP_GATE, embed_operator
-from puremit.linalg import kron_all, random_density, random_hermitian
-from puremit.observables import PauliObservable, parse_observable
+from puremit.linalg import kron_all, kron_power, random_density, random_hermitian
+from puremit.observables import PauliObservable, parse_observable, pauli_string_matrix
 from puremit.purification import purified_expectation
 from puremit.resources import ResourceProfile, resource_profile
 from puremit.schemes import (
     SchemePipeline,
     VanishingDenominatorError,
-    _permutation_contraction,
     build_pipeline,
     circuit_level_combined,
     combined_estimate,
@@ -20,8 +19,10 @@ from puremit.schemes import (
     cyclic_permutation,
     fredkin_matrix,
     multicopy_estimate,
+    permutation_contraction,
     register_swap,
     state_verification_estimate,
+    verified_composite_contraction,
 )
 
 
@@ -111,7 +112,7 @@ def test_controlled_register_swap_factorization():
         assert np.max(np.abs(mat[:dim, :dim] - np.eye(dim))) < 1e-12
 
 
-def test_permutation_contraction_matches_explicit_matrices():
+def testpermutation_contraction_matches_explicit_matrices():
     rng = np.random.default_rng(2)
     for m, d in ((2, 2), (3, 2), (2, 4)):
         rho = random_density(rng, d).matrix
@@ -120,7 +121,7 @@ def test_permutation_contraction_matches_explicit_matrices():
         want = np.trace(
             cyclic_permutation(m, d) @ o1 @ kron_all([rho] * m)
         )
-        got = _permutation_contraction(obs, [rho] * m)
+        got = permutation_contraction(obs, [rho] * m)
         assert abs(got - want) < 1e-10
 
 
@@ -132,8 +133,10 @@ def test_multicopy_estimate_example():
     assert rep.ratio == pytest.approx(0.975609756097561, abs=1e-12)
     assert rep.numerator == pytest.approx(0.80, abs=1e-12)
     assert rep.denominator == pytest.approx(0.82, abs=1e-12)
-    assert rep.details["evaluation"] == "permutation-contraction"
-    assert rep.details["reduced_residual"] < 1e-12
+    # the reduced chain equals the composite permutation contraction
+    om = obs.matrix()
+    assert abs(permutation_contraction(om, [rho] * 2) - rep.numerator) < 1e-12
+    assert abs(permutation_contraction(np.eye(2), [rho] * 2) - rep.denominator) < 1e-12
     assert rep.resources.kind == "multi-copy" and rep.resources.degree == 2
 
 
@@ -178,7 +181,6 @@ def test_multicopy_estimate_large_composite_uses_matrix_power():
     cube = np.linalg.matrix_power(rho, 3)
     want = np.trace(obs.matrix() @ cube).real / np.trace(cube).real
     assert rep.ratio == pytest.approx(want, abs=1e-12)
-    assert rep.details["evaluation"] == "matrix-power"
 
 
 def test_multicopy_estimate_vanishing_denominator():
@@ -223,9 +225,16 @@ def test_combined_estimate_composite_cross_check():
     rho = random_density(rng, 2).matrix
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rbar = z @ z.conj().T / 2.0  # PSD, not normalized
-    rep = combined_estimate(rho, rbar, PauliObservable.single("Z"), 2)
-    assert rep.details["evaluation"] == "permutation-contraction"
-    assert rep.details["reduced_residual"] < 1e-10
+    obs = PauliObservable.single("Z")
+    rep = combined_estimate(rho, rbar, obs, 2)
+    rb_m = kron_power(rbar, 2)
+    num = verified_composite_contraction(rb_m, obs.matrix(), rho, 2)
+    den = verified_composite_contraction(rb_m, np.eye(2), rho, 2)
+    # the chain of a non-normalized dual is complex; the report keeps the
+    # real parts and the larger imaginary part
+    assert abs(num.real - rep.numerator) < 1e-10
+    assert abs(den.real - rep.denominator) < 1e-10
+    assert abs(max(abs(num.imag), abs(den.imag)) - rep.imag_residual) < 1e-10
 
 
 def test_combined_estimate_partial_verification():
@@ -326,6 +335,20 @@ def test_pipeline_matches_operator_reference(kind, copies):
     assert rep.ratio == pytest.approx(pipe.operator_ratio, abs=1e-9)
     assert rep.exact_ratio == pipe.operator_ratio
     assert rep.imag_residual < 1e-9
+
+
+def test_raw_readout_rotates_paulis_onto_z():
+    # each X qubit is read after H and each Y qubit after H S^dag, as a Z parity
+    circ = _generic_circuit()
+    rho = prepare_noisy_state(circ, NoiseModel("amplitude-damping", 0.15)).matrix
+    strings = ("XI", "IX", "YI", "IY", "ZI", "IZ", "XY", "YX", "ZY", "XZ", "YY", "ZZ", "II")
+    obs = PauliObservable(tuple((1.0, s) for s in strings))
+    pipe = build_pipeline("raw", circ, NoiseModel("amplitude-damping", 0.15), obs)
+    for string, term in zip(strings, pipe.numerator_terms):
+        want = np.trace(pauli_string_matrix(string) @ rho).real
+        assert abs(term.value() - want) <= 1e-12
+        assert set(term.observable.tolist()) <= {1.0, -1.0}
+    assert pipe.denominator.value() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pipeline_noiseless_recovers_ideal():
