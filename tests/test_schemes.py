@@ -112,7 +112,7 @@ def test_controlled_register_swap_factorization():
         assert np.max(np.abs(mat[:dim, :dim] - np.eye(dim))) < 1e-12
 
 
-def testpermutation_contraction_matches_explicit_matrices():
+def test_permutation_contraction_matches_explicit_matrices():
     rng = np.random.default_rng(2)
     for m, d in ((2, 2), (3, 2), (2, 4)):
         rho = random_density(rng, d).matrix
