@@ -13,7 +13,8 @@ Conventions
   inside a register) always sits on the left.
 * ``hermitian_eig`` returns eigenvalues in descending order with a
   deterministic phase fix, so repeated calls on the same matrix give the
-  same basis.  Exact ties are broken lexicographically.
+  same basis.  Near ties (within 1e-10 * max(1, |w|)) are broken
+  lexicographically.
 * Dense simulation is capped at ``MAX_DIM = 2**13``; anything larger
   raises ``DimensionCapError`` before memory blows up.
 """
@@ -32,6 +33,7 @@ HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 _PHASE_FLOOR = 1e-12
+_TIE_RTOL = 1e-10
 
 
 class DimensionCapError(ValueError):
@@ -110,8 +112,9 @@ def hermitian_eig(a: np.ndarray, atol: float = HERMITICITY_ATOL):
     (w, v) : tuple of ndarray
         ``w`` descending real eigenvalues, ``v`` unitary with columns the
         matching eigenvectors.  Each column is phase-fixed so its first
-        entry of magnitude above 1e-12 is real positive; columns with
-        exactly equal eigenvalues are ordered lexicographically.
+        entry of magnitude above 1e-12 is real positive; columns whose
+        eigenvalues lie within 1e-10 * max(1, |w|) of the first of their
+        cluster are ordered lexicographically.
 
     Raises
     ------
@@ -133,11 +136,12 @@ def hermitian_eig(a: np.ndarray, atol: float = HERMITICITY_ATOL):
         if nz.size:
             pivot = col[nz[0]]
             v[:, j] = col * (pivot.conjugate() / abs(pivot))
-    # stable order inside exactly tied eigenvalue clusters
+    # stable order inside clusters of eigenvalues tied to within
+    # _TIE_RTOL * max(1, |w|), which eigh may return in any order
     j = 0
     while j < len(w):
         k = j + 1
-        while k < len(w) and w[k] == w[j]:
+        while k < len(w) and w[j] - w[k] <= _TIE_RTOL * max(1.0, abs(w[j])):
             k += 1
         if k - j > 1:
             cols = sorted(

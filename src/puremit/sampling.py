@@ -2,12 +2,13 @@
 
 Sampling is exact Born-rule sampling. Each measurable unit of a
 pipeline (one numerator term or the denominator) is a computational-basis
-readout: its basis-state populations are grouped by readout value into at
-most three outcomes (ancilla +1 or -1, and for the verified schemes
-whether the registers project to zero), and counts are drawn with a
-counter-based seeding scheme so results are reproducible and independent
-across trials and units. ``sample_expectation`` takes an arbitrary
-observable and draws in its eigenbasis instead.
+readout whose outcome probabilities the pipeline already holds (ancilla
++1 or -1, and for the verified schemes 0 when a register does not
+project to zero; ``raw`` units hold basis-state populations). They are
+grouped by readout value into at most three outcomes, and counts are
+drawn with a counter-based seeding scheme so results are reproducible
+and independent across trials and units. ``sample_expectation`` takes an
+arbitrary observable and draws in its eigenbasis instead.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def scheme_shot_experiment(pipeline: SchemePipeline, config: ShotConfig) -> Esti
             evals, cum, allocation[-1], _unit_rng(config.seed, trial, n_units - 1)
         )
         shots_used += den_stats.shots
-        num_stats = SampleStats(num_mean, float(np.sqrt(num_var)), config.shots)
+        num_stats = SampleStats(num_mean, float(np.sqrt(num_var)), sum(allocation[:-1]))
         try:
             ratio, stderr = ratio_estimator(num_stats, den_stats)
         except UnstableDenominatorError as exc:

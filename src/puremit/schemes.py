@@ -13,7 +13,11 @@ Circuit-level pipelines build the ancilla-controlled measurement circuit
 explicitly (Hadamard, controlled observable, controlled register swaps,
 inverse circuits, ancilla readout) so machinery noise on the swaps and
 ancilla gates can be studied. With noiseless machinery the pipeline
-reproduces the operator-level value.
+reproduces the operator-level value. The readout is taken in the
+Heisenberg picture: its effects are propagated backwards through the
+shared suffix once, and each observable term is scored against them
+after a signed permutation (its controlled Pauli string) of the shared
+prefix state.
 
 Register layout on the composite: ancilla is qubit 0 (most significant),
 register r occupies qubits 1 + r*n .. n + r*n. The cyclic shift C_M
@@ -36,14 +40,14 @@ from .channels import (
     dual_state,
     prepare_noisy_state,
 )
-from .circuits import GateCircuit, gate_matrix, inverse_circuit
+from .circuits import GateCircuit, gate_matrix
 from .linalg import (
     as_matrix,
     check_dimension,
     kron_all,
     kron_power,
 )
-from .observables import PauliObservable, pauli_string_matrix
+from .observables import PauliObservable
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
 
@@ -301,14 +305,16 @@ def verified_composite_contraction(rb_m, obs_mat, rho, n_copies):
 
 @dataclass(frozen=True)
 class MeasurableTerm:
-    """One computational-basis readout: coefficient * observable . state.
+    """One measurement setting: coefficient * observable . state.
 
-    ``state`` holds the final state's basis-state populations,
-    diag(rho_final).real, and ``observable`` the value the readout
-    assigns to each basis state: diag(Z_anc (x) Pi) for the ancilla
-    schemes, the Z parity of the rotated qubits for ``raw``.
-    ``imag_residual`` is |observable . Im diag(rho_final)|, the rounding
-    left by the evolution.
+    ``state`` holds the probabilities of the setting's outcomes and
+    ``observable`` the value each outcome reads. An ancilla-scheme unit
+    has the outcomes +1 and -1 (the ancilla reads 0 or 1) and, for the
+    verified schemes, 0 (some register did not project to |0...0>); its
+    value is Tr(W_Z rho_final) with the readout effect W_Z = Z_anc (x) Pi.
+    ``raw`` keeps the basis-state populations of its rotated n-qubit
+    state with their Z parities. ``imag_residual`` is the imaginary part
+    the readout left over, the rounding of the evolution.
     """
 
     coefficient: float
@@ -376,22 +382,48 @@ class SchemePipeline:
         )
 
 
-_CTRL_CACHE: dict = {}
 # basis change U with U^dag Z U = P, so that P is read as a Z parity
 _TO_Z = {
     "X": gate_matrix("H"),
     "Y": gate_matrix("H") @ gate_matrix("S").conj().T,
 }
 _Z_VALUES = np.array([1.0, -1.0])
+# outcome values of an ancilla-scheme unit: ancilla 0, ancilla 1, and for
+# the verified schemes some register off |0...0>
+_ANCILLA_VALUES = np.array([1.0, -1.0])
+_VERIFIED_VALUES = np.array([1.0, -1.0, 0.0])
+# the phase a Pauli letter puts on |b>: Y|b> = i (-1)^b |1-b>, Z|b> = (-1)^b |b>
+_PAULI_PHASES = {
+    "I": np.ones(2),
+    "X": np.ones(2),
+    "Y": np.array([1j, -1j]),
+    "Z": np.array([1.0, -1.0]),
+}
 
 
-def _controlled_pauli(letter: str) -> np.ndarray:
-    if letter not in _CTRL_CACHE:
-        p = pauli_string_matrix(letter)
-        _CTRL_CACHE[letter] = np.kron(_P0, np.eye(2, dtype=complex)) + np.kron(
-            np.eye(2, dtype=complex) - _P0, p
-        )
-    return _CTRL_CACHE[letter]
+def controlled_pauli_string(string: str, nq: int):
+    """CP = |0><0| (x) I + |1><1| (x) P as a signed permutation of the basis.
+
+    The control is qubit 0 (most significant) of nq qubits and the Pauli
+    string P acts on qubits 1 .. len(string). Returns (perm, phase) with
+    CP|j> = phase[j] |perm[j]>.
+    """
+    string = string.upper()
+    half = 2 ** (nq - 1)
+    flips = sum(2 ** (nq - 2 - q) for q, letter in enumerate(string) if letter in "XY")
+    signs = reduce(np.kron, [_PAULI_PHASES[letter] for letter in string], np.ones(1))
+    phase = np.concatenate([np.ones(half), np.kron(signs, np.ones(half >> len(string)))])
+    idx = np.arange(half)
+    return np.concatenate([idx, half + (idx ^ flips)]), phase.astype(complex)
+
+
+def _conjugate(mat: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """CP mat CP^dag for the signed permutation CP|j> = phase[j] |perm[j]>."""
+    scaled = mat * phase[:, None]
+    scaled *= phase.conj()
+    out = np.empty_like(scaled)
+    out[np.ix_(perm, perm)] = scaled
+    return out
 
 
 def build_pipeline(
@@ -403,11 +435,18 @@ def build_pipeline(
     machinery_noise: NoiseModel | None = None,
     dual_noise: NoiseModel | None = None,
 ) -> SchemePipeline:
-    """Construct the full scheme circuit and read out its final states.
+    """Construct the full scheme circuit and read out its outcome probabilities.
 
-    Every unit ends in a computational-basis measurement, so each final
-    state is reduced to its basis-state populations as soon as it is
-    evolved (see ``MeasurableTerm``).
+    An ancilla-scheme circuit is a shared prefix (ancilla Hadamard on
+    |0><0| (x) rho^(x)M), one controlled Pauli string per observable term
+    (none for the denominator), and a shared suffix (controlled register
+    swaps, inverse circuits, ancilla Hadamard). Its readout is read in the
+    Heisenberg picture: the effects W_Z = Z_anc (x) Pi and, for the
+    verified schemes, W_P = I_anc (x) Pi are propagated backwards through
+    the suffix once, and each unit X (the prefix state, conjugated by the
+    term's controlled Pauli string) is scored by Tr(W X). The inverse
+    circuits map Pi to rbar^(x)M, so only the Fredkins run on the
+    composite. See ``MeasurableTerm`` for the outcomes.
 
     ``noise`` afflicts the state-preparation circuits (and, unless
     ``dual_noise`` overrides it, the inverse circuits of the verification
@@ -471,53 +510,66 @@ def build_pipeline(
     nq = 1 + copies * n
     check_dimension(2**nq)
     verify = kind in ("state-verification", "combined")
+    hadamard = gate_matrix("H")
 
     base = np.kron(_P0, kron_power(rho.matrix, copies))
-    base = apply_local(base, [gate_matrix("H")], [0], nq)
+    base = apply_local(base, [hadamard], [0], nq)
     base = apply_noise(base, machinery, [0], nq)
 
-    inv_noise = noise if dual_noise is None else dual_noise
-    inv_gates = inverse_circuit(circuit).gates if verify else ()
-    inv_plan = [(g.qubits, g.matrix()) for g in inv_gates]
+    rbar = dual_state(circuit, noise, dual_noise) if verify else None
+    # Pi projects every register to |0...0> when verifying, else it is I;
+    # the adjoint of the inverse circuits maps it to ``registers``
+    if verify:
+        registers = kron_power(rbar.matrix, copies)
+        pi_trace = 1.0
+    else:
+        registers = np.eye(psi_dim**copies)
+        pi_trace = float(psi_dim**copies)
     fredkin = fredkin_matrix()
 
-    def run_suffix(mat: np.ndarray) -> np.ndarray:
-        for r in range(copies - 1):
-            for i in range(n):
+    def backward(a: np.ndarray) -> np.ndarray:
+        """The adjoint of the suffix applied to the effect a (x) Pi."""
+        # through the final Hadamard and its noise the effect stays
+        # c I + a (x) Pi, with a on the ancilla alone
+        c = 0.0
+        if machinery.kind == "depolarizing-global":
+            # (1-p) W + p Tr(W)/d I on the whole composite
+            c = machinery.strength * np.trace(a).real * pi_trace / 2**nq
+            a = (1.0 - machinery.strength) * a
+        else:
+            a = apply_noise(a, machinery, [0], 1, adjoint=True)
+        a = hadamard @ a @ hadamard
+        # the suffix is trace-preserving, so every adjoint leaves I alone
+        mat = np.kron(a, registers)
+        mat.flat[:: 2**nq + 1] += c
+        for r in reversed(range(copies - 1)):
+            for i in reversed(range(n)):
                 targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
+                mat = apply_noise(mat, machinery, targets, nq, adjoint=True)
+                # the Fredkin is its own adjoint
                 mat = apply_local(mat, [fredkin], targets, nq)
-                mat = apply_noise(mat, machinery, targets, nq)
-        for reg in range(copies if verify else 0):
-            offset = 1 + reg * n
-            register = range(offset, offset + n)
-            for qubits, gate in inv_plan:
-                targets = [offset + q for q in qubits]
-                mat = apply_local(mat, [gate], targets, nq)
-                mat = apply_noise(mat, inv_noise, targets, nq, register=register)
-        mat = apply_local(mat, [gate_matrix("H")], [0], nq)
-        return apply_noise(mat, machinery, [0], nq)
+        return mat
 
-    # diag(Z_anc (x) Pi): Pi projects every register to |0...0> when verifying
-    if verify:
-        proj = np.zeros(psi_dim**copies)
-        proj[0] = 1.0
-    else:
-        proj = np.ones(psi_dim**copies)
-    values = np.kron(_Z_VALUES, proj)
+    effect_z = backward(np.diag(_Z_VALUES).astype(complex))
+    effect_p = backward(np.eye(2, dtype=complex)) if verify else None
+    values = _VERIFIED_VALUES if verify else _ANCILLA_VALUES
+
+    def outcomes(coefficient: float, unit: np.ndarray) -> MeasurableTerm:
+        # the effects are Hermitian, so Tr(W X) = vdot(W, X)
+        z = complex(np.vdot(effect_z, unit))
+        total = float(np.trace(unit).real)
+        kept = float(np.vdot(effect_p, unit).real) if verify else total
+        probs = [(kept + z.real) / 2, (kept - z.real) / 2]
+        if verify:
+            probs.append(total - kept)
+        return MeasurableTerm(float(coefficient), np.array(probs), values, abs(z.imag))
 
     numerator_terms = []
     for coeff, string in observable.terms:
-        mat = base
-        for q, letter in enumerate(string):
-            if letter == "I":
-                continue
-            mat = apply_local(mat, [_controlled_pauli(letter)], [0, 1 + q], nq)
-        numerator_terms.append(_readout(coeff, run_suffix(mat), values))
-    denominator = _readout(1.0, run_suffix(base), values)
+        perm, phase = controlled_pauli_string(string, nq)
+        numerator_terms.append(outcomes(coeff, _conjugate(base, perm, phase)))
+    denominator = outcomes(1.0, base)
 
-    rbar = None
-    if verify:
-        rbar = dual_state(circuit, noise, dual_noise)
     if kind == "state-verification":
         reference = state_verification_estimate(rho, rbar, observable)
     elif kind == "combined":

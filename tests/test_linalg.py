@@ -72,6 +72,19 @@ def test_hermitian_eig_phase_is_deterministic():
         assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
 
+def test_hermitian_eig_orders_near_ties_stably():
+    # eigenvalues 1 and 1 + 1e-15 on e1 and e2, given in both assignments:
+    # eigh orders the pair by rounding noise, the tie-sort by the vectors
+    cols = []
+    for tied in ((1.0, 1.0 + 1e-15), (1.0 + 1e-15, 1.0)):
+        a = np.diag([1.0, *tied, 1.0]).astype(complex)
+        a[0, 3] = a[3, 0] = 1.0
+        w, v = hermitian_eig(a)
+        assert np.allclose(w, [2.0, 1.0, 1.0, 0.0], atol=1e-12)
+        cols.append(v)
+    assert np.max(np.abs(cols[0] - cols[1])) <= 1e-12
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

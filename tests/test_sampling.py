@@ -141,6 +141,24 @@ def test_scheme_shot_experiment_allocates_all_shots():
         scheme_shot_experiment(pipe, ShotConfig(shots=2, seed=0))
 
 
+def test_numerator_stats_count_the_numerator_shots(monkeypatch):
+    seen = []
+    real = sampling.ratio_estimator
+
+    def capture(numerator, denominator):
+        seen.append((numerator.shots, denominator.shots))
+        return real(numerator, denominator)
+
+    monkeypatch.setattr(sampling, "ratio_estimator", capture)
+    circ = GateCircuit(1, (Gate("H", (0,)),))
+    obs = PauliObservable(((0.5, "X"), (0.5, "Z")))
+    pipe = build_pipeline("multi-copy", circ, NoiseModel("depolarizing-global", 0.1), obs)
+    rep = scheme_shot_experiment(pipe, ShotConfig(shots=1001, trials=2, seed=0))
+    alloc = rep.details["shot_allocation"]
+    assert alloc == [334, 334, 333]
+    assert seen == [(668, 333), (668, 333)]
+
+
 def test_scheme_shot_experiment_multi_trial_spread():
     pipe = _plus_pipeline()
     rep = scheme_shot_experiment(pipe, ShotConfig(shots=4000, trials=8, seed=5))

@@ -3,8 +3,25 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from puremit.channels import NO_NOISE, NoiseModel, dual_state, prepare_noisy_state
-from puremit.circuits import Gate, GateCircuit, SWAP_GATE, embed_operator
+from puremit import schemes
+from puremit.channels import (
+    NO_NOISE,
+    NOISE_KINDS,
+    NoiseModel,
+    apply_local,
+    apply_noise,
+    dual_state,
+    prepare_noisy_state,
+)
+from puremit.circuits import (
+    SWAP_GATE,
+    Gate,
+    GateCircuit,
+    embed_operator,
+    gate_matrix,
+    inverse_circuit,
+    random_circuit,
+)
 from puremit.linalg import kron_all, kron_power, random_density, random_hermitian
 from puremit.observables import PauliObservable, parse_observable, pauli_string_matrix
 from puremit.purification import purified_expectation
@@ -15,6 +32,7 @@ from puremit.schemes import (
     build_pipeline,
     circuit_level_combined,
     combined_estimate,
+    controlled_pauli_string,
     controlled_register_swap,
     cyclic_permutation,
     fredkin_matrix,
@@ -475,3 +493,193 @@ def test_pipeline_dual_noise_override_changes_reference():
     assert same.exact_report().ratio == pytest.approx(want_same.ratio, abs=1e-9)
     assert clean_dual.exact_report().ratio == pytest.approx(want_clean.ratio, abs=1e-9)
     assert abs(want_same.ratio - want_clean.ratio) > 1e-6
+
+
+# Exact pipelines recorded from a forward (Schrodinger-picture) evolution
+# of every unit:
+# (register width, kind, copies, machinery kind, dual-noise override) ->
+# (ratio, numerator, denominator, operator_ratio). Amplitude-damping and
+# global-depolarizing machinery are where the backward readout has its
+# special cases.
+_FROZEN_REGISTERS = {
+    1: (11, 6, NoiseModel("amplitude-damping", 0.1), "0.5*Y + 0.3*Z + 0.2*X"),
+    2: (12, 8, NoiseModel("depolarizing-local", 0.08), "0.6*ZY + 0.4*XI - 0.3*YZ"),
+}
+_FROZEN_PIPELINES = {
+    (1, 'multi-copy', 2, 'none', False): (-0.037580600820444315, -0.018864599999999936, 0.501977072961999, -0.037580600820444225),
+    (1, 'multi-copy', 2, 'depolarizing-local', False): (-0.037580600820444364, -0.016174036424999965, 0.4303825929307939, -0.037580600820444225),
+    (1, 'multi-copy', 2, 'depolarizing-global', False): (-0.03758060082044429, -0.01617403642499993, 0.43038259293079384, -0.037580600820444225),
+    (1, 'multi-copy', 2, 'dephasing', False): (-0.03758060082044438, -0.015280325999999966, 0.406601429099219, -0.037580600820444225),
+    (1, 'multi-copy', 2, 'amplitude-damping', False): (0.06555158952930645, 0.03297469850000004, 0.503034308348204, -0.037580600820444225),
+    (1, 'multi-copy', 3, 'none', False): (-0.05600404883689002, -0.01416709834529938, 0.2529656094429993, -0.05600404883689002),
+    (1, 'multi-copy', 3, 'depolarizing-local', False): (-0.05600404883689004, -0.011539190146611004, 0.2060420699263819, -0.05600404883689002),
+    (1, 'multi-copy', 3, 'depolarizing-global', False): (-0.05600404883688996, -0.011539190146610985, 0.20604206992638185, -0.05600404883689002),
+    (1, 'multi-copy', 3, 'dephasing', False): (-0.056004048836890016, -0.010327814693723233, 0.18441192928394623, -0.05600404883689002),
+    (1, 'multi-copy', 3, 'amplitude-damping', False): (0.1390017095573939, 0.03777227235781207, 0.2717396244843727, -0.05600404883689002),
+    (1, 'multi-copy-recycled', 2, 'none', False): (-0.037580600820444315, -0.018864599999999936, 0.501977072961999, -0.037580600820444225),
+    (1, 'multi-copy-recycled', 2, 'depolarizing-local', False): (-0.037580600820444364, -0.016174036424999965, 0.4303825929307939, -0.037580600820444225),
+    (1, 'multi-copy-recycled', 2, 'depolarizing-global', False): (-0.03758060082044429, -0.01617403642499993, 0.43038259293079384, -0.037580600820444225),
+    (1, 'multi-copy-recycled', 2, 'dephasing', False): (-0.03758060082044438, -0.015280325999999966, 0.406601429099219, -0.037580600820444225),
+    (1, 'multi-copy-recycled', 2, 'amplitude-damping', False): (0.06555158952930645, 0.03297469850000004, 0.503034308348204, -0.037580600820444225),
+    (1, 'state-verification', 1, 'none', False): (-0.2264870065772318, -0.08661532094429979, 0.38242953648099925, -0.22648700657723184),
+    (1, 'state-verification', 1, 'depolarizing-local', False): (-0.2264870065772318, -0.07817032715223056, 0.3451426566741018, -0.22648700657723184),
+    (1, 'state-verification', 1, 'depolarizing-global', False): (-0.22648700657723184, -0.07817032715223056, 0.34514265667410177, -0.22648700657723184),
+    (1, 'state-verification', 1, 'dephasing', False): (-0.2264870065772318, -0.07795378884986978, 0.3441865828328992, -0.22648700657723184),
+    (1, 'state-verification', 1, 'amplitude-damping', False): (-0.16513972835381777, -0.06163516207254612, 0.3732303709528369, -0.22648700657723184),
+    (1, 'combined', 1, 'none', False): (-0.2264870065772318, -0.08661532094429979, 0.38242953648099925, -0.22648700657723184),
+    (1, 'combined', 1, 'depolarizing-local', False): (-0.2264870065772318, -0.07817032715223056, 0.3451426566741018, -0.22648700657723184),
+    (1, 'combined', 1, 'depolarizing-global', False): (-0.22648700657723184, -0.07817032715223056, 0.34514265667410177, -0.22648700657723184),
+    (1, 'combined', 1, 'dephasing', False): (-0.2264870065772318, -0.07795378884986978, 0.3441865828328992, -0.22648700657723184),
+    (1, 'combined', 1, 'amplitude-damping', False): (-0.16513972835381777, -0.06163516207254612, 0.3732303709528369, -0.22648700657723184),
+    (1, 'combined', 2, 'none', False): (-0.28852590390159644, -0.03312425704088156, 0.11480514086589186, -0.28852590390159644),
+    (1, 'combined', 2, 'depolarizing-local', False): (-0.2885259039015965, -0.028399909880425827, 0.09843105764989403, -0.28852590390159644),
+    (1, 'combined', 2, 'depolarizing-global', False): (-0.28852590390159644, -0.028399909880425823, 0.09843105764989403, -0.28852590390159644),
+    (1, 'combined', 2, 'dephasing', False): (-0.2885259039015965, -0.026830648203114055, 0.09299216410137237, -0.28852590390159644),
+    (1, 'combined', 2, 'amplitude-damping', False): (-0.20382570634887345, -0.020794426653496626, 0.1020206284378298, -0.28852590390159644),
+    (2, 'multi-copy', 2, 'none', False): (0.16420976379965765, 0.08735234644078053, 0.5319558619385983, 0.1642097637996577),
+    (2, 'multi-copy', 2, 'depolarizing-local', False): (0.16420976379965768, 0.07114903212818101, 0.43328137427312546, 0.1642097637996577),
+    (2, 'multi-copy', 2, 'depolarizing-global', False): (0.16420976379965763, 0.07114903212818098, 0.43328137427312546, 0.1642097637996577),
+    (2, 'multi-copy', 2, 'dephasing', False): (0.16420976379965768, 0.06367986055532894, 0.3877958233532377, 0.1642097637996577),
+    (2, 'multi-copy', 2, 'amplitude-damping', False): (0.21593355726684188, 0.11183933340560503, 0.5179340109115071, 0.1642097637996577),
+    (2, 'multi-copy', 3, 'none', False): (0.1783235287896546, 0.06376279268184311, 0.35756802882168115, 0.17832352878965466),
+    (2, 'multi-copy', 3, 'depolarizing-local', False): (0.17832352878965455, 0.04687151182402593, 0.26284535833358397, 0.17832352878965466),
+    (2, 'multi-copy', 3, 'depolarizing-global', False): (0.17832352878965452, 0.04687151182402593, 0.262845358333584, 0.17832352878965466),
+    (2, 'multi-copy', 3, 'dephasing', False): (0.1722416403678415, 0.03603820810127474, 0.20923052070516207, 0.17832352878965466),
+    (2, 'multi-copy', 3, 'amplitude-damping', False): (0.2590200255116485, 0.08442153979790908, 0.3259266909234109, 0.17832352878965466),
+    (2, 'multi-copy-recycled', 2, 'none', False): (0.16420976379965765, 0.08735234644078053, 0.5319558619385983, 0.1642097637996577),
+    (2, 'multi-copy-recycled', 2, 'depolarizing-local', False): (0.16420976379965768, 0.07114903212818101, 0.43328137427312546, 0.1642097637996577),
+    (2, 'multi-copy-recycled', 2, 'depolarizing-global', False): (0.16420976379965763, 0.07114903212818098, 0.43328137427312546, 0.1642097637996577),
+    (2, 'multi-copy-recycled', 2, 'dephasing', False): (0.16420976379965768, 0.06367986055532894, 0.3877958233532377, 0.1642097637996577),
+    (2, 'multi-copy-recycled', 2, 'amplitude-damping', False): (0.21593355726684188, 0.11183933340560503, 0.5179340109115071, 0.1642097637996577),
+    (2, 'state-verification', 1, 'none', False): (0.16420976379965757, 0.08735234644078055, 0.5319558619385987, 0.16420976379965765),
+    (2, 'state-verification', 1, 'depolarizing-local', False): (0.16420976379965782, 0.07883549266280451, 0.48009016539958504, 0.16420976379965765),
+    (2, 'state-verification', 1, 'depolarizing-global', False): (0.16420976379965782, 0.07883549266280451, 0.48009016539958504, 0.16420976379965765),
+    (2, 'state-verification', 1, 'dephasing', False): (0.16420976379965768, 0.07861711179670247, 0.4787602757447384, 0.16420976379965765),
+    (2, 'state-verification', 1, 'amplitude-damping', False): (0.1817758877099615, 0.09437075347565939, 0.5191599098458853, 0.16420976379965765),
+    (2, 'combined', 1, 'none', False): (0.16420976379965757, 0.08735234644078055, 0.5319558619385987, 0.16420976379965765),
+    (2, 'combined', 1, 'depolarizing-local', False): (0.16420976379965782, 0.07883549266280451, 0.48009016539958504, 0.16420976379965765),
+    (2, 'combined', 1, 'depolarizing-global', False): (0.16420976379965782, 0.07883549266280451, 0.48009016539958504, 0.16420976379965765),
+    (2, 'combined', 1, 'dephasing', False): (0.16420976379965768, 0.07861711179670247, 0.4787602757447384, 0.16420976379965765),
+    (2, 'combined', 1, 'amplitude-damping', False): (0.1817758877099615, 0.09437075347565939, 0.5191599098458853, 0.16420976379965765),
+    (2, 'combined', 2, 'none', False): (0.18081683250156688, 0.04535095251931739, 0.2508115637902483, 0.1808168325015668),
+    (2, 'combined', 2, 'depolarizing-local', False): (0.18081683250156685, 0.03693863427043724, 0.2042875862794309, 0.1808168325015668),
+    (2, 'combined', 2, 'depolarizing-global', False): (0.1808168325015668, 0.03693863427043723, 0.20428758627943092, 0.1808168325015668),
+    (2, 'combined', 2, 'dephasing', False): (0.17368814179970418, 0.03116967811446695, 0.17945772112877792, 0.1808168325015668),
+    (2, 'combined', 2, 'amplitude-damping', False): (0.20176255227586196, 0.04036973777239939, 0.20008538411629254, 0.1808168325015668),
+    (1, 'state-verification', 1, 'depolarizing-global', True): (-0.3, -0.1438876507499995, 0.4796255024999984, -0.29999999999999993),
+    (1, 'state-verification', 1, 'amplitude-damping', True): (-0.23541353186174785, -0.12209897805188874, 0.5186574326729623, -0.29999999999999993),
+    (1, 'combined', 2, 'depolarizing-global', True): (-0.3, -0.07264440715211878, 0.24214802384039594, -0.3),
+    (1, 'combined', 2, 'amplitude-damping', True): (-0.23382375796848592, -0.056768960816159245, 0.2427852554820815, -0.3),
+    (2, 'state-verification', 1, 'depolarizing-global', True): (0.16697414883941555, 0.09706738769512537, 0.5813318311236203, 0.1669741488394156),
+    (2, 'state-verification', 1, 'amplitude-damping', True): (0.1825752355736273, 0.11477420997369489, 0.6286406237575949, 0.1669741488394156),
+    (2, 'combined', 2, 'depolarizing-global', True): (0.17329686512008138, 0.05630819360516133, 0.32492332487459646, 0.17329686512008144),
+    (2, 'combined', 2, 'amplitude-damping', True): (0.19141594463090003, 0.05919444587674489, 0.3092451153475603, 0.17329686512008144),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FROZEN_PIPELINES), ids=str)
+def test_exact_pipelines_are_frozen(case):
+    n, kind, copies, machinery, dual = case
+    seed, gates, noise, text = _FROZEN_REGISTERS[n]
+    pipe = build_pipeline(
+        kind,
+        random_circuit(np.random.default_rng(seed), n, gates),
+        noise,
+        parse_observable(text),
+        n_copies=copies,
+        machinery_noise=NoiseModel(machinery, 0.05),
+        dual_noise=NoiseModel("dephasing", 0.05) if dual else None,
+    )
+    rep = pipe.exact_report()
+    got = (rep.ratio, rep.numerator, rep.denominator, pipe.operator_ratio)
+    assert np.max(np.abs(np.subtract(got, _FROZEN_PIPELINES[case]))) <= 1e-12
+
+
+def test_controlled_pauli_string_is_the_controlled_product():
+    rng = np.random.default_rng(3)
+    strings = ["Y", "YY", "XYZ", "IZY", "YIXZ"]
+    strings += ["".join(rng.choice(list("IXYZ"), size=k)) for k in (1, 2, 3, 4) for _ in range(3)]
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    for string in strings:
+        for nq in range(1 + len(string), 6):
+            perm, phase = controlled_pauli_string(string, nq)
+            got = np.zeros((2**nq, 2**nq), dtype=complex)
+            got[perm, np.arange(2**nq)] = phase
+            ctrl = np.kron(np.eye(2) - p1, np.eye(2 ** len(string))) + np.kron(
+                p1, pauli_string_matrix(string)
+            )
+            want = embed_operator(ctrl, range(1 + len(string)), nq)
+            assert np.max(np.abs(got - want)) <= 1e-12, (string, nq)
+
+
+def _forward_outcomes(kind, circ, noise, obs, copies, machinery):
+    """Outcome probabilities (+1, -1 and, verified, 0) of every unit,
+    from a forward evolution of the whole composite circuit."""
+    n = circ.n_qubits
+    nq = 1 + copies * n
+    verify = kind in ("state-verification", "combined")
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    rho = prepare_noisy_state(circ, noise).matrix
+    base = np.kron(p0, kron_power(rho, copies)).astype(complex)
+    base = apply_noise(apply_local(base, [gate_matrix("H")], [0], nq), machinery, [0], nq)
+    units = []
+    for _, string in obs.terms:
+        ctrl = np.kron(p0, np.eye(2**n)) + np.kron(p1, pauli_string_matrix(string))
+        units.append(apply_local(base, [ctrl], range(1 + n), nq))
+    out = []
+    for mat in units + [base]:
+        for r in range(copies - 1):
+            for i in range(n):
+                targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
+                mat = apply_local(mat, [fredkin_matrix()], targets, nq)
+                mat = apply_noise(mat, machinery, targets, nq)
+        for offset in range(1, nq, n) if verify else ():
+            for g in inverse_circuit(circ).gates:
+                targets = [offset + q for q in g.qubits]
+                mat = apply_local(mat, [g.matrix()], targets, nq)
+                mat = apply_noise(mat, noise, targets, nq, register=range(offset, offset + n))
+        mat = apply_noise(apply_local(mat, [gate_matrix("H")], [0], nq), machinery, [0], nq)
+        pops = np.diagonal(mat).real.reshape(2, -1)
+        kept = pops[:, 0] if verify else pops.sum(axis=1)
+        out.append([kept[0], kept[1]] + ([pops.sum() - kept.sum()] if verify else []))
+    return out
+
+
+@pytest.mark.parametrize("machinery", NOISE_KINDS)
+def test_outcome_probabilities_match_a_forward_evolution(machinery):
+    # the exact value reads only W_Z; the sampler also reads W_P through
+    # the outcome probabilities, so those are checked unit by unit
+    circ = _generic_circuit()
+    noise = NoiseModel("amplitude-damping", 0.1)
+    mach = NoiseModel(machinery, 0.05)
+    obs = parse_observable("0.6*ZY + 0.4*XI")
+    for kind, copies in (("multi-copy", 2), ("state-verification", 1), ("combined", 2)):
+        pipe = build_pipeline(kind, circ, noise, obs, n_copies=copies, machinery_noise=mach)
+        want = _forward_outcomes(kind, circ, noise, obs, copies, mach)
+        for term, probs in zip((*pipe.numerator_terms, pipe.denominator), want):
+            assert np.max(np.abs(term.state - probs)) <= 1e-12, (kind, copies)
+
+
+def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
+    # each controlled Pauli string is a signed permutation of the unit, so
+    # adding observable terms adds no contraction of the composite
+    calls = []
+
+    def counting(mat, ops, targets, nq):
+        if nq > circ.n_qubits:
+            calls.append(nq)
+        return apply_local(mat, ops, targets, nq)
+
+    monkeypatch.setattr(schemes, "apply_local", counting)
+    circ = _generic_circuit()
+    mach = NoiseModel("dephasing", 0.03)
+    for kind, copies in (("multi-copy", 2), ("multi-copy", 3), ("combined", 2)):
+        counts = []
+        for text in ("ZX", "0.4*ZX + 0.3*YY - 0.2*XI + 0.1*IZ"):
+            calls.clear()
+            build_pipeline(
+                kind, circ, NoiseModel("depolarizing-local", 0.05), parse_observable(text),
+                n_copies=copies, machinery_noise=mach,
+            )
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, (kind, copies, counts)
