@@ -3,14 +3,25 @@
 States evolve through one local-contraction engine that never builds a
 register-wide operator:
 
-* ``apply_local`` applies a short stack of k-qubit operators (a gate, a
-  Fredkin, a controlled Pauli, or a per-qubit Kraus pair) to the listed
-  qubits of an nq-qubit density matrix in one tensor contraction;
+* ``apply_local`` applies a short stack of k-qubit operators (a gate on a
+  register) to the listed qubits of an nq-qubit density matrix in one
+  tensor contraction, and returns a new matrix;
+* ``swap_controlled`` applies a Fredkin as a swap of two slices of the
+  matrix's ``[2] * 2nq`` view, once for the rows and once for the
+  columns;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
   4^k-operator Pauli Kraus sum;
-* ``apply_noise`` maps a ``NoiseModel`` onto those two kernels, in the
-  Schrodinger or (``adjoint=True``) the Heisenberg picture.
+* ``apply_noise`` maps a ``NoiseModel`` onto ``depolarize`` and the
+  per-qubit dephasing and amplitude-damping kernels, which act on the
+  target's 2x2 blocks of row and column bits, in the Schrodinger or
+  (``adjoint=True``) the Heisenberg picture.
+
+``swap_controlled``, ``depolarize`` and ``apply_noise`` work in place:
+they update the matrix they are given and return it, so the caller must
+own a writable, C-contiguous matrix. Their transients are at most a
+quarter of it. The read-only ``DensityOperator.matrix`` makes a misuse
+raise instead of corrupting a state.
 
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
@@ -31,7 +42,15 @@ from itertools import product
 
 import numpy as np
 
-from .circuits import GateCircuit, embed_operator, inverse_circuit
+from .circuits import (
+    I2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    GateCircuit,
+    embed_operator,
+    inverse_circuit,
+)
 from .linalg import DensityOperator, check_dimension, kron_all, zero_projector
 
 COMPLETENESS_ATOL = 1e-10
@@ -45,12 +64,7 @@ NOISE_KINDS = (
     "amplitude-damping",
 )
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI_1Q = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 @dataclass(frozen=True)
@@ -289,13 +303,15 @@ def noisy_circuit_channel(circ: GateCircuit, noise: NoiseModel) -> KrausChannel:
 def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
     """sum_k (op_k on targets) mat (op_k on targets)^dag, without embedding.
 
-    ``ops`` is a short stack of 2^k x 2^k operators (one gate, or one
-    qubit's Kraus pair) acting on the listed qubits of an nq-qubit
-    density matrix, qubit 0 most significant. The operators' own factors
-    map to ``targets`` in order, so targets may be unordered and
-    non-adjacent. The stack is folded into one 4^k x 4^k superoperator,
-    sum_k op_k (x) conj(op_k), on the targets' row and column indices, so
-    the matrix is contracted once whatever the stack size.
+    ``ops`` is a short stack of 2^k x 2^k operators (one gate) acting on
+    the listed qubits of an nq-qubit density matrix, qubit 0 most
+    significant. The operators' own factors map to ``targets`` in order,
+    so targets may be unordered and non-adjacent. The stack is folded
+    into one 4^k x 4^k superoperator, sum_k op_k (x) conj(op_k), on the
+    targets' row and column indices, so the matrix is contracted once
+    whatever the stack size. Returns a new matrix; the contraction and
+    its copy back into row-major order cost about three matrices, so the
+    composite of a pipeline uses the in-place kernels instead.
     """
     rows = [int(t) for t in targets]
     axes = rows + [nq + q for q in rows]
@@ -305,12 +321,54 @@ def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
     return np.moveaxis(x, range(len(axes)), axes).reshape(mat.shape)
 
 
+def _qubit_view(mat: np.ndarray, nq: int) -> np.ndarray:
+    """The ``[2] * 2nq`` view of ``mat`` (row bits, then column bits)."""
+    if not mat.flags.c_contiguous:
+        # reshape would copy, and the in-place update would be lost
+        raise ValueError("in-place kernels need a C-contiguous matrix")
+    return mat.reshape([2] * (2 * nq))
+
+
+def _bits(nq: int, fixed) -> tuple:
+    """Index of the ``[2] * 2nq`` view fixing each (axis, bit) in ``fixed``.
+
+    Each bit is a length-1 slice, not an int, so the result stays a view
+    even when every axis is fixed (nq = 1).
+    """
+    index = [slice(None)] * (2 * nq)
+    for axis, bit in fixed:
+        index[axis] = slice(bit, bit + 1)
+    return tuple(index)
+
+
+def swap_controlled(mat: np.ndarray, targets, nq: int) -> np.ndarray:
+    """Fredkin F mat F on qubits (control, a, b) of an nq-qubit matrix, in place.
+
+    F swaps |1, 0, 1> and |1, 1, 0> on its qubits, so it is a basis
+    permutation and its own adjoint: the rows of the two slices are
+    swapped, then the columns. The one transient is an eighth of the
+    matrix. Returns ``mat``.
+    """
+    c, a, b = (int(t) for t in targets)
+    view = _qubit_view(mat, nq)
+    for shift in (0, nq):
+        first = _bits(nq, ((shift + c, 1), (shift + a, 0), (shift + b, 1)))
+        second = _bits(nq, ((shift + c, 1), (shift + a, 1), (shift + b, 0)))
+        kept = view[first].copy()
+        view[first] = view[second]
+        view[second] = kept
+    return mat
+
+
 def depolarize(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
-    """Depolarize the listed qubits: (1-p) X + p I/d_k (x) Tr_targets X.
+    """Depolarize the listed qubits in place: (1-p) X + p I/d_k (x) Tr_targets X.
 
     Exact for the 4^k-operator Pauli Kraus form of
-    ``depolarizing_channel(k, p)``, at the cost of one partial trace.
-    Self-adjoint, so it serves the Heisenberg picture unchanged.
+    ``depolarizing_channel(k, p)``, at the cost of one partial trace:
+    ``mat`` is scaled in place and the scaled partial trace is added into
+    its target-diagonal blocks. Self-adjoint, so it serves the Heisenberg
+    picture unchanged. Returns ``mat``, which must be writable and
+    C-contiguous.
     """
     targets = {int(t) for t in targets}
     rest = [q for q in range(nq) if q not in targets]
@@ -318,13 +376,49 @@ def depolarize(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
     # except that a target's column shares its row's label
     labels = list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
     kept = rest + [nq + q for q in rest]
-    shape = [2] * (2 * nq)
-    reduced = np.einsum(np.asarray(mat).reshape(shape), labels, kept)
-    out = (1.0 - p) * np.ascontiguousarray(mat)
+    view = _qubit_view(mat, nq)
+    reduced = (p / 2 ** len(targets)) * np.einsum(view, labels, kept)
+    view *= 1.0 - p
     # writable view of the blocks diagonal in the targets, one per target index
-    blocks = np.einsum(out.reshape(shape), labels, sorted(targets) + kept)
-    blocks += (p / 2 ** len(targets)) * reduced
-    return out
+    blocks = np.einsum(view, labels, sorted(targets) + kept)
+    blocks += reduced
+    return mat
+
+
+def _dephase(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
+    """Dephasing (1-p) X + p Z X Z on each target: the off-diagonal blocks
+    of its row and column bits scale by 1 - 2p. Self-adjoint."""
+    view = _qubit_view(mat, nq)
+    for q in targets:
+        for r, c in ((0, 1), (1, 0)):
+            block = view[_bits(nq, ((q, r), (nq + q, c)))]
+            block *= 1.0 - 2.0 * p
+    return mat
+
+
+def _damp(mat: np.ndarray, gamma: float, targets, nq: int, adjoint: bool) -> np.ndarray:
+    """Amplitude damping, K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma)
+    |0><1|, on each target's 2x2 blocks X_rc of row bit r, column bit c.
+
+    Forward, X_00 gains gamma X_11; adjoint, X_11 gains gamma X_00. Either
+    way the off-diagonal blocks scale by sqrt(1-gamma) and X_11 by
+    1 - gamma. The transient is a quarter of the matrix.
+    """
+    view = _qubit_view(mat, nq)
+    for q in targets:
+        b00, b01, b10, b11 = (
+            view[_bits(nq, ((q, r), (nq + q, c)))]
+            for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))
+        )
+        b01 *= np.sqrt(1.0 - gamma)
+        b10 *= np.sqrt(1.0 - gamma)
+        if adjoint:
+            b11 *= 1.0 - gamma
+            b11 += gamma * b00
+        else:
+            b00 += gamma * b11
+            b11 *= 1.0 - gamma
+    return mat
 
 
 def apply_noise(
@@ -335,13 +429,15 @@ def apply_noise(
     register=None,
     adjoint: bool = False,
 ) -> np.ndarray:
-    """Noise inserted after a gate on ``targets`` of an nq-qubit matrix.
+    """Noise inserted after a gate on ``targets`` of an nq-qubit matrix, in place.
 
     Local depolarizing acts jointly on the targets; dephasing and
     amplitude damping act independently per target qubit; global
     depolarizing hits every qubit of ``register`` (all nq qubits when
     None) regardless of targets. ``adjoint`` applies the Heisenberg-
-    picture adjoint {K^dag} instead.
+    picture adjoint {K^dag} instead. ``mat`` is updated in place and
+    returned, so it must be writable and C-contiguous; trivial noise
+    returns it untouched.
     """
     if noise.is_trivial:
         return mat
@@ -351,14 +447,8 @@ def apply_noise(
     if noise.kind == "depolarizing-local":
         return depolarize(mat, noise.strength, targets, nq)
     if noise.kind == "dephasing":
-        ops = dephasing_channel(noise.strength).ops
-    else:
-        ops = amplitude_damping_channel(noise.strength).ops
-    if adjoint:
-        ops = ops.conj().transpose(0, 2, 1)
-    for q in targets:
-        mat = apply_local(mat, ops, [q], nq)
-    return mat
+        return _dephase(mat, noise.strength, targets, nq)
+    return _damp(mat, noise.strength, targets, nq, adjoint)
 
 
 def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator:

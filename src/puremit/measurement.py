@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import HADAMARD, PAULI_X, PAULI_Y
-from .linalg import as_matrix
+from .circuits import HADAMARD, I2, PAULI_X, PAULI_Y
+from .linalg import as_matrix, zero_projector
 from .observables import PauliObservable
 
 _UNITARY_ATOL = 1e-10
 _INVOLUTION_ATOL = 1e-10
-
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def _obs_matrix(observable) -> np.ndarray:
@@ -49,10 +46,11 @@ def hadamard_test(unitary: np.ndarray, companion, state, part: str = "real") -> 
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
     if dev > _UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: |U^dag U - I| = {dev:.3e}")
-    composite = np.kron(_P0, rho)
+    p0 = zero_projector(2)
+    composite = np.kron(p0, rho)
     h = np.kron(HADAMARD, np.eye(d, dtype=complex))
     composite = h @ composite @ h.conj().T
-    ctrl = np.kron(_P0, np.eye(d, dtype=complex)) + np.kron(_P1, u)
+    ctrl = np.kron(p0, np.eye(d, dtype=complex)) + np.kron(I2 - p0, u)
     composite = ctrl @ composite @ ctrl.conj().T
     anc = PAULI_X if part == "real" else PAULI_Y
     val = complex(np.trace(np.kron(anc, s) @ composite))

@@ -15,6 +15,13 @@ from .circuits import I2, PAULI_X, PAULI_Y, PAULI_Z
 from .linalg import check_dimension, kron_all
 
 _PAULI = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+# the phase a Pauli letter puts on |b>: Y|b> = i (-1)^b |1-b>, Z|b> = (-1)^b |b>
+_PAULI_PHASES = {
+    "I": np.ones(2),
+    "X": np.ones(2),
+    "Y": np.array([1j, -1j]),
+    "Z": np.array([1.0, -1.0]),
+}
 
 
 class ObservableFormatError(ValueError):
@@ -72,6 +79,25 @@ class PauliObservable:
 
 def pauli_string_matrix(s: str) -> np.ndarray:
     return kron_all(_PAULI[ch] for ch in s.upper())
+
+
+def pauli_permutation(string: str):
+    """The Pauli string P as a signed permutation of the basis.
+
+    Qubit 0 is the leftmost letter (most significant). Returns (perm,
+    phase) with P|j> = phase[j] |perm[j]>; perm flips the X and Y qubits,
+    so it is its own inverse. Applying P this way costs O(2^n) per
+    vector instead of a dense 2^n x 2^n product.
+    """
+    string = string.upper()
+    n = len(string)
+    basis = np.arange(2**n)
+    flips = 0
+    phase = np.ones(2**n, dtype=complex)
+    for q, letter in enumerate(string):
+        flips |= (letter in "XY") << (n - 1 - q)
+        phase *= _PAULI_PHASES[letter][(basis >> (n - 1 - q)) & 1]
+    return basis ^ flips, phase
 
 
 def parse_observable(text: str) -> PauliObservable:

@@ -15,9 +15,12 @@ inverse circuits, ancilla readout) so machinery noise on the swaps and
 ancilla gates can be studied. With noiseless machinery the pipeline
 reproduces the operator-level value. The readout is taken in the
 Heisenberg picture: its effects are propagated backwards through the
-shared suffix once, and each observable term is scored against them
-after a signed permutation (its controlled Pauli string) of the shared
-prefix state.
+shared suffix once, one composite matrix at a time, by in-place kernels
+(Fredkins as slice swaps, machinery noise on views). Each effect is then
+reduced to four d x d blocks against the product prefix state, and every
+observable term is scored from those blocks and its Pauli string, applied
+to one register as a signed permutation. No composite state is ever
+built.
 
 Register layout on the composite: ancilla is qubit 0 (most significant),
 register r occupies qubits 1 + r*n .. n + r*n. The cyclic shift C_M
@@ -39,6 +42,7 @@ from .channels import (
     apply_noise,
     dual_state,
     prepare_noisy_state,
+    swap_controlled,
 )
 from .circuits import GateCircuit, gate_matrix
 from .linalg import (
@@ -46,14 +50,14 @@ from .linalg import (
     check_dimension,
     kron_all,
     kron_power,
+    zero_projector,
 )
-from .observables import PauliObservable
+from .observables import PauliObservable, pauli_permutation
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
 
 DENOMINATOR_FLOOR = 1e-12
 
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _MULTICOPY_KINDS = ("multi-copy", "multi-copy-recycled")
 
 
@@ -117,8 +121,9 @@ def controlled_register_swap(n_qubits: int):
     dim_reg = 2**n_qubits
     check_dimension(2 ** (1 + 2 * n_qubits))
     swap = register_swap(2, dim_reg, 0)
-    mat = np.kron(_P0, np.eye(dim_reg**2, dtype=complex)) + np.kron(
-        np.eye(2, dtype=complex) - _P0, swap
+    p0 = zero_projector(2)
+    mat = np.kron(p0, np.eye(dim_reg**2, dtype=complex)) + np.kron(
+        np.eye(2, dtype=complex) - p0, swap
     )
     triples = [(0, 1 + i, 1 + n_qubits + i) for i in range(n_qubits)]
     return mat, triples
@@ -311,10 +316,14 @@ class MeasurableTerm:
     ``observable`` the value each outcome reads. An ancilla-scheme unit
     has the outcomes +1 and -1 (the ancilla reads 0 or 1) and, for the
     verified schemes, 0 (some register did not project to |0...0>); its
-    value is Tr(W_Z rho_final) with the readout effect W_Z = Z_anc (x) Pi.
-    ``raw`` keeps the basis-state populations of its rotated n-qubit
-    state with their Z parities. ``imag_residual`` is the imaginary part
-    the readout left over, the rounding of the evolution.
+    value is Tr(W_Z X) for the unit's prefix state X and the readout
+    effect W_Z = Z_anc (x) Pi propagated back through the suffix. The
+    pipeline reads these traces from the effects' reduced d x d blocks,
+    never from X itself, and takes Tr X from its factors, so the outcome
+    probabilities summing to one checks those factors. ``raw`` keeps the
+    basis-state populations of its rotated n-qubit state with their Z
+    parities. ``imag_residual`` is the imaginary part the readout left
+    over, the rounding of the evolution.
     """
 
     coefficient: float
@@ -392,38 +401,15 @@ _Z_VALUES = np.array([1.0, -1.0])
 # the verified schemes some register off |0...0>
 _ANCILLA_VALUES = np.array([1.0, -1.0])
 _VERIFIED_VALUES = np.array([1.0, -1.0, 0.0])
-# the phase a Pauli letter puts on |b>: Y|b> = i (-1)^b |1-b>, Z|b> = (-1)^b |b>
-_PAULI_PHASES = {
-    "I": np.ones(2),
-    "X": np.ones(2),
-    "Y": np.array([1j, -1j]),
-    "Z": np.array([1.0, -1.0]),
-}
 
 
-def controlled_pauli_string(string: str, nq: int):
-    """CP = |0><0| (x) I + |1><1| (x) P as a signed permutation of the basis.
-
-    The control is qubit 0 (most significant) of nq qubits and the Pauli
-    string P acts on qubits 1 .. len(string). Returns (perm, phase) with
-    CP|j> = phase[j] |perm[j]>.
-    """
-    string = string.upper()
-    half = 2 ** (nq - 1)
-    flips = sum(2 ** (nq - 2 - q) for q, letter in enumerate(string) if letter in "XY")
-    signs = reduce(np.kron, [_PAULI_PHASES[letter] for letter in string], np.ones(1))
-    phase = np.concatenate([np.ones(half), np.kron(signs, np.ones(half >> len(string)))])
-    idx = np.arange(half)
-    return np.concatenate([idx, half + (idx ^ flips)]), phase.astype(complex)
-
-
-def _conjugate(mat: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """CP mat CP^dag for the signed permutation CP|j> = phase[j] |perm[j]>."""
-    scaled = mat * phase[:, None]
-    scaled *= phase.conj()
-    out = np.empty_like(scaled)
-    out[np.ix_(perm, perm)] = scaled
-    return out
+def _pauli_sandwiches(rho: np.ndarray, string: str):
+    """P^a rho P^b^dag for a, b in {0, 1}, indexed [a][b], for the string P."""
+    perm, phase = pauli_permutation(string)
+    # P is its own inverse permutation, so (P v)[i] = phase[perm[i]] v[perm[i]]
+    sign = phase[perm]
+    left = sign[:, None] * rho[perm]
+    return ((rho, rho[:, perm] * sign.conj()), (left, left[:, perm] * sign.conj()))
 
 
 def build_pipeline(
@@ -443,10 +429,23 @@ def build_pipeline(
     swaps, inverse circuits, ancilla Hadamard). Its readout is read in the
     Heisenberg picture: the effects W_Z = Z_anc (x) Pi and, for the
     verified schemes, W_P = I_anc (x) Pi are propagated backwards through
-    the suffix once, and each unit X (the prefix state, conjugated by the
-    term's controlled Pauli string) is scored by Tr(W X). The inverse
-    circuits map Pi to rbar^(x)M, so only the Fredkins run on the
-    composite. See ``MeasurableTerm`` for the outcomes.
+    the suffix, one at a time. The inverse circuits map Pi to rbar^(x)M,
+    so only the Fredkins and their noise run on the composite, in place.
+
+    No prefix state is built. The prefix is A (x) rho^(x)M, with A the
+    ancilla after its Hadamard and noise; global machinery noise of
+    strength p makes it (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq. A
+    term's controlled Pauli string P touches register 1 only, so each
+    effect W, split into ancilla blocks W_ba, is reduced once to the d x d
+    blocks V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))] and then freed. A
+    unit X is scored at O(d^2) per term as
+
+        Tr(W X) = (1-p) sum_ab A_ab Tr(V_ba P^a rho P^b^dag)
+                  + p Tr(W) Tr(rho)^M / 2^nq,
+
+    with Tr X = (1-p) Tr(A) Tr(rho)^M + p Tr(rho)^M taken from the same
+    factors. A build holds one composite matrix at a time. See
+    ``MeasurableTerm`` for the outcomes.
 
     ``noise`` afflicts the state-preparation circuits (and, unless
     ``dual_noise`` overrides it, the inverse circuits of the verification
@@ -511,10 +510,21 @@ def build_pipeline(
     check_dimension(2**nq)
     verify = kind in ("state-verification", "combined")
     hadamard = gate_matrix("H")
+    rho_mat = rho.matrix
 
-    base = np.kron(_P0, kron_power(rho.matrix, copies))
-    base = apply_local(base, [hadamard], [0], nq)
-    base = apply_noise(base, machinery, [0], nq)
+    # the prefix (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq, kept as its
+    # factors: p is the strength of global machinery noise, and every
+    # other kind acts on the ancilla alone
+    ancilla = hadamard @ zero_projector(2) @ hadamard
+    if machinery.kind == "depolarizing-global":
+        p_global = machinery.strength
+    else:
+        p_global = 0.0
+        ancilla = apply_noise(ancilla, machinery, [0], 1)
+    registers_trace = float(np.trace(rho_mat).real) ** copies
+    unit_trace = ((1.0 - p_global) * np.trace(ancilla).real + p_global) * registers_trace
+    # registers 2..M of the prefix, traced against each effect
+    others = kron_power(rho_mat, copies - 1) if copies > 1 else np.ones((1, 1))
 
     rbar = dual_state(circuit, noise, dual_noise) if verify else None
     # Pi projects every register to |0...0> when verifying, else it is I;
@@ -525,7 +535,6 @@ def build_pipeline(
     else:
         registers = np.eye(psi_dim**copies)
         pi_trace = float(psi_dim**copies)
-    fredkin = fredkin_matrix()
 
     def backward(a: np.ndarray) -> np.ndarray:
         """The adjoint of the suffix applied to the effect a (x) Pi."""
@@ -545,30 +554,44 @@ def build_pipeline(
         for r in reversed(range(copies - 1)):
             for i in reversed(range(n)):
                 targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
-                mat = apply_noise(mat, machinery, targets, nq, adjoint=True)
-                # the Fredkin is its own adjoint
-                mat = apply_local(mat, [fredkin], targets, nq)
+                # both act in place; the Fredkin is its own adjoint
+                apply_noise(mat, machinery, targets, nq, adjoint=True)
+                swap_controlled(mat, targets, nq)
         return mat
 
-    effect_z = backward(np.diag(_Z_VALUES).astype(complex))
-    effect_p = backward(np.eye(2, dtype=complex)) if verify else None
+    def reduced(a: np.ndarray):
+        """Tr W and the blocks V_ba, indexed [b, a], of W = backward(a)."""
+        w = backward(a)
+        d, e = psi_dim, others.shape[0]
+        blocks = np.einsum("bikajl,lk->baij", w.reshape(2, d, e, 2, d, e), others)
+        return complex(np.trace(w)), blocks
+
+    def trace_with(effect, sandwiches) -> complex:
+        """Tr(W X) for the unit X whose register-1 factors are ``sandwiches``."""
+        w_trace, v = effect
+        local = sum(
+            ancilla[a, b] * np.sum(v[b, a] * sandwiches[a][b].T)
+            for a in range(2)
+            for b in range(2)
+        )
+        return complex((1.0 - p_global) * local + p_global * w_trace * registers_trace / 2**nq)
+
+    # one composite at a time: each effect is reduced before the next is built
+    effect_z = reduced(np.diag(_Z_VALUES).astype(complex))
+    effect_p = reduced(np.eye(2, dtype=complex)) if verify else None
     values = _VERIFIED_VALUES if verify else _ANCILLA_VALUES
 
-    def outcomes(coefficient: float, unit: np.ndarray) -> MeasurableTerm:
-        # the effects are Hermitian, so Tr(W X) = vdot(W, X)
-        z = complex(np.vdot(effect_z, unit))
-        total = float(np.trace(unit).real)
-        kept = float(np.vdot(effect_p, unit).real) if verify else total
+    def outcomes(coefficient: float, string: str) -> MeasurableTerm:
+        sandwiches = _pauli_sandwiches(rho_mat, string)
+        z = trace_with(effect_z, sandwiches)
+        kept = trace_with(effect_p, sandwiches).real if verify else unit_trace
         probs = [(kept + z.real) / 2, (kept - z.real) / 2]
         if verify:
-            probs.append(total - kept)
+            probs.append(unit_trace - kept)
         return MeasurableTerm(float(coefficient), np.array(probs), values, abs(z.imag))
 
-    numerator_terms = []
-    for coeff, string in observable.terms:
-        perm, phase = controlled_pauli_string(string, nq)
-        numerator_terms.append(outcomes(coeff, _conjugate(base, perm, phase)))
-    denominator = outcomes(1.0, base)
+    numerator_terms = [outcomes(coeff, string) for coeff, string in observable.terms]
+    denominator = outcomes(1.0, "I" * n)
 
     if kind == "state-verification":
         reference = state_verification_estimate(rho, rbar, observable)

@@ -10,6 +10,7 @@ from puremit.channels import (
     amplitude_damping_channel,
     apply_channel,
     apply_local,
+    apply_noise,
     completeness_defect,
     compose_channels,
     compress_channel,
@@ -21,6 +22,7 @@ from puremit.channels import (
     noise_channel,
     noisy_circuit_channel,
     prepare_noisy_state,
+    swap_controlled,
     unitary_channel,
 )
 from puremit.circuits import (
@@ -32,6 +34,7 @@ from puremit.circuits import (
     random_circuit,
 )
 from puremit.linalg import DensityOperator, random_density, random_hermitian
+from puremit.schemes import fredkin_matrix
 
 
 def _act(channel, mat):
@@ -306,7 +309,7 @@ def test_depolarize_matches_kraus_sum():
         mat = _complex(rng, 2**nq, 2**nq)
         for p in (0.0, 0.3, 1.0):
             ops = depolarizing_channel(len(targets), p).ops
-            got = depolarize(mat, p, targets, nq)
+            got = depolarize(mat.copy(), p, targets, nq)
             want = _embedded_sum(ops, targets, nq, mat)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -324,3 +327,78 @@ def test_engine_states_match_dense_channel_oracles(kind):
         adj = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), noise))
         got = dual_state(circ, noise).matrix
         assert np.max(np.abs(got - _act(adj, zero))) < 1e-12
+
+
+# --- in-place kernels against apply_local and the Kraus sums -----------------
+
+# nq = 1..6, unordered and non-adjacent targets
+_IN_PLACE_CASES = [
+    (1, [0]),
+    (2, [1, 0]),
+    (3, [2, 0]),
+    (4, [3, 0, 1]),
+    (5, [4, 1]),
+    (6, [5, 2, 0]),
+    (6, [3]),
+]
+# Fredkin (control, a, b) triples, nq = 3..6
+_FREDKIN_CASES = [
+    (3, [0, 1, 2]),
+    (3, [2, 0, 1]),
+    (4, [0, 3, 1]),
+    (5, [4, 1, 2]),
+    (5, [0, 2, 4]),
+    (6, [5, 0, 3]),
+    (6, [1, 4, 2]),
+]
+
+
+def test_swap_controlled_matches_the_fredkin():
+    rng = np.random.default_rng(14)
+    for nq, targets in _FREDKIN_CASES:
+        mat = _complex(rng, 2**nq, 2**nq)
+        want = apply_local(mat, [fredkin_matrix()], targets, nq)
+        arg = mat.copy()
+        got = swap_controlled(arg, targets, nq)
+        assert got is arg
+        assert np.max(np.abs(got - want)) <= 1e-14, (nq, targets)
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_per_qubit_noise_in_place_matches_the_kraus_pair(kind, adjoint):
+    rng = np.random.default_rng(15)
+    for p in (0.0, 0.3, 1.0):
+        pair = dephasing_channel(p) if kind == "dephasing" else amplitude_damping_channel(p)
+        ops = pair.ops.conj().transpose(0, 2, 1) if adjoint else pair.ops
+        for nq, targets in _IN_PLACE_CASES:
+            mat = _complex(rng, 2**nq, 2**nq)
+            want = mat
+            for q in targets:
+                want = apply_local(want, ops, [q], nq)
+            arg = mat.copy()
+            got = apply_noise(arg, NoiseModel(kind, p), targets, nq, adjoint=adjoint)
+            assert got is arg
+            assert np.max(np.abs(got - want)) <= 1e-14, (p, nq, targets)
+
+
+def test_depolarize_in_place_matches_kraus_sum():
+    rng = np.random.default_rng(16)
+    for nq, targets in _IN_PLACE_CASES + [(4, [0, 1, 2, 3])]:
+        mat = _complex(rng, 2**nq, 2**nq)
+        for p in (0.0, 0.3, 1.0):
+            want = _embedded_sum(depolarizing_channel(len(targets), p).ops, targets, nq, mat)
+            arg = mat.copy()
+            got = depolarize(arg, p, targets, nq)
+            assert got is arg
+            assert np.max(np.abs(got - want)) <= 1e-14, (p, nq, targets)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS[1:])
+def test_in_place_kernels_refuse_matrices_they_cannot_update(kind):
+    state = DensityOperator.maximally_mixed(4)
+    with pytest.raises(ValueError):
+        apply_noise(state.matrix, NoiseModel(kind, 0.1), [0], 2)
+    transposed = _complex(np.random.default_rng(17), 4, 4).T
+    with pytest.raises(ValueError):
+        apply_noise(transposed, NoiseModel(kind, 0.1), [0], 2)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -12,6 +13,7 @@ from puremit.channels import (
     apply_noise,
     dual_state,
     prepare_noisy_state,
+    swap_controlled,
 )
 from puremit.circuits import (
     SWAP_GATE,
@@ -23,7 +25,12 @@ from puremit.circuits import (
     random_circuit,
 )
 from puremit.linalg import kron_all, kron_power, random_density, random_hermitian
-from puremit.observables import PauliObservable, parse_observable, pauli_string_matrix
+from puremit.observables import (
+    PauliObservable,
+    parse_observable,
+    pauli_permutation,
+    pauli_string_matrix,
+)
 from puremit.purification import purified_expectation
 from puremit.resources import ResourceProfile, resource_profile
 from puremit.schemes import (
@@ -32,7 +39,6 @@ from puremit.schemes import (
     build_pipeline,
     circuit_level_combined,
     combined_estimate,
-    controlled_pauli_string,
     controlled_register_swap,
     cyclic_permutation,
     fredkin_matrix,
@@ -596,20 +602,17 @@ def test_exact_pipelines_are_frozen(case):
 
 
 def test_controlled_pauli_string_is_the_controlled_product():
+    # a term's controlled Pauli string reaches register 1 as the signed
+    # permutation of its Pauli string
     rng = np.random.default_rng(3)
     strings = ["Y", "YY", "XYZ", "IZY", "YIXZ"]
     strings += ["".join(rng.choice(list("IXYZ"), size=k)) for k in (1, 2, 3, 4) for _ in range(3)]
-    p1 = np.diag([0.0, 1.0]).astype(complex)
     for string in strings:
-        for nq in range(1 + len(string), 6):
-            perm, phase = controlled_pauli_string(string, nq)
-            got = np.zeros((2**nq, 2**nq), dtype=complex)
-            got[perm, np.arange(2**nq)] = phase
-            ctrl = np.kron(np.eye(2) - p1, np.eye(2 ** len(string))) + np.kron(
-                p1, pauli_string_matrix(string)
-            )
-            want = embed_operator(ctrl, range(1 + len(string)), nq)
-            assert np.max(np.abs(got - want)) <= 1e-12, (string, nq)
+        perm, phase = pauli_permutation(string)
+        dim = 2 ** len(string)
+        got = np.zeros((dim, dim), dtype=complex)
+        got[perm, np.arange(dim)] = phase
+        assert np.max(np.abs(got - pauli_string_matrix(string))) <= 1e-12, string
 
 
 def _forward_outcomes(kind, circ, noise, obs, copies, machinery):
@@ -661,16 +664,15 @@ def test_outcome_probabilities_match_a_forward_evolution(machinery):
 
 
 def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
-    # each controlled Pauli string is a signed permutation of the unit, so
-    # adding observable terms adds no contraction of the composite
+    # each term is scored from the reduced effects and its Pauli string,
+    # so adding observable terms adds no Fredkin on the composite
     calls = []
 
-    def counting(mat, ops, targets, nq):
-        if nq > circ.n_qubits:
-            calls.append(nq)
-        return apply_local(mat, ops, targets, nq)
+    def counting(mat, targets, nq):
+        calls.append(nq)
+        return swap_controlled(mat, targets, nq)
 
-    monkeypatch.setattr(schemes, "apply_local", counting)
+    monkeypatch.setattr(schemes, "swap_controlled", counting)
     circ = _generic_circuit()
     mach = NoiseModel("dephasing", 0.03)
     for kind, copies in (("multi-copy", 2), ("multi-copy", 3), ("combined", 2)):
@@ -683,3 +685,24 @@ def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
             )
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, (kind, copies, counts)
+
+
+@pytest.mark.parametrize("machinery", NOISE_KINDS)
+def test_pipeline_build_holds_one_composite_at_a_time(machinery):
+    # the effects are propagated in place and reduced one after the other,
+    # and no prefix state is built, so a build peaks well under two
+    # composite matrices (n = 4, M = 2: nq = 9)
+    composite = 16 * 4**9
+    circ = random_circuit(np.random.default_rng(0), 4, 8)
+    obs = parse_observable("0.5*XYZI + 0.5*ZZXY")
+    for kind in ("multi-copy", "combined"):
+        tracemalloc.start()
+        try:
+            build_pipeline(
+                kind, circ, NoiseModel("depolarizing-local", 0.02), obs,
+                n_copies=2, machinery_noise=NoiseModel(machinery, 0.01),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * composite, (kind, peak / composite)
