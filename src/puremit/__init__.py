@@ -6,7 +6,6 @@ both the operator level and the explicit controlled-circuit level, and
 samples them under finite shot budgets with full resource accounting.
 """
 
-from ._accel import backend
 from .channels import (
     NO_NOISE,
     KrausChannel,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -221,16 +226,16 @@ def test_seeded_sampled_outputs_are_frozen(case):
     assert np.max(np.abs(np.subtract(got, _FROZEN_SAMPLED[case]))) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "kind,copies",
-    [
-        ("raw", 1),
-        ("multi-copy", 2),
-        ("multi-copy-recycled", 3),
-        ("state-verification", 1),
-        ("combined", 2),
-    ],
-)
+_SAMPLED_KINDS = [
+    ("raw", 1),
+    ("multi-copy", 2),
+    ("multi-copy-recycled", 3),
+    ("state-verification", 1),
+    ("combined", 2),
+]
+
+
+@pytest.mark.parametrize("kind,copies", _SAMPLED_KINDS)
 def test_scheme_sampling_needs_no_eigendecomposition(monkeypatch, kind, copies):
     def refuse(*args, **kwargs):
         raise AssertionError("pipeline sampling called hermitian_eig")
@@ -239,6 +244,85 @@ def test_scheme_sampling_needs_no_eigendecomposition(monkeypatch, kind, copies):
     monkeypatch.setattr(sampling, "hermitian_eig", refuse)
     rep = scheme_shot_experiment(pipe, ShotConfig(shots=3000, trials=2, seed=1))
     assert rep.shots_used == 6000
+
+
+@pytest.mark.parametrize("kind,copies", _SAMPLED_KINDS)
+def test_scheme_sampling_needs_no_bisection(monkeypatch, kind, copies):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pipeline sampling called np.searchsorted")
+
+    pipe = _generic_pipeline(kind, copies, NoiseModel("dephasing", 0.03))
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    rep = scheme_shot_experiment(pipe, ShotConfig(shots=3000, trials=2, seed=1))
+    assert rep.shots_used == 6000
+
+
+def test_bin_outcomes_matches_searchsorted():
+    rng = np.random.default_rng(7)
+    probs = np.array([0.1, 0.0, 0.4, 0.5])
+    cum = np.cumsum(probs)
+    draws = rng.uniform(size=1000)
+    counts = sampling.bin_outcomes(cum, draws)
+    assert counts.sum() == 1000
+    assert counts[1] == 0  # zero-probability bin never drawn
+    idx = np.searchsorted(cum, draws, side="right")
+    want = np.bincount(np.minimum(idx, 3), minlength=4)
+    assert np.array_equal(counts, want)
+
+
+def test_bin_outcomes_folds_overflow_draws():
+    # rounding can leave cum[-1] slightly below 1; draws beyond it must
+    # land in the last bin instead of indexing out of range
+    cum = np.array([0.25, 0.5, 1.0 - 1e-12])
+    draws = np.array([0.999999999999999, 0.1, 0.3])
+    counts = sampling.bin_outcomes(cum, draws)
+    assert counts.tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 17])
+def test_bin_outcomes_equals_bisection_on_edge_draws(k):
+    rng = np.random.default_rng(100 + k)
+    for zero_bins in (False, True):
+        for top in (1.0, 1.0 - 1e-12):
+            probs = rng.uniform(size=k)
+            if zero_bins:
+                probs[0 : k - 1 : 2] = 0.0
+            cum = np.cumsum(probs / probs.sum())
+            cum[-1] = top
+            # uniform draws, draws exactly on every cut, and draws just
+            # below, past and at 1
+            edges = [np.nextafter(top, 0.0), (top + 1.0) / 2, 1.0]
+            draws = np.concatenate([rng.random(3000), cum, edges])
+            got = sampling.bin_outcomes(cum, draws)
+            idx = np.searchsorted(cum, draws, side="right")
+            want = np.bincount(np.minimum(idx, k - 1), minlength=k)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_import_does_not_load_numba():
+    # the child must import the same puremit, installed or not; the spy
+    # sees every import attempt, including ones that fail
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "tried = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        tried.append(name)\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import puremit\n"
+        "print('numba' in sys.modules, any(n.split('.')[0] == 'numba' for n in tried))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False False"
 
 
 def test_readout_outcomes_are_grouped_by_value():
