@@ -4,8 +4,9 @@ States evolve through one local-contraction engine that never builds a
 register-wide operator:
 
 * ``apply_local`` applies a short stack of k-qubit operators (a gate on a
-  register) to the listed qubits of an nq-qubit density matrix in one
-  tensor contraction, and returns a new matrix;
+  register) to the listed qubits of an nq-qubit density matrix as one
+  4^k x 4^k superoperator, in one matrix product, and returns a new
+  matrix;
 * ``swap_controlled`` applies a Fredkin as a swap of two slices of the
   matrix's ``[2] * 2nq`` view, once for the rows and once for the
   columns;
@@ -25,9 +26,15 @@ raise instead of corrupting a state.
 
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
-from the same projector. Dual states are PSD but not normalized in
-general (they are exactly trace-1 when every inserted channel is
-unital).
+from the same projector. On these registers each gate and its local
+noise are fused into one superoperator, so a gate costs one contraction;
+the noise part (``noise_superoperator``) is read off the in-place
+kernels, which stay the only definition of noise. Global depolarizing
+stays a register-wide ``depolarize``. The composite of a pipeline
+(``schemes.build_pipeline``) is never contracted: it is updated in
+place by the Fredkin and noise kernels. Dual states are PSD but not
+normalized in general (they are exactly trace-1 when every inserted
+channel is unital).
 
 The dense Kraus-channel algebra (``noise_channel``,
 ``circuit_gate_channels``, ``noisy_circuit_channel``, composition,
@@ -300,6 +307,36 @@ def noisy_circuit_channel(circ: GateCircuit, noise: NoiseModel) -> KrausChannel:
 # local-contraction engine
 
 
+def superoperator(ops) -> np.ndarray:
+    """sum_k op_k (x) conj(op_k), the 4^k x 4^k superoperator of a Kraus stack.
+
+    Rows and columns index a k-qubit matrix flattened row-major (its row
+    bits, then its column bits), so ``sup @ x.reshape(-1)`` is
+    ``sum_k op_k x op_k^dag`` flattened the same way.
+    """
+    ops = np.asarray(ops)
+    d = ops.shape[-1]
+    # entry [(a, b), (c, d)] is sum_k op_k[a, c] conj(op_k[b, d])
+    terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
+    return terms.sum(axis=0).reshape(d * d, d * d)
+
+
+def contract(mat: np.ndarray, sup: np.ndarray, targets, nq: int) -> np.ndarray:
+    """The superoperator ``sup`` applied to the listed qubits of an nq-qubit matrix.
+
+    The targets' row and column axes of the ``[2] * 2nq`` view are
+    transposed to the front, in ``targets`` order, and the view is
+    reshaped to (4^k, rest): one ``sup @ x`` product, transposed back
+    into a new row-major matrix.
+    """
+    rows = [int(t) for t in targets]
+    front = rows + [nq + q for q in rows]
+    order = front + [a for a in range(2 * nq) if a not in front]
+    x = mat.reshape([2] * (2 * nq)).transpose(order).reshape(sup.shape[1], -1)
+    y = (sup @ x).reshape([2] * (2 * nq))
+    return y.transpose(np.argsort(order)).reshape(mat.shape)
+
+
 def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
     """sum_k (op_k on targets) mat (op_k on targets)^dag, without embedding.
 
@@ -307,18 +344,14 @@ def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
     the listed qubits of an nq-qubit density matrix, qubit 0 most
     significant. The operators' own factors map to ``targets`` in order,
     so targets may be unordered and non-adjacent. The stack is folded
-    into one 4^k x 4^k superoperator, sum_k op_k (x) conj(op_k), on the
-    targets' row and column indices, so the matrix is contracted once
-    whatever the stack size. Returns a new matrix; the contraction and
-    its copy back into row-major order cost about three matrices, so the
-    composite of a pipeline uses the in-place kernels instead.
+    into one 4^k x 4^k ``superoperator`` and the matrix is contracted
+    once, in one matrix product (``contract``), whatever the stack size.
+    Returns a new matrix. The product reads a transposed copy of the input
+    and is itself copied back into row-major order, so a call holds about
+    three matrices; the composite of a pipeline uses the in-place kernels
+    instead.
     """
-    rows = [int(t) for t in targets]
-    axes = rows + [nq + q for q in rows]
-    ops = np.asarray(ops)
-    sup = np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape([2] * (2 * len(axes)))
-    x = np.tensordot(sup, mat.reshape([2] * (2 * nq)), (range(len(axes), sup.ndim), axes))
-    return np.moveaxis(x, range(len(axes)), axes).reshape(mat.shape)
+    return contract(mat, superoperator(ops), targets, nq)
 
 
 def _qubit_view(mat: np.ndarray, nq: int) -> np.ndarray:
@@ -451,13 +484,59 @@ def apply_noise(
     return _damp(mat, noise.strength, targets, nq, adjoint)
 
 
+def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.ndarray:
+    """The superoperator of ``noise`` after a gate on all qubits of a k-qubit matrix.
+
+    Read off ``apply_noise`` (forward or adjoint), so the in-place kernels
+    stay the only definition of noise. One call acts on the first k of 2k
+    qubits of |phi><phi| = sum_ij E_ij (x) E_ij, with |phi> = sum_i |ii>,
+    which holds every basis matrix E_ij of the k qubits as a block. The
+    result sum_ij N(E_ij) (x) E_ij has entry [(a, i), (b, j)] equal to
+    entry [(a, b), (i, j)] of the superoperator. Global depolarizing here
+    acts on the k qubits alone.
+    """
+    d = 2**k
+    phi = np.eye(d, dtype=complex).reshape(-1)
+    choi = np.outer(phi, phi)
+    apply_noise(choi, noise, range(k), 2 * k, register=range(k), adjoint=adjoint)
+    return choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _gate_steps(gates, noise: NoiseModel, adjoint: bool):
+    """(superoperator, targets) per gate, with its local noise folded in.
+
+    Forward, the noise acts after the gate; adjoint, each step is the
+    adjoint noise followed by the adjoint of the gate. Global
+    depolarizing is left to the caller. The noise superoperators are
+    derived once per call, for the gate sizes that occur.
+    """
+    local = not noise.is_trivial and noise.kind != "depolarizing-global"
+    derived = {}
+    for g in gates:
+        u = g.matrix().conj().T if adjoint else g.matrix()
+        sup = superoperator([u])
+        if local:
+            k = len(g.qubits)
+            if k not in derived:
+                derived[k] = noise_superoperator(noise, k, adjoint)
+            sup = sup @ derived[k] if adjoint else derived[k] @ sup
+        yield sup, g.qubits
+
+
+def _global_strength(noise: NoiseModel) -> float:
+    """The strength of register-wide depolarizing, 0 for every other kind."""
+    return noise.strength if noise.kind == "depolarizing-global" else 0.0
+
+
 def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator:
-    """Run the noisy circuit on |0...0><0...0|."""
+    """Run the noisy circuit on |0...0><0...0|, one contraction per gate."""
     n = circ.n_qubits
+    p = _global_strength(noise)
     mat = zero_projector(circ.dim)
-    for g in circ.gates:
-        mat = apply_local(mat, [g.matrix()], g.qubits, n)
-        mat = apply_noise(mat, noise, g.qubits, n)
+    for sup, targets in _gate_steps(circ.gates, noise, adjoint=False):
+        mat = contract(mat, sup, targets, n)
+        if p:
+            depolarize(mat, p, range(n), n)
     return DensityOperator(mat)
 
 
@@ -468,15 +547,20 @@ def dual_state(
 
     With channels C_1..C_L making up the noisy inverse circuit (C_1 applied
     first, each a gate followed by its noise), the dual is
-    C_1^dag(...C_L^dag(|0><0|)). ``dual_noise`` overrides the noise model
-    on the inverse circuit when the mitigation run and the verification
-    run see different hardware.
+    C_1^dag(...C_L^dag(|0><0|)). Each C^dag is one contraction, the
+    adjoint noise fused with the adjoint gate, preceded by global
+    depolarizing when that is the noise. ``dual_noise`` overrides the
+    noise model on the inverse circuit when the mitigation run and the
+    verification run see different hardware.
     """
     if dual_noise is None:
         dual_noise = noise
     n = circ.n_qubits
+    p = _global_strength(dual_noise)
     mat = zero_projector(circ.dim)
-    for g in reversed(inverse_circuit(circ).gates):
-        mat = apply_noise(mat, dual_noise, g.qubits, n, adjoint=True)
-        mat = apply_local(mat, [g.matrix().conj().T], g.qubits, n)
+    gates = reversed(inverse_circuit(circ).gates)
+    for sup, targets in _gate_steps(gates, dual_noise, adjoint=True):
+        if p:
+            depolarize(mat, p, range(n), n)
+        mat = contract(mat, sup, targets, n)
     return DensityOperator(mat, normalized=False)

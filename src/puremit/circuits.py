@@ -161,6 +161,25 @@ def circuit_unitary(circ: GateCircuit) -> np.ndarray:
     return u
 
 
+def circuit_state(circ: GateCircuit) -> np.ndarray:
+    """Output state vector of the circuit on |0...0>, one 2^k x 2^k product per gate.
+
+    The gate's target axes of the ``[2] * n`` view are moved to the front,
+    in gate order, so the vector is never multiplied by a register-wide
+    matrix. Equals ``circuit_unitary(circ)[:, 0]``.
+    """
+    n = circ.n_qubits
+    psi = np.zeros(circ.dim, dtype=complex)
+    psi[0] = 1.0
+    for g in circ.gates:
+        front = list(g.qubits)
+        order = front + [q for q in range(n) if q not in front]
+        x = psi.reshape([2] * n).transpose(order).reshape(2 ** len(front), -1)
+        y = (g.matrix() @ x).reshape([2] * n)
+        psi = y.transpose(np.argsort(order)).reshape(-1)
+    return psi
+
+
 def inverse_circuit(circ: GateCircuit) -> GateCircuit:
     """Gate-by-gate inverse in reversed order.
 

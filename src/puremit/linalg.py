@@ -211,14 +211,17 @@ class DensityOperator:
     normalized: bool = True
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex, copy=True)
+        # the input is only read; the symmetrised matrix is a fresh array
+        # and becomes the stored one
+        mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         check_dimension(mat.shape[0])
         dev = float(np.max(np.abs(mat - mat.conj().T)))
         if dev > HERMITICITY_ATOL:
             raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
-        mat = (mat + mat.conj().T) / 2.0
+        mat = mat + mat.conj().T
+        mat /= 2.0
         evals = np.linalg.eigvalsh(mat)
         if evals[0] < -PSD_ATOL:
             raise ValueError(f"density matrix not PSD: min eigenvalue {evals[0]:.3e}")

@@ -34,6 +34,9 @@ class PauliObservable:
 
     terms: tuple of (coefficient, string) pairs, strings over IXYZ with a
     common width. Qubit 0 is the leftmost letter (most significant).
+    ``expectation`` reads Tr(O X) with each string as a signed
+    permutation, O(2^n) per string; ``matrix`` builds the dense 2^n x 2^n
+    sum, which the estimators and pipelines do not need.
     """
 
     terms: tuple[tuple[float, str], ...]
@@ -68,6 +71,24 @@ class PauliObservable:
         for c, s in self.terms:
             out += c * pauli_string_matrix(s)
         return out
+
+    def expectation(self, mat) -> complex:
+        """Tr(O X) = sum_s c_s Tr(P_s X) for any square matrix X of the register.
+
+        With P|j> = phase[j] |perm[j]> (``pauli_permutation``), Tr(P X)
+        is sum_j phase[j] X[j, perm[j]]: one entry of X per row.
+        """
+        mat = np.asarray(mat)
+        if mat.shape != (self.dim, self.dim):
+            raise ValueError(
+                f"dimension mismatch: matrix {mat.shape}, observable {(self.dim, self.dim)}"
+            )
+        rows = np.arange(self.dim)
+        total = 0j
+        for c, s in self.terms:
+            perm, phase = pauli_permutation(s)
+            total += c * complex(phase @ mat[rows, perm])
+        return total
 
     def is_single_string(self) -> bool:
         return len(self.terms) == 1

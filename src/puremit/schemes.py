@@ -44,7 +44,7 @@ from .channels import (
     prepare_noisy_state,
     swap_controlled,
 )
-from .circuits import GateCircuit, gate_matrix
+from .circuits import GateCircuit, circuit_state, gate_matrix
 from .linalg import (
     as_matrix,
     check_dimension,
@@ -153,6 +153,14 @@ def _require_power_of_two(dim: int) -> int:
     return n
 
 
+def _check_observable(observable: PauliObservable, rho: np.ndarray) -> None:
+    if (observable.dim, observable.dim) != rho.shape:
+        raise ValueError(
+            f"dimension mismatch: state {rho.shape}, observable "
+            f"{(observable.dim, observable.dim)}"
+        )
+
+
 def multicopy_estimate(
     state, observable: PauliObservable, n_copies: int, kind: str = "multi-copy"
 ) -> EstimateReport:
@@ -171,11 +179,9 @@ def multicopy_estimate(
     rho = as_matrix(state)
     dim = rho.shape[0]
     n_qubits = _require_power_of_two(dim)
-    obs = observable.matrix()
-    if obs.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, observable {obs.shape}")
+    _check_observable(observable, rho)
     power = np.linalg.matrix_power(rho, n_copies)
-    num = complex(np.trace(obs @ power))
+    num = observable.expectation(power)
     den = complex(np.trace(power))
     if abs(den.real) < DENOMINATOR_FLOOR:
         raise VanishingDenominatorError(
@@ -204,13 +210,13 @@ def state_verification_estimate(state, dual, observable: PauliObservable) -> Est
     rho = as_matrix(state)
     rbar = as_matrix(dual)
     n_qubits = _require_power_of_two(rho.shape[0])
-    obs = observable.matrix()
-    if rho.shape != rbar.shape or obs.shape != rho.shape:
-        raise ValueError(
-            f"dimension mismatch: state {rho.shape}, dual {rbar.shape}, observable {obs.shape}"
-        )
-    num = complex(np.trace(rbar @ obs @ rho))
-    den = complex(np.trace(rbar @ rho))
+    if rho.shape != rbar.shape:
+        raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
+    _check_observable(observable, rho)
+    # Tr(rbar O rho) = Tr(O rho rbar): one product serves both traces
+    chain = rho @ rbar
+    num = observable.expectation(chain)
+    den = complex(np.trace(chain))
     if abs(den.real) < DENOMINATOR_FLOOR:
         raise VanishingDenominatorError(
             f"state/dual overlap {den.real:.3e} is numerically zero"
@@ -252,14 +258,12 @@ def combined_estimate(
     if rho.shape != rbar.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
     n_qubits = _require_power_of_two(rho.shape[0])
-    obs = observable.matrix()
-    if obs.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, observable {obs.shape}")
+    _check_observable(observable, rho)
     factors = [rho] * (n_copies - k) + [rho @ rbar] * k
     chain = None
     for f in factors:
         chain = f if chain is None else chain @ f
-    num = complex(np.trace(obs @ chain))
+    num = observable.expectation(chain)
     den = complex(np.trace(chain))
     if abs(den.real) < DENOMINATOR_FLOOR:
         raise VanishingDenominatorError(
@@ -447,6 +451,11 @@ def build_pipeline(
     factors. A build holds one composite matrix at a time. See
     ``MeasurableTerm`` for the outcomes.
 
+    ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
+    vector psi, a 2^n run (``circuits.circuit_state``); ``raw_value`` is
+    Tr(O rho) for the noisy register. Both read O as signed permutations
+    (``PauliObservable.expectation``), never as a dense matrix.
+
     ``noise`` afflicts the state-preparation circuits (and, unless
     ``dual_noise`` overrides it, the inverse circuits of the verification
     schemes); ``machinery_noise`` afflicts the ancilla Hadamards and
@@ -460,12 +469,11 @@ def build_pipeline(
         raise ValueError(
             f"observable width {observable.n_qubits} does not match circuit width {n}"
         )
-    obs_mat = observable.matrix()
     psi_dim = circuit.dim
-    ideal = prepare_noisy_state(circuit, NO_NOISE)
-    ideal_value = float(np.trace(obs_mat @ ideal.matrix).real)
+    psi = circuit_state(circuit)
+    ideal_value = float(observable.expectation(np.outer(psi, psi.conj())).real)
     rho = prepare_noisy_state(circuit, noise)
-    raw_value = float(np.trace(obs_mat @ rho.matrix).real)
+    raw_value = float(observable.expectation(rho.matrix).real)
 
     if kind == "raw":
         # rotate each X or Y qubit onto Z, then read the Z parity

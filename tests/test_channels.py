@@ -20,8 +20,10 @@ from puremit.channels import (
     dual_state,
     identity_channel,
     noise_channel,
+    noise_superoperator,
     noisy_circuit_channel,
     prepare_noisy_state,
+    superoperator,
     swap_controlled,
     unitary_channel,
 )
@@ -33,7 +35,7 @@ from puremit.circuits import (
     inverse_circuit,
     random_circuit,
 )
-from puremit.linalg import DensityOperator, random_density, random_hermitian
+from puremit.linalg import DensityOperator, random_density, random_hermitian, zero_projector
 from puremit.schemes import fredkin_matrix
 
 
@@ -402,3 +404,67 @@ def test_in_place_kernels_refuse_matrices_they_cannot_update(kind):
     transposed = _complex(np.random.default_rng(17), 4, 4).T
     with pytest.raises(ValueError):
         apply_noise(transposed, NoiseModel(kind, 0.1), [0], 2)
+
+
+# --- fused gate-and-noise steps against the two-step path -------------------
+
+
+def _two_step_evolution(circ, noise, adjoint):
+    """Each gate contracted, then its noise applied in place (adjoint: the
+    adjoint noise, then the adjoint gate, over the reversed inverse circuit)."""
+    n = circ.n_qubits
+    mat = zero_projector(circ.dim)
+    if not adjoint:
+        for g in circ.gates:
+            mat = apply_local(mat, [g.matrix()], g.qubits, n)
+            mat = apply_noise(mat, noise, g.qubits, n)
+        return mat
+    for g in reversed(inverse_circuit(circ).gates):
+        mat = apply_noise(mat, noise, g.qubits, n, adjoint=True)
+        mat = apply_local(mat, [g.matrix().conj().T], g.qubits, n)
+    return mat
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_fused_register_steps_match_gate_then_noise(kind, adjoint):
+    rng = np.random.default_rng(18)
+    noise = NoiseModel(kind, 0.15)
+    for n in (4, 5, 6):
+        # unordered and non-adjacent targets, besides the random ones
+        extra = (
+            Gate("CNOT", (n - 1, 0)),
+            Gate("RY", (n - 2,), 0.7),
+            Gate("SWAP", (n - 1, 1)),
+            Gate("CZ", (2, 0)),
+        )
+        base = random_circuit(rng, n, 10)
+        circ = GateCircuit(n, base.gates + extra)
+        want = _two_step_evolution(circ, noise, adjoint)
+        state = dual_state(circ, noise) if adjoint else prepare_noisy_state(circ, noise)
+        assert np.max(np.abs(state.matrix - want)) <= 1e-14, (n, kind, adjoint)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_noise_superoperator_matches_the_kraus_sum(kind, adjoint):
+    for k in (1, 2):
+        for p in (0.0, 0.15, 1.0):
+            noise = NoiseModel(kind, p)
+            channel = noise_channel(noise, range(k), k) or identity_channel(2**k)
+            if adjoint:
+                channel = adjoint_channel(channel)
+            got = noise_superoperator(noise, k, adjoint)
+            want = superoperator(channel.ops)
+            assert np.max(np.abs(got - want)) <= 1e-14, (k, p)
+
+
+def test_superoperator_acts_on_row_major_matrices():
+    rng = np.random.default_rng(19)
+    for k in (1, 2):
+        d = 2**k
+        ops = _complex(rng, 3, d, d)
+        x = _complex(rng, d, d)
+        want = sum(op @ x @ op.conj().T for op in ops)
+        got = (superoperator(ops) @ x.reshape(-1)).reshape(d, d)
+        assert np.max(np.abs(got - want)) < 1e-12

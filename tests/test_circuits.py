@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from puremit.circuits import (
+    ANGLE_GATES,
     CNOT,
     CircuitFormatError,
+    GATE_ARITY,
     Gate,
     GateCircuit,
     HADAMARD,
@@ -13,6 +15,7 @@ from puremit.circuits import (
     S_GATE,
     SWAP_GATE,
     T_GATE,
+    circuit_state,
     circuit_unitary,
     embed_operator,
     format_circuit,
@@ -179,3 +182,19 @@ def test_random_circuit_respects_bounds():
     assert circ.n_qubits == 3 and len(circ.gates) == 20
     for g in circ.gates:
         assert all(0 <= q < 3 for q in g.qubits)
+
+
+def test_circuit_state_matches_the_unitary_column():
+    rng = np.random.default_rng(4)
+    n = 4
+    gates = []
+    for name, arity in sorted(GATE_ARITY.items()):
+        for _ in range(3):
+            targets = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
+            angle = float(rng.uniform(-np.pi, np.pi)) if name in ANGLE_GATES else None
+            gates.append(Gate(name, targets, angle))
+    order = rng.permutation(len(gates))
+    shuffled = GateCircuit(n, tuple(gates[i] for i in order))
+    for circ in (shuffled, random_circuit(rng, 5, 40), GateCircuit(2)):
+        want = circuit_unitary(circ)[:, 0]
+        assert np.max(np.abs(circuit_state(circ) - want)) < 1e-12

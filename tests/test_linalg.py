@@ -162,6 +162,18 @@ def test_density_operator_is_read_only():
         rho.matrix[0, 0] = 5.0
 
 
+def test_density_operator_keeps_its_own_matrix():
+    # the caller's array is only read; mutating it later changes nothing
+    for dtype in (complex, float):
+        arr = np.diag([0.25, 0.75]).astype(dtype)
+        rho = DensityOperator(arr)
+        assert not np.shares_memory(rho.matrix, arr)
+        arr[0, 0] = 9.0
+        arr[0, 1] = 3.0
+        assert np.array_equal(rho.matrix, np.diag([0.25, 0.75]))
+        assert rho.matrix.flags.c_contiguous
+
+
 def test_density_operator_constructors():
     z = DensityOperator.computational_zero(2)
     assert z.dim == 4 and z.matrix[0, 0] == 1.0 and z.trace == 1.0

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,25 @@ def test_format_round_trips():
 def test_format_omits_unit_coefficients():
     assert format_observable(parse_observable("Z - X")) == "Z - X"
     assert format_observable(parse_observable("-1.5*Z")) == "-1.5*Z"
+
+
+def test_expectation_matches_the_dense_trace():
+    # non-Hermitian complex matrices, every letter, Y strings included
+    rng = np.random.default_rng(3)
+    for n in range(1, 6):
+        d = 2**n
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        strings = ["".join(s) for s in product("IXYZ", repeat=n)] if n <= 2 else [
+            "".join(rng.choice(list("IXYZ"), size=n)) for _ in range(12)
+        ] + ["Y" * n, "X" * n, "I" * n]
+        for s in strings:
+            got = PauliObservable.single(s, -1.5).expectation(x)
+            want = -1.5 * np.trace(pauli_string_matrix(s) @ x)
+            assert abs(got - want) <= 1e-12, s
+        obs = PauliObservable(tuple((0.5 - 0.25 * i, s) for i, s in enumerate(strings[:4])))
+        assert abs(obs.expectation(x) - np.trace(obs.matrix() @ x)) <= 1e-12
+
+
+def test_expectation_rejects_a_mismatched_matrix():
+    with pytest.raises(ValueError):
+        PauliObservable.single("ZZ").expectation(np.eye(2))

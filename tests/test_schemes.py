@@ -706,3 +706,32 @@ def test_pipeline_build_holds_one_composite_at_a_time(machinery):
         finally:
             tracemalloc.stop()
         assert peak <= 2 * composite, (kind, peak / composite)
+
+
+@pytest.mark.parametrize(
+    "kind,copies",
+    [
+        ("raw", 1),
+        ("multi-copy", 2),
+        ("multi-copy-recycled", 2),
+        ("state-verification", 1),
+        ("combined", 1),
+        ("combined", 2),
+    ],
+)
+def test_estimators_and_builds_need_no_dense_observable(monkeypatch, kind, copies):
+    # every readout takes the Pauli strings as signed permutations
+    def refuse(self):
+        raise AssertionError("called PauliObservable.matrix")
+
+    circ = _generic_circuit()
+    noise = NoiseModel("amplitude-damping", 0.05)
+    obs = parse_observable("0.6*ZY - 0.4*XI")
+    rho = prepare_noisy_state(circ, noise)
+    rbar = dual_state(circ, noise)
+    monkeypatch.setattr(PauliObservable, "matrix", refuse)
+    multicopy_estimate(rho, obs, 2)
+    state_verification_estimate(rho, rbar, obs)
+    combined_estimate(rho, rbar, obs, 2)
+    pipe = build_pipeline(kind, circ, noise, obs, n_copies=copies)
+    assert np.isfinite(pipe.exact_report().ratio)
