@@ -7,22 +7,24 @@ register-wide operator:
   register) to the listed qubits of an nq-qubit density matrix as one
   4^k x 4^k superoperator, in one matrix product, and returns a new
   matrix;
-* ``swap_controlled`` applies a Fredkin as a swap of two slices of the
-  matrix's ``[2] * 2nq`` view, once for the rows and once for the
-  columns;
+* ``swap_qubits`` swaps two qubits of a matrix's rows, columns or both
+  by exchanging two slices of its ``[2] * 2nq`` view per side;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
-  4^k-operator Pauli Kraus sum;
+  4^k-operator Pauli Kraus sum. It also takes a stack of the diagonal
+  blocks of a matrix block-diagonal in further qubits, which then
+  depolarize jointly with the targets;
 * ``apply_noise`` maps a ``NoiseModel`` onto ``depolarize`` and the
-  per-qubit dephasing and amplitude-damping kernels, which act on the
-  target's 2x2 blocks of row and column bits, in the Schrodinger or
+  per-qubit kernels: dephasing scales the whole matrix once by the
+  targets' factor tensor, and amplitude damping acts on each target's
+  2x2 blocks of row and column bits, in the Schrodinger or
   (``adjoint=True``) the Heisenberg picture.
 
-``swap_controlled``, ``depolarize`` and ``apply_noise`` work in place:
-they update the matrix they are given and return it, so the caller must
-own a writable, C-contiguous matrix. Their transients are at most a
-quarter of it. The read-only ``DensityOperator.matrix`` makes a misuse
-raise instead of corrupting a state.
+``swap_qubits``, ``depolarize`` and ``apply_noise`` work in place: they
+update the matrix they are given and return it, so the caller must own a
+writable, C-contiguous matrix. Their transients are at most a quarter of
+it. The read-only ``DensityOperator.matrix`` makes a misuse raise instead
+of corrupting a state.
 
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
@@ -30,11 +32,13 @@ from the same projector. On these registers each gate and its local
 noise are fused into one superoperator, so a gate costs one contraction;
 the noise part (``noise_superoperator``) is read off the in-place
 kernels, which stay the only definition of noise. Global depolarizing
-stays a register-wide ``depolarize``. The composite of a pipeline
-(``schemes.build_pipeline``) is never contracted: it is updated in
-place by the Fredkin and noise kernels. Dual states are PSD but not
-normalized in general (they are exactly trace-1 when every inserted
-channel is unital).
+stays a register-wide ``depolarize``. Both wrap their result without
+the eigenvalue check, since an evolution keeps it PSD. A pipeline
+(``schemes.build_pipeline``) never contracts a composite: it carries its
+readout effects as quarter-size ancilla blocks, updated in place by the
+swap and noise kernels. Dual states are PSD but not normalized in
+general (they are exactly trace-1 when every inserted channel is
+unital).
 
 The dense Kraus-channel algebra (``noise_channel``,
 ``circuit_gate_channels``, ``noisy_circuit_channel``, composition,
@@ -348,18 +352,18 @@ def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
     once, in one matrix product (``contract``), whatever the stack size.
     Returns a new matrix. The product reads a transposed copy of the input
     and is itself copied back into row-major order, so a call holds about
-    three matrices; the composite of a pipeline uses the in-place kernels
-    instead.
+    three matrices; the readout blocks of a pipeline use the in-place
+    kernels instead.
     """
     return contract(mat, superoperator(ops), targets, nq)
 
 
-def _qubit_view(mat: np.ndarray, nq: int) -> np.ndarray:
-    """The ``[2] * 2nq`` view of ``mat`` (row bits, then column bits)."""
+def _qubit_view(mat: np.ndarray, nq: int, lead=()) -> np.ndarray:
+    """The ``lead + [2] * 2nq`` view of ``mat`` (row bits, then column bits)."""
     if not mat.flags.c_contiguous:
         # reshape would copy, and the in-place update would be lost
         raise ValueError("in-place kernels need a C-contiguous matrix")
-    return mat.reshape([2] * (2 * nq))
+    return mat.reshape(list(lead) + [2] * (2 * nq))
 
 
 def _bits(nq: int, fixed) -> tuple:
@@ -374,19 +378,21 @@ def _bits(nq: int, fixed) -> tuple:
     return tuple(index)
 
 
-def swap_controlled(mat: np.ndarray, targets, nq: int) -> np.ndarray:
-    """Fredkin F mat F on qubits (control, a, b) of an nq-qubit matrix, in place.
+def swap_qubits(
+    mat: np.ndarray, a: int, b: int, nq: int, rows: bool = True, columns: bool = True
+) -> np.ndarray:
+    """Swap qubits a and b of an nq-qubit matrix on its rows, its columns or both, in place.
 
-    F swaps |1, 0, 1> and |1, 1, 0> on its qubits, so it is a basis
-    permutation and its own adjoint: the rows of the two slices are
-    swapped, then the columns. The one transient is an eighth of the
-    matrix. Returns ``mat``.
+    The swap S exchanges |.., 0_a, .., 1_b, ..> and |.., 1_a, .., 0_b, ..>,
+    so S mat (``rows``), mat S (``columns``) and S mat S (both) exchange two
+    slices of the ``[2] * 2nq`` view per side. The one transient is a
+    quarter of the matrix. Returns ``mat``.
     """
-    c, a, b = (int(t) for t in targets)
     view = _qubit_view(mat, nq)
-    for shift in (0, nq):
-        first = _bits(nq, ((shift + c, 1), (shift + a, 0), (shift + b, 1)))
-        second = _bits(nq, ((shift + c, 1), (shift + a, 1), (shift + b, 0)))
+    sides = ([0] if rows else []) + ([nq] if columns else [])
+    for shift in sides:
+        first = _bits(nq, ((shift + a, 0), (shift + b, 1)))
+        second = _bits(nq, ((shift + a, 1), (shift + b, 0)))
         kept = view[first].copy()
         view[first] = view[second]
         view[second] = kept
@@ -402,30 +408,47 @@ def depolarize(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
     its target-diagonal blocks. Self-adjoint, so it serves the Heisenberg
     picture unchanged. Returns ``mat``, which must be writable and
     C-contiguous.
+
+    ``mat`` may also be a stack (2^c, 2^nq, 2^nq) of the diagonal blocks
+    X_j of a matrix that is block-diagonal in c further qubits. Those
+    qubits then depolarize jointly with the targets: each block becomes
+    (1-p) X_j + p I/(2^c d_k) (x) Tr_targets(sum_j X_j), the diagonal
+    blocks of the depolarized matrix, which stays block-diagonal.
     """
     targets = {int(t) for t in targets}
     rest = [q for q in range(nq) if q not in targets]
-    # axis labels of the [2] * 2nq view: row q is q, column q is nq + q,
-    # except that a target's column shares its row's label
-    labels = list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
+    # axis labels of the stacked [2] * 2nq view: the stack is label 2nq,
+    # row q is q, column q is nq + q, except that a target's column shares
+    # its row's label
+    stack = 2 * nq
+    labels = [stack] + list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
     kept = rest + [nq + q for q in rest]
-    view = _qubit_view(mat, nq)
-    reduced = (p / 2 ** len(targets)) * np.einsum(view, labels, kept)
+    view = _qubit_view(mat, nq, lead=(-1,))
+    reduced = (p / (view.shape[0] * 2 ** len(targets))) * np.einsum(view, labels, kept)
     view *= 1.0 - p
     # writable view of the blocks diagonal in the targets, one per target index
-    blocks = np.einsum(view, labels, sorted(targets) + kept)
-    blocks += reduced
+    diagonal = np.einsum(view, labels, [stack] + sorted(targets) + kept)
+    diagonal += reduced
     return mat
 
 
 def _dephase(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
     """Dephasing (1-p) X + p Z X Z on each target: the off-diagonal blocks
-    of its row and column bits scale by 1 - 2p. Self-adjoint."""
-    view = _qubit_view(mat, nq)
+    of its row and column bits scale by 1 - 2p. Self-adjoint.
+
+    The targets' factors form one tensor over their row bits and the whole
+    column index, so the ``[2] * nq + [2^nq]`` view (row bits, then the
+    contiguous column index) is scaled in one pass, whatever the targets.
+    """
+    columns = np.arange(2**nq)
+    factors = np.ones([1] * nq + [2**nq])
     for q in targets:
-        for r, c in ((0, 1), (1, 0)):
-            block = view[_bits(nq, ((q, r), (nq + q, c)))]
-            block *= 1.0 - 2.0 * p
+        shape = [1] * (nq + 1)
+        shape[q] = 2
+        same = np.arange(2).reshape(shape) == ((columns >> (nq - 1 - q)) & 1)
+        factors = factors * np.where(same, 1.0, 1.0 - 2.0 * p)
+    view = _qubit_view(mat, nq).reshape([2] * nq + [2**nq])
+    view *= factors
     return mat
 
 
@@ -537,7 +560,7 @@ def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator
         mat = contract(mat, sup, targets, n)
         if p:
             depolarize(mat, p, range(n), n)
-    return DensityOperator(mat)
+    return DensityOperator._trusted(mat)
 
 
 def dual_state(
@@ -563,4 +586,4 @@ def dual_state(
         if p:
             depolarize(mat, p, range(n), n)
         mat = contract(mat, sup, targets, n)
-    return DensityOperator(mat, normalized=False)
+    return DensityOperator._trusted(mat, normalized=False)

@@ -192,6 +192,18 @@ def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
     return np.einsum("itjt->ij", t)
 
 
+def _check_hermitian(mat: np.ndarray) -> None:
+    dev = float(np.max(np.abs(mat - mat.conj().T)))
+    if dev > HERMITICITY_ATOL:
+        raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+
+
+def _check_trace(mat: np.ndarray) -> None:
+    tr = float(mat.trace().real)
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"density matrix trace {tr!r} != 1")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """A validated density matrix (optionally non-normalized).
@@ -217,19 +229,33 @@ class DensityOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         check_dimension(mat.shape[0])
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev > HERMITICITY_ATOL:
-            raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+        _check_hermitian(mat)
         mat = mat + mat.conj().T
         mat /= 2.0
         evals = np.linalg.eigvalsh(mat)
         if evals[0] < -PSD_ATOL:
             raise ValueError(f"density matrix not PSD: min eigenvalue {evals[0]:.3e}")
-        tr = float(mat.trace().real)
-        if self.normalized and abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {tr!r} != 1")
+        if self.normalized:
+            _check_trace(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _trusted(cls, mat: np.ndarray, normalized: bool = True) -> "DensityOperator":
+        """Wrap a matrix that is PSD by construction, such as an evolution result.
+
+        Only the Hermiticity and (when ``normalized``) trace checks run: no
+        eigenvalues, no copy. ``mat`` must be a complex square matrix that
+        no one else writes to; it becomes the stored, read-only matrix.
+        """
+        _check_hermitian(mat)
+        if normalized:
+            _check_trace(mat)
+        mat.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", mat)
+        object.__setattr__(out, "normalized", normalized)
+        return out
 
     @property
     def dim(self) -> int:

@@ -15,12 +15,17 @@ inverse circuits, ancilla readout) so machinery noise on the swaps and
 ancilla gates can be studied. With noiseless machinery the pipeline
 reproduces the operator-level value. The readout is taken in the
 Heisenberg picture: its effects are propagated backwards through the
-shared suffix once, one composite matrix at a time, by in-place kernels
-(Fredkins as slice swaps, machinery noise on views). Each effect is then
-reduced to four d x d blocks against the product prefix state, and every
-observable term is scored from those blocks and its Pauli string, applied
-to one register as a signed permutation. No composite state is ever
-built.
+shared suffix once. The suffix keeps each effect's parity in the ancilla,
+so an effect is carried as its nonzero ancilla blocks, (nq-1)-qubit
+matrices, a quarter of a composite each. The Hadamard test's signal sits
+in the ancilla coherence |0><1|, one odd block; the verification
+projection reads the ancilla populations, an even pair of blocks. In-place
+kernels update them (Fredkins as qubit swaps of a block's rows or
+columns, machinery noise on views). Each block is then reduced to a d x d
+block against the product prefix state, and every observable term is
+scored from those blocks and its Pauli string, applied to one register as
+a signed permutation. Neither a composite state nor a composite effect is
+ever built.
 
 Register layout on the composite: ancilla is qubit 0 (most significant),
 register r occupies qubits 1 + r*n .. n + r*n. The cyclic shift C_M
@@ -40,9 +45,11 @@ from .channels import (
     NoiseModel,
     apply_local,
     apply_noise,
+    depolarize,
     dual_state,
+    noise_superoperator,
     prepare_noisy_state,
-    swap_controlled,
+    swap_qubits,
 )
 from .circuits import GateCircuit, circuit_state, gate_matrix
 from .linalg import (
@@ -321,8 +328,12 @@ class MeasurableTerm:
     has the outcomes +1 and -1 (the ancilla reads 0 or 1) and, for the
     verified schemes, 0 (some register did not project to |0...0>); its
     value is Tr(W_Z X) for the unit's prefix state X and the readout
-    effect W_Z = Z_anc (x) Pi propagated back through the suffix. The
-    pipeline reads these traces from the effects' reduced d x d blocks,
+    effect W_Z = Z_anc (x) Pi propagated back through the suffix. Past the
+    final Hadamard, W_Z is alpha I_anc (x) Pi + beta X_anc (x) Pi (plus a
+    multiple of I under global machinery noise): its even part is a
+    multiple of W_P = I_anc (x) Pi, so the signal beta lives in the odd
+    block, the ancilla coherence the Hadamard test reads. The pipeline
+    reads these traces from the effects' reduced d x d parity blocks,
     never from X itself, and takes Tr X from its factors, so the outcome
     probabilities summing to one checks those factors. ``raw`` keeps the
     basis-state populations of its rotated n-qubit state with their Z
@@ -407,13 +418,62 @@ _ANCILLA_VALUES = np.array([1.0, -1.0])
 _VERIFIED_VALUES = np.array([1.0, -1.0, 0.0])
 
 
-def _pauli_sandwiches(rho: np.ndarray, string: str):
-    """P^a rho P^b^dag for a, b in {0, 1}, indexed [a][b], for the string P."""
-    perm, phase = pauli_permutation(string)
-    # P is its own inverse permutation, so (P v)[i] = phase[perm[i]] v[perm[i]]
-    sign = phase[perm]
-    left = sign[:, None] * rho[perm]
-    return ((rho, rho[:, perm] * sign.conj()), (left, left[:, perm] * sign.conj()))
+def _parity_steps(machinery: NoiseModel, nq: int):
+    """One backward Fredkin step on each parity block of an nq-qubit effect.
+
+    In the Heisenberg picture a Fredkin of the controlled register swaps
+    is its adjoint machinery noise on (ancilla, a, b), then the Fredkin
+    itself, its own adjoint. Write an effect as sum_xy |x><y| (x) W_xy
+    over the ancilla (qubit 0). The Fredkin maps W_xy to S^x W_xy S^y,
+    with S the swap of qubits a and b, and every noise kind maps the
+    ancilla's coherences to coherences and its populations to
+    populations. So an odd effect (W_00 = W_11 = 0) stays odd and an even
+    one (W_01 = W_10 = 0) stays even, and neither is ever built whole.
+
+    Returns (odd, even). ``odd(o, a, b)`` updates the odd block O = W_01
+    (W_10 = O^dag for a Hermitian effect); ``even(pair, a, b)`` updates
+    the stack (W_00, W_11). Both act in place on nq - 1 qubit blocks, with
+    a and b the Fredkin's composite targets. Register noise acts on each
+    block through ``apply_noise``; the ancilla's part scales O by the
+    adjoint 1-qubit kernel's coherence factor and mixes the pair by its
+    population map, and joint local depolarizing scales O by 1-p and
+    depolarizes the pair's stack. Global depolarizing is left to the
+    caller: it commutes with every Fredkin, so it folds into one scale and
+    one identity coefficient.
+    """
+    k = nq - 1
+    kind = "none" if machinery.is_trivial else machinery.kind
+    p = machinery.strength
+    per_qubit = kind in ("dephasing", "amplitude-damping")
+    if per_qubit:
+        sup = noise_superoperator(machinery, 1, adjoint=True)
+        # entry [(x, y), (u, v)]: |x><y| in the output from |u><v|
+        coherence = sup[1, 1].real
+        populations = sup[::3, ::3].real
+
+    def odd(block, a, b):
+        if kind == "depolarizing-local":
+            block *= 1.0 - p
+        elif per_qubit:
+            apply_noise(block, machinery, (a - 1, b - 1), k, adjoint=True)
+            block *= coherence
+        return swap_qubits(block, a - 1, b - 1, k, rows=False)
+
+    def even(pair, a, b):
+        if kind == "depolarizing-local":
+            depolarize(pair, p, (a - 1, b - 1), k)
+        elif per_qubit:
+            for block in pair:
+                apply_noise(block, machinery, (a - 1, b - 1), k, adjoint=True)
+            # the adjoint never feeds W_11 into W_00 and is unital, so W_00
+            # stays and W_11 becomes m_11 W_11 + m_10 W_00
+            if populations[1, 0]:
+                pair[1] *= populations[1, 1]
+                pair[1] += populations[1, 0] * pair[0]
+        swap_qubits(pair[1], a - 1, b - 1, k)
+        return pair
+
+    return odd, even
 
 
 def build_pipeline(
@@ -433,23 +493,38 @@ def build_pipeline(
     swaps, inverse circuits, ancilla Hadamard). Its readout is read in the
     Heisenberg picture: the effects W_Z = Z_anc (x) Pi and, for the
     verified schemes, W_P = I_anc (x) Pi are propagated backwards through
-    the suffix, one at a time. The inverse circuits map Pi to rbar^(x)M,
-    so only the Fredkins and their noise run on the composite, in place.
+    the suffix. The final Hadamard and its noise act on the ancilla
+    factor, and the inverse circuits map Pi to R = rbar^(x)M (or keep
+    R = I), so before the Fredkins each effect is
 
-    No prefix state is built. The prefix is A (x) rho^(x)M, with A the
-    ancilla after its Hadamard and noise; global machinery noise of
+        W = c I + alpha I_anc (x) R + beta X_anc (x) R.
+
+    Every Fredkin step keeps an effect's ancilla parity
+    (``_parity_steps``), so the Fredkins and their noise run only on the
+    odd block O = W_01 of X_anc (x) R (W_10 = O^dag) and, when verifying,
+    on the even pair (W_00, W_11) of I_anc (x) R, which serves W_P and,
+    times alpha, the even part of W_Z. For multi-copy R = I and the even
+    part stays alpha I. Global machinery depolarizing commutes with each
+    Fredkin and fixes I, so its layers fold into a scale and the identity
+    coefficient. The blocks are evolved in place, odd block first, and
+    the full composite matrix is never built.
+
+    No prefix state is built either. The prefix is A (x) rho^(x)M, with A
+    the ancilla after its Hadamard and noise; global machinery noise of
     strength p makes it (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq. A
     term's controlled Pauli string P touches register 1 only, so each
-    effect W, split into ancilla blocks W_ba, is reduced once to the d x d
-    blocks V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))] and then freed. A
-    unit X is scored at O(d^2) per term as
+    block W_ba is reduced once to the d x d block
+    V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))] and then freed. A unit X
+    is scored at O(d^2) per term as
 
         Tr(W X) = (1-p) sum_ab A_ab Tr(V_ba P^a rho P^b^dag)
                   + p Tr(W) Tr(rho)^M / 2^nq,
 
-    with Tr X = (1-p) Tr(A) Tr(rho)^M + p Tr(rho)^M taken from the same
-    factors. A build holds one composite matrix at a time. See
-    ``MeasurableTerm`` for the outcomes.
+    the even blocks against rho and P rho P^dag, the odd ones against
+    rho P^dag and P rho, with Tr X = (1-p) Tr(A) Tr(rho)^M + p Tr(rho)^M
+    taken from the same factors. A build peaks at the registers' factor R
+    and the even pair, three quarters of a composite, plus transients.
+    See ``MeasurableTerm`` for the outcomes.
 
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
     vector psi, a 2^n run (``circuits.circuit_state``); ``raw_value`` is
@@ -519,6 +594,7 @@ def build_pipeline(
     verify = kind in ("state-verification", "combined")
     hadamard = gate_matrix("H")
     rho_mat = rho.matrix
+    half = 2 ** (nq - 1)
 
     # the prefix (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq, kept as its
     # factors: p is the strength of global machinery noise, and every
@@ -530,69 +606,123 @@ def build_pipeline(
         p_global = 0.0
         ancilla = apply_noise(ancilla, machinery, [0], 1)
     registers_trace = float(np.trace(rho_mat).real) ** copies
-    unit_trace = ((1.0 - p_global) * np.trace(ancilla).real + p_global) * registers_trace
-    # registers 2..M of the prefix, traced against each effect
-    others = kron_power(rho_mat, copies - 1) if copies > 1 else np.ones((1, 1))
+    # Tr(A (x) rho^(x)M), which the identity reads off every unit
+    ancilla_weight = float(np.trace(ancilla).real) * registers_trace
+    unit_trace = (1.0 - p_global) * ancilla_weight + p_global * registers_trace
+    # registers 2..M of the prefix, traced against each block
+    others = kron_power(rho_mat, copies - 1) if copies > 1 else None
 
     rbar = dual_state(circuit, noise, dual_noise) if verify else None
     # Pi projects every register to |0...0> when verifying, else it is I;
-    # the adjoint of the inverse circuits maps it to ``registers``
+    # the adjoint of the inverse circuits maps it to R = rbar^(x)M, or to
+    # R = I, which is never built
     if verify:
         registers = kron_power(rbar.matrix, copies)
         pi_trace = 1.0
+        r_trace = float(np.trace(rbar.matrix).real) ** copies
     else:
-        registers = np.eye(psi_dim**copies)
-        pi_trace = float(psi_dim**copies)
+        registers = None
+        pi_trace = r_trace = float(half)
 
-    def backward(a: np.ndarray) -> np.ndarray:
-        """The adjoint of the suffix applied to the effect a (x) Pi."""
-        # through the final Hadamard and its noise the effect stays
-        # c I + a (x) Pi, with a on the ancilla alone
+    def head(diag: np.ndarray):
+        """(c, alpha, beta) with the readout effect diag (x) Pi equal to
+        c I + alpha I_anc (x) R + beta X_anc (x) R before the Fredkins."""
         c = 0.0
         if machinery.kind == "depolarizing-global":
-            # (1-p) W + p Tr(W)/d I on the whole composite
-            c = machinery.strength * np.trace(a).real * pi_trace / 2**nq
-            a = (1.0 - machinery.strength) * a
+            # (1-p) W + p Tr(W)/2^nq I on the whole composite
+            c = machinery.strength * diag.sum() * pi_trace / 2**nq
+            diag = (1.0 - machinery.strength) * diag
         else:
-            a = apply_noise(a, machinery, [0], 1, adjoint=True)
-        a = hadamard @ a @ hadamard
-        # the suffix is trace-preserving, so every adjoint leaves I alone
-        mat = np.kron(a, registers)
-        mat.flat[:: 2**nq + 1] += c
-        for r in reversed(range(copies - 1)):
-            for i in reversed(range(n)):
-                targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
-                # both act in place; the Fredkin is its own adjoint
-                apply_noise(mat, machinery, targets, nq, adjoint=True)
-                swap_controlled(mat, targets, nq)
-        return mat
+            ancilla_effect = np.diag(diag).astype(complex)
+            diag = np.diagonal(apply_noise(ancilla_effect, machinery, [0], 1, adjoint=True)).real
+        # H diag(z0, z1) H = (z0 + z1)/2 I + (z0 - z1)/2 X; the suffix is
+        # trace-preserving, so every adjoint leaves c I alone
+        return c, (diag[0] + diag[1]) / 2, (diag[0] - diag[1]) / 2
 
-    def reduced(a: np.ndarray):
-        """Tr W and the blocks V_ba, indexed [b, a], of W = backward(a)."""
-        w = backward(a)
+    # the Fredkins, last first. Global machinery depolarizing commutes with
+    # each and fixes I, so its F layers fold into the scale (1-p)^F and an
+    # identity coefficient, applied at scoring
+    fredkins = [
+        (1 + r * n + i, 1 + (r + 1) * n + i)
+        for r in reversed(range(copies - 1))
+        for i in reversed(range(n))
+    ]
+    scale = (1.0 - p_global) ** len(fredkins)
+    odd_step, even_step = _parity_steps(machinery, nq)
+
+    def reduced(block: np.ndarray) -> np.ndarray:
+        """Tr_{2..M}[block (I (x) rho^(x)(M-1))], a d x d block."""
+        if others is None:
+            return block
         d, e = psi_dim, others.shape[0]
-        blocks = np.einsum("bikajl,lk->baij", w.reshape(2, d, e, 2, d, e), others)
-        return complex(np.trace(w)), blocks
+        return np.einsum("ikjl,lk->ij", block.reshape(d, e, d, e), others)
 
-    def trace_with(effect, sandwiches) -> complex:
-        """Tr(W X) for the unit X whose register-1 factors are ``sandwiches``."""
-        w_trace, v = effect
-        local = sum(
-            ancilla[a, b] * np.sum(v[b, a] * sandwiches[a][b].T)
-            for a in range(2)
-            for b in range(2)
-        )
+    # one block at a time: the odd block O of X_anc (x) R, where the signal
+    # lives, then the even pair of I_anc (x) R, which reads the projection
+    if registers is None:
+        odd = np.eye(half, dtype=complex)
+    else:
+        odd = registers.copy() if fredkins else registers
+    for a, b in fredkins:
+        odd_step(odd, a, b)
+    # V_01 and V_10 = V_01^dag, each read by vdot: Tr(V S) = vdot(V^dag, S)
+    v_01 = reduced(odd)
+    v_10 = v_01.conj().T.copy()
+    del odd
+    if verify and fredkins:
+        pair = np.empty((2, half, half), dtype=complex)
+        pair[0] = registers
+        pair[1] = registers
+        del registers
+        for a, b in fredkins:
+            even_step(pair, a, b)
+        even_adjoints = [reduced(block).conj().T.copy() for block in pair]
+        del pair
+    elif verify:
+        # no Fredkins: every block is R, so V_00^dag = V_11^dag = V_10
+        even_adjoints = [v_10, v_10]
+
+    def parity_traces(string: str):
+        """sum_xy A_xy Tr(V_yx P^x rho P^y^dag) over the even blocks of
+        I_anc (x) R and over the odd blocks of X_anc (x) R, for the Pauli
+        string P, with the global machinery noise folded in."""
+        perm, phase = pauli_permutation(string)
+        # P is its own inverse permutation, so (P v)[i] = phase[perm[i]] v[perm[i]]
+        sign = phase[perm]
+        p_rho = rho_mat[perm]
+        p_rho *= sign[:, None]
+        # take gathers columns about twice as fast as fancy indexing
+        rho_p = np.take(rho_mat, perm, axis=1)
+        rho_p *= sign.conj()
+        odd = ancilla[1, 0] * np.vdot(v_10, p_rho) + ancilla[0, 1] * np.vdot(v_01, rho_p)
+        if verify:
+            p_rho_p = rho_p[perm]
+            p_rho_p *= sign[:, None]
+            even = ancilla[0, 0] * np.vdot(even_adjoints[0], rho_mat)
+            even += ancilla[1, 1] * np.vdot(even_adjoints[1], p_rho_p)
+        else:
+            # R = I, and every adjoint of the suffix keeps I_anc (x) I
+            even = ancilla_weight
+        # the folded noise leaves (1 - scale) Tr(I_anc (x) R)/2^nq I of the
+        # even part, which every unit reads as that times ancilla_weight
+        even = scale * even + (1.0 - scale) * 2.0 * r_trace / 2**nq * ancilla_weight
+        return even, scale * odd
+
+    def trace_with(effect, even, odd) -> complex:
+        """Tr(W X) for the effect W of ``head`` and the unit X of the parity traces."""
+        c, alpha, beta = effect
+        local = c * ancilla_weight + alpha * even + beta * odd
+        w_trace = c * 2**nq + 2.0 * alpha * r_trace
         return complex((1.0 - p_global) * local + p_global * w_trace * registers_trace / 2**nq)
 
-    # one composite at a time: each effect is reduced before the next is built
-    effect_z = reduced(np.diag(_Z_VALUES).astype(complex))
-    effect_p = reduced(np.eye(2, dtype=complex)) if verify else None
+    effect_z = head(_Z_VALUES)
+    effect_p = head(np.ones(2)) if verify else None
     values = _VERIFIED_VALUES if verify else _ANCILLA_VALUES
 
     def outcomes(coefficient: float, string: str) -> MeasurableTerm:
-        sandwiches = _pauli_sandwiches(rho_mat, string)
-        z = trace_with(effect_z, sandwiches)
-        kept = trace_with(effect_p, sandwiches).real if verify else unit_trace
+        even, odd = parity_traces(string)
+        z = trace_with(effect_z, even, odd)
+        kept = trace_with(effect_p, even, odd).real if verify else unit_trace
         probs = [(kept + z.real) / 2, (kept - z.real) / 2]
         if verify:
             probs.append(unit_trace - kept)

@@ -24,10 +24,11 @@ from puremit.channels import (
     noisy_circuit_channel,
     prepare_noisy_state,
     superoperator,
-    swap_controlled,
+    swap_qubits,
     unitary_channel,
 )
 from puremit.circuits import (
+    SWAP_GATE,
     Gate,
     GateCircuit,
     circuit_unitary,
@@ -36,7 +37,6 @@ from puremit.circuits import (
     random_circuit,
 )
 from puremit.linalg import DensityOperator, random_density, random_hermitian, zero_projector
-from puremit.schemes import fredkin_matrix
 
 
 def _act(channel, mat):
@@ -343,27 +343,29 @@ _IN_PLACE_CASES = [
     (6, [5, 2, 0]),
     (6, [3]),
 ]
-# Fredkin (control, a, b) triples, nq = 3..6
-_FREDKIN_CASES = [
-    (3, [0, 1, 2]),
-    (3, [2, 0, 1]),
-    (4, [0, 3, 1]),
-    (5, [4, 1, 2]),
-    (5, [0, 2, 4]),
-    (6, [5, 0, 3]),
-    (6, [1, 4, 2]),
+# qubit pairs (a, b), nq = 2..6
+_SWAP_CASES = [
+    (2, 0, 1),
+    (3, 2, 0),
+    (4, 1, 3),
+    (5, 4, 1),
+    (5, 0, 2),
+    (6, 5, 0),
+    (6, 2, 3),
 ]
 
 
-def test_swap_controlled_matches_the_fredkin():
+@pytest.mark.parametrize("side", ["rows", "columns", "both"])
+def test_swap_qubits_matches_the_embedded_swap(side):
     rng = np.random.default_rng(14)
-    for nq, targets in _FREDKIN_CASES:
+    for nq, a, b in _SWAP_CASES:
         mat = _complex(rng, 2**nq, 2**nq)
-        want = apply_local(mat, [fredkin_matrix()], targets, nq)
+        swap = embed_operator(SWAP_GATE, [a, b], nq)
+        want = {"rows": swap @ mat, "columns": mat @ swap, "both": swap @ mat @ swap}[side]
         arg = mat.copy()
-        got = swap_controlled(arg, targets, nq)
+        got = swap_qubits(arg, a, b, nq, rows=side != "columns", columns=side != "rows")
         assert got is arg
-        assert np.max(np.abs(got - want)) <= 1e-14, (nq, targets)
+        assert np.max(np.abs(got - want)) <= 1e-14, (nq, a, b)
 
 
 @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
@@ -394,6 +396,30 @@ def test_depolarize_in_place_matches_kraus_sum():
             got = depolarize(arg, p, targets, nq)
             assert got is arg
             assert np.max(np.abs(got - want)) <= 1e-14, (p, nq, targets)
+
+
+def test_engine_states_are_wrapped_without_the_eigenvalue_check(monkeypatch):
+    # prepared and dual states are PSD by construction: no copy and no
+    # eigvalsh, but still read-only and checked for Hermiticity and trace
+    def refuse(*args, **kwargs):
+        raise AssertionError("called eigvalsh")
+
+    circ = random_circuit(np.random.default_rng(18), 3, 12)
+    noise = NoiseModel("amplitude-damping", 0.1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rho = prepare_noisy_state(circ, noise)
+    rbar = dual_state(circ, noise)
+    monkeypatch.undo()
+    for state, normalized in ((rho, True), (rbar, False)):
+        assert state.normalized is normalized
+        assert not state.matrix.flags.writeable
+        checked = DensityOperator(state.matrix, normalized=normalized)
+        assert np.max(np.abs(checked.matrix - state.matrix)) <= 1e-15
+    with pytest.raises(ValueError):
+        DensityOperator._trusted(np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError):
+        DensityOperator._trusted(np.diag([0.7, 0.7]).astype(complex))
+    assert DensityOperator._trusted(np.diag([0.7, 0.7]).astype(complex), normalized=False).trace == 1.4
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS[1:])

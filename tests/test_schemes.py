@@ -13,7 +13,7 @@ from puremit.channels import (
     apply_noise,
     dual_state,
     prepare_noisy_state,
-    swap_controlled,
+    swap_qubits,
 )
 from puremit.circuits import (
     SWAP_GATE,
@@ -336,6 +336,44 @@ def _generic_circuit():
             Gate("RZ", (1,), _GENERIC_ANGLES[4]),
         ),
     )
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("machinery", NOISE_KINDS)
+def test_parity_block_steps_match_the_composite_step(machinery, copies):
+    # one backward Fredkin step on the parity blocks against the adjoint
+    # noise and the Fredkin on the whole composite, which keeps the
+    # off-parity blocks exactly zero; global depolarizing is folded by the
+    # build into a scale and an identity coefficient
+    n = 2
+    nq = 1 + copies * n
+    half = 2 ** (nq - 1)
+    noise = NoiseModel(machinery, 0.1)
+    p = noise.strength if machinery == "depolarizing-global" else 0.0
+    odd_step, even_step = schemes._parity_steps(noise, nq)
+    rng = np.random.default_rng(22)
+    zero = np.zeros((half, half), dtype=complex)
+    for r, i in iproduct(range(copies - 1), range(n)):
+        targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
+        o = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
+        pair = np.array([random_hermitian(rng, half), random_hermitian(rng, half)])
+        for parity, full in (
+            ("odd", np.block([[zero, o], [o.conj().T, zero]])),
+            ("even", np.block([[pair[0], zero], [zero, pair[1]]])),
+        ):
+            want = apply_noise(full.copy(), noise, targets, nq, adjoint=True)
+            want = apply_local(want, [fredkin_matrix()], targets, nq).reshape(2, half, 2, half)
+            if parity == "odd":
+                got = (1.0 - p) * odd_step(o.copy(), *targets[1:])
+                assert not np.any(want[0, :, 0]) and not np.any(want[1, :, 1])
+                assert np.max(np.abs(want[0, :, 1] - got)) <= 1e-13
+                assert np.max(np.abs(want[1, :, 0] - got.conj().T)) <= 1e-13
+            else:
+                got = (1.0 - p) * even_step(pair.copy(), *targets[1:])
+                got += p * np.trace(full).real / 2**nq * np.eye(half)
+                assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
+                assert np.max(np.abs(want[0, :, 0] - got[0])) <= 1e-13
+                assert np.max(np.abs(want[1, :, 1] - got[1])) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -668,11 +706,11 @@ def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
     # so adding observable terms adds no Fredkin on the composite
     calls = []
 
-    def counting(mat, targets, nq):
+    def counting(mat, a, b, nq, **sides):
         calls.append(nq)
-        return swap_controlled(mat, targets, nq)
+        return swap_qubits(mat, a, b, nq, **sides)
 
-    monkeypatch.setattr(schemes, "swap_controlled", counting)
+    monkeypatch.setattr(schemes, "swap_qubits", counting)
     circ = _generic_circuit()
     mach = NoiseModel("dephasing", 0.03)
     for kind, copies in (("multi-copy", 2), ("multi-copy", 3), ("combined", 2)):
@@ -689,9 +727,9 @@ def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
 
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
 def test_pipeline_build_holds_one_composite_at_a_time(machinery):
-    # the effects are propagated in place and reduced one after the other,
-    # and no prefix state is built, so a build peaks well under two
-    # composite matrices (n = 4, M = 2: nq = 9)
+    # the effects are carried as quarter-size parity blocks, propagated in
+    # place and reduced one after the other, and no prefix state is built,
+    # so a build peaks under one composite matrix (n = 4, M = 2: nq = 9)
     composite = 16 * 4**9
     circ = random_circuit(np.random.default_rng(0), 4, 8)
     obs = parse_observable("0.5*XYZI + 0.5*ZZXY")
@@ -705,7 +743,45 @@ def test_pipeline_build_holds_one_composite_at_a_time(machinery):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * composite, (kind, peak / composite)
+        assert peak <= composite, (kind, peak / composite)
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("machinery", NOISE_KINDS)
+def test_parity_block_steps_match_the_composite_step(machinery, copies):
+    # one backward Fredkin step on the parity blocks against the adjoint
+    # noise and the Fredkin on the whole composite, which keeps the
+    # off-parity blocks exactly zero; global depolarizing is folded by the
+    # build into a scale and an identity coefficient
+    n = 2
+    nq = 1 + copies * n
+    half = 2 ** (nq - 1)
+    noise = NoiseModel(machinery, 0.1)
+    p = noise.strength if machinery == "depolarizing-global" else 0.0
+    odd_step, even_step = schemes._parity_steps(noise, nq)
+    rng = np.random.default_rng(22)
+    zero = np.zeros((half, half), dtype=complex)
+    for r, i in iproduct(range(copies - 1), range(n)):
+        targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
+        o = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
+        pair = np.array([random_hermitian(rng, half), random_hermitian(rng, half)])
+        for parity, full in (
+            ("odd", np.block([[zero, o], [o.conj().T, zero]])),
+            ("even", np.block([[pair[0], zero], [zero, pair[1]]])),
+        ):
+            want = apply_noise(full.copy(), noise, targets, nq, adjoint=True)
+            want = apply_local(want, [fredkin_matrix()], targets, nq).reshape(2, half, 2, half)
+            if parity == "odd":
+                got = (1.0 - p) * odd_step(o.copy(), *targets[1:])
+                assert not np.any(want[0, :, 0]) and not np.any(want[1, :, 1])
+                assert np.max(np.abs(want[0, :, 1] - got)) <= 1e-13
+                assert np.max(np.abs(want[1, :, 0] - got.conj().T)) <= 1e-13
+            else:
+                got = (1.0 - p) * even_step(pair.copy(), *targets[1:])
+                got += p * np.trace(full).real / 2**nq * np.eye(half)
+                assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
+                assert np.max(np.abs(want[0, :, 0] - got[0])) <= 1e-13
+                assert np.max(np.abs(want[1, :, 1] - got[1])) <= 1e-13
 
 
 @pytest.mark.parametrize(
