@@ -7,8 +7,6 @@ register-wide operator:
   register) to the listed qubits of an nq-qubit density matrix as one
   4^k x 4^k superoperator, in one matrix product, and returns a new
   matrix;
-* ``swap_qubits`` swaps two qubits of a matrix's rows, columns or both
-  by exchanging two slices of its ``[2] * 2nq`` view per side;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
   4^k-operator Pauli Kraus sum. It also takes a stack of the diagonal
@@ -20,11 +18,17 @@ register-wide operator:
   2x2 blocks of row and column bits, in the Schrodinger or
   (``adjoint=True``) the Heisenberg picture.
 
-``swap_qubits``, ``depolarize`` and ``apply_noise`` work in place: they
-update the matrix they are given and return it, so the caller must own a
-writable, C-contiguous matrix. Their transients are at most a quarter of
-it. The read-only ``DensityOperator.matrix`` makes a misuse raise instead
-of corrupting a state.
+``depolarize`` and ``apply_noise`` work in place: they update the matrix
+they are given and return it, so the caller must own a writable,
+C-contiguous matrix. Their transients are at most a quarter of it. The
+read-only ``DensityOperator.matrix`` makes a misuse raise instead of
+corrupting a state.
+
+A matrix may also be stored under a qubit map, its qubit q held on
+storage axis ``map[q]``, so that a qubit swap is a relabeling that moves
+no data; ``permuted_view`` reads such a matrix back. The in-place kernels
+read the maps: the per-qubit kernels take a column map, and
+``depolarize`` a two-sided map per block of its stack.
 
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
@@ -32,11 +36,12 @@ from the same projector. On these registers each gate and its local
 noise are fused into one superoperator, so a gate costs one contraction;
 the noise part (``noise_superoperator``) is read off the in-place
 kernels, which stay the only definition of noise. Global depolarizing
-stays a register-wide ``depolarize``. Both wrap their result without
-the eigenvalue check, since an evolution keeps it PSD. A pipeline
+commutes with the gates, so its layers fold into one register-wide
+``depolarize`` per evolution. Both wrap their result without the
+eigenvalue check, since an evolution keeps it PSD. A pipeline
 (``schemes.build_pipeline``) never contracts a composite: it carries its
-readout effects as quarter-size ancilla blocks, updated in place by the
-swap and noise kernels. Dual states are PSD but not normalized in
+readout effects as quarter-size ancilla blocks under qubit maps, updated
+in place by the noise kernels. Dual states are PSD but not normalized in
 general (they are exactly trace-1 when every inserted channel is
 unital).
 
@@ -358,12 +363,12 @@ def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
     return contract(mat, superoperator(ops), targets, nq)
 
 
-def _qubit_view(mat: np.ndarray, nq: int, lead=()) -> np.ndarray:
-    """The ``lead + [2] * 2nq`` view of ``mat`` (row bits, then column bits)."""
+def _qubit_view(mat: np.ndarray, nq: int) -> np.ndarray:
+    """The ``[2] * 2nq`` view of ``mat`` (row bits, then column bits)."""
     if not mat.flags.c_contiguous:
         # reshape would copy, and the in-place update would be lost
         raise ValueError("in-place kernels need a C-contiguous matrix")
-    return mat.reshape(list(lead) + [2] * (2 * nq))
+    return mat.reshape([2] * (2 * nq))
 
 
 def _bits(nq: int, fixed) -> tuple:
@@ -378,28 +383,18 @@ def _bits(nq: int, fixed) -> tuple:
     return tuple(index)
 
 
-def swap_qubits(
-    mat: np.ndarray, a: int, b: int, nq: int, rows: bool = True, columns: bool = True
-) -> np.ndarray:
-    """Swap qubits a and b of an nq-qubit matrix on its rows, its columns or both, in place.
+def permuted_view(mat: np.ndarray, nq: int, rows, columns) -> np.ndarray:
+    """The ``[2] * 2nq`` view of ``mat`` with its row and column qubits reordered.
 
-    The swap S exchanges |.., 0_a, .., 1_b, ..> and |.., 1_a, .., 0_b, ..>,
-    so S mat (``rows``), mat S (``columns``) and S mat S (both) exchange two
-    slices of the ``[2] * 2nq`` view per side. The one transient is a
-    quarter of the matrix. Returns ``mat``.
+    Row qubit q of the result is row axis ``rows[q]`` of ``mat`` and
+    column qubit q is column axis ``columns[q]``, so a matrix stored under
+    qubit maps (qubit q held on storage axis ``map[q]``) reads back as the
+    matrix it stands for. A transpose, no copy.
     """
-    view = _qubit_view(mat, nq)
-    sides = ([0] if rows else []) + ([nq] if columns else [])
-    for shift in sides:
-        first = _bits(nq, ((shift + a, 0), (shift + b, 1)))
-        second = _bits(nq, ((shift + a, 1), (shift + b, 0)))
-        kept = view[first].copy()
-        view[first] = view[second]
-        view[second] = kept
-    return mat
+    return _qubit_view(mat, nq).transpose(list(rows) + [nq + c for c in columns])
 
 
-def depolarize(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
+def depolarize(mat: np.ndarray, p: float, targets, nq: int, maps=None) -> np.ndarray:
     """Depolarize the listed qubits in place: (1-p) X + p I/d_k (x) Tr_targets X.
 
     Exact for the 4^k-operator Pauli Kraus form of
@@ -409,61 +404,84 @@ def depolarize(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
     picture unchanged. Returns ``mat``, which must be writable and
     C-contiguous.
 
-    ``mat`` may also be a stack (2^c, 2^nq, 2^nq) of the diagonal blocks
-    X_j of a matrix that is block-diagonal in c further qubits. Those
-    qubits then depolarize jointly with the targets: each block becomes
+    ``mat`` may also be a stack of the diagonal blocks X_j of a matrix
+    that is block-diagonal in c further qubits: a (2^c, 2^nq, 2^nq) array
+    or a sequence of 2^c matrices. Those qubits then depolarize jointly
+    with the targets: each block becomes
     (1-p) X_j + p I/(2^c d_k) (x) Tr_targets(sum_j X_j), the diagonal
     blocks of the depolarized matrix, which stays block-diagonal.
+
+    ``maps`` gives, per block of the stack, the two-sided qubit map it is
+    stored under (qubit q on row and column axis ``map[q]``; None for the
+    identity). Each block's partial trace is read through its map into
+    the unmapped frame, where they add, and added back through it.
     """
     targets = {int(t) for t in targets}
     rest = [q for q in range(nq) if q not in targets]
-    # axis labels of the stacked [2] * 2nq view: the stack is label 2nq,
-    # row q is q, column q is nq + q, except that a target's column shares
-    # its row's label
-    stack = 2 * nq
-    labels = [stack] + list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
     kept = rest + [nq + q for q in rest]
-    view = _qubit_view(mat, nq, lead=(-1,))
-    reduced = (p / (view.shape[0] * 2 ** len(targets))) * np.einsum(view, labels, kept)
-    view *= 1.0 - p
-    # writable view of the blocks diagonal in the targets, one per target index
-    diagonal = np.einsum(view, labels, [stack] + sorted(targets) + kept)
-    diagonal += reduced
+    stack = mat if isinstance(mat, (list, tuple)) else mat.reshape((-1,) + mat.shape[-2:])
+    views = [_qubit_view(block, nq) for block in stack]
+    if maps is None:
+        maps = [None] * len(views)
+    # axis labels of each block's [2] * 2nq view: row q is q and column q is
+    # nq + q, except that a target's column shares its row's label
+    labels = []
+    for axes in maps:
+        label = [0] * (2 * nq)
+        for q, axis in enumerate(range(nq) if axes is None else axes):
+            label[axis] = q
+            label[nq + axis] = q if q in targets else nq + q
+        labels.append(label)
+    reduced = sum(np.einsum(view, label, kept) for view, label in zip(views, labels))
+    reduced *= p / (len(views) * 2 ** len(targets))
+    for view, label in zip(views, labels):
+        view *= 1.0 - p
+        # writable view of the block's entries diagonal in the targets
+        diagonal = np.einsum(view, label, sorted(targets) + kept)
+        diagonal += reduced
     return mat
 
 
-def _dephase(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
+def _dephase(mat: np.ndarray, p: float, targets, nq: int, columns=None) -> np.ndarray:
     """Dephasing (1-p) X + p Z X Z on each target: the off-diagonal blocks
     of its row and column bits scale by 1 - 2p. Self-adjoint.
 
     The targets' factors form one tensor over their row bits and the whole
     column index, so the ``[2] * nq + [2^nq]`` view (row bits, then the
     contiguous column index) is scaled in one pass, whatever the targets.
+    ``columns`` is the matrix's column map: target q's column bit is
+    column axis ``columns[q]``.
     """
-    columns = np.arange(2**nq)
+    columns = range(nq) if columns is None else columns
+    index = np.arange(2**nq)
     factors = np.ones([1] * nq + [2**nq])
     for q in targets:
         shape = [1] * (nq + 1)
         shape[q] = 2
-        same = np.arange(2).reshape(shape) == ((columns >> (nq - 1 - q)) & 1)
+        same = np.arange(2).reshape(shape) == ((index >> (nq - 1 - columns[q])) & 1)
         factors = factors * np.where(same, 1.0, 1.0 - 2.0 * p)
     view = _qubit_view(mat, nq).reshape([2] * nq + [2**nq])
     view *= factors
     return mat
 
 
-def _damp(mat: np.ndarray, gamma: float, targets, nq: int, adjoint: bool) -> np.ndarray:
+def _damp(
+    mat: np.ndarray, gamma: float, targets, nq: int, adjoint: bool, columns=None
+) -> np.ndarray:
     """Amplitude damping, K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma)
     |0><1|, on each target's 2x2 blocks X_rc of row bit r, column bit c.
 
     Forward, X_00 gains gamma X_11; adjoint, X_11 gains gamma X_00. Either
     way the off-diagonal blocks scale by sqrt(1-gamma) and X_11 by
-    1 - gamma. The transient is a quarter of the matrix.
+    1 - gamma. The transient is a quarter of the matrix. ``columns`` is
+    the matrix's column map: target q's column bit is column axis
+    ``columns[q]``.
     """
+    columns = range(nq) if columns is None else columns
     view = _qubit_view(mat, nq)
     for q in targets:
         b00, b01, b10, b11 = (
-            view[_bits(nq, ((q, r), (nq + q, c)))]
+            view[_bits(nq, ((q, r), (nq + columns[q], c)))]
             for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))
         )
         b01 *= np.sqrt(1.0 - gamma)
@@ -484,6 +502,7 @@ def apply_noise(
     nq: int,
     register=None,
     adjoint: bool = False,
+    columns=None,
 ) -> np.ndarray:
     """Noise inserted after a gate on ``targets`` of an nq-qubit matrix, in place.
 
@@ -494,17 +513,23 @@ def apply_noise(
     picture adjoint {K^dag} instead. ``mat`` is updated in place and
     returned, so it must be writable and C-contiguous; trivial noise
     returns it untouched.
+
+    ``columns`` is the column map of a matrix stored with its column
+    qubits relabeled (column qubit q on column axis ``columns[q]``, the
+    rows unmapped); only the per-qubit kinds take one.
     """
     if noise.is_trivial:
         return mat
+    if columns is not None and noise.kind not in ("dephasing", "amplitude-damping"):
+        raise ValueError(f"{noise.kind} noise takes no column map")
     if noise.kind == "depolarizing-global":
         register = range(nq) if register is None else register
         return depolarize(mat, noise.strength, register, nq)
     if noise.kind == "depolarizing-local":
         return depolarize(mat, noise.strength, targets, nq)
     if noise.kind == "dephasing":
-        return _dephase(mat, noise.strength, targets, nq)
-    return _damp(mat, noise.strength, targets, nq, adjoint)
+        return _dephase(mat, noise.strength, targets, nq, columns)
+    return _damp(mat, noise.strength, targets, nq, adjoint, columns)
 
 
 def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.ndarray:
@@ -546,20 +571,28 @@ def _gate_steps(gates, noise: NoiseModel, adjoint: bool):
         yield sup, g.qubits
 
 
-def _global_strength(noise: NoiseModel) -> float:
-    """The strength of register-wide depolarizing, 0 for every other kind."""
-    return noise.strength if noise.kind == "depolarizing-global" else 0.0
+def _global_layer(noise: NoiseModel, gates: int) -> float:
+    """The strength of one register-wide depolarizing layer equal to the
+    ``gates`` layers of global noise; 0 for every other kind.
+
+    Register-wide depolarizing commutes with every unitary and fixes I, so
+    its layers after G gates compose to one of strength 1 - (1-p)^G.
+    """
+    if noise.kind != "depolarizing-global":
+        return 0.0
+    return 1.0 - (1.0 - noise.strength) ** gates
 
 
 def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator:
-    """Run the noisy circuit on |0...0><0...0|, one contraction per gate."""
+    """Run the noisy circuit on |0...0><0...0|, one contraction per gate;
+    global noise is one layer at the end (``_global_layer``)."""
     n = circ.n_qubits
-    p = _global_strength(noise)
     mat = zero_projector(circ.dim)
     for sup, targets in _gate_steps(circ.gates, noise, adjoint=False):
         mat = contract(mat, sup, targets, n)
-        if p:
-            depolarize(mat, p, range(n), n)
+    p = _global_layer(noise, len(circ.gates))
+    if p:
+        depolarize(mat, p, range(n), n)
     return DensityOperator._trusted(mat)
 
 
@@ -571,19 +604,20 @@ def dual_state(
     With channels C_1..C_L making up the noisy inverse circuit (C_1 applied
     first, each a gate followed by its noise), the dual is
     C_1^dag(...C_L^dag(|0><0|)). Each C^dag is one contraction, the
-    adjoint noise fused with the adjoint gate, preceded by global
-    depolarizing when that is the noise. ``dual_noise`` overrides the
-    noise model on the inverse circuit when the mitigation run and the
-    verification run see different hardware.
+    adjoint noise fused with the adjoint gate. Global depolarizing is
+    self-adjoint and commutes with the gates, so its L layers are one
+    (``_global_layer``). ``dual_noise`` overrides the noise model on the
+    inverse circuit when the mitigation run and the verification run see
+    different hardware.
     """
     if dual_noise is None:
         dual_noise = noise
     n = circ.n_qubits
-    p = _global_strength(dual_noise)
     mat = zero_projector(circ.dim)
-    gates = reversed(inverse_circuit(circ).gates)
-    for sup, targets in _gate_steps(gates, dual_noise, adjoint=True):
-        if p:
-            depolarize(mat, p, range(n), n)
+    gates = inverse_circuit(circ).gates
+    for sup, targets in _gate_steps(reversed(gates), dual_noise, adjoint=True):
         mat = contract(mat, sup, targets, n)
+    p = _global_layer(dual_noise, len(gates))
+    if p:
+        depolarize(mat, p, range(n), n)
     return DensityOperator._trusted(mat, normalized=False)

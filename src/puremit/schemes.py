@@ -15,17 +15,11 @@ inverse circuits, ancilla readout) so machinery noise on the swaps and
 ancilla gates can be studied. With noiseless machinery the pipeline
 reproduces the operator-level value. The readout is taken in the
 Heisenberg picture: its effects are propagated backwards through the
-shared suffix once. The suffix keeps each effect's parity in the ancilla,
-so an effect is carried as its nonzero ancilla blocks, (nq-1)-qubit
-matrices, a quarter of a composite each. The Hadamard test's signal sits
-in the ancilla coherence |0><1|, one odd block; the verification
-projection reads the ancilla populations, an even pair of blocks. In-place
-kernels update them (Fredkins as qubit swaps of a block's rows or
-columns, machinery noise on views). Each block is then reduced to a d x d
-block against the product prefix state, and every observable term is
-scored from those blocks and its Pauli string, applied to one register as
-a signed permutation. Neither a composite state nor a composite effect is
-ever built.
+shared suffix once, as quarter-size ancilla-parity blocks on which a
+Fredkin is a qubit relabeling, then reduced against the product prefix
+state and scored per term with its Pauli string as a signed permutation.
+Neither a composite state nor a composite effect is ever built
+(``build_pipeline``).
 
 Register layout on the composite: ancilla is qubit 0 (most significant),
 register r occupies qubits 1 + r*n .. n + r*n. The cyclic shift C_M
@@ -48,8 +42,8 @@ from .channels import (
     depolarize,
     dual_state,
     noise_superoperator,
+    permuted_view,
     prepare_noisy_state,
-    swap_qubits,
 )
 from .circuits import GateCircuit, circuit_state, gate_matrix
 from .linalg import (
@@ -220,10 +214,17 @@ def state_verification_estimate(state, dual, observable: PauliObservable) -> Est
     if rho.shape != rbar.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
     _check_observable(observable, rho)
-    # Tr(rbar O rho) = Tr(O rho rbar): one product serves both traces
-    chain = rho @ rbar
-    num = observable.expectation(chain)
-    den = complex(np.trace(chain))
+    # Tr(rbar O rho) = Tr(O rho rbar) without forming rho rbar: Tr(P rho rbar)
+    # is sum_j phase[j] (rho rbar)[j, perm[j]], rows of rho against rows of rbar^T
+    rho_flat = rho.ravel()
+    rbar_t = np.ascontiguousarray(rbar.T)
+    num = 0j
+    for coeff, string in observable.terms:
+        perm, phase = pauli_permutation(string)
+        rows = rbar_t[perm]
+        rows *= phase[:, None]
+        num += coeff * complex(np.dot(rho_flat, rows.ravel()))
+    den = complex(np.dot(rho_flat, rbar_t.ravel()))
     if abs(den.real) < DENOMINATOR_FLOOR:
         raise VanishingDenominatorError(
             f"state/dual overlap {den.real:.3e} is numerically zero"
@@ -328,17 +329,11 @@ class MeasurableTerm:
     has the outcomes +1 and -1 (the ancilla reads 0 or 1) and, for the
     verified schemes, 0 (some register did not project to |0...0>); its
     value is Tr(W_Z X) for the unit's prefix state X and the readout
-    effect W_Z = Z_anc (x) Pi propagated back through the suffix. Past the
-    final Hadamard, W_Z is alpha I_anc (x) Pi + beta X_anc (x) Pi (plus a
-    multiple of I under global machinery noise): its even part is a
-    multiple of W_P = I_anc (x) Pi, so the signal beta lives in the odd
-    block, the ancilla coherence the Hadamard test reads. The pipeline
-    reads these traces from the effects' reduced d x d parity blocks,
-    never from X itself, and takes Tr X from its factors, so the outcome
-    probabilities summing to one checks those factors. ``raw`` keeps the
-    basis-state populations of its rotated n-qubit state with their Z
-    parities. ``imag_residual`` is the imaginary part the readout left
-    over, the rounding of the evolution.
+    effect W_Z (``build_pipeline``). Tr X is taken from the factors of X,
+    so the outcome probabilities summing to one checks those factors.
+    ``raw`` keeps the basis-state populations of its rotated n-qubit state
+    with their Z parities. ``imag_residual`` is the imaginary part the
+    readout left over, the rounding of the evolution.
     """
 
     coefficient: float
@@ -421,59 +416,76 @@ _VERIFIED_VALUES = np.array([1.0, -1.0, 0.0])
 def _parity_steps(machinery: NoiseModel, nq: int):
     """One backward Fredkin step on each parity block of an nq-qubit effect.
 
-    In the Heisenberg picture a Fredkin of the controlled register swaps
-    is its adjoint machinery noise on (ancilla, a, b), then the Fredkin
-    itself, its own adjoint. Write an effect as sum_xy |x><y| (x) W_xy
-    over the ancilla (qubit 0). The Fredkin maps W_xy to S^x W_xy S^y,
-    with S the swap of qubits a and b, and every noise kind maps the
-    ancilla's coherences to coherences and its populations to
-    populations. So an odd effect (W_00 = W_11 = 0) stays odd and an even
-    one (W_01 = W_10 = 0) stays even, and neither is ever built whole.
+    Backwards, a Fredkin is its adjoint machinery noise on (ancilla, a, b),
+    then the Fredkin. Over the ancilla (qubit 0) it maps W_xy to
+    S^x W_xy S^y, S the swap of qubits a and b, and every noise kind keeps
+    the ancilla parity. S moves no data: it swaps two entries of the
+    column map of O = W_01 (W_10 = O^dag) and of the two-sided map of
+    W_11 (qubit q stored on axis ``map[q]``); W_00 is never mapped.
 
-    Returns (odd, even). ``odd(o, a, b)`` updates the odd block O = W_01
-    (W_10 = O^dag for a Hermitian effect); ``even(pair, a, b)`` updates
-    the stack (W_00, W_11). Both act in place on nq - 1 qubit blocks, with
-    a and b the Fredkin's composite targets. Register noise acts on each
-    block through ``apply_noise``; the ancilla's part scales O by the
-    adjoint 1-qubit kernel's coherence factor and mixes the pair by its
-    population map, and joint local depolarizing scales O by 1-p and
-    depolarizes the pair's stack. Global depolarizing is left to the
-    caller: it commutes with every Fredkin, so it folds into one scale and
-    one identity coefficient.
+    Returns (odd, even, odd_factor): ``odd(o, columns, a, b)`` and
+    ``even(pair, axes, a, b)`` update the (nq-1)-qubit blocks and maps in
+    place, a and b being composite targets. Noise reads the maps. On O the
+    ancilla's noise and local depolarizing are the scalar ``odd_factor``
+    per step, left to the caller like global depolarizing, which commutes
+    with every Fredkin.
     """
     k = nq - 1
     kind = "none" if machinery.is_trivial else machinery.kind
     p = machinery.strength
     per_qubit = kind in ("dephasing", "amplitude-damping")
+    odd_factor = 1.0 - p if kind == "depolarizing-local" else 1.0
     if per_qubit:
         sup = noise_superoperator(machinery, 1, adjoint=True)
         # entry [(x, y), (u, v)]: |x><y| in the output from |u><v|
-        coherence = sup[1, 1].real
+        odd_factor = sup[1, 1].real
         populations = sup[::3, ::3].real
 
-    def odd(block, a, b):
-        if kind == "depolarizing-local":
-            block *= 1.0 - p
-        elif per_qubit:
-            apply_noise(block, machinery, (a - 1, b - 1), k, adjoint=True)
-            block *= coherence
-        return swap_qubits(block, a - 1, b - 1, k, rows=False)
+    def odd(block, columns, a, b):
+        a, b = a - 1, b - 1
+        if per_qubit:
+            apply_noise(block, machinery, (a, b), k, adjoint=True, columns=columns)
+        columns[a], columns[b] = columns[b], columns[a]
 
-    def even(pair, a, b):
+    def even(pair, axes, a, b):
+        a, b = a - 1, b - 1
         if kind == "depolarizing-local":
-            depolarize(pair, p, (a - 1, b - 1), k)
+            depolarize(pair, p, (a, b), k, maps=(None, axes))
         elif per_qubit:
-            for block in pair:
-                apply_noise(block, machinery, (a - 1, b - 1), k, adjoint=True)
-            # the adjoint never feeds W_11 into W_00 and is unital, so W_00
-            # stays and W_11 becomes m_11 W_11 + m_10 W_00
+            apply_noise(pair[0], machinery, (a, b), k, adjoint=True)
+            apply_noise(pair[1], machinery, (axes[a], axes[b]), k, adjoint=True)
+            # W_00 stays and W_11 becomes m_11 W_11 + m_10 W_00, W_00 read in
+            # W_11's frame half a block at a time
             if populations[1, 0]:
-                pair[1] *= populations[1, 1]
-                pair[1] += populations[1, 0] * pair[0]
-        swap_qubits(pair[1], a - 1, b - 1, k)
-        return pair
+                w_11 = pair[1].reshape([2] * (2 * k))
+                w_11 *= populations[1, 1]
+                inverse = np.argsort(axes)
+                for part, source in zip(w_11, permuted_view(pair[0], k, inverse, inverse)):
+                    part += populations[1, 0] * source
+        axes[a], axes[b] = axes[b], axes[a]
 
-    return odd, even
+    return odd, even, odd_factor
+
+
+def _reduced(block: np.ndarray, rows, columns, weights, n: int) -> np.ndarray:
+    """Tr_{2..M}[W (I (x) rho^(x)(M-1))], 2^n x 2^n, for the block W of M
+    n-qubit registers stored under the maps ``rows`` and ``columns``.
+
+    ``weights`` is (rho^T)^(x)(M-1), C-contiguous, or None for M = 1. Each
+    map is the identity or C_M, which stores register 1 last and the rest
+    in order, so the trace is one batched matrix product over the stored
+    registers: no transposed copy.
+    """
+    if weights is None:
+        return block
+    d, e = 2**n, weights.shape[0]
+    rows_first, columns_first = rows[0] == 0, columns[0] == 0
+    sides = [(d, e) if first else (e, d) for first in (rows_first, columns_first)]
+    b = block.reshape(sides[0] + sides[1])
+    # batched over the row registers, aligned with registers 2..M
+    x = weights if rows_first else weights[:, None]
+    product = b @ x[..., None] if columns_first else x[..., None, :] @ b
+    return product.sum(axis=1 if rows_first else 0).reshape(d, d)
 
 
 def build_pipeline(
@@ -504,10 +516,12 @@ def build_pipeline(
     odd block O = W_01 of X_anc (x) R (W_10 = O^dag) and, when verifying,
     on the even pair (W_00, W_11) of I_anc (x) R, which serves W_P and,
     times alpha, the even part of W_Z. For multi-copy R = I and the even
-    part stays alpha I. Global machinery depolarizing commutes with each
-    Fredkin and fixes I, so its layers fold into a scale and the identity
-    coefficient. The blocks are evolved in place, odd block first, and
-    the full composite matrix is never built.
+    part stays alpha I. A Fredkin only relabels qubits, so after the
+    whole list the blocks are stored under C_M. Global machinery
+    depolarizing fixes I and commutes with each Fredkin, so its layers
+    fold into a scale and the identity coefficient; the scalar each
+    Fredkin's noise leaves on O folds into another scale. A block is
+    copied from R only when the machinery noise writes into it.
 
     No prefix state is built either. The prefix is A (x) rho^(x)M, with A
     the ancilla after its Hadamard and noise; global machinery noise of
@@ -523,8 +537,8 @@ def build_pipeline(
     the even blocks against rho and P rho P^dag, the odd ones against
     rho P^dag and P rho, with Tr X = (1-p) Tr(A) Tr(rho)^M + p Tr(rho)^M
     taken from the same factors. A build peaks at the registers' factor R
-    and the even pair, three quarters of a composite, plus transients.
-    See ``MeasurableTerm`` for the outcomes.
+    and one copy of it, half a composite, plus transients of at most one
+    block. See ``MeasurableTerm`` for the outcomes.
 
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
     vector psi, a 2^n run (``circuits.circuit_state``); ``raw_value`` is
@@ -609,8 +623,8 @@ def build_pipeline(
     # Tr(A (x) rho^(x)M), which the identity reads off every unit
     ancilla_weight = float(np.trace(ancilla).real) * registers_trace
     unit_trace = (1.0 - p_global) * ancilla_weight + p_global * registers_trace
-    # registers 2..M of the prefix, traced against each block
-    others = kron_power(rho_mat, copies - 1) if copies > 1 else None
+    # registers 2..M of the prefix, traced against each block, transposed
+    weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1)) if copies > 1 else None
 
     rbar = dual_state(circuit, noise, dual_noise) if verify else None
     # Pi projects every register to |0...0> when verifying, else it is I;
@@ -639,44 +653,43 @@ def build_pipeline(
         # trace-preserving, so every adjoint leaves c I alone
         return c, (diag[0] + diag[1]) / 2, (diag[0] - diag[1]) / 2
 
-    # the Fredkins, last first. Global machinery depolarizing commutes with
-    # each and fixes I, so its F layers fold into the scale (1-p)^F and an
-    # identity coefficient, applied at scoring
+    # the Fredkins, last first; global machinery noise folds into the scale
     fredkins = [
         (1 + r * n + i, 1 + (r + 1) * n + i)
         for r in reversed(range(copies - 1))
         for i in reversed(range(n))
     ]
     scale = (1.0 - p_global) ** len(fredkins)
-    odd_step, even_step = _parity_steps(machinery, nq)
+    odd_step, even_step, odd_factor = _parity_steps(machinery, nq)
+    odd_scale = scale * odd_factor ** len(fredkins)
+    # per-qubit machinery noise writes every block, local depolarizing the pair
+    local = not (machinery.is_trivial or machinery.kind == "depolarizing-global")
+    odd_writes = local and machinery.kind != "depolarizing-local"
+    unmapped = list(range(nq - 1))
 
-    def reduced(block: np.ndarray) -> np.ndarray:
-        """Tr_{2..M}[block (I (x) rho^(x)(M-1))], a d x d block."""
-        if others is None:
-            return block
-        d, e = psi_dim, others.shape[0]
-        return np.einsum("ikjl,lk->ij", block.reshape(d, e, d, e), others)
-
-    # one block at a time: the odd block O of X_anc (x) R, where the signal
-    # lives, then the even pair of I_anc (x) R, which reads the projection
+    # one block at a time: the odd block O, then the even pair
     if registers is None:
         odd = np.eye(half, dtype=complex)
     else:
-        odd = registers.copy() if fredkins else registers
+        odd = registers.copy() if fredkins and odd_writes else registers
+    columns = list(unmapped)
     for a, b in fredkins:
-        odd_step(odd, a, b)
+        odd_step(odd, columns, a, b)
     # V_01 and V_10 = V_01^dag, each read by vdot: Tr(V S) = vdot(V^dag, S)
-    v_01 = reduced(odd)
+    v_01 = _reduced(odd, unmapped, columns, weights, n)
     v_10 = v_01.conj().T.copy()
     del odd
     if verify and fredkins:
-        pair = np.empty((2, half, half), dtype=complex)
-        pair[0] = registers
-        pair[1] = registers
+        # W_00 takes over R; W_11 is a copy only when the noise writes
+        pair = (registers, registers.copy() if local else registers)
         del registers
+        axes = list(unmapped)
         for a, b in fredkins:
-            even_step(pair, a, b)
-        even_adjoints = [reduced(block).conj().T.copy() for block in pair]
+            even_step(pair, axes, a, b)
+        even_adjoints = [
+            _reduced(pair[0], unmapped, unmapped, weights, n).conj().T.copy(),
+            _reduced(pair[1], axes, axes, weights, n).conj().T.copy(),
+        ]
         del pair
     elif verify:
         # no Fredkins: every block is R, so V_00^dag = V_11^dag = V_10
@@ -706,7 +719,7 @@ def build_pipeline(
         # the folded noise leaves (1 - scale) Tr(I_anc (x) R)/2^nq I of the
         # even part, which every unit reads as that times ancilla_weight
         even = scale * even + (1.0 - scale) * 2.0 * r_trace / 2**nq * ancilla_weight
-        return even, scale * odd
+        return even, odd_scale * odd
 
     def trace_with(effect, even, odd) -> complex:
         """Tr(W X) for the effect W of ``head`` and the unit X of the parity traces."""

@@ -22,9 +22,9 @@ from puremit.channels import (
     noise_channel,
     noise_superoperator,
     noisy_circuit_channel,
+    permuted_view,
     prepare_noisy_state,
     superoperator,
-    swap_qubits,
     unitary_channel,
 )
 from puremit.circuits import (
@@ -355,17 +355,59 @@ _SWAP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("side", ["rows", "columns", "both"])
-def test_swap_qubits_matches_the_embedded_swap(side):
+def _materialized(mat, nq, rows, columns):
+    """A copy of the matrix that ``mat`` stands for under the qubit maps."""
+    return permuted_view(mat, nq, rows, columns).reshape(mat.shape).copy()
+
+
+def test_qubit_maps_read_back_as_the_swapped_matrix():
+    # a Fredkin's swap of qubits a and b is a swap of two map entries:
+    # mat S under a column map, S mat S under a two-sided one
     rng = np.random.default_rng(14)
     for nq, a, b in _SWAP_CASES:
         mat = _complex(rng, 2**nq, 2**nq)
         swap = embed_operator(SWAP_GATE, [a, b], nq)
-        want = {"rows": swap @ mat, "columns": mat @ swap, "both": swap @ mat @ swap}[side]
-        arg = mat.copy()
-        got = swap_qubits(arg, a, b, nq, rows=side != "columns", columns=side != "rows")
-        assert got is arg
-        assert np.max(np.abs(got - want)) <= 1e-14, (nq, a, b)
+        axes = list(range(nq))
+        axes[a], axes[b] = b, a
+        same = range(nq)
+        assert np.max(np.abs(_materialized(mat, nq, same, axes) - mat @ swap)) <= 1e-14
+        assert np.max(np.abs(_materialized(mat, nq, axes, same) - swap @ mat)) <= 1e-14
+        assert np.max(np.abs(_materialized(mat, nq, axes, axes) - swap @ mat @ swap)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_per_qubit_noise_reads_a_column_map(kind, adjoint):
+    rng = np.random.default_rng(20)
+    noise = NoiseModel(kind, 0.3)
+    for nq, targets in _IN_PLACE_CASES:
+        mat = _complex(rng, 2**nq, 2**nq)
+        columns = list(rng.permutation(nq))
+        want = apply_noise(_materialized(mat, nq, range(nq), columns), noise, targets, nq,
+                           adjoint=adjoint)
+        got = apply_noise(mat.copy(), noise, targets, nq, adjoint=adjoint, columns=columns)
+        assert np.max(np.abs(_materialized(got, nq, range(nq), columns) - want)) <= 1e-14
+
+
+def test_depolarize_reads_a_map_per_block():
+    # the stacked blocks of a block-diagonal matrix, one of them relabeled,
+    # depolarize jointly as the blocks they stand for
+    rng = np.random.default_rng(21)
+    for nq, targets in _IN_PLACE_CASES:
+        stack = _complex(rng, 2, 2**nq, 2**nq)
+        axes = list(rng.permutation(nq))
+        logical = np.array([stack[0], _materialized(stack[1], nq, axes, axes)])
+        want = depolarize(logical, 0.3, targets, nq)
+        got = depolarize(stack.copy(), 0.3, targets, nq, maps=(None, axes))
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-14
+        assert np.max(np.abs(_materialized(got[1], nq, axes, axes) - want[1])) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["depolarizing-local", "depolarizing-global"])
+def test_depolarizing_noise_refuses_a_column_map(kind):
+    mat = np.eye(4, dtype=complex)
+    with pytest.raises(ValueError):
+        apply_noise(mat, NoiseModel(kind, 0.1), [0], 2, columns=[1, 0])
 
 
 @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])

@@ -12,8 +12,8 @@ from puremit.channels import (
     apply_local,
     apply_noise,
     dual_state,
+    permuted_view,
     prepare_noisy_state,
-    swap_qubits,
 )
 from puremit.circuits import (
     SWAP_GATE,
@@ -336,44 +336,6 @@ def _generic_circuit():
             Gate("RZ", (1,), _GENERIC_ANGLES[4]),
         ),
     )
-
-
-@pytest.mark.parametrize("copies", [2, 3])
-@pytest.mark.parametrize("machinery", NOISE_KINDS)
-def test_parity_block_steps_match_the_composite_step(machinery, copies):
-    # one backward Fredkin step on the parity blocks against the adjoint
-    # noise and the Fredkin on the whole composite, which keeps the
-    # off-parity blocks exactly zero; global depolarizing is folded by the
-    # build into a scale and an identity coefficient
-    n = 2
-    nq = 1 + copies * n
-    half = 2 ** (nq - 1)
-    noise = NoiseModel(machinery, 0.1)
-    p = noise.strength if machinery == "depolarizing-global" else 0.0
-    odd_step, even_step = schemes._parity_steps(noise, nq)
-    rng = np.random.default_rng(22)
-    zero = np.zeros((half, half), dtype=complex)
-    for r, i in iproduct(range(copies - 1), range(n)):
-        targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
-        o = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
-        pair = np.array([random_hermitian(rng, half), random_hermitian(rng, half)])
-        for parity, full in (
-            ("odd", np.block([[zero, o], [o.conj().T, zero]])),
-            ("even", np.block([[pair[0], zero], [zero, pair[1]]])),
-        ):
-            want = apply_noise(full.copy(), noise, targets, nq, adjoint=True)
-            want = apply_local(want, [fredkin_matrix()], targets, nq).reshape(2, half, 2, half)
-            if parity == "odd":
-                got = (1.0 - p) * odd_step(o.copy(), *targets[1:])
-                assert not np.any(want[0, :, 0]) and not np.any(want[1, :, 1])
-                assert np.max(np.abs(want[0, :, 1] - got)) <= 1e-13
-                assert np.max(np.abs(want[1, :, 0] - got.conj().T)) <= 1e-13
-            else:
-                got = (1.0 - p) * even_step(pair.copy(), *targets[1:])
-                got += p * np.trace(full).real / 2**nq * np.eye(half)
-                assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
-                assert np.max(np.abs(want[0, :, 0] - got[0])) <= 1e-13
-                assert np.max(np.abs(want[1, :, 1] - got[1])) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -705,12 +667,20 @@ def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
     # each term is scored from the reduced effects and its Pauli string,
     # so adding observable terms adds no Fredkin on the composite
     calls = []
+    parity_steps = schemes._parity_steps
 
-    def counting(mat, a, b, nq, **sides):
-        calls.append(nq)
-        return swap_qubits(mat, a, b, nq, **sides)
+    def counting(machinery, nq):
+        def count(step):
+            def counted(*args):
+                calls.append(nq)
+                return step(*args)
 
-    monkeypatch.setattr(schemes, "swap_qubits", counting)
+            return counted
+
+        odd, even, odd_factor = parity_steps(machinery, nq)
+        return count(odd), count(even), odd_factor
+
+    monkeypatch.setattr(schemes, "_parity_steps", counting)
     circ = _generic_circuit()
     mach = NoiseModel("dephasing", 0.03)
     for kind, copies in (("multi-copy", 2), ("multi-copy", 3), ("combined", 2)):
@@ -746,42 +716,121 @@ def test_pipeline_build_holds_one_composite_at_a_time(machinery):
         assert peak <= composite, (kind, peak / composite)
 
 
+def _materialized(block, k, rows, columns):
+    """A copy of the k-qubit block that ``block`` stands for under the maps."""
+    return permuted_view(block, k, rows, columns).reshape(block.shape).copy()
+
+
+def _composite_steps(mat, noise, fredkins, nq):
+    """Backward Fredkin steps on the whole composite, last Fredkin first:
+    the adjoint noise on (ancilla, a, b), then the Fredkin."""
+    for a, b in fredkins:
+        mat = apply_noise(mat.copy(), noise, [0, a, b], nq, adjoint=True)
+        mat = apply_local(mat, [fredkin_matrix()], [0, a, b], nq)
+    return mat
+
+
 @pytest.mark.parametrize("copies", [2, 3])
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
 def test_parity_block_steps_match_the_composite_step(machinery, copies):
-    # one backward Fredkin step on the parity blocks against the adjoint
-    # noise and the Fredkin on the whole composite, which keeps the
-    # off-parity blocks exactly zero; global depolarizing is folded by the
-    # build into a scale and an identity coefficient
+    # one backward Fredkin step on the parity blocks, each stored under a
+    # random qubit map and read back through it, against the adjoint noise
+    # and the Fredkin on the whole composite, which keeps the off-parity
+    # blocks exactly zero; global depolarizing is folded by the build into
+    # a scale and an identity coefficient, and the odd block's scalar
+    # factor into another scale
     n = 2
     nq = 1 + copies * n
-    half = 2 ** (nq - 1)
+    k = nq - 1
+    half = 2**k
     noise = NoiseModel(machinery, 0.1)
     p = noise.strength if machinery == "depolarizing-global" else 0.0
-    odd_step, even_step = schemes._parity_steps(noise, nq)
+    odd_step, even_step, odd_factor = schemes._parity_steps(noise, nq)
     rng = np.random.default_rng(22)
     zero = np.zeros((half, half), dtype=complex)
+    same = list(range(k))
     for r, i in iproduct(range(copies - 1), range(n)):
-        targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
+        a, b = 1 + r * n + i, 1 + (r + 1) * n + i
         o = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
         pair = np.array([random_hermitian(rng, half), random_hermitian(rng, half)])
+        columns, axes = list(rng.permutation(k)), list(rng.permutation(k))
+        o_logical = _materialized(o, k, same, columns)
+        w_11 = _materialized(pair[1], k, axes, axes)
         for parity, full in (
-            ("odd", np.block([[zero, o], [o.conj().T, zero]])),
-            ("even", np.block([[pair[0], zero], [zero, pair[1]]])),
+            ("odd", np.block([[zero, o_logical], [o_logical.conj().T, zero]])),
+            ("even", np.block([[pair[0], zero], [zero, w_11]])),
         ):
-            want = apply_noise(full.copy(), noise, targets, nq, adjoint=True)
-            want = apply_local(want, [fredkin_matrix()], targets, nq).reshape(2, half, 2, half)
+            want = _composite_steps(full, noise, [(a, b)], nq).reshape(2, half, 2, half)
             if parity == "odd":
-                got = (1.0 - p) * odd_step(o.copy(), *targets[1:])
+                got, got_columns = o.copy(), list(columns)
+                odd_step(got, got_columns, a, b)
+                got = (1.0 - p) * odd_factor * _materialized(got, k, same, got_columns)
                 assert not np.any(want[0, :, 0]) and not np.any(want[1, :, 1])
                 assert np.max(np.abs(want[0, :, 1] - got)) <= 1e-13
                 assert np.max(np.abs(want[1, :, 0] - got.conj().T)) <= 1e-13
             else:
-                got = (1.0 - p) * even_step(pair.copy(), *targets[1:])
+                got, got_axes = pair.copy(), list(axes)
+                even_step(got, got_axes, a, b)
+                got = (1.0 - p) * np.array([got[0], _materialized(got[1], k, got_axes, got_axes)])
                 got += p * np.trace(full).real / 2**nq * np.eye(half)
                 assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
                 assert np.max(np.abs(want[0, :, 0] - got[0])) <= 1e-13
                 assert np.max(np.abs(want[1, :, 1] - got[1])) <= 1e-13
+
+
+@pytest.mark.parametrize("machinery", NOISE_KINDS)
+def test_parity_block_maps_after_the_fredkin_list_are_the_cyclic_shift(machinery):
+    # M = 3, the whole backward Fredkin list: the stored blocks read back
+    # through their composed maps as the composite result, each map ends
+    # as C_M at register level, and the register-level read of a stored
+    # block equals the reduction of the block it stands for
+    n, copies = 2, 3
+    nq = 1 + copies * n
+    k = nq - 1
+    half, d = 2**k, 2**n
+    noise = NoiseModel(machinery, 0.1)
+    fredkins = [
+        (1 + r * n + i, 1 + (r + 1) * n + i)
+        for r in reversed(range(copies - 1))
+        for i in reversed(range(n))
+    ]
+    # global depolarizing folds into a scale and an identity coefficient
+    p = noise.strength if machinery == "depolarizing-global" else 0.0
+    scale = (1.0 - p) ** len(fredkins)
+    odd_step, even_step, odd_factor = schemes._parity_steps(noise, nq)
+    rng = np.random.default_rng(23)
+    zero = np.zeros((half, half), dtype=complex)
+    o = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
+    pair = np.array([random_hermitian(rng, half), random_hermitian(rng, half)])
+    want_odd = _composite_steps(np.block([[zero, o], [o.conj().T, zero]]), noise, fredkins, nq)
+    even = np.block([[pair[0], zero], [zero, pair[1]]])
+    want_even = _composite_steps(even, noise, fredkins, nq).reshape(2, half, 2, half)
+    identity = (1.0 - scale) * np.trace(even).real / 2**nq * np.eye(half)
+    same = list(range(k))
+    columns, axes = list(same), list(same)
+    for a, b in fredkins:
+        odd_step(o, columns, a, b)
+        even_step(pair, axes, a, b)
+    got_odd = scale * odd_factor ** len(fredkins) * _materialized(o, k, same, columns)
+    got_11 = scale * _materialized(pair[1], k, axes, axes) + identity
+    assert np.max(np.abs(want_odd.reshape(2, half, 2, half)[0, :, 1] - got_odd)) <= 1e-13
+    assert np.max(np.abs(want_even[0, :, 0] - scale * pair[0] - identity)) <= 1e-13
+    assert np.max(np.abs(want_even[1, :, 1] - got_11)) <= 1e-13
+    # C_M sends register r to r - 1: qubit q of register r is stored on
+    # axis q of register (r - 1) mod M
+    shift = [((q // n - 1) % copies) * n + q % n for q in range(k)]
+    assert columns == axes == shift
+    rho = random_density(rng, d).matrix
+    others = kron_power(rho, copies - 1)
+    weights = np.ascontiguousarray(kron_power(rho.T, copies - 1))
+    e = others.shape[0]
+    for stored, rows_map, columns_map in (
+        (pair[0], same, same), (o, same, columns), (pair[1], axes, axes)
+    ):
+        block = _materialized(stored, k, rows_map, columns_map)
+        want = np.einsum("ikjl,lk->ij", block.reshape(d, e, d, e), others)
+        got = schemes._reduced(stored, rows_map, columns_map, weights, n)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize(
