@@ -6,23 +6,7 @@ both the operator level and the explicit controlled-circuit level, and
 samples them under finite shot budgets with full resource accounting.
 """
 
-from .channels import (
-    NO_NOISE,
-    KrausChannel,
-    NoiseModel,
-    adjoint_channel,
-    amplitude_damping_channel,
-    apply_channel,
-    compose_channels,
-    compress_channel,
-    dephasing_channel,
-    depolarizing_channel,
-    dual_state,
-    identity_channel,
-    noisy_circuit_channel,
-    prepare_noisy_state,
-    unitary_channel,
-)
+from .channels import NO_NOISE, NoiseModel, dual_state, prepare_noisy_state
 from .circuits import (
     CircuitFormatError,
     Gate,
@@ -72,6 +56,23 @@ from .purification import (
     purified_state,
 )
 from .reports import EstimateReport
+from .reference import (
+    KrausChannel,
+    adjoint_channel,
+    amplitude_damping_channel,
+    apply_channel,
+    compose_channels,
+    compress_channel,
+    controlled_register_swap,
+    cyclic_permutation,
+    dephasing_channel,
+    depolarizing_channel,
+    fredkin_matrix,
+    identity_channel,
+    noisy_circuit_channel,
+    register_swap,
+    unitary_channel,
+)
 from .resources import SCHEME_KINDS, ResourceProfile, resource_profile
 from .sampling import (
     SampleStats,
@@ -87,11 +88,7 @@ from .schemes import (
     build_pipeline,
     circuit_level_combined,
     combined_estimate,
-    controlled_register_swap,
-    cyclic_permutation,
-    fredkin_matrix,
     multicopy_estimate,
-    register_swap,
     state_verification_estimate,
 )
 

@@ -1,11 +1,11 @@
-"""Kraus channels, gate-level noise models, and the dual-state construction.
+"""Gate-level noise models, the local-contraction engine and the dual state.
 
 States evolve through one local-contraction engine that never builds a
 register-wide operator:
 
-* ``apply_local`` applies a short stack of k-qubit operators (a gate on a
-  register) to the listed qubits of an nq-qubit density matrix as one
-  4^k x 4^k superoperator, in one matrix product, and returns a new
+* ``contract`` applies a 4^k x 4^k superoperator (``superoperator`` of a
+  gate's Kraus stack, its local noise fused in) to the listed qubits of
+  an nq-qubit density matrix in one matrix product, and returns a new
   matrix;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
@@ -45,32 +45,18 @@ in place by the noise kernels. Dual states are PSD but not normalized in
 general (they are exactly trace-1 when every inserted channel is
 unital).
 
-The dense Kraus-channel algebra (``noise_channel``,
-``circuit_gate_channels``, ``noisy_circuit_channel``, composition,
-compression, adjoints and ``apply_channel``) materializes whole-register
-channels. It is kept as the reference the engine is checked against.
+The dense whole-register Kraus channels the engine is checked against
+live in ``reference``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .circuits import (
-    I2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    GateCircuit,
-    embed_operator,
-    inverse_circuit,
-)
-from .linalg import DensityOperator, check_dimension, kron_all, zero_projector
-
-COMPLETENESS_ATOL = 1e-10
-_COMPRESS_TOL = 1e-12
+from .circuits import GateCircuit, inverse_circuit
+from .linalg import DensityOperator, zero_projector
 
 NOISE_KINDS = (
     "none",
@@ -79,8 +65,6 @@ NOISE_KINDS = (
     "dephasing",
     "amplitude-damping",
 )
-
-_PAULI_1Q = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 @dataclass(frozen=True)
@@ -104,216 +88,6 @@ class NoiseModel:
 
 
 NO_NOISE = NoiseModel("none", 0.0)
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Stack of Kraus operators, shape (num_ops, dim, dim).
-
-    ``trace_preserving`` records whether sum K^dag K == I within
-    tolerance; constructing with a claim that contradicts the operators
-    raises.
-    """
-
-    ops: np.ndarray
-    trace_preserving: bool = True
-
-    def __post_init__(self):
-        ops = np.array(self.ops, dtype=complex, copy=True)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise ValueError(f"Kraus stack must have shape (k, d, d), got {ops.shape}")
-        if ops.shape[0] < 1:
-            raise ValueError("channel needs at least one Kraus operator")
-        check_dimension(ops.shape[1])
-        dev = completeness_defect(ops)
-        if self.trace_preserving and dev > COMPLETENESS_ATOL:
-            raise ValueError(
-                f"Kraus operators violate completeness: |sum K^dag K - I| = {dev:.3e}"
-            )
-        ops.setflags(write=False)
-        object.__setattr__(self, "ops", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.ops.shape[1]
-
-    @property
-    def num_ops(self) -> int:
-        return self.ops.shape[0]
-
-    @classmethod
-    def from_ops(cls, ops, trace_preserving: bool | None = None) -> "KrausChannel":
-        """Build a channel, auto-detecting trace preservation when unset."""
-        stack = np.array([np.asarray(o, dtype=complex) for o in ops])
-        if trace_preserving is None:
-            trace_preserving = completeness_defect(stack) <= COMPLETENESS_ATOL
-        return cls(stack, trace_preserving)
-
-
-def completeness_defect(ops: np.ndarray) -> float:
-    ops = np.asarray(ops, dtype=complex)
-    acc = np.einsum("kij,kil->jl", ops.conj(), ops)
-    return float(np.max(np.abs(acc - np.eye(ops.shape[1]))))
-
-
-def identity_channel(dim: int) -> KrausChannel:
-    check_dimension(dim)
-    return KrausChannel(np.eye(dim, dtype=complex)[None, :, :], True)
-
-
-def unitary_channel(u: np.ndarray) -> KrausChannel:
-    u = np.asarray(u, dtype=complex)
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > COMPLETENESS_ATOL:
-        raise ValueError(f"matrix is not unitary: |U^dag U - I| = {dev:.3e}")
-    return KrausChannel(u[None, :, :], True)
-
-
-def apply_channel(channel: KrausChannel, state) -> DensityOperator:
-    """Apply the channel to a state, returning a validated DensityOperator."""
-    if isinstance(state, DensityOperator):
-        mat = state.matrix
-        normalized = state.normalized and channel.trace_preserving
-    else:
-        mat = np.asarray(state, dtype=complex)
-        normalized = channel.trace_preserving
-    if mat.shape[0] != channel.dim:
-        raise ValueError(
-            f"dimension mismatch: channel {channel.dim}, state {mat.shape[0]}"
-        )
-    ops = channel.ops
-    out = (ops @ mat @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
-    return DensityOperator(out, normalized=normalized)
-
-
-def adjoint_channel(channel: KrausChannel) -> KrausChannel:
-    """Heisenberg-picture adjoint {K^dag}. Unital iff the original is TP."""
-    ops = np.ascontiguousarray(channel.ops.conj().transpose(0, 2, 1))
-    return KrausChannel.from_ops(ops)
-
-
-def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
-    """Channel running ``first`` then ``second``; Kraus set is the product set."""
-    if first.dim != second.dim:
-        raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    ops = np.einsum("aij,bjk->abik", second.ops, first.ops).reshape(
-        -1, first.dim, first.dim
-    )
-    return KrausChannel(ops, first.trace_preserving and second.trace_preserving)
-
-
-def compress_channel(channel: KrausChannel, tol: float = _COMPRESS_TOL) -> KrausChannel:
-    """Minimal Kraus form via the Choi matrix eigendecomposition.
-
-    The returned channel has the same action and at most dim**2 operators;
-    eigendirections with weight below ``tol`` are dropped.
-    """
-    d = channel.dim
-    # Choi = sum_k vec(K) vec(K)^dag with row-major vec
-    vecs = channel.ops.reshape(channel.num_ops, d * d)
-    choi = vecs.T @ vecs.conj()
-    choi = (choi + choi.conj().T) / 2.0
-    w, v = np.linalg.eigh(choi)
-    keep = w > tol
-    if not np.any(keep):
-        keep = w >= w.max()
-    ops = np.array(
-        [np.sqrt(wi) * v[:, i].reshape(d, d) for i, wi in enumerate(w) if keep[i]]
-    )
-    return KrausChannel(ops, channel.trace_preserving)
-
-
-def depolarizing_channel(n_qubits: int, p: float) -> KrausChannel:
-    """k-qubit depolarizing: rho -> (1-p) rho + p I/2^k."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"strength {p!r} outside [0, 1]")
-    dim = check_dimension(2**n_qubits)
-    q = p / 4**n_qubits
-    ops = [np.sqrt(1.0 - p + q) * np.eye(dim, dtype=complex)]
-    for letters in product("IXYZ", repeat=n_qubits):
-        if all(ch == "I" for ch in letters):
-            continue
-        ops.append(np.sqrt(q) * kron_all(_PAULI_1Q[ch] for ch in letters))
-    return KrausChannel(np.array(ops), True)
-
-
-def dephasing_channel(p: float) -> KrausChannel:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"strength {p!r} outside [0, 1]")
-    ops = np.array(
-        [np.sqrt(1.0 - p) * _PAULI_1Q["I"], np.sqrt(p) * _PAULI_1Q["Z"]]
-    )
-    return KrausChannel(ops, True)
-
-
-def amplitude_damping_channel(gamma: float) -> KrausChannel:
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"strength {gamma!r} outside [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel(np.array([k0, k1]), True)
-
-
-def noise_channel(noise: NoiseModel, targets, n_qubits: int) -> KrausChannel | None:
-    """Full-register noise channel inserted after a gate on ``targets``.
-
-    Returns None when the model is trivial. Local depolarizing acts
-    jointly on the gate's targets; dephasing and amplitude damping act
-    independently per target qubit; global depolarizing hits the whole
-    register regardless of targets.
-    """
-    if noise.is_trivial:
-        return None
-    targets = [int(t) for t in targets]
-    if noise.kind == "depolarizing-global":
-        return depolarizing_channel(n_qubits, noise.strength)
-    if noise.kind == "depolarizing-local":
-        local = depolarizing_channel(len(targets), noise.strength)
-        ops = np.array(
-            [embed_operator(k, targets, n_qubits) for k in local.ops]
-        )
-        return KrausChannel(ops, True)
-    if noise.kind == "dephasing":
-        per_qubit = dephasing_channel(noise.strength)
-    else:
-        per_qubit = amplitude_damping_channel(noise.strength)
-    out = None
-    for t in targets:
-        ops = np.array([embed_operator(k, [t], n_qubits) for k in per_qubit.ops])
-        ch = KrausChannel(ops, True)
-        out = ch if out is None else compose_channels(out, ch)
-    return out
-
-
-def circuit_gate_channels(circ: GateCircuit, noise: NoiseModel) -> list[KrausChannel]:
-    """One channel per gate (noise already composed after the unitary)."""
-    steps = []
-    for g in circ.gates:
-        u = embed_operator(g.matrix(), g.qubits, circ.n_qubits)
-        ch = unitary_channel(u)
-        nz = noise_channel(noise, g.qubits, circ.n_qubits)
-        if nz is not None:
-            ch = compose_channels(ch, nz)
-        steps.append(ch)
-    return steps
-
-
-def noisy_circuit_channel(circ: GateCircuit, noise: NoiseModel) -> KrausChannel:
-    """Materialize the whole noisy circuit as one channel.
-
-    Kraus counts grow multiplicatively under composition, so the running
-    set is recompressed to its minimal form whenever it passes dim**2.
-    """
-    out = identity_channel(circ.dim)
-    for step in circuit_gate_channels(circ, noise):
-        out = compose_channels(out, step)
-        if out.num_ops > out.dim**2:
-            out = compress_channel(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# local-contraction engine
 
 
 def superoperator(ops) -> np.ndarray:
@@ -344,23 +118,6 @@ def contract(mat: np.ndarray, sup: np.ndarray, targets, nq: int) -> np.ndarray:
     x = mat.reshape([2] * (2 * nq)).transpose(order).reshape(sup.shape[1], -1)
     y = (sup @ x).reshape([2] * (2 * nq))
     return y.transpose(np.argsort(order)).reshape(mat.shape)
-
-
-def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
-    """sum_k (op_k on targets) mat (op_k on targets)^dag, without embedding.
-
-    ``ops`` is a short stack of 2^k x 2^k operators (one gate) acting on
-    the listed qubits of an nq-qubit density matrix, qubit 0 most
-    significant. The operators' own factors map to ``targets`` in order,
-    so targets may be unordered and non-adjacent. The stack is folded
-    into one 4^k x 4^k ``superoperator`` and the matrix is contracted
-    once, in one matrix product (``contract``), whatever the stack size.
-    Returns a new matrix. The product reads a transposed copy of the input
-    and is itself copied back into row-major order, so a call holds about
-    three matrices; the readout blocks of a pipeline use the in-place
-    kernels instead.
-    """
-    return contract(mat, superoperator(ops), targets, nq)
 
 
 def _qubit_view(mat: np.ndarray, nq: int) -> np.ndarray:
@@ -398,9 +155,9 @@ def depolarize(mat: np.ndarray, p: float, targets, nq: int, maps=None) -> np.nda
     """Depolarize the listed qubits in place: (1-p) X + p I/d_k (x) Tr_targets X.
 
     Exact for the 4^k-operator Pauli Kraus form of
-    ``depolarizing_channel(k, p)``, at the cost of one partial trace:
-    ``mat`` is scaled in place and the scaled partial trace is added into
-    its target-diagonal blocks. Self-adjoint, so it serves the Heisenberg
+    ``reference.depolarizing_channel(k, p)``, at the cost of one partial
+    trace: ``mat`` is scaled in place and the scaled partial trace is
+    added into its target-diagonal blocks. Self-adjoint, so it serves the Heisenberg
     picture unchanged. Returns ``mat``, which must be writable and
     C-contiguous.
 

@@ -27,15 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import (
-    NOISE_KINDS,
-    NoiseModel,
-    adjoint_channel,
-    apply_channel,
-    dual_state,
-    noisy_circuit_channel,
-    prepare_noisy_state,
-)
+from .channels import NOISE_KINDS, NoiseModel, dual_state, prepare_noisy_state
 from .circuits import (
     CircuitFormatError,
     inverse_circuit,
@@ -59,14 +51,16 @@ from .measurement import (
 from .observables import ObservableFormatError, PauliObservable, parse_observable
 from .purification import DegenerateSpectrumError
 from .reports import EstimateReport
-from .resources import resource_profile
-from .sampling import ShotConfig, UnstableDenominatorError, scheme_shot_experiment
-from .schemes import (
-    VanishingDenominatorError,
-    build_pipeline,
+from .reference import (
+    adjoint_channel,
+    apply_channel,
+    noisy_circuit_channel,
     permutation_contraction,
     verified_composite_contraction,
 )
+from .resources import resource_profile
+from .sampling import ShotConfig, UnstableDenominatorError, scheme_shot_experiment
+from .schemes import VanishingDenominatorError, build_pipeline
 
 
 def _verify_checks(seed: int):

@@ -92,11 +92,6 @@ def kron_power(a: np.ndarray, m: int) -> np.ndarray:
     return kron_all([a] * m)
 
 
-def is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
-
-
 def hermitian_eig(a: np.ndarray, atol: float = HERMITICITY_ATOL):
     """Eigendecomposition of a Hermitian matrix with a deterministic basis.
 

@@ -2,9 +2,9 @@
 
 Sampling is exact Born-rule sampling. Each measurable unit of a
 pipeline (one numerator term or the denominator) is a computational-basis
-readout whose outcome probabilities the pipeline already holds (ancilla
-+1 or -1, and for the verified schemes 0 when a register does not
-project to zero; ``raw`` units hold basis-state populations). They are
+readout whose outcome probabilities the pipeline already holds: +1 or -1
+(the ancilla, or for ``raw`` the sign of the Pauli string), and for the
+verified schemes 0 when a register does not project to zero. They are
 grouped by readout value into at most three outcomes, and counts are
 drawn with a counter-based seeding scheme so results are reproducible
 and independent across trials and units. ``sample_expectation`` takes an

@@ -19,7 +19,11 @@ shared suffix once, as quarter-size ancilla-parity blocks on which a
 Fredkin is a qubit relabeling, then reduced against the product prefix
 state and scored per term with its Pauli string as a signed permutation.
 Neither a composite state nor a composite effect is ever built
-(``build_pipeline``).
+(``build_pipeline``). Every unit, the plain ``raw`` readout of one Pauli
+string included, is read out the same way: as +1 or -1 outcomes, plus 0
+for the verified schemes (``MeasurableTerm``). The dense composite
+permutations and contractions these reductions equal live in
+``reference``.
 
 Register layout on the composite: ancilla is qubit 0 (most significant),
 register r occupies qubits 1 + r*n .. n + r*n. The cyclic shift C_M
@@ -30,14 +34,12 @@ register swaps S_{M-2,M-1} ... S_{0,1}, applied rightmost first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .channels import (
     NO_NOISE,
     NoiseModel,
-    apply_local,
     apply_noise,
     depolarize,
     dual_state,
@@ -46,13 +48,7 @@ from .channels import (
     prepare_noisy_state,
 )
 from .circuits import GateCircuit, circuit_state, gate_matrix
-from .linalg import (
-    as_matrix,
-    check_dimension,
-    kron_all,
-    kron_power,
-    zero_projector,
-)
+from .linalg import as_matrix, check_dimension, kron_power, zero_projector
 from .observables import PauliObservable, pauli_permutation
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
@@ -64,87 +60,6 @@ _MULTICOPY_KINDS = ("multi-copy", "multi-copy-recycled")
 
 class VanishingDenominatorError(ZeroDivisionError):
     """The scheme denominator is numerically zero; the ratio is undefined."""
-
-
-def cyclic_permutation(n_copies: int, dim: int) -> np.ndarray:
-    """Permutation C on dim**n_copies with C|k_1 k_2 ... k_M> = |k_2 ... k_M k_1>.
-
-    Contracting it against a product operator chains the factors:
-    Tr(C (A_1 (x) ... (x) A_M)) = Tr(A_1 A_2 ... A_M).
-    """
-    if n_copies < 1:
-        raise ValueError(f"need n_copies >= 1, got {n_copies}")
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
-    total = check_dimension(dim**n_copies)
-    cols = np.arange(total)
-    lead = dim ** (n_copies - 1)
-    rows = (cols % lead) * dim + cols // lead
-    c = np.zeros((total, total), dtype=complex)
-    c[rows, cols] = 1.0
-    return c
-
-
-def register_swap(n_copies: int, dim: int, r: int) -> np.ndarray:
-    """Permutation exchanging registers r and r+1 of an n_copies product."""
-    if not 0 <= r < n_copies - 1:
-        raise ValueError(f"register index {r} out of range for {n_copies} copies")
-    total = check_dimension(dim**n_copies)
-    cols = np.arange(total)
-    base_r = dim ** (n_copies - 1 - r)
-    base_s = dim ** (n_copies - 2 - r)
-    k_r = (cols // base_r) % dim
-    k_s = (cols // base_s) % dim
-    rows = cols + (k_s - k_r) * base_r + (k_r - k_s) * base_s
-    p = np.zeros((total, total), dtype=complex)
-    p[rows, cols] = 1.0
-    return p
-
-
-def fredkin_matrix() -> np.ndarray:
-    """Controlled qubit swap, control on the most significant qubit."""
-    out = np.eye(8, dtype=complex)
-    out[5, 5] = out[6, 6] = 0.0
-    out[5, 6] = out[6, 5] = 1.0
-    return out
-
-
-def controlled_register_swap(n_qubits: int):
-    """Controlled swap of two n-qubit registers, plus its Fredkin factorization.
-
-    Returns (matrix, triples): the unitary on 1 + 2n qubits (control most
-    significant) and the list of (control, qubit_a, qubit_b) Fredkin
-    targets whose product equals it. One controlled register swap costs
-    n qubit-level controlled swaps in depth 1.
-    """
-    if n_qubits < 1:
-        raise ValueError(f"register width must be >= 1, got {n_qubits}")
-    dim_reg = 2**n_qubits
-    check_dimension(2 ** (1 + 2 * n_qubits))
-    swap = register_swap(2, dim_reg, 0)
-    p0 = zero_projector(2)
-    mat = np.kron(p0, np.eye(dim_reg**2, dtype=complex)) + np.kron(
-        np.eye(2, dtype=complex) - p0, swap
-    )
-    triples = [(0, 1 + i, 1 + n_qubits + i) for i in range(n_qubits)]
-    return mat, triples
-
-
-def permutation_contraction(obs_mat, factors):
-    """Tr(C_M O_1 (A_1 (x) ... (x) A_M)) evaluated on the composite space.
-
-    The dense oracle for the reduced chain of ``multicopy_estimate``; the
-    estimators never call it.
-    """
-    m = len(factors)
-    dim = factors[0].shape[0]
-    first = obs_mat @ factors[0]
-    big = kron_all([first] + list(factors[1:]))
-    # Tr(C X) picks one entry of X per column of the permutation
-    cols = np.arange(big.shape[0])
-    lead = dim ** (m - 1)
-    rows = (cols % lead) * dim + cols // lead
-    return complex(big[cols, rows].sum())
 
 
 def _require_power_of_two(dim: int) -> int:
@@ -162,6 +77,26 @@ def _check_observable(observable: PauliObservable, rho: np.ndarray) -> None:
         )
 
 
+def _ratio_report(
+    kind: str, num: complex, den: complex, quantity: str, resources, **extra
+) -> EstimateReport:
+    """The estimate Re num / Re den; raises when ``den``, named ``quantity``
+    in the message, is numerically zero."""
+    if abs(den.real) < DENOMINATOR_FLOOR:
+        raise VanishingDenominatorError(f"{quantity} {den.real:.3e} is numerically zero")
+    ratio = num.real / den.real
+    return EstimateReport(
+        kind=kind,
+        ratio=ratio,
+        numerator=num.real,
+        denominator=den.real,
+        resources=resources,
+        exact_ratio=ratio,
+        imag_residual=float(max(abs(num.imag), abs(den.imag))),
+        **extra,
+    )
+
+
 def multicopy_estimate(
     state, observable: PauliObservable, n_copies: int, kind: str = "multi-copy"
 ) -> EstimateReport:
@@ -169,9 +104,9 @@ def multicopy_estimate(
 
     Evaluated as the reduced matrix power, which equals the cyclic
     permutation contraction on the M-copy composite
-    (``permutation_contraction``). ``kind`` may be "multi-copy-recycled"
-    to account two registers with serialized swaps instead of M
-    registers in depth 1.
+    (``reference.permutation_contraction``). ``kind`` may be
+    "multi-copy-recycled" to account two registers with serialized swaps
+    instead of M registers in depth 1.
     """
     if kind not in _MULTICOPY_KINDS:
         raise ValueError(f"kind must be one of {_MULTICOPY_KINDS}, got {kind!r}")
@@ -184,22 +119,9 @@ def multicopy_estimate(
     power = np.linalg.matrix_power(rho, n_copies)
     num = observable.expectation(power)
     den = complex(np.trace(power))
-    if abs(den.real) < DENOMINATOR_FLOOR:
-        raise VanishingDenominatorError(
-            f"Tr(rho^{n_copies}) = {den.real:.3e} is numerically zero"
-        )
     profile_kind = kind if n_copies >= 2 else "raw"
-    resources = resource_profile(profile_kind, max(n_copies, 1), n_qubits)
-    ratio = num.real / den.real
-    return EstimateReport(
-        kind=kind,
-        ratio=ratio,
-        numerator=num.real,
-        denominator=den.real,
-        resources=resources,
-        exact_ratio=ratio,
-        imag_residual=float(max(abs(num.imag), abs(den.imag))),
-    )
+    resources = resource_profile(profile_kind, n_copies, n_qubits)
+    return _ratio_report(kind, num, den, f"Tr(rho^{n_copies}) =", resources)
 
 
 def state_verification_estimate(state, dual, observable: PauliObservable) -> EstimateReport:
@@ -225,20 +147,8 @@ def state_verification_estimate(state, dual, observable: PauliObservable) -> Est
         rows *= phase[:, None]
         num += coeff * complex(np.dot(rho_flat, rows.ravel()))
     den = complex(np.dot(rho_flat, rbar_t.ravel()))
-    if abs(den.real) < DENOMINATOR_FLOOR:
-        raise VanishingDenominatorError(
-            f"state/dual overlap {den.real:.3e} is numerically zero"
-        )
-    ratio = num.real / den.real
-    return EstimateReport(
-        kind="state-verification",
-        ratio=ratio,
-        numerator=num.real,
-        denominator=den.real,
-        resources=resource_profile("state-verification", 2, n_qubits),
-        exact_ratio=ratio,
-        imag_residual=float(max(abs(num.imag), abs(den.imag))),
-    )
+    resources = resource_profile("state-verification", 2, n_qubits)
+    return _ratio_report("state-verification", num, den, "state/dual overlap", resources)
 
 
 def combined_estimate(
@@ -254,7 +164,7 @@ def combined_estimate(
     inverse-circuit verification, giving the odd-degree family
     Tr(O rho^(M-k) (rho rho_bar)^k) at operator level. The chain equals
     the composite contraction Tr(rho_bar^(x)M C_M O_1 rho^(x)M) for
-    k = M (``verified_composite_contraction``).
+    k = M (``reference.verified_composite_contraction``).
     """
     if n_copies < 1:
         raise ValueError(f"need n_copies >= 1, got {n_copies}")
@@ -273,10 +183,6 @@ def combined_estimate(
         chain = f if chain is None else chain @ f
     num = observable.expectation(chain)
     den = complex(np.trace(chain))
-    if abs(den.real) < DENOMINATOR_FLOOR:
-        raise VanishingDenominatorError(
-            f"verified chain trace {den.real:.3e} is numerically zero"
-        )
     degree = n_copies + k
     if k == n_copies:
         resources = resource_profile("combined", degree, n_qubits)
@@ -291,29 +197,9 @@ def combined_estimate(
             2,
             1,
         )
-    ratio = num.real / den.real
-    return EstimateReport(
-        kind="combined",
-        ratio=ratio,
-        numerator=num.real,
-        denominator=den.real,
-        resources=resources,
-        exact_ratio=ratio,
-        imag_residual=float(max(abs(num.imag), abs(den.imag))),
-        details={"verified_copies": k},
+    return _ratio_report(
+        "combined", num, den, "verified chain trace", resources, details={"verified_copies": k}
     )
-
-
-def verified_composite_contraction(rb_m, obs_mat, rho, n_copies):
-    """Tr(rho_bar^(x)M C_M O_1 rho^(x)M) on the composite space.
-
-    The dense oracle for the verified chain of ``combined_estimate``; the
-    estimators never call it.
-    """
-    dim = rho.shape[0]
-    c = cyclic_permutation(n_copies, dim)
-    o1 = np.kron(obs_mat, np.eye(dim ** (n_copies - 1), dtype=complex))
-    return complex(np.trace(rb_m @ c @ o1 @ kron_power(rho, n_copies)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +211,17 @@ class MeasurableTerm:
     """One measurement setting: coefficient * observable . state.
 
     ``state`` holds the probabilities of the setting's outcomes and
-    ``observable`` the value each outcome reads. An ancilla-scheme unit
-    has the outcomes +1 and -1 (the ancilla reads 0 or 1) and, for the
-    verified schemes, 0 (some register did not project to |0...0>); its
-    value is Tr(W_Z X) for the unit's prefix state X and the readout
-    effect W_Z (``build_pipeline``). Tr X is taken from the factors of X,
-    so the outcome probabilities summing to one checks those factors.
-    ``raw`` keeps the basis-state populations of its rotated n-qubit state
-    with their Z parities. ``imag_residual`` is the imaginary part the
-    readout left over, the rounding of the evolution.
+    ``observable`` the value each outcome reads. Every unit has the
+    outcomes +1 and -1 and, for the verified schemes, 0 (some register
+    did not project to |0...0>), with probabilities (T + Re t)/2,
+    (T - Re t)/2 and the rest (``_sign_unit``). For an ancilla-scheme
+    unit, +1 and -1 are the ancilla reading 0 or 1, t = Tr(W_Z X) for the
+    unit's prefix state X and the readout effect W_Z (``build_pipeline``),
+    and T is Tr X or, when verifying, Tr(W_P X), the weight of every
+    register projecting to |0...0>. Tr X is taken from the factors of X,
+    so the outcome probabilities summing to one checks those factors. A ``raw`` unit reads its Pauli string P as a sign on the
+    n-qubit state rho: t = Tr(P rho) and T = Tr rho. ``imag_residual`` is
+    |Im t|, the rounding of the evolution.
     """
 
     coefficient: float
@@ -343,14 +231,6 @@ class MeasurableTerm:
 
     def value(self) -> float:
         return float(self.observable @ self.state)
-
-
-def _readout(coefficient: float, mat: np.ndarray, values: np.ndarray) -> MeasurableTerm:
-    """Keep only what a basis measurement of ``mat`` with ``values`` reads."""
-    diag = np.diagonal(mat)
-    return MeasurableTerm(
-        float(coefficient), diag.real.copy(), values, abs(float(values @ diag.imag))
-    )
 
 
 @dataclass(frozen=True)
@@ -367,22 +247,11 @@ class SchemePipeline:
     ideal_value: float
     raw_value: float
     operator_ratio: float
-    machinery_noise: NoiseModel = NO_NOISE
-
-    def exact_numerator(self):
-        total = 0.0
-        resid = 0.0
-        for term in self.numerator_terms:
-            total += term.coefficient * term.value()
-            resid = max(resid, term.imag_residual)
-        return total, resid
-
-    def exact_denominator(self):
-        return self.denominator.value(), self.denominator.imag_residual
 
     def exact_report(self) -> EstimateReport:
-        num, resid_n = self.exact_numerator()
-        den, resid_d = self.exact_denominator()
+        num = sum(term.coefficient * term.value() for term in self.numerator_terms)
+        den = self.denominator.value()
+        units = (*self.numerator_terms, self.denominator)
         if abs(den) < DENOMINATOR_FLOOR:
             raise VanishingDenominatorError(
                 f"pipeline denominator {den:.3e} is numerically zero"
@@ -396,21 +265,26 @@ class SchemePipeline:
             exact_ratio=self.operator_ratio,
             ideal_value=self.ideal_value,
             raw_value=self.raw_value,
-            imag_residual=max(resid_n, resid_d),
+            imag_residual=max(term.imag_residual for term in units),
             details={"evaluation": "pipeline-exact"},
         )
 
 
-# basis change U with U^dag Z U = P, so that P is read as a Z parity
-_TO_Z = {
-    "X": gate_matrix("H"),
-    "Y": gate_matrix("H") @ gate_matrix("S").conj().T,
-}
-_Z_VALUES = np.array([1.0, -1.0])
-# outcome values of an ancilla-scheme unit: ancilla 0, ancilla 1, and for
-# the verified schemes some register off |0...0>
+# outcome values of a unit: +1, -1 (for an ancilla scheme the ancilla
+# reads 0 or 1), and for the verified schemes some register off |0...0>
 _ANCILLA_VALUES = np.array([1.0, -1.0])
 _VERIFIED_VALUES = np.array([1.0, -1.0, 0.0])
+
+
+def _sign_unit(coefficient: float, kept: float, t: complex, rest=None) -> MeasurableTerm:
+    """The unit reading Re t as +1 or -1 out of the weight ``kept``, plus
+    the outcome 0 of weight ``rest`` when given."""
+    probs = [(kept + t.real) / 2, (kept - t.real) / 2]
+    values = _ANCILLA_VALUES
+    if rest is not None:
+        probs.append(rest)
+        values = _VERIFIED_VALUES
+    return MeasurableTerm(float(coefficient), np.array(probs), values, abs(t.imag))
 
 
 def _parity_steps(machinery: NoiseModel, nq: int):
@@ -558,35 +432,32 @@ def build_pipeline(
         raise ValueError(
             f"observable width {observable.n_qubits} does not match circuit width {n}"
         )
-    psi_dim = circuit.dim
     psi = circuit_state(circuit)
     ideal_value = float(observable.expectation(np.outer(psi, psi.conj())).real)
     rho = prepare_noisy_state(circuit, noise)
-    raw_value = float(observable.expectation(rho.matrix).real)
+    rho_mat = rho.matrix
+    raw_value = float(observable.expectation(rho_mat).real)
 
     if kind == "raw":
-        # rotate each X or Y qubit onto Z, then read the Z parity
-        terms = []
-        for coeff, string in observable.terms:
-            mat = rho.matrix
-            for q, letter in enumerate(string):
-                if letter in _TO_Z:
-                    mat = apply_local(mat, [_TO_Z[letter]], [q], n)
-            parity = reduce(np.kron, [_Z_VALUES if c != "I" else np.ones(2) for c in string])
-            terms.append(_readout(coeff, mat, parity))
-        den = _readout(1.0, rho.matrix, np.ones(psi_dim))
+        # each Pauli string, and the all-I string for the denominator, read
+        # as a sign: +1 with probability (Tr rho + Tr(P rho))/2
+        rho_trace = float(np.trace(rho_mat).real)
+
+        def sign(coefficient: float, string: str) -> MeasurableTerm:
+            t = PauliObservable.single(string).expectation(rho_mat)
+            return _sign_unit(coefficient, rho_trace, t)
+
         return SchemePipeline(
             kind="raw",
             degree=1,
             n_copies=1,
             n_qubits=n,
-            numerator_terms=tuple(terms),
-            denominator=den,
+            numerator_terms=tuple(sign(c, s) for c, s in observable.terms),
+            denominator=sign(1.0, "I" * n),
             resources=resource_profile("raw", 1, n),
             ideal_value=ideal_value,
             raw_value=raw_value,
             operator_ratio=raw_value,
-            machinery_noise=machinery,
         )
 
     if kind == "state-verification":
@@ -607,7 +478,6 @@ def build_pipeline(
     check_dimension(2**nq)
     verify = kind in ("state-verification", "combined")
     hadamard = gate_matrix("H")
-    rho_mat = rho.matrix
     half = 2 ** (nq - 1)
 
     # the prefix (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq, kept as its
@@ -728,18 +598,16 @@ def build_pipeline(
         w_trace = c * 2**nq + 2.0 * alpha * r_trace
         return complex((1.0 - p_global) * local + p_global * w_trace * registers_trace / 2**nq)
 
-    effect_z = head(_Z_VALUES)
+    effect_z = head(_ANCILLA_VALUES)
     effect_p = head(np.ones(2)) if verify else None
-    values = _VERIFIED_VALUES if verify else _ANCILLA_VALUES
 
     def outcomes(coefficient: float, string: str) -> MeasurableTerm:
         even, odd = parity_traces(string)
         z = trace_with(effect_z, even, odd)
-        kept = trace_with(effect_p, even, odd).real if verify else unit_trace
-        probs = [(kept + z.real) / 2, (kept - z.real) / 2]
-        if verify:
-            probs.append(unit_trace - kept)
-        return MeasurableTerm(float(coefficient), np.array(probs), values, abs(z.imag))
+        if not verify:
+            return _sign_unit(coefficient, unit_trace, z)
+        kept = trace_with(effect_p, even, odd).real
+        return _sign_unit(coefficient, kept, z, rest=unit_trace - kept)
 
     numerator_terms = [outcomes(coeff, string) for coeff, string in observable.terms]
     denominator = outcomes(1.0, "I" * n)
@@ -751,8 +619,6 @@ def build_pipeline(
     else:
         reference = multicopy_estimate(rho, observable, copies, kind=kind)
 
-    profile_kind = "raw" if (kind in _MULTICOPY_KINDS and copies < 2) else kind
-    profile_degree = 1 if profile_kind == "raw" else degree
     return SchemePipeline(
         kind=kind,
         degree=degree,
@@ -760,11 +626,10 @@ def build_pipeline(
         n_qubits=n,
         numerator_terms=tuple(numerator_terms),
         denominator=denominator,
-        resources=resource_profile(profile_kind, profile_degree, n),
+        resources=resource_profile(kind, degree, n),
         ideal_value=ideal_value,
         raw_value=raw_value,
         operator_ratio=reference.ratio,
-        machinery_noise=machinery,
     )
 
 

@@ -30,13 +30,10 @@ from puremit.measurement import (
 )
 from puremit.observables import PauliObservable, parse_observable
 from puremit.purification import purified_infidelity_bound, purified_state
+from puremit.reference import permutation_contraction, verified_composite_contraction
 from puremit.resources import resource_profile
 from puremit.sampling import ShotConfig, scheme_shot_experiment
-from puremit.schemes import (
-    build_pipeline,
-    permutation_contraction,
-    verified_composite_contraction,
-)
+from puremit.schemes import build_pipeline
 
 PLUS = GateCircuit(1, (Gate("H", (0,)),))
 

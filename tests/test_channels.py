@@ -2,30 +2,16 @@ import numpy as np
 import pytest
 
 from puremit.channels import (
-    KrausChannel,
     NO_NOISE,
     NOISE_KINDS,
     NoiseModel,
-    adjoint_channel,
-    amplitude_damping_channel,
-    apply_channel,
-    apply_local,
     apply_noise,
-    completeness_defect,
-    compose_channels,
-    compress_channel,
     depolarize,
-    depolarizing_channel,
-    dephasing_channel,
     dual_state,
-    identity_channel,
-    noise_channel,
     noise_superoperator,
-    noisy_circuit_channel,
     permuted_view,
     prepare_noisy_state,
     superoperator,
-    unitary_channel,
 )
 from puremit.circuits import (
     SWAP_GATE,
@@ -37,6 +23,22 @@ from puremit.circuits import (
     random_circuit,
 )
 from puremit.linalg import DensityOperator, random_density, random_hermitian, zero_projector
+from puremit.reference import (
+    KrausChannel,
+    adjoint_channel,
+    amplitude_damping_channel,
+    apply_channel,
+    apply_local,
+    completeness_defect,
+    compose_channels,
+    compress_channel,
+    dephasing_channel,
+    depolarizing_channel,
+    identity_channel,
+    noise_channel,
+    noisy_circuit_channel,
+    unitary_channel,
+)
 
 
 def _act(channel, mat):

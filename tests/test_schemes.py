@@ -1,15 +1,17 @@
+import ast
+import inspect
 import tracemalloc
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from puremit import schemes
+from puremit import channels, reference, sampling, schemes
 from puremit.channels import (
     NO_NOISE,
     NOISE_KINDS,
     NoiseModel,
-    apply_local,
     apply_noise,
     dual_state,
     permuted_view,
@@ -32,21 +34,25 @@ from puremit.observables import (
     pauli_string_matrix,
 )
 from puremit.purification import purified_expectation
+from puremit.reference import (
+    apply_local,
+    controlled_register_swap,
+    cyclic_permutation,
+    fredkin_matrix,
+    permutation_contraction,
+    register_swap,
+    verified_composite_contraction,
+)
 from puremit.resources import ResourceProfile, resource_profile
+from puremit.sampling import ShotConfig, scheme_shot_experiment
 from puremit.schemes import (
     SchemePipeline,
     VanishingDenominatorError,
     build_pipeline,
     circuit_level_combined,
     combined_estimate,
-    controlled_register_swap,
-    cyclic_permutation,
-    fredkin_matrix,
     multicopy_estimate,
-    permutation_contraction,
-    register_swap,
     state_verification_estimate,
-    verified_composite_contraction,
 )
 
 
@@ -361,8 +367,9 @@ def test_pipeline_matches_operator_reference(kind, copies):
     assert rep.imag_residual < 1e-9
 
 
-def test_raw_readout_rotates_paulis_onto_z():
-    # each X qubit is read after H and each Y qubit after H S^dag, as a Z parity
+def test_raw_readout_reads_each_pauli_as_a_sign():
+    # each Pauli string is one +1/-1 outcome pair weighted by Tr(P rho),
+    # whatever its X, Y and Z letters; the all-I string is the denominator
     circ = _generic_circuit()
     rho = prepare_noisy_state(circ, NoiseModel("amplitude-damping", 0.15)).matrix
     strings = ("XI", "IX", "YI", "IY", "ZI", "IZ", "XY", "YX", "ZY", "XZ", "YY", "ZZ", "II")
@@ -859,4 +866,56 @@ def test_estimators_and_builds_need_no_dense_observable(monkeypatch, kind, copie
     state_verification_estimate(rho, rbar, obs)
     combined_estimate(rho, rbar, obs, 2)
     pipe = build_pipeline(kind, circ, noise, obs, n_copies=copies)
+    assert np.isfinite(pipe.exact_report().ratio)
+
+
+@pytest.mark.parametrize("module", [channels, schemes, sampling], ids=lambda m: m.__name__)
+def test_hot_path_modules_hold_no_reference_oracle(module):
+    # the dense oracles live in puremit.reference alone: no module on the
+    # path of a run imports them or defines a name reference defines
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    leaked = defined & set(vars(module))
+    leaked.update(
+        name
+        for name, obj in vars(module).items()
+        if getattr(obj, "__module__", None) == reference.__name__
+    )
+    assert not leaked, f"{module.__name__} holds {sorted(leaked)}"
+
+
+@pytest.mark.parametrize(
+    "kind,copies",
+    [
+        ("raw", 1),
+        ("multi-copy", 2),
+        ("multi-copy-recycled", 2),
+        ("state-verification", 1),
+        ("combined", 2),
+    ],
+)
+def test_pipelines_build_and_sample_without_the_reference(monkeypatch, kind, copies):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pipeline called into puremit.reference")
+
+    for name, obj in vars(reference).items():
+        if inspect.isfunction(obj) and obj.__module__ == reference.__name__:
+            monkeypatch.setattr(reference, name, refuse)
+    with pytest.raises(AssertionError):
+        reference.fredkin_matrix()
+    pipe = build_pipeline(
+        kind,
+        _generic_circuit(),
+        NoiseModel("amplitude-damping", 0.05),
+        parse_observable("0.6*ZY - 0.4*XI"),
+        n_copies=copies,
+        machinery_noise=NoiseModel("dephasing", 0.03),
+    )
+    rep = scheme_shot_experiment(pipe, ShotConfig(shots=3000, trials=2, seed=1))
+    assert rep.shots_used == 6000
     assert np.isfinite(pipe.exact_report().ratio)

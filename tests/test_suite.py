@@ -6,6 +6,11 @@ from pathlib import Path
 import pytest
 
 TEST_MODULES = sorted(Path(__file__).parent.glob("test_*.py"))
+SOURCE_MODULES = sorted(
+    path
+    for path in (Path(__file__).parent.parent / "src" / "puremit").glob("*.py")
+    if path.name != "__init__.py"
+)
 
 
 def _top_level_names(tree: ast.Module):
@@ -32,3 +37,22 @@ def test_no_test_module_defines_a_name_twice(path):
             twice.append(f"{name} (lines {seen[name]} and {line})")
         seen.setdefault(name, line)
     assert not twice, f"{path.name} defines twice: {', '.join(twice)}"
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda p: p.name)
+def test_no_source_module_imports_an_unused_name(path):
+    # the package __init__ imports to re-export; every other module should
+    # use each name it imports, so code moved between modules leaves no
+    # stale import behind
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    # an attribute chain such as np.linalg.eigh starts with the Name np
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+    assert not unused, f"{path.name} never uses {', '.join(sorted(unused))}"
