@@ -23,6 +23,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -226,17 +227,11 @@ def _config_dict(config: ExperimentConfig) -> dict:
         "shots": "exact" if config.shots is None else config.shots,
         "trials": config.trials,
         "seed": config.seed,
-        "noise": {"kind": config.noise.kind, "strength": config.noise.strength},
-        "machinery_noise": {
-            "kind": config.machinery_noise.kind,
-            "strength": config.machinery_noise.strength,
-        },
     }
-    if config.dual_noise is not None:
-        out["dual_noise"] = {
-            "kind": config.dual_noise.kind,
-            "strength": config.dual_noise.strength,
-        }
+    for key in ("noise", "machinery_noise", "dual_noise"):
+        model = getattr(config, key)
+        if model is not None:
+            out[key] = {"kind": model.kind, "strength": model.strength}
     return out
 
 
@@ -248,8 +243,6 @@ def _emit(text: str, output: str | None):
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     if getattr(args, "shots", None) is not None:
@@ -293,8 +286,6 @@ _SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args) -> int:
-    from dataclasses import replace
-
     config = load_config(args.config)
     config = _apply_overrides(config, args)
     values_text = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -336,18 +327,12 @@ def cmd_sweep(args) -> int:
             if exact.ideal_value is not None
             else ""
         )
-        prof = report.resources
         writer.writerow(
             [
                 args.parameter,
                 value,
-                report.kind,
-                prof.degree,
-                prof.registers,
-                prof.control_register_swaps,
-                prof.qubit_level_control_swaps,
-                prof.depth_factor,
-                prof.ancillas,
+                # the profile's fields in column order, its kind the report's
+                *report.resources.as_dict().values(),
                 repr(report.ratio),
                 repr(report.ratio_stderr),
                 repr(exact.ratio),
@@ -380,38 +365,16 @@ def cmd_resources(args) -> int:
         "depth_factor",
         "ancillas",
     ]
+    # as_dict lists the profile's fields in the order of the columns
+    cells = [[str(value) for value in r.as_dict().values()] for r in rows]
     if args.output is not None:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.kind,
-                    r.degree,
-                    r.registers,
-                    r.control_register_swaps,
-                    r.qubit_level_control_swaps,
-                    r.depth_factor,
-                    r.ancillas,
-                ]
-            )
+        csv.writer(buf).writerows([header, *cells])
         _emit(buf.getvalue(), args.output)
         return 0
     widths = [22, 7, 10, 20, 17, 13, 9]
-    line = "".join(h.ljust(w) for h, w in zip(header, widths))
-    print(line.rstrip())
-    for r in rows:
-        cells = [
-            r.kind,
-            str(r.degree),
-            str(r.registers),
-            str(r.control_register_swaps),
-            str(r.qubit_level_control_swaps),
-            str(r.depth_factor),
-            str(r.ancillas),
-        ]
-        print("".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
+    for row in [header, *cells]:
+        print("".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return 0
 
 

@@ -35,8 +35,9 @@ class PauliObservable:
     terms: tuple of (coefficient, string) pairs, strings over IXYZ with a
     common width. Qubit 0 is the leftmost letter (most significant).
     ``expectation`` reads Tr(O X) with each string as a signed
-    permutation, O(2^n) per string; ``matrix`` builds the dense 2^n x 2^n
-    sum, which the estimators and pipelines do not need.
+    permutation (``pauli_traces``), O(2^n) per string; ``matrix`` builds
+    the dense 2^n x 2^n sum, which the estimators and pipelines do not
+    need.
     """
 
     terms: tuple[tuple[float, str], ...]
@@ -73,22 +74,24 @@ class PauliObservable:
         return out
 
     def expectation(self, mat) -> complex:
-        """Tr(O X) = sum_s c_s Tr(P_s X) for any square matrix X of the register.
-
-        With P|j> = phase[j] |perm[j]> (``pauli_permutation``), Tr(P X)
-        is sum_j phase[j] X[j, perm[j]]: one entry of X per row.
-        """
+        """Tr(O X) = sum_s c_s Tr(P_s X) for any square matrix X of the register."""
         mat = np.asarray(mat)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(
                 f"dimension mismatch: matrix {mat.shape}, observable {(self.dim, self.dim)}"
             )
-        rows = np.arange(self.dim)
-        total = 0j
-        for c, s in self.terms:
-            perm, phase = pauli_permutation(s)
-            total += c * complex(phase @ mat[rows, perm])
-        return total
+        perms = [pauli_permutation(s) for _, s in self.terms]
+        return complex(self.coefficients @ pauli_traces(perms, mat))
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return np.array([c for c, _ in self.terms])
+
+    def permutations(self) -> list:
+        """Each term's string as a signed permutation, then the all-I
+        string, whose trace is a ratio's denominator."""
+        strings = [s for _, s in self.terms] + ["I" * self.n_qubits]
+        return [pauli_permutation(s) for s in strings]
 
     def is_single_string(self) -> bool:
         return len(self.terms) == 1
@@ -119,6 +122,53 @@ def pauli_permutation(string: str):
         flips |= (letter in "XY") << (n - 1 - q)
         phase *= _PAULI_PHASES[letter][(basis >> (n - 1 - q)) & 1]
     return basis ^ flips, phase
+
+
+def pauli_traces(perms, a, b=None) -> np.ndarray:
+    """Tr(P a), or Tr(P a b) without forming a b, for each (perm, phase)
+    of ``perms`` (``pauli_permutation``).
+
+    Tr(P a) is sum_j phase[j] a[j, perm[j]], one entry of a per row.
+    Tr(P a b) is sum_j phase[j] (row j of a) . (column perm[j] of b): the
+    rows of b^T gathered by perm into one buffer and read against a,
+    O(rows(a) cols(a)) per string. a and b may be rectangular, e.g. psi
+    as a column and its conjugate as a row. b^T is copied row-major once
+    per call, unless b is the transpose of a row-major array (c.T), which
+    a caller reading one matrix several times can keep.
+    """
+    if b is None:
+        rows = np.arange(a.shape[0])
+        return np.array([phase @ a[rows, perm] for perm, phase in perms], dtype=complex)
+    a_flat = np.ravel(a)
+    b_t = np.ascontiguousarray(np.transpose(b), dtype=complex)
+    rows = np.empty_like(b_t)
+    out = np.empty(len(perms), dtype=complex)
+    for i, (perm, phase) in enumerate(perms):
+        # mode="clip" spares the checked copy that "raise" makes with out
+        b_t.take(perm, axis=0, out=rows, mode="clip")
+        rows *= phase[:, None]
+        out[i] = np.dot(a_flat, rows.ravel())
+    return out
+
+
+def pauli_sandwiches(perms, v, x) -> np.ndarray:
+    """Tr(v P x P^dag) for each (perm, phase) of ``perms``, square v and x.
+
+    (P x P^dag)[perm[j], perm[l]] = phase[j] x[j, l] conj(phase[l]), so the
+    trace reads v^T gathered by perm on both sides against x, O(d^2) per
+    string. As in ``pauli_traces``, v = c.T of a row-major c is not copied.
+    """
+    x_flat = np.ravel(x)
+    v_t = np.ascontiguousarray(np.transpose(v), dtype=complex)
+    rows, both = np.empty_like(v_t), np.empty_like(v_t)
+    out = np.empty(len(perms), dtype=complex)
+    for i, (perm, phase) in enumerate(perms):
+        v_t.take(perm, axis=0, out=rows, mode="clip")
+        rows.take(perm, axis=1, out=both, mode="clip")
+        both *= phase[:, None]
+        both *= phase.conj()
+        out[i] = np.dot(x_flat, both.ravel())
+    return out
 
 
 def parse_observable(text: str) -> PauliObservable:

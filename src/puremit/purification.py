@@ -39,6 +39,28 @@ class NoisyDecomposition:
         return self.dominant.dim
 
 
+def _gapped_eig(rho: np.ndarray, gap_atol: float):
+    """``hermitian_eig`` of rho; raises DegenerateSpectrumError when the
+    top spectral gap is within ``gap_atol``."""
+    w, v = hermitian_eig(rho)
+    if rho.shape[0] > 1 and (w[0] - w[1]) <= gap_atol:
+        raise DegenerateSpectrumError(
+            f"top eigenvalue gap {w[0] - w[1]:.3e} is within tolerance {gap_atol:.1e}"
+        )
+    return w, v
+
+
+def _powered_eig(rho: np.ndarray, order: int):
+    """(v, w^M, Tr rho^M) from ``hermitian_eig`` of rho, the eigenvalues
+    clipped at zero; raises when the power's trace vanishes."""
+    w, v = hermitian_eig(rho)
+    powered = np.clip(w, 0.0, None) ** order
+    total = float(powered.sum())
+    if total <= 1e-300:
+        raise ValueError("state power has vanishing trace; cannot normalize")
+    return v, powered, total
+
+
 def decompose_noisy_state(state, gap_atol: float = GAP_ATOL) -> NoisyDecomposition:
     """Split a state into its dominant eigenprojector and the residual.
 
@@ -46,12 +68,8 @@ def decompose_noisy_state(state, gap_atol: float = GAP_ATOL) -> NoisyDecompositi
     ``gap_atol``, since the decomposition is then meaningless.
     """
     rho = as_matrix(state)
-    w, v = hermitian_eig(rho)
+    w, v = _gapped_eig(rho, gap_atol)
     d = rho.shape[0]
-    if d > 1 and (w[0] - w[1]) <= gap_atol:
-        raise DegenerateSpectrumError(
-            f"top eigenvalue gap {w[0] - w[1]:.3e} is within tolerance {gap_atol:.1e}"
-        )
     top = v[:, 0]
     dominant = np.outer(top, top.conj())
     p = max(0.0, 1.0 - float(w[0]))
@@ -75,13 +93,7 @@ def purified_state(state, order: int) -> DensityOperator:
     """rho^M / Tr(rho^M) through eigenvalue powering."""
     if order < 1:
         raise ValueError(f"purification order must be >= 1, got {order}")
-    rho = as_matrix(state)
-    w, v = hermitian_eig(rho)
-    w = np.clip(w, 0.0, None)
-    powered = w**order
-    total = float(powered.sum())
-    if total <= 1e-300:
-        raise ValueError("state power has vanishing trace; cannot normalize")
+    v, powered, total = _powered_eig(as_matrix(state), order)
     mat = (v * (powered / total)) @ v.conj().T
     mat = (mat + mat.conj().T) / 2.0
     return DensityOperator(mat)
@@ -115,12 +127,7 @@ def purified_expectation(state, observable, order: int) -> float:
     )
     if obs.shape != rho.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape}, observable {obs.shape}")
-    w, v = hermitian_eig(rho)
-    w = np.clip(w, 0.0, None)
-    powered = w**order
-    total = float(powered.sum())
-    if total <= 1e-300:
-        raise ValueError("state power has vanishing trace; cannot normalize")
+    v, powered, total = _powered_eig(rho, order)
     diag = np.einsum("ij,jk,ki->i", v.conj().T, obs, v)
     if float(np.max(np.abs(diag.imag))) > _IMAG_ATOL:
         raise ValueError("observable is not Hermitian in the state eigenbasis")
@@ -137,11 +144,6 @@ def coherent_mismatch(state, reference: np.ndarray) -> float:
     nrm = np.linalg.norm(ref)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"reference vector norm {nrm!r} != 1")
-    rho = as_matrix(state)
-    w, v = hermitian_eig(rho)
-    if rho.shape[0] > 1 and (w[0] - w[1]) <= GAP_ATOL:
-        raise DegenerateSpectrumError(
-            f"top eigenvalue gap {w[0] - w[1]:.3e} is within tolerance {GAP_ATOL:.1e}"
-        )
+    _, v = _gapped_eig(as_matrix(state), GAP_ATOL)
     overlap = abs(np.vdot(ref, v[:, 0])) ** 2
     return float(max(0.0, 1.0 - overlap))

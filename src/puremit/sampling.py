@@ -174,27 +174,19 @@ def scheme_shot_experiment(pipeline: SchemePipeline, config: ShotConfig) -> Esti
     allocation = [per_unit + (1 if i < extra else 0) for i in range(n_units)]
     dists = [_readout_distribution(t) for t in units]
 
-    trial_ratios = []
-    trial_stderrs = []
-    num_means = []
-    den_means = []
-    num_errs = []
-    den_errs = []
-    shots_used = 0
+    # per trial: ratio, its stderr, and the numerator's and denominator's
+    # mean and stderr
+    rows = []
     for trial in range(config.trials):
+        *terms, den_stats = [
+            _draw_stats(evals, cum, shots, _unit_rng(config.seed, trial, i))
+            for i, ((evals, cum), shots) in enumerate(zip(dists, allocation))
+        ]
         num_mean = 0.0
         num_var = 0.0
-        for i, term in enumerate(pipeline.numerator_terms):
-            evals, cum = dists[i]
-            stats = _draw_stats(evals, cum, allocation[i], _unit_rng(config.seed, trial, i))
-            shots_used += stats.shots
+        for term, stats in zip(pipeline.numerator_terms, terms):
             num_mean += term.coefficient * stats.mean
             num_var += (term.coefficient * stats.stderr) ** 2
-        evals, cum = dists[-1]
-        den_stats = _draw_stats(
-            evals, cum, allocation[-1], _unit_rng(config.seed, trial, n_units - 1)
-        )
-        shots_used += den_stats.shots
         num_stats = SampleStats(num_mean, float(np.sqrt(num_var)), sum(allocation[:-1]))
         try:
             ratio, stderr = ratio_estimator(num_stats, den_stats)
@@ -202,12 +194,8 @@ def scheme_shot_experiment(pipeline: SchemePipeline, config: ShotConfig) -> Esti
             raise UnstableDenominatorError(
                 f"trial {trial} of {config.trials}: {exc}"
             ) from exc
-        trial_ratios.append(ratio)
-        trial_stderrs.append(stderr)
-        num_means.append(num_mean)
-        den_means.append(den_stats.mean)
-        num_errs.append(num_stats.stderr)
-        den_errs.append(den_stats.stderr)
+        rows.append((ratio, stderr, num_mean, den_stats.mean, num_stats.stderr, den_stats.stderr))
+    trial_ratios, trial_stderrs, num_means, den_means, num_errs, den_errs = zip(*rows)
 
     trials = config.trials
     ratio = float(np.mean(trial_ratios))
@@ -224,7 +212,7 @@ def scheme_shot_experiment(pipeline: SchemePipeline, config: ShotConfig) -> Esti
         numerator=float(np.mean(num_means)),
         denominator=float(np.mean(den_means)),
         resources=pipeline.resources,
-        shots_used=shots_used,
+        shots_used=trials * sum(allocation),
         trials=trials,
         ratio_stderr=ratio_stderr,
         numerator_stderr=float(np.mean(num_errs)),

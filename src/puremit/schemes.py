@@ -9,6 +9,10 @@ The estimators all measure a ratio. At operator level:
 * combined: Tr(O (rho rho_bar)^M) / Tr((rho rho_bar)^M), degree 2M from
   M registers.
 
+Each is a chain of register matrices whose last product is never
+formed: every Pauli string of O, and the all-I string of the
+denominator, is read against the chain by ``observables.pauli_traces``.
+
 Circuit-level pipelines build the ancilla-controlled measurement circuit
 explicitly (Hadamard, controlled observable, controlled register swaps,
 inverse circuits, ancilla readout) so machinery noise on the swaps and
@@ -17,7 +21,7 @@ reproduces the operator-level value. The readout is taken in the
 Heisenberg picture: its effects are propagated backwards through the
 shared suffix once, as quarter-size ancilla-parity blocks on which a
 Fredkin is a qubit relabeling, then reduced against the product prefix
-state and scored per term with its Pauli string as a signed permutation.
+state and scored per term by the Pauli-string readers of ``observables``.
 Neither a composite state nor a composite effect is ever built
 (``build_pipeline``). Every unit, the plain ``raw`` readout of one Pauli
 string included, is read out the same way: as +1 or -1 outcomes, plus 0
@@ -34,6 +38,7 @@ register swaps S_{M-2,M-1} ... S_{0,1}, applied rightmost first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,7 +54,7 @@ from .channels import (
 )
 from .circuits import GateCircuit, circuit_state, gate_matrix
 from .linalg import as_matrix, check_dimension, kron_power, zero_projector
-from .observables import PauliObservable, pauli_permutation
+from .observables import PauliObservable, pauli_sandwiches, pauli_traces
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
 
@@ -77,6 +82,10 @@ def _check_observable(observable: PauliObservable, rho: np.ndarray) -> None:
         )
 
 
+# the denominator each verified scheme names when it vanishes
+_OVERLAP = {"state-verification": "state/dual overlap", "combined": "verified chain trace"}
+
+
 def _ratio_report(
     kind: str, num: complex, den: complex, quantity: str, resources, **extra
 ) -> EstimateReport:
@@ -97,13 +106,29 @@ def _ratio_report(
     )
 
 
+def _term_sum(observable: PauliObservable, traces: np.ndarray):
+    """(Tr(O X), Tr X) from the traces against X of
+    ``observable.permutations()``, the all-I string last."""
+    return complex(observable.coefficients @ traces[:-1]), complex(traces[-1])
+
+
+def _chain_report(kind, observable, factors, quantity: str, resources, **extra):
+    """``_ratio_report`` of Tr(O F) / Tr F for the chain F = f_1 ... f_L of
+    ``factors``, read without its last product: Tr(P (f_1 ... f_(L-1)) f_L)
+    per string, O(d^2) once the head is formed."""
+    *head, last = factors
+    a, b = (reduce(np.matmul, head), last) if head else (last, None)
+    traces = pauli_traces(observable.permutations(), a, b)
+    return _ratio_report(kind, *_term_sum(observable, traces), quantity, resources, **extra)
+
+
 def multicopy_estimate(
     state, observable: PauliObservable, n_copies: int, kind: str = "multi-copy"
 ) -> EstimateReport:
     """Purified expectation from M copies: Tr(O rho^M) / Tr(rho^M).
 
-    Evaluated as the reduced matrix power, which equals the cyclic
-    permutation contraction on the M-copy composite
+    Read as Tr(O rho^(M-1) rho), so rho^M is never formed; this equals the
+    cyclic permutation contraction on the M-copy composite
     (``reference.permutation_contraction``). ``kind`` may be
     "multi-copy-recycled" to account two registers with serialized swaps
     instead of M registers in depth 1.
@@ -113,22 +138,21 @@ def multicopy_estimate(
     if n_copies < 1:
         raise ValueError(f"need n_copies >= 1, got {n_copies}")
     rho = as_matrix(state)
-    dim = rho.shape[0]
-    n_qubits = _require_power_of_two(dim)
+    n_qubits = _require_power_of_two(rho.shape[0])
     _check_observable(observable, rho)
-    power = np.linalg.matrix_power(rho, n_copies)
-    num = observable.expectation(power)
-    den = complex(np.trace(power))
     profile_kind = kind if n_copies >= 2 else "raw"
     resources = resource_profile(profile_kind, n_copies, n_qubits)
-    return _ratio_report(kind, num, den, f"Tr(rho^{n_copies}) =", resources)
+    return _chain_report(
+        kind, observable, [rho] * n_copies, f"Tr(rho^{n_copies}) =", resources
+    )
 
 
 def state_verification_estimate(state, dual, observable: PauliObservable) -> EstimateReport:
     """Verified expectation Re Tr(rho_bar O rho) / Tr(rho_bar rho).
 
     ``dual`` is the (possibly non-normalized) dual state; with an ideal
-    dual equal to rho this reduces to degree-2 purification.
+    dual equal to rho this reduces to degree-2 purification. Read as
+    Tr(O rho rho_bar), O(d^2) per string.
     """
     rho = as_matrix(state)
     rbar = as_matrix(dual)
@@ -136,19 +160,10 @@ def state_verification_estimate(state, dual, observable: PauliObservable) -> Est
     if rho.shape != rbar.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
     _check_observable(observable, rho)
-    # Tr(rbar O rho) = Tr(O rho rbar) without forming rho rbar: Tr(P rho rbar)
-    # is sum_j phase[j] (rho rbar)[j, perm[j]], rows of rho against rows of rbar^T
-    rho_flat = rho.ravel()
-    rbar_t = np.ascontiguousarray(rbar.T)
-    num = 0j
-    for coeff, string in observable.terms:
-        perm, phase = pauli_permutation(string)
-        rows = rbar_t[perm]
-        rows *= phase[:, None]
-        num += coeff * complex(np.dot(rho_flat, rows.ravel()))
-    den = complex(np.dot(rho_flat, rbar_t.ravel()))
     resources = resource_profile("state-verification", 2, n_qubits)
-    return _ratio_report("state-verification", num, den, "state/dual overlap", resources)
+    return _chain_report(
+        "state-verification", observable, [rho, rbar], _OVERLAP["state-verification"], resources
+    )
 
 
 def combined_estimate(
@@ -177,12 +192,6 @@ def combined_estimate(
         raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
     n_qubits = _require_power_of_two(rho.shape[0])
     _check_observable(observable, rho)
-    factors = [rho] * (n_copies - k) + [rho @ rbar] * k
-    chain = None
-    for f in factors:
-        chain = f if chain is None else chain @ f
-    num = observable.expectation(chain)
-    den = complex(np.trace(chain))
     degree = n_copies + k
     if k == n_copies:
         resources = resource_profile("combined", degree, n_qubits)
@@ -197,8 +206,10 @@ def combined_estimate(
             2,
             1,
         )
-    return _ratio_report(
-        "combined", num, den, "verified chain trace", resources, details={"verified_copies": k}
+    factors = [rho] * (n_copies - k) + [rho, rbar] * k
+    return _chain_report(
+        "combined", observable, factors, _OVERLAP["combined"], resources,
+        details={"verified_copies": k},
     )
 
 
@@ -214,12 +225,14 @@ class MeasurableTerm:
     ``observable`` the value each outcome reads. Every unit has the
     outcomes +1 and -1 and, for the verified schemes, 0 (some register
     did not project to |0...0>), with probabilities (T + Re t)/2,
-    (T - Re t)/2 and the rest (``_sign_unit``). For an ancilla-scheme
-    unit, +1 and -1 are the ancilla reading 0 or 1, t = Tr(W_Z X) for the
-    unit's prefix state X and the readout effect W_Z (``build_pipeline``),
-    and T is Tr X or, when verifying, Tr(W_P X), the weight of every
-    register projecting to |0...0>. Tr X is taken from the factors of X,
-    so the outcome probabilities summing to one checks those factors. A ``raw`` unit reads its Pauli string P as a sign on the
+    (T - Re t)/2 and the rest (``_sign_units``). A build makes one unit
+    per term and one for the denominator, the all-I string. For an
+    ancilla-scheme unit, +1 and -1 are the ancilla reading 0 or 1,
+    t = Tr(W_Z X) for the unit's prefix state X and the readout effect W_Z
+    (``build_pipeline``), and T is Tr X or, when verifying, Tr(W_P X), the
+    weight of every register projecting to |0...0>. Tr X is taken from the
+    factors of X, so the outcome probabilities summing to one checks those
+    factors. A ``raw`` unit reads its Pauli string P as a sign on the
     n-qubit state rho: t = Tr(P rho) and T = Tr rho. ``imag_residual`` is
     |Im t|, the rounding of the evolution.
     """
@@ -276,15 +289,20 @@ _ANCILLA_VALUES = np.array([1.0, -1.0])
 _VERIFIED_VALUES = np.array([1.0, -1.0, 0.0])
 
 
-def _sign_unit(coefficient: float, kept: float, t: complex, rest=None) -> MeasurableTerm:
-    """The unit reading Re t as +1 or -1 out of the weight ``kept``, plus
-    the outcome 0 of weight ``rest`` when given."""
-    probs = [(kept + t.real) / 2, (kept - t.real) / 2]
-    values = _ANCILLA_VALUES
+def _sign_units(observable: PauliObservable, kept, t: np.ndarray, rest=None) -> list:
+    """One unit per string of ``observable.permutations()``, the
+    denominator last: Re t read as +1 or -1 out of the weight ``kept``,
+    plus the outcome 0 of weight ``rest`` when given."""
+    values = _ANCILLA_VALUES if rest is None else _VERIFIED_VALUES
+    rows = np.empty((len(t), len(values)))
+    rows[:, 0] = (kept + t.real) / 2
+    rows[:, 1] = (kept - t.real) / 2
     if rest is not None:
-        probs.append(rest)
-        values = _VERIFIED_VALUES
-    return MeasurableTerm(float(coefficient), np.array(probs), values, abs(t.imag))
+        rows[:, 2] = rest
+    return [
+        MeasurableTerm(float(c), row, values, float(abs(residual)))
+        for c, row, residual in zip([*observable.coefficients, 1.0], rows, t.imag)
+    ]
 
 
 def _parity_steps(machinery: NoiseModel, nq: int):
@@ -410,14 +428,19 @@ def build_pipeline(
 
     the even blocks against rho and P rho P^dag, the odd ones against
     rho P^dag and P rho, with Tr X = (1-p) Tr(A) Tr(rho)^M + p Tr(rho)^M
-    taken from the same factors. A build peaks at the registers' factor R
+    taken from the same factors. Each string, the all-I string of the
+    denominator included, becomes a signed permutation once per build,
+    read by ``observables.pauli_traces`` and ``pauli_sandwiches``;
+    Tr(V_00 rho) is read once. A build peaks at the registers' factor R
     and one copy of it, half a composite, plus transients of at most one
     block. See ``MeasurableTerm`` for the outcomes.
 
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
-    vector psi, a 2^n run (``circuits.circuit_state``); ``raw_value`` is
-    Tr(O rho) for the noisy register. Both read O as signed permutations
-    (``PauliObservable.expectation``), never as a dense matrix.
+    vector psi (``circuits.circuit_state``), read against psi as a column
+    and a row; ``raw_value`` is Tr(O rho). ``operator_ratio`` is the
+    operator-level estimate: without Fredkins (state verification,
+    combined with M = 1) the odd block is rbar, so it is the ratio of the
+    odd traces Tr(P rho rbar) already read; otherwise the estimator's.
 
     ``noise`` afflicts the state-preparation circuits (and, unless
     ``dual_noise`` overrides it, the inverse circuits of the verification
@@ -432,37 +455,9 @@ def build_pipeline(
         raise ValueError(
             f"observable width {observable.n_qubits} does not match circuit width {n}"
         )
-    psi = circuit_state(circuit)
-    ideal_value = float(observable.expectation(np.outer(psi, psi.conj())).real)
-    rho = prepare_noisy_state(circuit, noise)
-    rho_mat = rho.matrix
-    raw_value = float(observable.expectation(rho_mat).real)
-
-    if kind == "raw":
-        # each Pauli string, and the all-I string for the denominator, read
-        # as a sign: +1 with probability (Tr rho + Tr(P rho))/2
-        rho_trace = float(np.trace(rho_mat).real)
-
-        def sign(coefficient: float, string: str) -> MeasurableTerm:
-            t = PauliObservable.single(string).expectation(rho_mat)
-            return _sign_unit(coefficient, rho_trace, t)
-
-        return SchemePipeline(
-            kind="raw",
-            degree=1,
-            n_copies=1,
-            n_qubits=n,
-            numerator_terms=tuple(sign(c, s) for c, s in observable.terms),
-            denominator=sign(1.0, "I" * n),
-            resources=resource_profile("raw", 1, n),
-            ideal_value=ideal_value,
-            raw_value=raw_value,
-            operator_ratio=raw_value,
-        )
-
-    if kind == "state-verification":
+    if kind in ("raw", "state-verification"):
         copies = 1
-        degree = 2
+        degree = 1 if kind == "raw" else 2
     elif kind == "combined":
         if n_copies < 1:
             raise ValueError(f"need n_copies >= 1, got {n_copies}")
@@ -473,163 +468,160 @@ def build_pipeline(
             raise ValueError(f"{kind} needs n_copies >= 2, got {n_copies}")
         copies = n_copies
         degree = n_copies
-
     nq = 1 + copies * n
-    check_dimension(2**nq)
-    verify = kind in ("state-verification", "combined")
-    hadamard = gate_matrix("H")
-    half = 2 ** (nq - 1)
+    if kind != "raw":
+        check_dimension(2**nq)
+    resources = resource_profile(kind, degree, n)
 
-    # the prefix (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq, kept as its
-    # factors: p is the strength of global machinery noise, and every
-    # other kind acts on the ancilla alone
-    ancilla = hadamard @ zero_projector(2) @ hadamard
-    if machinery.kind == "depolarizing-global":
-        p_global = machinery.strength
+    perms = observable.permutations()
+    psi = circuit_state(circuit)
+    ideal_value = _term_sum(observable, pauli_traces(perms, psi[:, None], psi.conj()[None]))[0]
+    rho = prepare_noisy_state(circuit, noise)
+    rho_mat = rho.matrix
+    raw = pauli_traces(perms, rho_mat)
+    raw_value, rho_trace = (x.real for x in _term_sum(observable, raw))
+
+    if kind == "raw":
+        # each string read as a sign: +1 with probability (Tr rho + Tr(P rho))/2
+        z, kept, rest, operator_ratio = raw, rho_trace, None, raw_value
     else:
-        p_global = 0.0
-        ancilla = apply_noise(ancilla, machinery, [0], 1)
-    registers_trace = float(np.trace(rho_mat).real) ** copies
-    # Tr(A (x) rho^(x)M), which the identity reads off every unit
-    ancilla_weight = float(np.trace(ancilla).real) * registers_trace
-    unit_trace = (1.0 - p_global) * ancilla_weight + p_global * registers_trace
-    # registers 2..M of the prefix, traced against each block, transposed
-    weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1)) if copies > 1 else None
+        verify = kind in ("state-verification", "combined")
+        half = 2 ** (nq - 1)
 
-    rbar = dual_state(circuit, noise, dual_noise) if verify else None
-    # Pi projects every register to |0...0> when verifying, else it is I;
-    # the adjoint of the inverse circuits maps it to R = rbar^(x)M, or to
-    # R = I, which is never built
-    if verify:
-        registers = kron_power(rbar.matrix, copies)
-        pi_trace = 1.0
-        r_trace = float(np.trace(rbar.matrix).real) ** copies
-    else:
-        registers = None
-        pi_trace = r_trace = float(half)
-
-    def head(diag: np.ndarray):
-        """(c, alpha, beta) with the readout effect diag (x) Pi equal to
-        c I + alpha I_anc (x) R + beta X_anc (x) R before the Fredkins."""
-        c = 0.0
+        # the prefix (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq, kept as its
+        # factors: p is the strength of global machinery noise, and every
+        # other kind acts on the ancilla alone
+        ancilla = gate_matrix("H") @ zero_projector(2) @ gate_matrix("H")
         if machinery.kind == "depolarizing-global":
-            # (1-p) W + p Tr(W)/2^nq I on the whole composite
-            c = machinery.strength * diag.sum() * pi_trace / 2**nq
-            diag = (1.0 - machinery.strength) * diag
+            p_global = machinery.strength
         else:
-            ancilla_effect = np.diag(diag).astype(complex)
-            diag = np.diagonal(apply_noise(ancilla_effect, machinery, [0], 1, adjoint=True)).real
-        # H diag(z0, z1) H = (z0 + z1)/2 I + (z0 - z1)/2 X; the suffix is
-        # trace-preserving, so every adjoint leaves c I alone
-        return c, (diag[0] + diag[1]) / 2, (diag[0] - diag[1]) / 2
+            p_global = 0.0
+            ancilla = apply_noise(ancilla, machinery, [0], 1)
+        registers_trace = rho_trace**copies
+        # Tr(A (x) rho^(x)M), which the identity reads off every unit
+        ancilla_weight = float(np.trace(ancilla).real) * registers_trace
+        unit_trace = (1.0 - p_global) * ancilla_weight + p_global * registers_trace
+        # registers 2..M of the prefix, traced against each block, transposed
+        weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1)) if copies > 1 else None
 
-    # the Fredkins, last first; global machinery noise folds into the scale
-    fredkins = [
-        (1 + r * n + i, 1 + (r + 1) * n + i)
-        for r in reversed(range(copies - 1))
-        for i in reversed(range(n))
-    ]
-    scale = (1.0 - p_global) ** len(fredkins)
-    odd_step, even_step, odd_factor = _parity_steps(machinery, nq)
-    odd_scale = scale * odd_factor ** len(fredkins)
-    # per-qubit machinery noise writes every block, local depolarizing the pair
-    local = not (machinery.is_trivial or machinery.kind == "depolarizing-global")
-    odd_writes = local and machinery.kind != "depolarizing-local"
-    unmapped = list(range(nq - 1))
-
-    # one block at a time: the odd block O, then the even pair
-    if registers is None:
-        odd = np.eye(half, dtype=complex)
-    else:
-        odd = registers.copy() if fredkins and odd_writes else registers
-    columns = list(unmapped)
-    for a, b in fredkins:
-        odd_step(odd, columns, a, b)
-    # V_01 and V_10 = V_01^dag, each read by vdot: Tr(V S) = vdot(V^dag, S)
-    v_01 = _reduced(odd, unmapped, columns, weights, n)
-    v_10 = v_01.conj().T.copy()
-    del odd
-    if verify and fredkins:
-        # W_00 takes over R; W_11 is a copy only when the noise writes
-        pair = (registers, registers.copy() if local else registers)
-        del registers
-        axes = list(unmapped)
-        for a, b in fredkins:
-            even_step(pair, axes, a, b)
-        even_adjoints = [
-            _reduced(pair[0], unmapped, unmapped, weights, n).conj().T.copy(),
-            _reduced(pair[1], axes, axes, weights, n).conj().T.copy(),
-        ]
-        del pair
-    elif verify:
-        # no Fredkins: every block is R, so V_00^dag = V_11^dag = V_10
-        even_adjoints = [v_10, v_10]
-
-    def parity_traces(string: str):
-        """sum_xy A_xy Tr(V_yx P^x rho P^y^dag) over the even blocks of
-        I_anc (x) R and over the odd blocks of X_anc (x) R, for the Pauli
-        string P, with the global machinery noise folded in."""
-        perm, phase = pauli_permutation(string)
-        # P is its own inverse permutation, so (P v)[i] = phase[perm[i]] v[perm[i]]
-        sign = phase[perm]
-        p_rho = rho_mat[perm]
-        p_rho *= sign[:, None]
-        # take gathers columns about twice as fast as fancy indexing
-        rho_p = np.take(rho_mat, perm, axis=1)
-        rho_p *= sign.conj()
-        odd = ancilla[1, 0] * np.vdot(v_10, p_rho) + ancilla[0, 1] * np.vdot(v_01, rho_p)
+        rbar = dual_state(circuit, noise, dual_noise) if verify else None
+        # Pi projects every register to |0...0> when verifying, else it is I;
+        # the adjoint of the inverse circuits maps it to R = rbar^(x)M, or to
+        # R = I, which is never built
         if verify:
-            p_rho_p = rho_p[perm]
-            p_rho_p *= sign[:, None]
-            even = ancilla[0, 0] * np.vdot(even_adjoints[0], rho_mat)
-            even += ancilla[1, 1] * np.vdot(even_adjoints[1], p_rho_p)
+            registers = kron_power(rbar.matrix, copies)
+            pi_trace = 1.0
+            r_trace = float(np.trace(rbar.matrix).real) ** copies
         else:
+            registers = None
+            pi_trace = r_trace = float(half)
+
+        def head(diag: np.ndarray):
+            """(c, alpha, beta) with the readout effect diag (x) Pi equal to
+            c I + alpha I_anc (x) R + beta X_anc (x) R before the Fredkins."""
+            c = 0.0
+            if machinery.kind == "depolarizing-global":
+                # (1-p) W + p Tr(W)/2^nq I on the whole composite
+                c = machinery.strength * diag.sum() * pi_trace / 2**nq
+                diag = (1.0 - machinery.strength) * diag
+            else:
+                effect = np.diag(diag).astype(complex)
+                diag = np.diagonal(apply_noise(effect, machinery, [0], 1, adjoint=True)).real
+            # H diag(z0, z1) H = (z0 + z1)/2 I + (z0 - z1)/2 X; the suffix is
+            # trace-preserving, so every adjoint leaves c I alone
+            return c, (diag[0] + diag[1]) / 2, (diag[0] - diag[1]) / 2
+
+        # the Fredkins, last first; global machinery noise folds into the scale
+        fredkins = [
+            (1 + r * n + i, 1 + (r + 1) * n + i)
+            for r in reversed(range(copies - 1))
+            for i in reversed(range(n))
+        ]
+        scale = (1.0 - p_global) ** len(fredkins)
+        odd_step, even_step, odd_factor = _parity_steps(machinery, nq)
+        odd_scale = scale * odd_factor ** len(fredkins)
+        # per-qubit machinery noise writes every block, local depolarizing the pair
+        local = not (machinery.is_trivial or machinery.kind == "depolarizing-global")
+        odd_writes = local and machinery.kind != "depolarizing-local"
+        unmapped = list(range(nq - 1))
+
+        # one block at a time: the odd block O, then the even pair
+        if registers is None:
+            odd = np.eye(half, dtype=complex)
+        else:
+            odd = registers.copy() if fredkins and odd_writes else registers
+        columns = list(unmapped)
+        for a, b in fredkins:
+            odd_step(odd, columns, a, b)
+        v_01 = _reduced(odd, unmapped, columns, weights, n)
+        del odd
+        # rho^T and V_01^T copied row-major once each: the readers take
+        # rho_t.T as rho and v_t.T as V_01 without a copy, and v_t
+        # conjugated in place is V_10 = V_01^dag
+        rho_t = rho_mat.T.copy()
+        v_t = v_01.T.copy()
+        del v_01
+        # Tr(V_01 P rho) (forward) and Tr(V_10 rho P) (backward) per string
+        forward = pauli_traces(perms, rho_mat, v_t.T)
+        backward = pauli_traces(perms, np.conjugate(v_t, out=v_t), rho_t.T)
+        del v_t
+        odd = ancilla[1, 0] * forward + ancilla[0, 1] * backward
+        if not verify:
             # R = I, and every adjoint of the suffix keeps I_anc (x) I
             even = ancilla_weight
-        # the folded noise leaves (1 - scale) Tr(I_anc (x) R)/2^nq I of the
-        # even part, which every unit reads as that times ancilla_weight
+        else:
+            if fredkins:
+                # W_00 takes over R; W_11 is a copy only when the noise writes
+                pair = (registers, registers.copy() if local else registers)
+                del registers
+                axes = list(unmapped)
+                for a, b in fredkins:
+                    even_step(pair, axes, a, b)
+                v_00 = _reduced(pair[0], unmapped, unmapped, weights, n)
+                v_11 = _reduced(pair[1], axes, axes, weights, n)
+                del pair
+            else:
+                # no Fredkins: every block is R
+                v_00 = v_11 = registers
+            # Tr(V_00 rho), the same for every string, and
+            # Tr(V_11 P rho P^dag) = Tr(rho P V_11 P^dag)
+            even = ancilla[0, 0] * pauli_traces(perms[-1:], v_00, rho_t.T)
+            even = even + ancilla[1, 1] * pauli_sandwiches(perms, rho_t.T, v_11)
+        # the folded Fredkin noise leaves (1 - scale) Tr(I_anc (x) R)/2^nq I
+        # of the even part, and global noise on the prefix p Tr(rho)^M I/2^nq
         even = scale * even + (1.0 - scale) * 2.0 * r_trace / 2**nq * ancilla_weight
-        return even, odd_scale * odd
+        even = (1.0 - p_global) * even + p_global * 2.0 * r_trace * registers_trace / 2**nq
+        odd = (1.0 - p_global) * odd_scale * odd
+        # Tr(W X) = c Tr X + alpha Tr((I_anc (x) R) X) + beta Tr((X_anc (x) R) X)
+        readout = (unit_trace, even, odd)
+        z = sum(w * x for w, x in zip(head(_ANCILLA_VALUES), readout))
+        if verify:
+            kept = sum(w * x for w, x in zip(head(np.ones(2)), readout)).real
+            rest = unit_trace - kept
+        else:
+            kept, rest = unit_trace, None
 
-    def trace_with(effect, even, odd) -> complex:
-        """Tr(W X) for the effect W of ``head`` and the unit X of the parity traces."""
-        c, alpha, beta = effect
-        local = c * ancilla_weight + alpha * even + beta * odd
-        w_trace = c * 2**nq + 2.0 * alpha * r_trace
-        return complex((1.0 - p_global) * local + p_global * w_trace * registers_trace / 2**nq)
+        if not fredkins:
+            # V_01 is rbar, so the odd traces hold Tr(P rho rbar)
+            num, den = _term_sum(observable, forward)
+            operator_ratio = _ratio_report(kind, num, den, _OVERLAP[kind], resources).ratio
+        elif kind == "combined":
+            operator_ratio = combined_estimate(rho, rbar, observable, copies).ratio
+        else:
+            operator_ratio = multicopy_estimate(rho, observable, copies, kind=kind).ratio
 
-    effect_z = head(_ANCILLA_VALUES)
-    effect_p = head(np.ones(2)) if verify else None
-
-    def outcomes(coefficient: float, string: str) -> MeasurableTerm:
-        even, odd = parity_traces(string)
-        z = trace_with(effect_z, even, odd)
-        if not verify:
-            return _sign_unit(coefficient, unit_trace, z)
-        kept = trace_with(effect_p, even, odd).real
-        return _sign_unit(coefficient, kept, z, rest=unit_trace - kept)
-
-    numerator_terms = [outcomes(coeff, string) for coeff, string in observable.terms]
-    denominator = outcomes(1.0, "I" * n)
-
-    if kind == "state-verification":
-        reference = state_verification_estimate(rho, rbar, observable)
-    elif kind == "combined":
-        reference = combined_estimate(rho, rbar, observable, copies)
-    else:
-        reference = multicopy_estimate(rho, observable, copies, kind=kind)
-
+    *terms, denominator = _sign_units(observable, kept, z, rest)
     return SchemePipeline(
         kind=kind,
         degree=degree,
         n_copies=copies,
         n_qubits=n,
-        numerator_terms=tuple(numerator_terms),
+        numerator_terms=tuple(terms),
         denominator=denominator,
-        resources=resource_profile(kind, degree, n),
-        ideal_value=ideal_value,
-        raw_value=raw_value,
-        operator_ratio=reference.ratio,
+        resources=resources,
+        ideal_value=float(ideal_value.real),
+        raw_value=float(raw_value),
+        operator_ratio=operator_ratio,
     )
 
 

@@ -8,7 +8,10 @@ from puremit.observables import (
     PauliObservable,
     format_observable,
     parse_observable,
+    pauli_permutation,
+    pauli_sandwiches,
     pauli_string_matrix,
+    pauli_traces,
 )
 
 
@@ -111,3 +114,30 @@ def test_expectation_matches_the_dense_trace():
 def test_expectation_rejects_a_mismatched_matrix():
     with pytest.raises(ValueError):
         PauliObservable.single("ZZ").expectation(np.eye(2))
+
+
+def test_pauli_permutation_is_the_dense_string():
+    # P|j> = phase[j] |perm[j]> is the dense string, and the readers built
+    # on it equal the dense traces: Tr(P a), Tr(P a b) for square and for
+    # rectangular (column times row) factors, and Tr(v P x P^dag)
+    rng = np.random.default_rng(3)
+    strings = ["Y", "YY", "XYZ", "IZY", "YIXZ"]
+    strings += ["".join(rng.choice(list("IXYZ"), size=k)) for k in (1, 2, 3, 4) for _ in range(3)]
+    for string in strings:
+        perm, phase = pauli_permutation(string)
+        dim = 2 ** len(string)
+        dense = pauli_string_matrix(string)
+        got = np.zeros((dim, dim), dtype=complex)
+        got[perm, np.arange(dim)] = phase
+        assert np.max(np.abs(got - dense)) <= 1e-12, string
+        a, b, v = (rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim)))
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        perms = [(perm, phase)] * 2
+        for reads, want in (
+            (pauli_traces(perms, a), np.trace(dense @ a)),
+            (pauli_traces(perms, a, b), np.trace(dense @ a @ b)),
+            (pauli_traces(perms, a, b.T), np.trace(dense @ a @ b.T)),
+            (pauli_traces(perms, psi[:, None], psi.conj()[None]), psi.conj() @ dense @ psi),
+            (pauli_sandwiches(perms, v, a), np.trace(v @ dense @ a @ dense.conj().T)),
+        ):
+            assert np.max(np.abs(reads - want)) <= 1e-12, string

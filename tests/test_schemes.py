@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from puremit import channels, reference, sampling, schemes
+from puremit import channels, observables, reference, sampling, schemes
 from puremit.channels import (
     NO_NOISE,
     NOISE_KINDS,
@@ -26,13 +26,14 @@ from puremit.circuits import (
     inverse_circuit,
     random_circuit,
 )
-from puremit.linalg import kron_all, kron_power, random_density, random_hermitian
-from puremit.observables import (
-    PauliObservable,
-    parse_observable,
-    pauli_permutation,
-    pauli_string_matrix,
+from puremit.linalg import (
+    DensityOperator,
+    kron_all,
+    kron_power,
+    random_density,
+    random_hermitian,
 )
+from puremit.observables import PauliObservable, parse_observable, pauli_string_matrix
 from puremit.purification import purified_expectation
 from puremit.reference import (
     apply_local,
@@ -608,20 +609,6 @@ def test_exact_pipelines_are_frozen(case):
     assert np.max(np.abs(np.subtract(got, _FROZEN_PIPELINES[case]))) <= 1e-12
 
 
-def test_controlled_pauli_string_is_the_controlled_product():
-    # a term's controlled Pauli string reaches register 1 as the signed
-    # permutation of its Pauli string
-    rng = np.random.default_rng(3)
-    strings = ["Y", "YY", "XYZ", "IZY", "YIXZ"]
-    strings += ["".join(rng.choice(list("IXYZ"), size=k)) for k in (1, 2, 3, 4) for _ in range(3)]
-    for string in strings:
-        perm, phase = pauli_permutation(string)
-        dim = 2 ** len(string)
-        got = np.zeros((dim, dim), dtype=complex)
-        got[perm, np.arange(dim)] = phase
-        assert np.max(np.abs(got - pauli_string_matrix(string))) <= 1e-12, string
-
-
 def _forward_outcomes(kind, circ, noise, obs, copies, machinery):
     """Outcome probabilities (+1, -1 and, verified, 0) of every unit,
     from a forward evolution of the whole composite circuit."""
@@ -700,6 +687,54 @@ def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
             )
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, (kind, copies, counts)
+
+
+def test_pipeline_build_reads_each_pauli_string_once(monkeypatch):
+    # one signed permutation per term and one for the all-I denominator,
+    # shared by the ideal, raw and ancilla readouts and the operator ratio
+    calls = []
+    permutation = observables.pauli_permutation
+
+    def counting(string):
+        calls.append(string)
+        return permutation(string)
+
+    monkeypatch.setattr(observables, "pauli_permutation", counting)
+    obs = parse_observable("0.6*ZY - 0.4*XI + 0.3*YY")
+    build_pipeline("state-verification", _generic_circuit(), NoiseModel("dephasing", 0.05), obs)
+    assert sorted(calls) == sorted(["ZY", "XI", "YY", "II"])
+
+
+@pytest.mark.parametrize("kind", ["state-verification", "combined"])
+def test_pipeline_without_fredkins_calls_no_estimator(monkeypatch, kind):
+    # with no Fredkin the odd block is rbar, so its traces are the
+    # operator-level numerator and denominator
+    def refuse(*args, **kwargs):
+        raise AssertionError("a build without Fredkins called an estimator")
+
+    circ = _generic_circuit()
+    noise = NoiseModel("amplitude-damping", 0.1)
+    obs = parse_observable("0.6*ZY - 0.4*XI")
+    want = state_verification_estimate(prepare_noisy_state(circ, noise), dual_state(circ, noise), obs)
+    for name in ("multicopy_estimate", "state_verification_estimate", "combined_estimate"):
+        monkeypatch.setattr(schemes, name, refuse)
+    pipe = build_pipeline(
+        kind, circ, noise, obs, n_copies=1, machinery_noise=NoiseModel("dephasing", 0.03)
+    )
+    assert pipe.operator_ratio == pytest.approx(want.ratio, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind,quantity",
+    [("state-verification", "state/dual overlap"), ("combined", "verified chain trace")],
+)
+def test_pipeline_without_fredkins_raises_on_a_vanishing_overlap(monkeypatch, kind, quantity):
+    # |0> against a dual of |1>: the operator ratio's denominator
+    # Tr(rbar rho) vanishes, and the build names it as the estimators do
+    orthogonal = DensityOperator(np.diag([0.0, 1.0]).astype(complex))
+    monkeypatch.setattr(schemes, "dual_state", lambda *args: orthogonal)
+    with pytest.raises(VanishingDenominatorError, match=quantity):
+        build_pipeline(kind, GateCircuit(1, ()), NO_NOISE, PauliObservable.single("Z"), n_copies=1)
 
 
 @pytest.mark.parametrize("machinery", NOISE_KINDS)

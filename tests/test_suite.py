@@ -56,3 +56,20 @@ def test_no_source_module_imports_an_unused_name(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported.items() if name not in used]
     assert not unused, f"{path.name} never uses {', '.join(sorted(unused))}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCE_MODULES if p.name != "observables.py"], ids=lambda p: p.name
+)
+def test_only_observables_reads_pauli_strings_as_permutations(path):
+    # how a Pauli string is read against a product of matrices is decided
+    # in puremit.observables alone; other modules go through its readers
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "pauli_permutation")
+        or (isinstance(node, ast.Attribute) and node.attr == "pauli_permutation")
+        or (isinstance(node, ast.alias) and node.name == "pauli_permutation")
+    ]
+    assert not named, f"{path.name} names pauli_permutation on lines {named}"
