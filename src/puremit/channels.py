@@ -39,11 +39,12 @@ kernels, which stay the only definition of noise. Global depolarizing
 commutes with the gates, so its layers fold into one register-wide
 ``depolarize`` per evolution. Both wrap their result without the
 eigenvalue check, since an evolution keeps it PSD. A pipeline
-(``schemes.build_pipeline``) never contracts a composite: it carries its
-readout effects as quarter-size ancilla blocks under qubit maps, updated
-in place by the noise kernels. Dual states are PSD but not normalized in
-general (they are exactly trace-1 when every inserted channel is
-unital).
+(``schemes.build_pipeline``) never contracts a composite: a readout
+block its machinery noise writes into is carried at quarter size under
+a qubit map and updated in place by the noise kernels, and any other
+block reduces in closed form to a register chain. Dual states are PSD
+but not normalized in general (they are exactly trace-1 when every
+inserted channel is unital).
 
 The dense whole-register Kraus channels the engine is checked against
 live in ``reference``.

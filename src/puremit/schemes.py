@@ -9,9 +9,10 @@ The estimators all measure a ratio. At operator level:
 * combined: Tr(O (rho rho_bar)^M) / Tr((rho rho_bar)^M), degree 2M from
   M registers.
 
-Each is a chain of register matrices whose last product is never
-formed: every Pauli string of O, and the all-I string of the
-denominator, is read against the chain by ``observables.pauli_traces``.
+Each is a register chain rho^(M-k) (rho rho_bar)^k (``_chain``), read as
+Tr(P rho tail) so its last product is never formed: every Pauli string
+of O, and the all-I string of the denominator, is read against the
+chain by ``observables.pauli_traces``.
 
 Circuit-level pipelines build the ancilla-controlled measurement circuit
 explicitly (Hadamard, controlled observable, controlled register swaps,
@@ -22,7 +23,10 @@ Heisenberg picture: its effects are propagated backwards through the
 shared suffix once, as quarter-size ancilla-parity blocks on which a
 Fredkin is a qubit relabeling, then reduced against the product prefix
 state and scored per term by the Pauli-string readers of ``observables``.
-Neither a composite state nor a composite effect is ever built
+A block is built only where machinery noise writes; elsewhere it reduces
+in closed form to the operator chain, which a build reads once for its
+readout and its operator-level ratio, calling no estimator. Neither a
+composite state nor a composite effect is ever built
 (``build_pipeline``). Every unit, the plain ``raw`` readout of one Pauli
 string included, is read out the same way: as +1 or -1 outcomes, plus 0
 for the verified schemes (``MeasurableTerm``). The dense composite
@@ -37,7 +41,7 @@ register swaps S_{M-2,M-1} ... S_{0,1}, applied rightmost first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -86,11 +90,19 @@ def _check_observable(observable: PauliObservable, rho: np.ndarray) -> None:
 _OVERLAP = {"state-verification": "state/dual overlap", "combined": "verified chain trace"}
 
 
+def _term_sum(observable: PauliObservable, traces: np.ndarray):
+    """(Tr(O X), Tr X) from the traces against X of
+    ``observable.permutations()``, the all-I string last."""
+    return complex(observable.coefficients @ traces[:-1]), complex(traces[-1])
+
+
 def _ratio_report(
-    kind: str, num: complex, den: complex, quantity: str, resources, **extra
+    kind: str, observable: PauliObservable, traces: np.ndarray, quantity: str, resources, **extra
 ) -> EstimateReport:
-    """The estimate Re num / Re den; raises when ``den``, named ``quantity``
-    in the message, is numerically zero."""
+    """The estimate Re Tr(O X) / Re Tr X from the traces against X of
+    ``observable.permutations()``; raises when Tr X, named ``quantity`` in
+    the message, is numerically zero."""
+    num, den = _term_sum(observable, traces)
     if abs(den.real) < DENOMINATOR_FLOOR:
         raise VanishingDenominatorError(f"{quantity} {den.real:.3e} is numerically zero")
     ratio = num.real / den.real
@@ -106,20 +118,13 @@ def _ratio_report(
     )
 
 
-def _term_sum(observable: PauliObservable, traces: np.ndarray):
-    """(Tr(O X), Tr X) from the traces against X of
-    ``observable.permutations()``, the all-I string last."""
-    return complex(observable.coefficients @ traces[:-1]), complex(traces[-1])
-
-
-def _chain_report(kind, observable, factors, quantity: str, resources, **extra):
-    """``_ratio_report`` of Tr(O F) / Tr F for the chain F = f_1 ... f_L of
-    ``factors``, read without its last product: Tr(P (f_1 ... f_(L-1)) f_L)
-    per string, O(d^2) once the head is formed."""
-    *head, last = factors
-    a, b = (reduce(np.matmul, head), last) if head else (last, None)
-    traces = pauli_traces(observable.permutations(), a, b)
-    return _ratio_report(kind, *_term_sum(observable, traces), quantity, resources, **extra)
+def _chain(rho: np.ndarray, rbar, m: int, k: int):
+    """The chain rho^(m-k) (rho rbar)^k, 0 <= k <= m, as its tail: the
+    product after the first rho, or None when rho is the whole chain.
+    ``pauli_traces(perms, rho, tail)`` reads Tr(P chain) = Tr(P rho tail)
+    at O(d^2) per string. ``rbar`` is read only when k >= 1."""
+    factors = ([rho] * (m - k) + [rho, rbar] * k)[1:]
+    return reduce(np.matmul, factors) if factors else None
 
 
 def multicopy_estimate(
@@ -127,7 +132,7 @@ def multicopy_estimate(
 ) -> EstimateReport:
     """Purified expectation from M copies: Tr(O rho^M) / Tr(rho^M).
 
-    Read as Tr(O rho^(M-1) rho), so rho^M is never formed; this equals the
+    Read as Tr(O rho rho^(M-1)), so rho^M is never formed; this equals the
     cyclic permutation contraction on the M-copy composite
     (``reference.permutation_contraction``). ``kind`` may be
     "multi-copy-recycled" to account two registers with serialized swaps
@@ -142,9 +147,8 @@ def multicopy_estimate(
     _check_observable(observable, rho)
     profile_kind = kind if n_copies >= 2 else "raw"
     resources = resource_profile(profile_kind, n_copies, n_qubits)
-    return _chain_report(
-        kind, observable, [rho] * n_copies, f"Tr(rho^{n_copies}) =", resources
-    )
+    traces = pauli_traces(observable.permutations(), rho, _chain(rho, None, n_copies, 0))
+    return _ratio_report(kind, observable, traces, f"Tr(rho^{n_copies}) =", resources)
 
 
 def state_verification_estimate(state, dual, observable: PauliObservable) -> EstimateReport:
@@ -161,8 +165,9 @@ def state_verification_estimate(state, dual, observable: PauliObservable) -> Est
         raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
     _check_observable(observable, rho)
     resources = resource_profile("state-verification", 2, n_qubits)
-    return _chain_report(
-        "state-verification", observable, [rho, rbar], _OVERLAP["state-verification"], resources
+    traces = pauli_traces(observable.permutations(), rho, _chain(rho, rbar, 1, 1))
+    return _ratio_report(
+        "state-verification", observable, traces, _OVERLAP["state-verification"], resources
     )
 
 
@@ -192,23 +197,11 @@ def combined_estimate(
         raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
     n_qubits = _require_power_of_two(rho.shape[0])
     _check_observable(observable, rho)
-    degree = n_copies + k
-    if k == n_copies:
-        resources = resource_profile("combined", degree, n_qubits)
-    else:
-        # odd-degree family: same machinery as the full combined scheme
-        resources = ResourceProfile(
-            "combined",
-            degree,
-            n_copies,
-            n_copies - 1,
-            (n_copies - 1) * n_qubits,
-            2,
-            1,
-        )
-    factors = [rho] * (n_copies - k) + [rho, rbar] * k
-    return _chain_report(
-        "combined", observable, factors, _OVERLAP["combined"], resources,
+    # the odd-degree family takes the machinery of the full combined scheme
+    resources = replace(resource_profile("combined", 2 * n_copies, n_qubits), degree=n_copies + k)
+    traces = pauli_traces(observable.permutations(), rho, _chain(rho, rbar, n_copies, k))
+    return _ratio_report(
+        "combined", observable, traces, _OVERLAP["combined"], resources,
         details={"verified_copies": k},
     )
 
@@ -363,13 +356,12 @@ def _reduced(block: np.ndarray, rows, columns, weights, n: int) -> np.ndarray:
     """Tr_{2..M}[W (I (x) rho^(x)(M-1))], 2^n x 2^n, for the block W of M
     n-qubit registers stored under the maps ``rows`` and ``columns``.
 
-    ``weights`` is (rho^T)^(x)(M-1), C-contiguous, or None for M = 1. Each
-    map is the identity or C_M, which stores register 1 last and the rest
-    in order, so the trace is one batched matrix product over the stored
-    registers: no transposed copy.
+    ``weights`` is (rho^T)^(x)(M-1), C-contiguous; a block exists only
+    when the build has Fredkins, so M >= 2. Each map is the identity or
+    C_M, which stores register 1 last and the rest in order, so the trace
+    is one batched matrix product over the stored registers: no
+    transposed copy.
     """
-    if weights is None:
-        return block
     d, e = 2**n, weights.shape[0]
     rows_first, columns_first = rows[0] == 0, columns[0] == 0
     sides = [(d, e) if first else (e, d) for first in (rows_first, columns_first)]
@@ -413,34 +405,40 @@ def build_pipeline(
     depolarizing fixes I and commutes with each Fredkin, so its layers
     fold into a scale and the identity coefficient; the scalar each
     Fredkin's noise leaves on O folds into another scale. A block is
-    copied from R only when the machinery noise writes into it.
+    built only when there are Fredkins and the machinery noise writes
+    into it: per-qubit noise writes every block, local depolarizing the
+    even pair.
 
     No prefix state is built either. The prefix is A (x) rho^(x)M, with A
     the ancilla after its Hadamard and noise; global machinery noise of
     strength p makes it (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq. A
     term's controlled Pauli string P touches register 1 only, so each
     block W_ba is reduced once to the d x d block
-    V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))] and then freed. A unit X
-    is scored at O(d^2) per term as
+    V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))] and then freed. Unwritten,
+    O = R C_M reduces to the operator chain's tail (``_chain``),
+    rbar (rho rbar)^(M-1) or rho^(M-1), and W_00 = W_11 = R to
+    Tr(rbar rho)^(M-1) rbar. A unit X is scored at O(d^2) per term as
 
         Tr(W X) = (1-p) sum_ab A_ab Tr(V_ba P^a rho P^b^dag)
                   + p Tr(W) Tr(rho)^M / 2^nq,
 
     the even blocks against rho and P rho P^dag, the odd ones against
     rho P^dag and P rho, with Tr X = (1-p) Tr(A) Tr(rho)^M + p Tr(rho)^M
-    taken from the same factors. Each string, the all-I string of the
-    denominator included, becomes a signed permutation once per build,
-    read by ``observables.pauli_traces`` and ``pauli_sandwiches``;
-    Tr(V_00 rho) is read once. A build peaks at the registers' factor R
-    and one copy of it, half a composite, plus transients of at most one
-    block. See ``MeasurableTerm`` for the outcomes.
+    taken from the same factors. Since P and rho are Hermitian,
+    Tr(V_10 rho P) = conj Tr(V_01 P rho), so the odd traces are read once.
+    Each string, the all-I string of the denominator included, becomes a
+    signed permutation once per build, read by ``observables.pauli_traces``
+    and ``pauli_sandwiches``; Tr(V_00 rho) is read once. A build that
+    writes a block peaks at R and one copy of it, half a composite, plus
+    transients of at most one block; any other build holds register-size
+    matrices only. See ``MeasurableTerm`` for the outcomes.
 
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
     vector psi (``circuits.circuit_state``), read against psi as a column
     and a row; ``raw_value`` is Tr(O rho). ``operator_ratio`` is the
-    operator-level estimate: without Fredkins (state verification,
-    combined with M = 1) the odd block is rbar, so it is the ratio of the
-    odd traces Tr(P rho rbar) already read; otherwise the estimator's.
+    operator-level estimate: the ratio of the chain traces Tr(P rho tail)
+    the estimators read, which with O unwritten are also the odd traces
+    Tr(V_01 P rho).
 
     ``noise`` afflicts the state-preparation circuits (and, unless
     ``dual_noise`` overrides it, the inverse circuits of the verification
@@ -501,19 +499,19 @@ def build_pipeline(
         # Tr(A (x) rho^(x)M), which the identity reads off every unit
         ancilla_weight = float(np.trace(ancilla).real) * registers_trace
         unit_trace = (1.0 - p_global) * ancilla_weight + p_global * registers_trace
-        # registers 2..M of the prefix, traced against each block, transposed
-        weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1)) if copies > 1 else None
-
-        rbar = dual_state(circuit, noise, dual_noise) if verify else None
+        rbar = dual_state(circuit, noise, dual_noise).matrix if verify else None
+        # the operator chain Tr(P rho tail): rho^M, or (rho rbar)^M when verifying
+        tail = _chain(rho_mat, rbar, copies, copies if verify else 0)
+        chain = pauli_traces(perms, rho_mat, tail)
+        quantity = _OVERLAP.get(kind, f"Tr(rho^{copies}) =")
+        operator_ratio = _ratio_report(kind, observable, chain, quantity, resources).ratio
         # Pi projects every register to |0...0> when verifying, else it is I;
         # the adjoint of the inverse circuits maps it to R = rbar^(x)M, or to
-        # R = I, which is never built
+        # R = I
         if verify:
-            registers = kron_power(rbar.matrix, copies)
             pi_trace = 1.0
-            r_trace = float(np.trace(rbar.matrix).real) ** copies
+            r_trace = float(np.trace(rbar).real) ** copies
         else:
-            registers = None
             pi_trace = r_trace = float(half)
 
         def head(diag: np.ndarray):
@@ -540,39 +538,37 @@ def build_pipeline(
         scale = (1.0 - p_global) ** len(fredkins)
         odd_step, even_step, odd_factor = _parity_steps(machinery, nq)
         odd_scale = scale * odd_factor ** len(fredkins)
-        # per-qubit machinery noise writes every block, local depolarizing the pair
-        local = not (machinery.is_trivial or machinery.kind == "depolarizing-global")
+        # a block is built only where the machinery noise writes: per-qubit
+        # noise writes every block, local depolarizing the even pair
+        local = copies > 1 and machinery.kind != "depolarizing-global" and not machinery.is_trivial
         odd_writes = local and machinery.kind != "depolarizing-local"
-        unmapped = list(range(nq - 1))
+        even_writes = local and verify
+        if odd_writes or even_writes:
+            unmapped = list(range(nq - 1))
+            # registers 2..M of the prefix, traced against each block, transposed
+            weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1))
+            registers = kron_power(rbar, copies) if verify else None
 
-        # one block at a time: the odd block O, then the even pair
-        if registers is None:
-            odd = np.eye(half, dtype=complex)
+        if odd_writes:
+            odd = np.eye(half, dtype=complex) if registers is None else registers.copy()
+            columns = list(unmapped)
+            for a, b in fredkins:
+                odd_step(odd, columns, a, b)
+            # Tr(V_01 P rho) per string
+            forward = pauli_traces(perms, rho_mat, _reduced(odd, unmapped, columns, weights, n))
+            del odd
         else:
-            odd = registers.copy() if fredkins and odd_writes else registers
-        columns = list(unmapped)
-        for a, b in fredkins:
-            odd_step(odd, columns, a, b)
-        v_01 = _reduced(odd, unmapped, columns, weights, n)
-        del odd
-        # rho^T and V_01^T copied row-major once each: the readers take
-        # rho_t.T as rho and v_t.T as V_01 without a copy, and v_t
-        # conjugated in place is V_10 = V_01^dag
-        rho_t = rho_mat.T.copy()
-        v_t = v_01.T.copy()
-        del v_01
-        # Tr(V_01 P rho) (forward) and Tr(V_10 rho P) (backward) per string
-        forward = pauli_traces(perms, rho_mat, v_t.T)
-        backward = pauli_traces(perms, np.conjugate(v_t, out=v_t), rho_t.T)
-        del v_t
-        odd = ancilla[1, 0] * forward + ancilla[0, 1] * backward
+            # O = R C_M, whose V_01 is the chain's tail
+            forward = chain
+        # Tr(V_10 rho P) = conj Tr(V_01 P rho), since P and rho are Hermitian
+        odd = ancilla[1, 0] * forward + ancilla[0, 1] * forward.conj()
         if not verify:
             # R = I, and every adjoint of the suffix keeps I_anc (x) I
             even = ancilla_weight
         else:
-            if fredkins:
-                # W_00 takes over R; W_11 is a copy only when the noise writes
-                pair = (registers, registers.copy() if local else registers)
+            if even_writes:
+                # W_00 takes over R, W_11 a copy of it
+                pair = (registers, registers.copy())
                 del registers
                 axes = list(unmapped)
                 for a, b in fredkins:
@@ -580,11 +576,16 @@ def build_pipeline(
                 v_00 = _reduced(pair[0], unmapped, unmapped, weights, n)
                 v_11 = _reduced(pair[1], axes, axes, weights, n)
                 del pair
+            elif copies > 1:
+                # W_00 = W_11 = R, reduced to Tr(rbar rho)^(M-1) rbar
+                v_00 = v_11 = np.vdot(rbar, rho_mat) ** (copies - 1) * rbar
             else:
-                # no Fredkins: every block is R
-                v_00 = v_11 = registers
+                # no Fredkins: W_00 = W_11 = R = rbar
+                v_00 = v_11 = rbar
+            # rho^T copied row-major once, read as rho_t.T without a copy:
             # Tr(V_00 rho), the same for every string, and
             # Tr(V_11 P rho P^dag) = Tr(rho P V_11 P^dag)
+            rho_t = rho_mat.T.copy()
             even = ancilla[0, 0] * pauli_traces(perms[-1:], v_00, rho_t.T)
             even = even + ancilla[1, 1] * pauli_sandwiches(perms, rho_t.T, v_11)
         # the folded Fredkin noise leaves (1 - scale) Tr(I_anc (x) R)/2^nq I
@@ -600,15 +601,6 @@ def build_pipeline(
             rest = unit_trace - kept
         else:
             kept, rest = unit_trace, None
-
-        if not fredkins:
-            # V_01 is rbar, so the odd traces hold Tr(P rho rbar)
-            num, den = _term_sum(observable, forward)
-            operator_ratio = _ratio_report(kind, num, den, _OVERLAP[kind], resources).ratio
-        elif kind == "combined":
-            operator_ratio = combined_estimate(rho, rbar, observable, copies).ratio
-        else:
-            operator_ratio = multicopy_estimate(rho, observable, copies, kind=kind).ratio
 
     *terms, denominator = _sign_units(observable, kept, z, rest)
     return SchemePipeline(

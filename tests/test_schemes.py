@@ -44,7 +44,7 @@ from puremit.reference import (
     register_swap,
     verified_composite_contraction,
 )
-from puremit.resources import ResourceProfile, resource_profile
+from puremit.resources import SCHEME_KINDS, ResourceProfile, resource_profile
 from puremit.sampling import ShotConfig, scheme_shot_experiment
 from puremit.schemes import (
     SchemePipeline,
@@ -701,27 +701,42 @@ def test_pipeline_build_reads_each_pauli_string_once(monkeypatch):
 
     monkeypatch.setattr(observables, "pauli_permutation", counting)
     obs = parse_observable("0.6*ZY - 0.4*XI + 0.3*YY")
-    build_pipeline("state-verification", _generic_circuit(), NoiseModel("dephasing", 0.05), obs)
-    assert sorted(calls) == sorted(["ZY", "XI", "YY", "II"])
+    for kind in SCHEME_KINDS:
+        calls.clear()
+        build_pipeline(
+            kind, _generic_circuit(), NoiseModel("dephasing", 0.05), obs, n_copies=2,
+            machinery_noise=NoiseModel("dephasing", 0.03),
+        )
+        assert sorted(calls) == sorted(["ZY", "XI", "YY", "II"]), kind
 
 
-@pytest.mark.parametrize("kind", ["state-verification", "combined"])
+@pytest.mark.parametrize(
+    "kind", ["multi-copy", "multi-copy-recycled", "state-verification", "combined"]
+)
 def test_pipeline_without_fredkins_calls_no_estimator(monkeypatch, kind):
-    # with no Fredkin the odd block is rbar, so its traces are the
-    # operator-level numerator and denominator
+    # with Fredkins or without, the build reads the operator chain itself:
+    # its traces give the operator ratio, and with unwritten machinery the
+    # odd block's traces too
     def refuse(*args, **kwargs):
-        raise AssertionError("a build without Fredkins called an estimator")
+        raise AssertionError("a build called an estimator")
 
     circ = _generic_circuit()
     noise = NoiseModel("amplitude-damping", 0.1)
     obs = parse_observable("0.6*ZY - 0.4*XI")
-    want = state_verification_estimate(prepare_noisy_state(circ, noise), dual_state(circ, noise), obs)
+    rho, rbar = prepare_noisy_state(circ, noise), dual_state(circ, noise)
+    if kind == "state-verification":
+        want = {1: state_verification_estimate(rho, rbar, obs).ratio}
+    elif kind == "combined":
+        want = {m: combined_estimate(rho, rbar, obs, m).ratio for m in (1, 2, 3)}
+    else:
+        want = {m: multicopy_estimate(rho, obs, m, kind=kind).ratio for m in (2, 3)}
     for name in ("multicopy_estimate", "state_verification_estimate", "combined_estimate"):
         monkeypatch.setattr(schemes, name, refuse)
-    pipe = build_pipeline(
-        kind, circ, noise, obs, n_copies=1, machinery_noise=NoiseModel("dephasing", 0.03)
-    )
-    assert pipe.operator_ratio == pytest.approx(want.ratio, abs=1e-12)
+    for copies, machinery in iproduct(want, ("none", "depolarizing-local", "dephasing")):
+        pipe = build_pipeline(
+            kind, circ, noise, obs, n_copies=copies, machinery_noise=NoiseModel(machinery, 0.03)
+        )
+        assert pipe.operator_ratio == pytest.approx(want[copies], abs=1e-12), (copies, machinery)
 
 
 @pytest.mark.parametrize(
@@ -729,12 +744,16 @@ def test_pipeline_without_fredkins_calls_no_estimator(monkeypatch, kind):
     [("state-verification", "state/dual overlap"), ("combined", "verified chain trace")],
 )
 def test_pipeline_without_fredkins_raises_on_a_vanishing_overlap(monkeypatch, kind, quantity):
-    # |0> against a dual of |1>: the operator ratio's denominator
-    # Tr(rbar rho) vanishes, and the build names it as the estimators do
+    # |0> against a dual of |1>: the operator ratio's denominator, Tr(rbar
+    # rho) or for combined M = 2 Tr((rho rbar)^2), vanishes, and the build
+    # names it as the estimators do
     orthogonal = DensityOperator(np.diag([0.0, 1.0]).astype(complex))
     monkeypatch.setattr(schemes, "dual_state", lambda *args: orthogonal)
-    with pytest.raises(VanishingDenominatorError, match=quantity):
-        build_pipeline(kind, GateCircuit(1, ()), NO_NOISE, PauliObservable.single("Z"), n_copies=1)
+    for copies in (1, 2) if kind == "combined" else (1,):
+        with pytest.raises(VanishingDenominatorError, match=quantity):
+            build_pipeline(
+                kind, GateCircuit(1, ()), NO_NOISE, PauliObservable.single("Z"), n_copies=copies
+            )
 
 
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
@@ -756,6 +775,38 @@ def test_pipeline_build_holds_one_composite_at_a_time(machinery):
         finally:
             tracemalloc.stop()
         assert peak <= composite, (kind, peak / composite)
+
+
+def test_pipeline_build_allocates_no_block_the_machinery_does_not_write():
+    # no machinery noise, global depolarizing, and local depolarizing on
+    # multi-copy (which has no even pair) write into no block: the odd
+    # block reduces to the chain's tail and the even pair to a multiple of
+    # rbar, so a build holds register-size matrices only, under one parity
+    # block at n = 4, M = 2 (nq = 9) and under 16 MB at nq = 13, where a
+    # block takes 256 MB
+    def peak(kind, n, copies, machinery):
+        circ = random_circuit(np.random.default_rng(0), n, 8)
+        obs = parse_observable(f"0.5*{'XYZIXY'[:n]} + 0.5*{'ZZXYZX'[:n]}")
+        tracemalloc.start()
+        try:
+            build_pipeline(
+                kind, circ, NoiseModel("depolarizing-local", 0.02), obs,
+                n_copies=copies, machinery_noise=NoiseModel(machinery, 0.01),
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = 16 * 4**8
+    unwritten = ["none", "depolarizing-global"]
+    for kind in SCHEME_KINDS:
+        extra = ["depolarizing-local"] if kind.startswith("multi-copy") else []
+        for machinery in unwritten + extra:
+            assert peak(kind, 4, 2, machinery) <= block, (kind, machinery)
+    for (kind, n, copies), machinery in iproduct(
+        [("combined", 6, 2), ("multi-copy", 4, 3)], unwritten
+    ):
+        assert peak(kind, n, copies, machinery) <= 16 * 2**20, (kind, machinery)
 
 
 def _materialized(block, k, rows, columns):
