@@ -341,17 +341,22 @@ def _global_layer(noise: NoiseModel, gates: int) -> float:
     return 1.0 - (1.0 - noise.strength) ** gates
 
 
-def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator:
-    """Run the noisy circuit on |0...0><0...0|, one contraction per gate;
-    global noise is one layer at the end (``_global_layer``)."""
-    n = circ.n_qubits
-    mat = zero_projector(circ.dim)
-    for sup, targets in _gate_steps(circ.gates, noise, adjoint=False):
+def _evolve(n: int, gates, noise: NoiseModel, adjoint: bool) -> np.ndarray:
+    """|0...0><0...0| on n qubits through ``gates`` in the order listed,
+    one contraction per gate (``_gate_steps``); global noise is one layer
+    at the end (``_global_layer``)."""
+    mat = zero_projector(2**n)
+    for sup, targets in _gate_steps(gates, noise, adjoint):
         mat = contract(mat, sup, targets, n)
-    p = _global_layer(noise, len(circ.gates))
+    p = _global_layer(noise, len(gates))
     if p:
         depolarize(mat, p, range(n), n)
-    return DensityOperator._trusted(mat)
+    return mat
+
+
+def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator:
+    """Run the noisy circuit on |0...0><0...0| (``_evolve``)."""
+    return DensityOperator._trusted(_evolve(circ.n_qubits, circ.gates, noise, adjoint=False))
 
 
 def dual_state(
@@ -370,12 +375,6 @@ def dual_state(
     """
     if dual_noise is None:
         dual_noise = noise
-    n = circ.n_qubits
-    mat = zero_projector(circ.dim)
-    gates = inverse_circuit(circ).gates
-    for sup, targets in _gate_steps(reversed(gates), dual_noise, adjoint=True):
-        mat = contract(mat, sup, targets, n)
-    p = _global_layer(dual_noise, len(gates))
-    if p:
-        depolarize(mat, p, range(n), n)
+    gates = inverse_circuit(circ).gates[::-1]
+    mat = _evolve(circ.n_qubits, gates, dual_noise, adjoint=True)
     return DensityOperator._trusted(mat, normalized=False)

@@ -29,12 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import NOISE_KINDS, NoiseModel, dual_state, prepare_noisy_state
-from .circuits import (
-    CircuitFormatError,
-    inverse_circuit,
-    load_circuit,
-    random_circuit,
-)
+from .circuits import inverse_circuit, load_circuit, random_circuit
 from .config import ConfigError, ExperimentConfig, load_config
 from .linalg import (
     DensityOperator,
@@ -49,8 +44,7 @@ from .measurement import (
     product_expectation,
     symmetric_product_measure,
 )
-from .observables import ObservableFormatError, PauliObservable, parse_observable
-from .purification import DegenerateSpectrumError
+from .observables import PauliObservable, parse_observable
 from .reports import EstimateReport
 from .reference import (
     adjoint_channel,
@@ -266,16 +260,21 @@ def cmd_run(args) -> int:
     return 0
 
 
-_SWEEP_COLUMNS = [
-    "parameter",
-    "value",
-    "scheme",
+# a resource profile's fields after its kind, in ``as_dict`` order
+_PROFILE_COLUMNS = [
     "degree",
     "registers",
     "ctrl_register_swaps",
     "ctrl_qubit_swaps",
     "depth_factor",
     "ancillas",
+]
+
+_SWEEP_COLUMNS = [
+    "parameter",
+    "value",
+    "scheme",
+    *_PROFILE_COLUMNS,
     "ratio",
     "ratio_stderr",
     "exact_ratio",
@@ -322,11 +321,6 @@ def cmd_sweep(args) -> int:
                 shots=point.shots, trials=point.trials, seed=point.seed
             )
             report = scheme_shot_experiment(pipeline, shot_config)
-        bias = (
-            abs(exact.ratio - exact.ideal_value)
-            if exact.ideal_value is not None
-            else ""
-        )
         writer.writerow(
             [
                 args.parameter,
@@ -336,8 +330,8 @@ def cmd_sweep(args) -> int:
                 repr(report.ratio),
                 repr(report.ratio_stderr),
                 repr(exact.ratio),
-                repr(exact.ideal_value) if exact.ideal_value is not None else "",
-                repr(bias) if bias != "" else "",
+                repr(exact.ideal_value),
+                repr(abs(exact.ratio - exact.ideal_value)),
                 report.shots_used,
             ]
         )
@@ -356,15 +350,7 @@ def cmd_resources(args) -> int:
             rows.append(resource_profile("state-verification", 2, args.qubits))
         if degree % 2 == 0:
             rows.append(resource_profile("combined", degree, args.qubits))
-    header = [
-        "kind",
-        "degree",
-        "registers",
-        "ctrl_register_swaps",
-        "ctrl_qubit_swaps",
-        "depth_factor",
-        "ancillas",
-    ]
+    header = ["kind", *_PROFILE_COLUMNS]
     # as_dict lists the profile's fields in the order of the columns
     cells = [[str(value) for value in r.as_dict().values()] for r in rows]
     if args.output is not None:
@@ -434,19 +420,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DegenerateSpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, CircuitFormatError, ObservableFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (UnstableDenominatorError, VanishingDenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError and the circuit and observable format errors among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,6 +49,7 @@ import numpy as np
 from .channels import (
     NO_NOISE,
     NoiseModel,
+    _global_layer,
     apply_noise,
     depolarize,
     dual_state,
@@ -312,8 +313,8 @@ def _parity_steps(machinery: NoiseModel, nq: int):
     ``even(pair, axes, a, b)`` update the (nq-1)-qubit blocks and maps in
     place, a and b being composite targets. Noise reads the maps. On O the
     ancilla's noise and local depolarizing are the scalar ``odd_factor``
-    per step, left to the caller like global depolarizing, which commutes
-    with every Fredkin.
+    per step, left to the caller. Global depolarizing commutes with every
+    Fredkin, so no step reads it: the caller folds its layers into one.
     """
     k = nq - 1
     kind = "none" if machinery.is_trivial else machinery.kind
@@ -386,12 +387,14 @@ def build_pipeline(
     An ancilla-scheme circuit is a shared prefix (ancilla Hadamard on
     |0><0| (x) rho^(x)M), one controlled Pauli string per observable term
     (none for the denominator), and a shared suffix (controlled register
-    swaps, inverse circuits, ancilla Hadamard). Its readout is read in the
-    Heisenberg picture: the effects W_Z = Z_anc (x) Pi and, for the
-    verified schemes, W_P = I_anc (x) Pi are propagated backwards through
-    the suffix. The final Hadamard and its noise act on the ancilla
-    factor, and the inverse circuits map Pi to R = rbar^(x)M (or keep
-    R = I), so before the Fredkins each effect is
+    swaps, inverse circuits, ancilla Hadamard). Every ancilla kind is read
+    through one path: multi-copy is the verified readout with rbar = I and
+    Pi = I. The readout is read in the Heisenberg picture: the effects
+    W_Z = Z_anc (x) Pi and, for the verified schemes, W_P = I_anc (x) Pi
+    (Pi projects every register to |0...0>) are propagated backwards
+    through the suffix. The final Hadamard and its noise act on the
+    ancilla factor, and the inverse circuits map Pi to R = rbar^(x)M, so
+    before the Fredkins each effect is
 
         W = c I + alpha I_anc (x) R + beta X_anc (x) R.
 
@@ -399,39 +402,46 @@ def build_pipeline(
     (``_parity_steps``), so the Fredkins and their noise run only on the
     odd block O = W_01 of X_anc (x) R (W_10 = O^dag) and, when verifying,
     on the even pair (W_00, W_11) of I_anc (x) R, which serves W_P and,
-    times alpha, the even part of W_Z. For multi-copy R = I and the even
-    part stays alpha I. A Fredkin only relabels qubits, so after the
-    whole list the blocks are stored under C_M. Global machinery
-    depolarizing fixes I and commutes with each Fredkin, so its layers
-    fold into a scale and the identity coefficient; the scalar each
-    Fredkin's noise leaves on O folds into another scale. A block is
-    built only when there are Fredkins and the machinery noise writes
-    into it: per-qubit noise writes every block, local depolarizing the
-    even pair.
+    times alpha, the even part of W_Z. For multi-copy R = I, which every
+    adjoint fixes, so the even part stays alpha I. A Fredkin only relabels
+    qubits, so after the whole list the blocks are stored under C_M. A
+    block is built only when there are Fredkins and the machinery noise
+    writes into it: per-qubit noise writes every block, local depolarizing
+    the even pair.
+
+    Global machinery depolarizing of strength p fixes I and commutes with
+    every unitary, so the layers of the prefix Hadamard and of the F
+    Fredkins, all before the inverse circuits, are one layer of strength
+    q = 1 - (1-p)^(F+1) (``channels._global_layer``), which maps W to
+    (1-q) W + q Tr(W) I/2^nq. The final Hadamard's layer acts before the
+    inverse circuits' adjoint, which is not unital under amplitude
+    damping, so it stays in c. The scalar s each Fredkin's noise leaves on
+    O folds in the same way.
 
     No prefix state is built either. The prefix is A (x) rho^(x)M, with A
-    the ancilla after its Hadamard and noise; global machinery noise of
-    strength p makes it (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq. A
-    term's controlled Pauli string P touches register 1 only, so each
-    block W_ba is reduced once to the d x d block
+    the ancilla after its Hadamard and its machinery noise, global noise
+    excepted. A term's controlled Pauli string P touches register 1 only,
+    so each block W_ba is reduced once to the d x d block
     V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))] and then freed. Unwritten,
     O = R C_M reduces to the operator chain's tail (``_chain``),
     rbar (rho rbar)^(M-1) or rho^(M-1), and W_00 = W_11 = R to
     Tr(rbar rho)^(M-1) rbar. A unit X is scored at O(d^2) per term as
 
-        Tr(W X) = (1-p) sum_ab A_ab Tr(V_ba P^a rho P^b^dag)
-                  + p Tr(W) Tr(rho)^M / 2^nq,
+        Tr(W X) = c Tr X + alpha ((1-q) E + q 2 Tr(R) Tr X / 2^nq)
+                  + beta (1-q) s^F D,
 
-    the even blocks against rho and P rho P^dag, the odd ones against
-    rho P^dag and P rho, with Tr X = (1-p) Tr(A) Tr(rho)^M + p Tr(rho)^M
-    taken from the same factors. Since P and rho are Hermitian,
-    Tr(V_10 rho P) = conj Tr(V_01 P rho), so the odd traces are read once.
-    Each string, the all-I string of the denominator included, becomes a
-    signed permutation once per build, read by ``observables.pauli_traces``
-    and ``pauli_sandwiches``; Tr(V_00 rho) is read once. A build that
-    writes a block peaks at R and one copy of it, half a composite, plus
-    transients of at most one block; any other build holds register-size
-    matrices only. See ``MeasurableTerm`` for the outcomes.
+    with E = sum_a A_aa Tr(V_aa P^a rho P^a^dag) (Tr X for multi-copy) and
+    D the same sum over a != b: the even blocks against rho and
+    P rho P^dag, the odd ones against rho P^dag and P rho. Tr X =
+    Tr(A) Tr(rho)^M is taken from the same factors. Since P and rho are
+    Hermitian, Tr(V_10 rho P) = conj Tr(V_01 P rho), so the odd traces are
+    read once. Each string, the all-I string of the denominator included,
+    becomes a signed permutation once per build, read by
+    ``observables.pauli_traces`` and ``pauli_sandwiches``; Tr(V_00 rho) is
+    read once. A build that writes a block peaks at R and at most one copy
+    of it, half a composite, plus transients of at most one block; any
+    other build holds register-size matrices only. See ``MeasurableTerm``
+    for the outcomes.
 
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
     vector psi (``circuits.circuit_state``), read against psi as a column
@@ -453,19 +463,13 @@ def build_pipeline(
         raise ValueError(
             f"observable width {observable.n_qubits} does not match circuit width {n}"
         )
-    if kind in ("raw", "state-verification"):
-        copies = 1
-        degree = 1 if kind == "raw" else 2
-    elif kind == "combined":
-        if n_copies < 1:
-            raise ValueError(f"need n_copies >= 1, got {n_copies}")
-        copies = n_copies
-        degree = 2 * n_copies
-    else:
-        if n_copies < 2:
-            raise ValueError(f"{kind} needs n_copies >= 2, got {n_copies}")
-        copies = n_copies
-        degree = n_copies
+    verify = kind in ("state-verification", "combined")
+    copies = 1 if kind in ("raw", "state-verification") else n_copies
+    if kind == "combined" and copies < 1:
+        raise ValueError(f"need n_copies >= 1, got {n_copies}")
+    if kind in _MULTICOPY_KINDS and copies < 2:
+        raise ValueError(f"{kind} needs n_copies >= 2, got {n_copies}")
+    degree = 2 * copies if verify else copies
     nq = 1 + copies * n
     if kind != "raw":
         check_dimension(2**nq)
@@ -483,44 +487,35 @@ def build_pipeline(
         # each string read as a sign: +1 with probability (Tr rho + Tr(P rho))/2
         z, kept, rest, operator_ratio = raw, rho_trace, None, raw_value
     else:
-        verify = kind in ("state-verification", "combined")
-        half = 2 ** (nq - 1)
-
-        # the prefix (1-p) A (x) rho^(x)M + p Tr(rho)^M I/2^nq, kept as its
-        # factors: p is the strength of global machinery noise, and every
-        # other kind acts on the ancilla alone
+        # the prefix A (x) rho^(x)M, kept as its factors: global machinery
+        # noise folds into the Fredkins' layer, every other kind acts on the
+        # ancilla alone
         ancilla = gate_matrix("H") @ zero_projector(2) @ gate_matrix("H")
-        if machinery.kind == "depolarizing-global":
-            p_global = machinery.strength
-        else:
-            p_global = 0.0
+        if machinery.kind != "depolarizing-global":
             ancilla = apply_noise(ancilla, machinery, [0], 1)
-        registers_trace = rho_trace**copies
         # Tr(A (x) rho^(x)M), which the identity reads off every unit
-        ancilla_weight = float(np.trace(ancilla).real) * registers_trace
-        unit_trace = (1.0 - p_global) * ancilla_weight + p_global * registers_trace
-        rbar = dual_state(circuit, noise, dual_noise).matrix if verify else None
+        unit_trace = float(np.trace(ancilla).real) * rho_trace**copies
+        # multi-copy is the verified readout with rbar = I and Pi = I
+        rbar = (
+            dual_state(circuit, noise, dual_noise).matrix if verify
+            else np.eye(2**n, dtype=complex)
+        )
         # the operator chain Tr(P rho tail): rho^M, or (rho rbar)^M when verifying
         tail = _chain(rho_mat, rbar, copies, copies if verify else 0)
         chain = pauli_traces(perms, rho_mat, tail)
         quantity = _OVERLAP.get(kind, f"Tr(rho^{copies}) =")
         operator_ratio = _ratio_report(kind, observable, chain, quantity, resources).ratio
-        # Pi projects every register to |0...0> when verifying, else it is I;
-        # the adjoint of the inverse circuits maps it to R = rbar^(x)M, or to
-        # R = I
-        if verify:
-            pi_trace = 1.0
-            r_trace = float(np.trace(rbar).real) ** copies
-        else:
-            pi_trace = r_trace = float(half)
+        # the adjoint of the inverse circuits maps Pi to R = rbar^(x)M
+        r_trace = float(np.trace(rbar).real) ** copies
 
         def head(diag: np.ndarray):
             """(c, alpha, beta) with the readout effect diag (x) Pi equal to
             c I + alpha I_anc (x) R + beta X_anc (x) R before the Fredkins."""
             c = 0.0
             if machinery.kind == "depolarizing-global":
-                # (1-p) W + p Tr(W)/2^nq I on the whole composite
-                c = machinery.strength * diag.sum() * pi_trace / 2**nq
+                # (1-p) W + p Tr(W)/2^nq I on the whole composite; Tr Pi = 1
+                # when verifying, and multi-copy reads only Z, of trace 0
+                c = machinery.strength * diag.sum() / 2**nq
                 diag = (1.0 - machinery.strength) * diag
             else:
                 effect = np.diag(diag).astype(complex)
@@ -529,15 +524,15 @@ def build_pipeline(
             # trace-preserving, so every adjoint leaves c I alone
             return c, (diag[0] + diag[1]) / 2, (diag[0] - diag[1]) / 2
 
-        # the Fredkins, last first; global machinery noise folds into the scale
+        # the Fredkins, last first; the global machinery layers of the prefix
+        # Hadamard and the Fredkins fold into one, the scale
         fredkins = [
             (1 + r * n + i, 1 + (r + 1) * n + i)
             for r in reversed(range(copies - 1))
             for i in reversed(range(n))
         ]
-        scale = (1.0 - p_global) ** len(fredkins)
+        scale = 1.0 - _global_layer(machinery, len(fredkins) + 1)
         odd_step, even_step, odd_factor = _parity_steps(machinery, nq)
-        odd_scale = scale * odd_factor ** len(fredkins)
         # a block is built only where the machinery noise writes: per-qubit
         # noise writes every block, local depolarizing the even pair
         local = copies > 1 and machinery.kind != "depolarizing-global" and not machinery.is_trivial
@@ -547,10 +542,11 @@ def build_pipeline(
             unmapped = list(range(nq - 1))
             # registers 2..M of the prefix, traced against each block, transposed
             weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1))
-            registers = kron_power(rbar, copies) if verify else None
+            registers = kron_power(rbar, copies)
 
         if odd_writes:
-            odd = np.eye(half, dtype=complex) if registers is None else registers.copy()
+            # O starts from R, a copy of it when the even pair takes R over
+            odd = registers.copy() if even_writes else registers
             columns = list(unmapped)
             for a, b in fredkins:
                 odd_step(odd, columns, a, b)
@@ -564,7 +560,7 @@ def build_pipeline(
         odd = ancilla[1, 0] * forward + ancilla[0, 1] * forward.conj()
         if not verify:
             # R = I, and every adjoint of the suffix keeps I_anc (x) I
-            even = ancilla_weight
+            even = unit_trace
         else:
             if even_writes:
                 # W_00 takes over R, W_11 a copy of it
@@ -576,23 +572,19 @@ def build_pipeline(
                 v_00 = _reduced(pair[0], unmapped, unmapped, weights, n)
                 v_11 = _reduced(pair[1], axes, axes, weights, n)
                 del pair
-            elif copies > 1:
+            else:
                 # W_00 = W_11 = R, reduced to Tr(rbar rho)^(M-1) rbar
                 v_00 = v_11 = np.vdot(rbar, rho_mat) ** (copies - 1) * rbar
-            else:
-                # no Fredkins: W_00 = W_11 = R = rbar
-                v_00 = v_11 = rbar
             # rho^T copied row-major once, read as rho_t.T without a copy:
             # Tr(V_00 rho), the same for every string, and
             # Tr(V_11 P rho P^dag) = Tr(rho P V_11 P^dag)
             rho_t = rho_mat.T.copy()
             even = ancilla[0, 0] * pauli_traces(perms[-1:], v_00, rho_t.T)
             even = even + ancilla[1, 1] * pauli_sandwiches(perms, rho_t.T, v_11)
-        # the folded Fredkin noise leaves (1 - scale) Tr(I_anc (x) R)/2^nq I
-        # of the even part, and global noise on the prefix p Tr(rho)^M I/2^nq
-        even = scale * even + (1.0 - scale) * 2.0 * r_trace / 2**nq * ancilla_weight
-        even = (1.0 - p_global) * even + p_global * 2.0 * r_trace * registers_trace / 2**nq
-        odd = (1.0 - p_global) * odd_scale * odd
+        # the folded global layer leaves (1 - scale) Tr(I_anc (x) R)/2^nq I of
+        # the even part; the scalar each Fredkin's noise leaves on O folds in too
+        even = scale * even + (1.0 - scale) * 2.0 * r_trace / 2**nq * unit_trace
+        odd = scale * odd_factor ** len(fredkins) * odd
         # Tr(W X) = c Tr X + alpha Tr((I_anc (x) R) X) + beta Tr((X_anc (x) R) X)
         readout = (unit_trace, even, odd)
         z = sum(w * x for w, x in zip(head(_ANCILLA_VALUES), readout))

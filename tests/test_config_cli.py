@@ -378,6 +378,10 @@ def test_exit_code_usage_errors(tmp_path, capsys):
         tmp_path, "c.cfg", "scheme = raw\ncircuit = bad.circ\nobservable = Z\n"
     )
     assert main(["run", "--config", str(cfg)]) == 2
+    cfg = _write(
+        tmp_path, "m.cfg", "scheme = raw\ncircuit = missing.circ\nobservable = Z\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
     capsys.readouterr()
 
 

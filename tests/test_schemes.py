@@ -645,12 +645,18 @@ def _forward_outcomes(kind, circ, noise, obs, copies, machinery):
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
 def test_outcome_probabilities_match_a_forward_evolution(machinery):
     # the exact value reads only W_Z; the sampler also reads W_P through
-    # the outcome probabilities, so those are checked unit by unit
+    # the outcome probabilities, so those are checked unit by unit. M = 3
+    # (nq = 7) checks the one folded global layer over 2n Fredkins and the
+    # prefix Hadamard
     circ = _generic_circuit()
     noise = NoiseModel("amplitude-damping", 0.1)
     mach = NoiseModel(machinery, 0.05)
     obs = parse_observable("0.6*ZY + 0.4*XI")
-    for kind, copies in (("multi-copy", 2), ("state-verification", 1), ("combined", 2)):
+    cases = (
+        ("multi-copy", 2), ("multi-copy", 3), ("state-verification", 1),
+        ("combined", 2), ("combined", 3),
+    )
+    for kind, copies in cases:
         pipe = build_pipeline(kind, circ, noise, obs, n_copies=copies, machinery_noise=mach)
         want = _forward_outcomes(kind, circ, noise, obs, copies, mach)
         for term, probs in zip((*pipe.numerator_terms, pipe.denominator), want):

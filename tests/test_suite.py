@@ -26,10 +26,11 @@ def _top_level_names(tree: ast.Module):
                     yield target.id, node.lineno
 
 
-@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", TEST_MODULES + SOURCE_MODULES, ids=lambda p: p.name)
 def test_no_test_module_defines_a_name_twice(path):
     # a second definition silently replaces the first, so pytest would
-    # collect only one of two same-named tests
+    # collect only one of two same-named tests, and a source module would
+    # keep only the second of two same-named functions
     seen = {}
     twice = []
     for name, line in _top_level_names(ast.parse(path.read_text(encoding="utf-8"))):
