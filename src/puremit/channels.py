@@ -3,10 +3,12 @@
 States evolve through one local-contraction engine that never builds a
 register-wide operator:
 
-* ``contract`` applies a 4^k x 4^k superoperator (``superoperator`` of a
-  gate's Kraus stack, its local noise fused in) to the listed qubits of
-  an nq-qubit density matrix in one matrix product, and returns a new
-  matrix;
+* ``linalg.contract`` applies a 4^k x 4^k superoperator (``superoperator``
+  of a gate's Kraus stack, its local noise fused in) to the targets' row
+  and column axes of the register's ``[2] * 2n`` tensor in one matrix
+  product. The register stays that tensor from gate to gate, each
+  product a transposed view, so a gate makes one copy: the next gate's
+  reshape;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
   4^k-operator Pauli Kraus sum. It also takes a stack of the diagonal
@@ -32,7 +34,8 @@ read the maps: the per-qubit kernels take a column map, and
 
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
-from the same projector. On these registers each gate and its local
+from the same projector: the circuit's own gates, each after its
+adjoint noise. On these registers each gate and its local
 noise are fused into one superoperator, so a gate costs one contraction;
 the noise part (``noise_superoperator``) is read off the in-place
 kernels, which stay the only definition of noise. Global depolarizing
@@ -56,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateCircuit, inverse_circuit
-from .linalg import DensityOperator, zero_projector
+from .circuits import GateCircuit
+from .linalg import DensityOperator, contract, zero_projector
 
 NOISE_KINDS = (
     "none",
@@ -103,22 +106,6 @@ def superoperator(ops) -> np.ndarray:
     # entry [(a, b), (c, d)] is sum_k op_k[a, c] conj(op_k[b, d])
     terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
     return terms.sum(axis=0).reshape(d * d, d * d)
-
-
-def contract(mat: np.ndarray, sup: np.ndarray, targets, nq: int) -> np.ndarray:
-    """The superoperator ``sup`` applied to the listed qubits of an nq-qubit matrix.
-
-    The targets' row and column axes of the ``[2] * 2nq`` view are
-    transposed to the front, in ``targets`` order, and the view is
-    reshaped to (4^k, rest): one ``sup @ x`` product, transposed back
-    into a new row-major matrix.
-    """
-    rows = [int(t) for t in targets]
-    front = rows + [nq + q for q in rows]
-    order = front + [a for a in range(2 * nq) if a not in front]
-    x = mat.reshape([2] * (2 * nq)).transpose(order).reshape(sup.shape[1], -1)
-    y = (sup @ x).reshape([2] * (2 * nq))
-    return y.transpose(np.argsort(order)).reshape(mat.shape)
 
 
 def _qubit_view(mat: np.ndarray, nq: int) -> np.ndarray:
@@ -311,16 +298,15 @@ def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.
 def _gate_steps(gates, noise: NoiseModel, adjoint: bool):
     """(superoperator, targets) per gate, with its local noise folded in.
 
-    Forward, the noise acts after the gate; adjoint, each step is the
-    adjoint noise followed by the adjoint of the gate. Global
-    depolarizing is left to the caller. The noise superoperators are
-    derived once per call, for the gate sizes that occur.
+    Forward, the noise acts after the gate; adjoint, the adjoint noise
+    acts before it. Global depolarizing is left to the caller. The noise
+    superoperators are derived once per call, for the gate sizes that
+    occur.
     """
     local = not noise.is_trivial and noise.kind != "depolarizing-global"
     derived = {}
     for g in gates:
-        u = g.matrix().conj().T if adjoint else g.matrix()
-        sup = superoperator([u])
+        sup = superoperator([g.matrix()])
         if local:
             k = len(g.qubits)
             if k not in derived:
@@ -343,11 +329,13 @@ def _global_layer(noise: NoiseModel, gates: int) -> float:
 
 def _evolve(n: int, gates, noise: NoiseModel, adjoint: bool) -> np.ndarray:
     """|0...0><0...0| on n qubits through ``gates`` in the order listed,
-    one contraction per gate (``_gate_steps``); global noise is one layer
-    at the end (``_global_layer``)."""
-    mat = zero_projector(2**n)
+    one contraction per gate (``_gate_steps``) on the ``[2] * 2n``
+    tensor; global noise is one layer at the end (``_global_layer``), on
+    the row-major matrix the tensor is reshaped into."""
+    t = zero_projector(2**n).reshape([2] * (2 * n))
     for sup, targets in _gate_steps(gates, noise, adjoint):
-        mat = contract(mat, sup, targets, n)
+        t = contract(t, sup, [*targets, *(n + q for q in targets)])
+    mat = t.reshape(2**n, 2**n)
     p = _global_layer(noise, len(gates))
     if p:
         depolarize(mat, p, range(n), n)
@@ -366,15 +354,16 @@ def dual_state(
 
     With channels C_1..C_L making up the noisy inverse circuit (C_1 applied
     first, each a gate followed by its noise), the dual is
-    C_1^dag(...C_L^dag(|0><0|)). Each C^dag is one contraction, the
-    adjoint noise fused with the adjoint gate. Global depolarizing is
-    self-adjoint and commutes with the gates, so its L layers are one
+    C_1^dag(...C_L^dag(|0><0|)). C_L inverts the circuit's first gate g,
+    and the adjoint of conjugation by g^-1 is conjugation by g, so the
+    dual runs the circuit's own gates in order, each after its adjoint
+    noise, one contraction per gate. Global depolarizing is self-adjoint
+    and commutes with the gates, so its L layers are one
     (``_global_layer``). ``dual_noise`` overrides the noise model on the
     inverse circuit when the mitigation run and the verification run see
     different hardware.
     """
     if dual_noise is None:
         dual_noise = noise
-    gates = inverse_circuit(circ).gates[::-1]
-    mat = _evolve(circ.n_qubits, gates, dual_noise, adjoint=True)
+    mat = _evolve(circ.n_qubits, circ.gates, dual_noise, adjoint=True)
     return DensityOperator._trusted(mat, normalized=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_dimension
+from .linalg import check_dimension, contract
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -62,6 +62,8 @@ _FIXED = {
 _ROTATIONS = {"RX": rx, "RY": ry, "RZ": rz}
 # gates equal to their own inverse
 _SELF_INVERSE = frozenset({"X", "Y", "Z", "H", "CNOT", "CZ", "SWAP"})
+# the RZ angle each phase gate inverts to
+_PHASE_INVERSE_ANGLES = {"S": -np.pi / 2, "T": -np.pi / 4}
 
 
 class CircuitFormatError(ValueError):
@@ -129,7 +131,8 @@ def embed_operator(op: np.ndarray, targets, n_qubits: int) -> np.ndarray:
     """Embed a k-qubit operator acting on ``targets`` into an n-qubit register.
 
     ``targets`` lists the qubits the operator's own factors act on, most
-    significant first. Works for any square operator, not just unitaries.
+    significant first. Works for any square operator, not just unitaries:
+    the operator is contracted into the row axes of the identity.
     """
     op = np.asarray(op, dtype=complex)
     targets = [int(t) for t in targets]
@@ -140,44 +143,34 @@ def embed_operator(op: np.ndarray, targets, n_qubits: int) -> np.ndarray:
         raise ValueError(f"duplicate targets {targets}")
     if any(t < 0 or t >= n_qubits for t in targets):
         raise ValueError(f"targets {targets} out of range for {n_qubits} qubits")
-    check_dimension(2**n_qubits)
-    if k == n_qubits and targets == list(range(n_qubits)):
-        return op.copy()
-    rest = [q for q in range(n_qubits) if q not in targets]
-    full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
-    # current axis order is targets + rest; permute back to 0..n-1
-    order = targets + rest
-    perm = np.argsort(order)
-    t = full.reshape([2] * (2 * n_qubits))
-    t = np.transpose(t, list(perm) + [n_qubits + p for p in perm])
-    return np.ascontiguousarray(t.reshape(2**n_qubits, 2**n_qubits))
+    dim = check_dimension(2**n_qubits)
+    eye = np.eye(dim, dtype=complex).reshape([2] * (2 * n_qubits))
+    return contract(eye, op, targets).reshape(dim, dim)
 
 
 def circuit_unitary(circ: GateCircuit) -> np.ndarray:
-    """Full-register unitary, gates applied left to right."""
-    u = np.eye(circ.dim, dtype=complex)
+    """Full-register unitary: the gates, left to right, on the identity's row axes."""
+    u = np.eye(circ.dim, dtype=complex).reshape([2] * (2 * circ.n_qubits))
     for g in circ.gates:
-        u = embed_operator(g.matrix(), g.qubits, circ.n_qubits) @ u
-    return u
+        u = contract(u, g.matrix(), g.qubits)
+    return u.reshape(circ.dim, circ.dim)
 
 
 def circuit_state(circ: GateCircuit) -> np.ndarray:
     """Output state vector of the circuit on |0...0>, one 2^k x 2^k product per gate.
 
-    The gate's target axes of the ``[2] * n`` view are moved to the front,
-    in gate order, so the vector is never multiplied by a register-wide
-    matrix. Equals ``circuit_unitary(circ)[:, 0]``.
+    The vector is carried as its ``[2] * n`` tensor and each gate is
+    applied to its target axes (``linalg.contract``), so it is never
+    multiplied by a register-wide matrix. Equals
+    ``circuit_unitary(circ)[:, 0]``.
     """
-    n = circ.n_qubits
     psi = np.zeros(circ.dim, dtype=complex)
     psi[0] = 1.0
+    psi = psi.reshape([2] * circ.n_qubits)
     for g in circ.gates:
-        front = list(g.qubits)
-        order = front + [q for q in range(n) if q not in front]
-        x = psi.reshape([2] * n).transpose(order).reshape(2 ** len(front), -1)
-        y = (g.matrix() @ x).reshape([2] * n)
-        psi = y.transpose(np.argsort(order)).reshape(-1)
-    return psi
+        psi = contract(psi, g.matrix(), g.qubits)
+    return psi.reshape(-1)
+
 
 
 def inverse_circuit(circ: GateCircuit) -> GateCircuit:
@@ -192,12 +185,8 @@ def inverse_circuit(circ: GateCircuit) -> GateCircuit:
             inv.append(g)
         elif g.name in ANGLE_GATES:
             inv.append(Gate(g.name, g.qubits, -g.angle))
-        elif g.name == "S":
-            inv.append(Gate("RZ", g.qubits, -np.pi / 2))
-        elif g.name == "T":
-            inv.append(Gate("RZ", g.qubits, -np.pi / 4))
-        else:  # pragma: no cover - every gate is covered above
-            raise ValueError(f"no inverse rule for gate {g.name}")
+        else:
+            inv.append(Gate("RZ", g.qubits, _PHASE_INVERSE_ANGLES[g.name]))
     return GateCircuit(circ.n_qubits, tuple(inv))
 
 

@@ -2,9 +2,10 @@
 
 Everything in this package works on explicit density matrices, so the
 helpers here are deliberately plain: validated Hermitian
-eigendecompositions, Kronecker products, partial traces, and a thin
-``DensityOperator`` wrapper that checks physicality once at construction
-and then hands out a read-only array.
+eigendecompositions, Kronecker products, partial traces, the one local
+tensor contraction every gate is applied through (``contract``), and a
+thin ``DensityOperator`` wrapper that checks physicality once at
+construction and then hands out a read-only array.
 
 Conventions
 -----------
@@ -15,6 +16,10 @@ Conventions
   deterministic phase fix, so repeated calls on the same matrix give the
   same basis.  Near ties (within 1e-10 * max(1, |w|)) are broken
   lexicographically.
+* A register is also a tensor of size-2 axes in qubit order: ``[2] * n``
+  for a vector, ``[2] * 2n`` (row bits, then column bits) for a matrix.
+  ``contract`` returns a transposed view of one; the next reshape that
+  needs row-major storage makes the copy.
 * Dense simulation is capped at ``MAX_DIM = 2**13``; anything larger
   raises ``DimensionCapError`` before memory blows up.
 """
@@ -69,9 +74,18 @@ def zero_projector(dim: int) -> np.ndarray:
     return mat
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+def contract(tensor: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
+    """``op`` applied to the listed axes of a tensor whose axes all have size 2.
+
+    The listed axes are transposed to the front, in ``axes`` order, and
+    the tensor is reshaped to (2^k, rest): one ``op @ x`` product. The
+    result comes back as a view in the input's axis order, not copied
+    back into row-major storage.
+    """
+    axes = [int(a) for a in axes]
+    order = axes + [a for a in range(tensor.ndim) if a not in axes]
+    x = tensor.transpose(order).reshape(op.shape[1], -1)
+    return (op @ x).reshape(tensor.shape).transpose(np.argsort(order))
 
 
 def kron_all(factors) -> np.ndarray:
@@ -193,6 +207,15 @@ def _check_hermitian(mat: np.ndarray) -> None:
         raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
 
 
+def _unit_vector(psi, name: str) -> np.ndarray:
+    """``psi`` as a flat complex vector; raises unless its norm is 1."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    nrm = np.linalg.norm(psi)
+    if abs(nrm - 1.0) > 1e-10:
+        raise ValueError(f"{name} norm {nrm!r} != 1")
+    return psi
+
+
 def _check_trace(mat: np.ndarray) -> None:
     tr = float(mat.trace().real)
     if abs(tr - 1.0) > TRACE_ATOL:
@@ -263,10 +286,7 @@ class DensityOperator:
     @classmethod
     def pure(cls, psi: np.ndarray) -> "DensityOperator":
         """Rank-1 projector onto the unit vector ``psi``."""
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"state vector norm {nrm!r} != 1")
+        psi = _unit_vector(psi, "state vector")
         return cls(np.outer(psi, psi.conj()))
 
     @classmethod
@@ -289,10 +309,7 @@ def as_matrix(state) -> np.ndarray:
 
 def pure_fidelity(psi: np.ndarray, state) -> float:
     """Fidelity <psi|rho|psi> of a state against a unit reference vector."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"reference vector norm {nrm!r} != 1")
+    psi = _unit_vector(psi, "reference vector")
     mat = as_matrix(state)
     if mat.shape[0] != psi.shape[0]:
         raise ValueError(f"dimension mismatch: state {mat.shape[0]}, vector {psi.shape[0]}")

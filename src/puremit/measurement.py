@@ -14,6 +14,7 @@ import numpy as np
 from .circuits import HADAMARD, I2, PAULI_X, PAULI_Y
 from .linalg import as_matrix, zero_projector
 from .observables import PauliObservable
+from .schemes import DENOMINATOR_FLOOR, VanishingDenominatorError
 
 _UNITARY_ATOL = 1e-10
 _INVOLUTION_ATOL = 1e-10
@@ -139,6 +140,6 @@ def symmetrized_verified_estimate(state, dual, observable: PauliObservable) -> f
     rbar = as_matrix(dual)
     num = symmetric_product_measure(rbar, observable, rho)
     den = complex(np.trace(rbar @ rho)).real
-    if abs(den) < 1e-12:
-        raise ZeroDivisionError(f"state/dual overlap {den:.3e} is numerically zero")
+    if abs(den) < DENOMINATOR_FLOOR:
+        raise VanishingDenominatorError(f"state/dual overlap {den:.3e} is numerically zero")
     return float(num / den)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, as_matrix, hermitian_eig
+from .linalg import DensityOperator, _unit_vector, as_matrix, hermitian_eig
 from .observables import PauliObservable
 
 GAP_ATOL = 1e-8
@@ -140,10 +140,7 @@ def coherent_mismatch(state, reference: np.ndarray) -> float:
     This is the error floor purification cannot remove, since powering
     rho only reweights its own eigenvectors.
     """
-    ref = np.asarray(reference, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(ref)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"reference vector norm {nrm!r} != 1")
+    ref = _unit_vector(reference, "reference vector")
     _, v = _gapped_eig(as_matrix(state), GAP_ATOL)
     overlap = abs(np.vdot(ref, v[:, 0])) ** 2
     return float(max(0.0, 1.0 - overlap))

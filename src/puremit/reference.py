@@ -9,7 +9,7 @@ and the tests):
   their composition, compression to minimal Kraus form and adjoints,
   and ``apply_channel``;
 * ``apply_local``, one gate's Kraus stack applied to the listed qubits of
-  a matrix as a new matrix (``channels.contract``), for the forward
+  a matrix as a new matrix (``linalg.contract``), for the forward
   reference evolution of a composite;
 * the composite permutations (``cyclic_permutation``, ``register_swap``,
   ``fredkin_matrix``, ``controlled_register_swap``) and the composite
@@ -26,9 +26,9 @@ from itertools import product
 
 import numpy as np
 
-from .channels import NoiseModel, contract, superoperator
+from .channels import NoiseModel, superoperator
 from .circuits import I2, PAULI_Z, GateCircuit, embed_operator
-from .linalg import DensityOperator, check_dimension, kron_all, kron_power, zero_projector
+from .linalg import DensityOperator, check_dimension, contract, kron_all, kron_power, zero_projector
 from .observables import pauli_string_matrix
 
 COMPLETENESS_ATOL = 1e-10
@@ -245,11 +245,13 @@ def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
     the listed qubits of an nq-qubit density matrix, qubit 0 most
     significant. The operators' own factors map to ``targets`` in order,
     so targets may be unordered and non-adjacent. The stack is folded
-    into one 4^k x 4^k ``superoperator`` and the matrix is contracted
-    once (``channels.contract``). Returns a new matrix; a call holds
+    into one 4^k x 4^k ``superoperator``, contracted once into the
+    targets' row and column axes of the ``[2] * 2nq`` view
+    (``linalg.contract``). Returns a new row-major matrix; a call holds
     about three matrices.
     """
-    return contract(mat, superoperator(ops), targets, nq)
+    axes = [*targets, *(nq + q for q in targets)]
+    return contract(mat.reshape([2] * (2 * nq)), superoperator(ops), axes).reshape(mat.shape)
 
 
 def cyclic_permutation(n_copies: int, dim: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -513,6 +515,23 @@ def test_fused_register_steps_match_gate_then_noise(kind, adjoint):
         want = _two_step_evolution(circ, noise, adjoint)
         state = dual_state(circ, noise) if adjoint else prepare_noisy_state(circ, noise)
         assert np.max(np.abs(state.matrix - want)) <= 1e-14, (n, kind, adjoint)
+
+
+@pytest.mark.parametrize("evolve", [prepare_noisy_state, dual_state], ids=lambda f: f.__name__)
+def test_register_evolution_peaks_under_three_and_a_half_registers(evolve):
+    # each gate reads the register's transposed view into one row-major copy
+    # and writes one product, which stays a view, and the Hermiticity check
+    # holds two more temporaries: the peak stays under 3.5 register matrices
+    # at n = 8, where copying every product back would reach 4
+    register = 16 * 4**8
+    circ = random_circuit(np.random.default_rng(0), 8, 12)
+    tracemalloc.start()
+    try:
+        evolve(circ, NoiseModel("depolarizing-local", 0.02))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * register, peak / register
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)

@@ -394,6 +394,16 @@ def test_exit_code_observable_width_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_vanishing_pipeline_denominator(tmp_path, capsys):
+    # dephasing machinery at 0.5 zeroes the ancilla coherence, so the exact
+    # pipeline denominator is 0: a clean error, not a division
+    cfg = _base_config(
+        tmp_path, **{"machinery_noise.kind": "dephasing", "machinery_noise.strength": "0.5"}
+    )
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "pipeline denominator 0.000e+00 is numerically zero" in capsys.readouterr().err
+
+
 def test_exit_code_unknown_subcommand(capsys):
     assert main(["polish"]) == 2
     capsys.readouterr()

@@ -6,7 +6,7 @@ from puremit.linalg import (
     DimensionCapError,
     MAX_DIM,
     check_dimension,
-    dagger,
+    contract,
     hermitian_eig,
     kron_all,
     kron_power,
@@ -18,9 +18,16 @@ from puremit.linalg import (
 )
 
 
-def test_dagger():
-    a = np.array([[1, 2j], [3, 4]])
-    assert np.array_equal(dagger(a), np.array([[1, 3], [-2j, 4]]))
+def test_contract_applies_the_operator_to_the_listed_axes_as_a_view():
+    rng = np.random.default_rng(5)
+    tensor = rng.normal(size=[2] * 4) + 1j * rng.normal(size=[2] * 4)
+    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    got = contract(tensor, op, [3, 1])
+    # op.reshape(2, 2, 2, 2) is indexed (out 3, out 1, in 3, in 1)
+    want = np.einsum("xyzw,awcz->aycx", op.reshape(2, 2, 2, 2), tensor)
+    assert np.allclose(got, want)
+    # the product is handed back in the input's axis order without a copy
+    assert got.shape == tensor.shape and not got.flags.c_contiguous
 
 
 def test_kron_all_block_structure():

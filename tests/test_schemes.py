@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from puremit import channels, observables, reference, sampling, schemes
+from puremit import channels, circuits, linalg, observables, reference, sampling, schemes
 from puremit.channels import (
     NO_NOISE,
     NOISE_KINDS,
@@ -762,6 +762,31 @@ def test_pipeline_without_fredkins_raises_on_a_vanishing_overlap(monkeypatch, ki
             )
 
 
+@pytest.mark.parametrize(
+    "machinery",
+    [NoiseModel("dephasing", 0.5), NoiseModel("depolarizing-local", 1.0),
+     NoiseModel("depolarizing-global", 1.0)],
+    ids=lambda noise: noise.kind,
+)
+@pytest.mark.parametrize(
+    "kind,copies",
+    [("multi-copy", 2), ("multi-copy-recycled", 2), ("state-verification", 1), ("combined", 2)],
+)
+def test_pipeline_exact_report_raises_on_a_vanishing_denominator(kind, copies, machinery):
+    # this machinery noise zeroes the ancilla coherence, so every unit reads
+    # +1 and -1 equally often: the build succeeds, but its denominator is
+    # exactly 0 and the readout refuses to divide by it
+    circ = random_circuit(np.random.default_rng(0), 2, 6)
+    pipe = build_pipeline(
+        kind, circ, NoiseModel("depolarizing-local", 0.05), parse_observable("0.5*XZ + 0.5*ZZ"),
+        n_copies=copies, machinery_noise=machinery,
+    )
+    with pytest.raises(
+        VanishingDenominatorError, match="pipeline denominator 0.000e\\+00 is numerically zero"
+    ):
+        pipe.exact_report()
+
+
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
 def test_pipeline_build_holds_one_composite_at_a_time(machinery):
     # the effects are carried as quarter-size parity blocks, propagated in
@@ -961,7 +986,9 @@ def test_estimators_and_builds_need_no_dense_observable(monkeypatch, kind, copie
     assert np.isfinite(pipe.exact_report().ratio)
 
 
-@pytest.mark.parametrize("module", [channels, schemes, sampling], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [channels, circuits, linalg, schemes, sampling], ids=lambda m: m.__name__
+)
 def test_hot_path_modules_hold_no_reference_oracle(module):
     # the dense oracles live in puremit.reference alone: no module on the
     # path of a run imports them or defines a name reference defines
