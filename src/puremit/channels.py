@@ -26,11 +26,11 @@ C-contiguous matrix. Their transients are at most a quarter of it. The
 read-only ``DensityOperator.matrix`` makes a misuse raise instead of
 corrupting a state.
 
-A matrix may also be stored under a qubit map, its qubit q held on
-storage axis ``map[q]``, so that a qubit swap is a relabeling that moves
-no data; ``permuted_view`` reads such a matrix back. The in-place kernels
-read the maps: the per-qubit kernels take a column map, and
-``depolarize`` a two-sided map per block of its stack.
+A matrix may also be stored under a two-sided qubit map, its qubit q
+held on row and column axis ``map[q]``, so that a qubit swap is a
+relabeling that moves no data; ``permuted_view`` reads such a matrix
+back. The per-qubit kernels take the targets' storage axes, and
+``depolarize`` a map per block of its stack.
 
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
@@ -43,11 +43,11 @@ commutes with the gates, so its layers fold into one register-wide
 ``depolarize`` per evolution. Both wrap their result without the
 eigenvalue check, since an evolution keeps it PSD. A pipeline
 (``schemes.build_pipeline``) never contracts a composite: a readout
-block its machinery noise writes into is carried at quarter size under
-a qubit map and updated in place by the noise kernels, and any other
-block reduces in closed form to a register chain. Dual states are PSD
-but not normalized in general (they are exactly trace-1 when every
-inserted channel is unital).
+block on which machinery noise couples two registers is carried at
+quarter size under a qubit map and updated in place by the noise
+kernels, and any other block reduces to register products. Dual states
+are PSD but not normalized in general (they are exactly trace-1 when
+every inserted channel is unital).
 
 The dense whole-register Kraus channels the engine is checked against
 live in ``reference``.
@@ -128,15 +128,15 @@ def _bits(nq: int, fixed) -> tuple:
     return tuple(index)
 
 
-def permuted_view(mat: np.ndarray, nq: int, rows, columns) -> np.ndarray:
-    """The ``[2] * 2nq`` view of ``mat`` with its row and column qubits reordered.
+def permuted_view(mat: np.ndarray, nq: int, axes) -> np.ndarray:
+    """The ``[2] * 2nq`` view of ``mat`` with its qubits reordered.
 
-    Row qubit q of the result is row axis ``rows[q]`` of ``mat`` and
-    column qubit q is column axis ``columns[q]``, so a matrix stored under
-    qubit maps (qubit q held on storage axis ``map[q]``) reads back as the
-    matrix it stands for. A transpose, no copy.
+    Qubit q of the result is row and column axis ``axes[q]`` of ``mat``,
+    so a matrix stored under a qubit map (qubit q held on storage axis
+    ``map[q]``) reads back as the matrix it stands for. A transpose, no
+    copy.
     """
-    return _qubit_view(mat, nq).transpose(list(rows) + [nq + c for c in columns])
+    return _qubit_view(mat, nq).transpose(list(axes) + [nq + a for a in axes])
 
 
 def depolarize(mat: np.ndarray, p: float, targets, nq: int, maps=None) -> np.ndarray:
@@ -187,46 +187,38 @@ def depolarize(mat: np.ndarray, p: float, targets, nq: int, maps=None) -> np.nda
     return mat
 
 
-def _dephase(mat: np.ndarray, p: float, targets, nq: int, columns=None) -> np.ndarray:
+def _dephase(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
     """Dephasing (1-p) X + p Z X Z on each target: the off-diagonal blocks
     of its row and column bits scale by 1 - 2p. Self-adjoint.
 
     The targets' factors form one tensor over their row bits and the whole
     column index, so the ``[2] * nq + [2^nq]`` view (row bits, then the
     contiguous column index) is scaled in one pass, whatever the targets.
-    ``columns`` is the matrix's column map: target q's column bit is
-    column axis ``columns[q]``.
     """
-    columns = range(nq) if columns is None else columns
     index = np.arange(2**nq)
     factors = np.ones([1] * nq + [2**nq])
     for q in targets:
         shape = [1] * (nq + 1)
         shape[q] = 2
-        same = np.arange(2).reshape(shape) == ((index >> (nq - 1 - columns[q])) & 1)
+        same = np.arange(2).reshape(shape) == ((index >> (nq - 1 - q)) & 1)
         factors = factors * np.where(same, 1.0, 1.0 - 2.0 * p)
     view = _qubit_view(mat, nq).reshape([2] * nq + [2**nq])
     view *= factors
     return mat
 
 
-def _damp(
-    mat: np.ndarray, gamma: float, targets, nq: int, adjoint: bool, columns=None
-) -> np.ndarray:
+def _damp(mat: np.ndarray, gamma: float, targets, nq: int, adjoint: bool) -> np.ndarray:
     """Amplitude damping, K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma)
     |0><1|, on each target's 2x2 blocks X_rc of row bit r, column bit c.
 
     Forward, X_00 gains gamma X_11; adjoint, X_11 gains gamma X_00. Either
     way the off-diagonal blocks scale by sqrt(1-gamma) and X_11 by
-    1 - gamma. The transient is a quarter of the matrix. ``columns`` is
-    the matrix's column map: target q's column bit is column axis
-    ``columns[q]``.
+    1 - gamma. The transient is a quarter of the matrix.
     """
-    columns = range(nq) if columns is None else columns
     view = _qubit_view(mat, nq)
     for q in targets:
         b00, b01, b10, b11 = (
-            view[_bits(nq, ((q, r), (nq + columns[q], c)))]
+            view[_bits(nq, ((q, r), (nq + q, c)))]
             for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))
         )
         b01 *= np.sqrt(1.0 - gamma)
@@ -247,7 +239,6 @@ def apply_noise(
     nq: int,
     register=None,
     adjoint: bool = False,
-    columns=None,
 ) -> np.ndarray:
     """Noise inserted after a gate on ``targets`` of an nq-qubit matrix, in place.
 
@@ -257,24 +248,19 @@ def apply_noise(
     None) regardless of targets. ``adjoint`` applies the Heisenberg-
     picture adjoint {K^dag} instead. ``mat`` is updated in place and
     returned, so it must be writable and C-contiguous; trivial noise
-    returns it untouched.
-
-    ``columns`` is the column map of a matrix stored with its column
-    qubits relabeled (column qubit q on column axis ``columns[q]``, the
-    rows unmapped); only the per-qubit kinds take one.
+    returns it untouched. On a matrix stored under a two-sided qubit map
+    the per-qubit kinds take the targets' storage axes.
     """
     if noise.is_trivial:
         return mat
-    if columns is not None and noise.kind not in ("dephasing", "amplitude-damping"):
-        raise ValueError(f"{noise.kind} noise takes no column map")
     if noise.kind == "depolarizing-global":
         register = range(nq) if register is None else register
         return depolarize(mat, noise.strength, register, nq)
     if noise.kind == "depolarizing-local":
         return depolarize(mat, noise.strength, targets, nq)
     if noise.kind == "dephasing":
-        return _dephase(mat, noise.strength, targets, nq, columns)
-    return _damp(mat, noise.strength, targets, nq, adjoint, columns)
+        return _dephase(mat, noise.strength, targets, nq)
+    return _damp(mat, noise.strength, targets, nq, adjoint)
 
 
 def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.ndarray:

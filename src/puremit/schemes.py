@@ -23,15 +23,15 @@ Heisenberg picture: its effects are propagated backwards through the
 shared suffix once, as quarter-size ancilla-parity blocks on which a
 Fredkin is a qubit relabeling, then reduced against the product prefix
 state and scored per term by the Pauli-string readers of ``observables``.
-A block is built only where machinery noise writes; elsewhere it reduces
-in closed form to the operator chain, which a build reads once for its
-readout and its operator-level ratio, calling no estimator. Neither a
-composite state nor a composite effect is ever built
-(``build_pipeline``). Every unit, the plain ``raw`` readout of one Pauli
-string included, is read out the same way: as +1 or -1 outcomes, plus 0
-for the verified schemes (``MeasurableTerm``). The dense composite
-permutations and contractions these reductions equal live in
-``reference``.
+A block is built only where machinery noise couples two registers;
+elsewhere it reduces to register products, and with no per-qubit noise
+to the operator chain, which a build reads once for its readout and its
+operator-level ratio, calling no estimator. Neither a composite state
+nor a composite effect is ever built (``build_pipeline``). Every unit,
+the plain ``raw`` readout of one Pauli string included, is read out the
+same way: as +1 or -1 outcomes, plus 0 for the verified schemes
+(``MeasurableTerm``). The dense composite permutations and contractions
+these reductions equal live in ``reference``.
 
 Register layout on the composite: ancilla is qubit 0 (most significant),
 register r occupies qubits 1 + r*n .. n + r*n. The cyclic shift C_M
@@ -41,6 +41,7 @@ register swaps S_{M-2,M-1} ... S_{0,1}, applied rightmost first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -299,78 +300,96 @@ def _sign_units(observable: PauliObservable, kept, t: np.ndarray, rest=None) -> 
     ]
 
 
+# machinery noise kinds that act on one qubit at a time
+_PER_QUBIT = ("dephasing", "amplitude-damping")
+
+
 def _parity_steps(machinery: NoiseModel, nq: int):
-    """One backward Fredkin step on each parity block of an nq-qubit effect.
+    """One backward Fredkin step on the even pair of an nq-qubit effect.
 
     Backwards, a Fredkin is its adjoint machinery noise on (ancilla, a, b),
     then the Fredkin. Over the ancilla (qubit 0) it maps W_xy to
     S^x W_xy S^y, S the swap of qubits a and b, and every noise kind keeps
     the ancilla parity. S moves no data: it swaps two entries of the
-    column map of O = W_01 (W_10 = O^dag) and of the two-sided map of
-    W_11 (qubit q stored on axis ``map[q]``); W_00 is never mapped.
+    two-sided map of W_11 (qubit q stored on axis ``map[q]``); W_00 is
+    never mapped.
 
-    Returns (odd, even, odd_factor): ``odd(o, columns, a, b)`` and
-    ``even(pair, axes, a, b)`` update the (nq-1)-qubit blocks and maps in
-    place, a and b being composite targets. Noise reads the maps. On O the
-    ancilla's noise and local depolarizing are the scalar ``odd_factor``
-    per step, left to the caller. Global depolarizing commutes with every
-    Fredkin, so no step reads it: the caller folds its layers into one.
+    Returns (even, odd_factor): ``even(pair, axes, a, b)`` updates the
+    (nq-1)-qubit blocks (W_00, W_11) and W_11's map in place, a and b being
+    composite targets; a build steps the pair only where the noise couples
+    two registers, under local depolarizing and amplitude damping. On the
+    odd block the ancilla's noise and local depolarizing are the scalar
+    ``odd_factor`` per step, left to the caller. Global depolarizing
+    commutes with every Fredkin, so no step reads it: the caller folds its
+    layers into one.
     """
     k = nq - 1
-    kind = "none" if machinery.is_trivial else machinery.kind
-    p = machinery.strength
-    per_qubit = kind in ("dephasing", "amplitude-damping")
-    odd_factor = 1.0 - p if kind == "depolarizing-local" else 1.0
-    if per_qubit:
+    odd_factor = 1.0 - machinery.strength if machinery.kind == "depolarizing-local" else 1.0
+    if machinery.kind in _PER_QUBIT:
         sup = noise_superoperator(machinery, 1, adjoint=True)
         # entry [(x, y), (u, v)]: |x><y| in the output from |u><v|
         odd_factor = sup[1, 1].real
         populations = sup[::3, ::3].real
 
-    def odd(block, columns, a, b):
-        a, b = a - 1, b - 1
-        if per_qubit:
-            apply_noise(block, machinery, (a, b), k, adjoint=True, columns=columns)
-        columns[a], columns[b] = columns[b], columns[a]
-
     def even(pair, axes, a, b):
         a, b = a - 1, b - 1
-        if kind == "depolarizing-local":
-            depolarize(pair, p, (a, b), k, maps=(None, axes))
-        elif per_qubit:
+        if machinery.kind == "depolarizing-local":
+            depolarize(pair, machinery.strength, (a, b), k, maps=(None, axes))
+        elif machinery.kind in _PER_QUBIT:
             apply_noise(pair[0], machinery, (a, b), k, adjoint=True)
             apply_noise(pair[1], machinery, (axes[a], axes[b]), k, adjoint=True)
             # W_00 stays and W_11 becomes m_11 W_11 + m_10 W_00, W_00 read in
             # W_11's frame half a block at a time
-            if populations[1, 0]:
-                w_11 = pair[1].reshape([2] * (2 * k))
-                w_11 *= populations[1, 1]
-                inverse = np.argsort(axes)
-                for part, source in zip(w_11, permuted_view(pair[0], k, inverse, inverse)):
-                    part += populations[1, 0] * source
+            w_11 = pair[1].reshape([2] * (2 * k))
+            w_11 *= populations[1, 1]
+            for part, source in zip(w_11, permuted_view(pair[0], k, np.argsort(axes))):
+                part += populations[1, 0] * source
         axes[a], axes[b] = axes[b], axes[a]
 
-    return odd, even, odd_factor
+    return even, odd_factor
 
 
-def _reduced(block: np.ndarray, rows, columns, weights, n: int) -> np.ndarray:
+def _odd_reduction(rho: np.ndarray, rbar: np.ndarray, m: int, noisy) -> np.ndarray:
+    """V_01 of O = W_01 after the backward Fredkins of M = ``m`` registers,
+    odd_factor^F aside, with N = ``noisy`` the per-qubit machinery noise
+    on one register: y = rbar, then M - 1 times y = N(rbar) rho N(y). With
+    N the identity this is the chain's tail rbar (rho rbar)^(M-1)."""
+    y, first = rbar, noisy(rbar)
+    for _ in range(m - 1):
+        y = first @ (rho @ noisy(y))
+    return y
+
+
+def _even_reductions(rho: np.ndarray, rbar: np.ndarray, m: int, noisy) -> list:
+    """[(X_00, t_00), (X_11, t_11)] with V_aa = t_aa X_aa, the even pair
+    after the backward Fredkins when N = ``noisy`` couples no two registers
+    (dephasing, or the identity). In W_00 register r meets N c_r =
+    (r > 0) + (r < M-1) times: V_00 = N^(c_0)(rbar) prod_{r>=1}
+    Tr(N^(c_r)(rbar) rho). In W_11 register 1 meets it M - 1 times and the
+    others once: V_11 = N^(M-1)(rbar) Tr(N(rbar) rho)^(M-1). With N the
+    identity both are Tr(rbar rho)^(M-1) rbar, with no scaled copy."""
+    powers = [rbar]
+    for _ in range(m - 1):
+        powers.append(noisy(powers[-1]))
+    passes = ([(r > 0) + (r < m - 1) for r in range(m)], [m - 1] + [1] * (m - 1))
+    return [(powers[c[0]], math.prod(np.vdot(powers[k], rho) for k in c[1:])) for c in passes]
+
+
+def _reduced(block: np.ndarray, axes, weights, n: int) -> np.ndarray:
     """Tr_{2..M}[W (I (x) rho^(x)(M-1))], 2^n x 2^n, for the block W of M
-    n-qubit registers stored under the maps ``rows`` and ``columns``.
+    n-qubit registers stored under the two-sided map ``axes``.
 
     ``weights`` is (rho^T)^(x)(M-1), C-contiguous; a block exists only
-    when the build has Fredkins, so M >= 2. Each map is the identity or
+    when the build has Fredkins, so M >= 2. The map is the identity or
     C_M, which stores register 1 last and the rest in order, so the trace
     is one batched matrix product over the stored registers: no
     transposed copy.
     """
     d, e = 2**n, weights.shape[0]
-    rows_first, columns_first = rows[0] == 0, columns[0] == 0
-    sides = [(d, e) if first else (e, d) for first in (rows_first, columns_first)]
-    b = block.reshape(sides[0] + sides[1])
+    if axes[0] == 0:
+        return (block.reshape(d, e, d, e) @ weights[..., None]).sum(axis=1).reshape(d, d)
     # batched over the row registers, aligned with registers 2..M
-    x = weights if rows_first else weights[:, None]
-    product = b @ x[..., None] if columns_first else x[..., None, :] @ b
-    return product.sum(axis=1 if rows_first else 0).reshape(d, d)
+    return (weights[:, None, None] @ block.reshape(e, d, e, d)).sum(axis=0).reshape(d, d)
 
 
 def build_pipeline(
@@ -399,15 +418,17 @@ def build_pipeline(
         W = c I + alpha I_anc (x) R + beta X_anc (x) R.
 
     Every Fredkin step keeps an effect's ancilla parity
-    (``_parity_steps``), so the Fredkins and their noise run only on the
+    (``_parity_steps``), so the Fredkins and their noise act only on the
     odd block O = W_01 of X_anc (x) R (W_10 = O^dag) and, when verifying,
     on the even pair (W_00, W_11) of I_anc (x) R, which serves W_P and,
     times alpha, the even part of W_Z. For multi-copy R = I, which every
     adjoint fixes, so the even part stays alpha I. A Fredkin only relabels
-    qubits, so after the whole list the blocks are stored under C_M. A
-    block is built only when there are Fredkins and the machinery noise
-    writes into it: per-qubit noise writes every block, local depolarizing
-    the even pair.
+    qubits, and per-qubit machinery noise reaches one register at a time,
+    so O and, under dephasing, the even pair reduce to register products
+    (``_odd_reduction``, ``_even_reductions``). Blocks are built only where
+    the noise couples two registers: local depolarizing and amplitude
+    damping's population mix, both on the combined even pair, stored under
+    a qubit map that ends as C_M.
 
     Global machinery depolarizing of strength p fixes I and commutes with
     every unitary, so the layers of the prefix Hadamard and of the F
@@ -421,8 +442,8 @@ def build_pipeline(
     No prefix state is built either. The prefix is A (x) rho^(x)M, with A
     the ancilla after its Hadamard and its machinery noise, global noise
     excepted. A term's controlled Pauli string P touches register 1 only,
-    so each block W_ba is reduced once to the d x d block
-    V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))] and then freed. Unwritten,
+    so each block W_ba reduces to the d x d block
+    V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))]. With no per-qubit noise,
     O = R C_M reduces to the operator chain's tail (``_chain``),
     rbar (rho rbar)^(M-1) or rho^(M-1), and W_00 = W_11 = R to
     Tr(rbar rho)^(M-1) rbar. A unit X is scored at O(d^2) per term as
@@ -438,17 +459,17 @@ def build_pipeline(
     read once. Each string, the all-I string of the denominator included,
     becomes a signed permutation once per build, read by
     ``observables.pauli_traces`` and ``pauli_sandwiches``; Tr(V_00 rho) is
-    read once. A build that writes a block peaks at R and at most one copy
-    of it, half a composite, plus transients of at most one block; any
-    other build holds register-size matrices only. See ``MeasurableTerm``
+    read once. A build that steps a block peaks at R and one copy of it,
+    half a composite, plus transients of at most one block; any other
+    build holds register-size matrices only. See ``MeasurableTerm``
     for the outcomes.
 
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
     vector psi (``circuits.circuit_state``), read against psi as a column
     and a row; ``raw_value`` is Tr(O rho). ``operator_ratio`` is the
     operator-level estimate: the ratio of the chain traces Tr(P rho tail)
-    the estimators read, which with O unwritten are also the odd traces
-    Tr(V_01 P rho).
+    the estimators read, which with no per-qubit noise are also the odd
+    traces Tr(V_01 P rho).
 
     ``noise`` afflicts the state-preparation circuits (and, unless
     ``dual_noise`` overrides it, the inverse circuits of the verification
@@ -532,55 +553,47 @@ def build_pipeline(
             for i in reversed(range(n))
         ]
         scale = 1.0 - _global_layer(machinery, len(fredkins) + 1)
-        odd_step, even_step, odd_factor = _parity_steps(machinery, nq)
-        # a block is built only where the machinery noise writes: per-qubit
-        # noise writes every block, local depolarizing the even pair
-        local = copies > 1 and machinery.kind != "depolarizing-global" and not machinery.is_trivial
-        odd_writes = local and machinery.kind != "depolarizing-local"
-        even_writes = local and verify
-        if odd_writes or even_writes:
-            unmapped = list(range(nq - 1))
-            # registers 2..M of the prefix, traced against each block, transposed
-            weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1))
-            registers = kron_power(rbar, copies)
+        even_step, odd_factor = _parity_steps(machinery, nq)
+        local = bool(fredkins) and not machinery.is_trivial
+        per_qubit = local and machinery.kind in _PER_QUBIT
 
-        if odd_writes:
-            # O starts from R, a copy of it when the even pair takes R over
-            odd = registers.copy() if even_writes else registers
-            columns = list(unmapped)
-            for a, b in fredkins:
-                odd_step(odd, columns, a, b)
-            # Tr(V_01 P rho) per string
-            forward = pauli_traces(perms, rho_mat, _reduced(odd, unmapped, columns, weights, n))
-            del odd
-        else:
-            # O = R C_M, whose V_01 is the chain's tail
-            forward = chain
+        def noisy(x):
+            """N, the Fredkins' per-qubit noise as one register meets it."""
+            return apply_noise(x.copy(), machinery, range(n), n, adjoint=True) if per_qubit else x
+
+        # Tr(V_01 P rho) per string; with N the identity V_01 is the chain's tail
+        forward = chain
+        if per_qubit:
+            forward = pauli_traces(perms, rho_mat, _odd_reduction(rho_mat, rbar, copies, noisy))
         # Tr(V_10 rho P) = conj Tr(V_01 P rho), since P and rho are Hermitian
         odd = ancilla[1, 0] * forward + ancilla[0, 1] * forward.conj()
         if not verify:
             # R = I, and every adjoint of the suffix keeps I_anc (x) I
             even = unit_trace
         else:
-            if even_writes:
-                # W_00 takes over R, W_11 a copy of it
-                pair = (registers, registers.copy())
-                del registers
+            if local and machinery.kind in ("depolarizing-local", "amplitude-damping"):
+                # the noise couples two registers: W_00 takes over R, W_11 a
+                # copy of it, and registers 2..M of the prefix are traced
+                # against each block, transposed
+                pair = [kron_power(rbar, copies)]
+                pair.append(pair[0].copy())
+                unmapped = list(range(nq - 1))
                 axes = list(unmapped)
                 for a, b in fredkins:
                     even_step(pair, axes, a, b)
-                v_00 = _reduced(pair[0], unmapped, unmapped, weights, n)
-                v_11 = _reduced(pair[1], axes, axes, weights, n)
+                weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1))
+                v_00 = _reduced(pair[0], unmapped, weights, n)
+                v_11 = _reduced(pair[1], axes, weights, n)
+                t_00 = t_11 = 1.0
                 del pair
             else:
-                # W_00 = W_11 = R, reduced to Tr(rbar rho)^(M-1) rbar
-                v_00 = v_11 = np.vdot(rbar, rho_mat) ** (copies - 1) * rbar
+                (v_00, t_00), (v_11, t_11) = _even_reductions(rho_mat, rbar, copies, noisy)
             # rho^T copied row-major once, read as rho_t.T without a copy:
             # Tr(V_00 rho), the same for every string, and
             # Tr(V_11 P rho P^dag) = Tr(rho P V_11 P^dag)
             rho_t = rho_mat.T.copy()
-            even = ancilla[0, 0] * pauli_traces(perms[-1:], v_00, rho_t.T)
-            even = even + ancilla[1, 1] * pauli_sandwiches(perms, rho_t.T, v_11)
+            even = ancilla[0, 0] * t_00 * pauli_traces(perms[-1:], v_00, rho_t.T)
+            even = even + ancilla[1, 1] * t_11 * pauli_sandwiches(perms, rho_t.T, v_11)
         # the folded global layer leaves (1 - scale) Tr(I_anc (x) R)/2^nq I of
         # the even part; the scalar each Fredkin's noise leaves on O folds in too
         even = scale * even + (1.0 - scale) * 2.0 * r_trace / 2**nq * unit_trace

@@ -664,35 +664,43 @@ def test_outcome_probabilities_match_a_forward_evolution(machinery):
 
 
 def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
-    # each term is scored from the reduced effects and its Pauli string,
-    # so adding observable terms adds no Fredkin on the composite
+    # each term is scored from the reduced effects and its Pauli string, so
+    # adding observable terms adds no Fredkin step on a block. A block is
+    # stepped once per Fredkin, and only on the combined even pair under
+    # machinery noise that couples two registers: never for multi-copy, and
+    # never under dephasing
     calls = []
     parity_steps = schemes._parity_steps
 
     def counting(machinery, nq):
-        def count(step):
-            def counted(*args):
-                calls.append(nq)
-                return step(*args)
+        even, odd_factor = parity_steps(machinery, nq)
 
-            return counted
+        def counted(*args):
+            calls.append(nq)
+            return even(*args)
 
-        odd, even, odd_factor = parity_steps(machinery, nq)
-        return count(odd), count(even), odd_factor
+        return counted, odd_factor
 
     monkeypatch.setattr(schemes, "_parity_steps", counting)
     circ = _generic_circuit()
-    mach = NoiseModel("dephasing", 0.03)
-    for kind, copies in (("multi-copy", 2), ("multi-copy", 3), ("combined", 2)):
+    coupling = ["amplitude-damping", "depolarizing-local"]
+    cases = [
+        *iproduct([("combined", 2), ("combined", 3)], coupling),
+        *iproduct([("multi-copy", 2), ("multi-copy", 3)], NOISE_KINDS),
+        *iproduct([(kind, 2) for kind in SCHEME_KINDS], ["dephasing"]),
+    ]
+    for (kind, copies), machinery in cases:
         counts = []
         for text in ("ZX", "0.4*ZX + 0.3*YY - 0.2*XI + 0.1*IZ"):
             calls.clear()
             build_pipeline(
                 kind, circ, NoiseModel("depolarizing-local", 0.05), parse_observable(text),
-                n_copies=copies, machinery_noise=mach,
+                n_copies=copies, machinery_noise=NoiseModel(machinery, 0.03),
             )
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0, (kind, copies, counts)
+        coupled = kind == "combined" and machinery in coupling
+        fredkins = (copies - 1) * circ.n_qubits if coupled else 0
+        assert counts == [fredkins, fredkins], (kind, copies, machinery, counts)
 
 
 def test_pipeline_build_reads_each_pauli_string_once(monkeypatch):
@@ -789,8 +797,8 @@ def test_pipeline_exact_report_raises_on_a_vanishing_denominator(kind, copies, m
 
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
 def test_pipeline_build_holds_one_composite_at_a_time(machinery):
-    # the effects are carried as quarter-size parity blocks, propagated in
-    # place and reduced one after the other, and no prefix state is built,
+    # an effect block, where one is built at all, is a quarter-size parity
+    # block propagated in place and reduced, and no prefix state is built,
     # so a build peaks under one composite matrix (n = 4, M = 2: nq = 9)
     composite = 16 * 4**9
     circ = random_circuit(np.random.default_rng(0), 4, 8)
@@ -809,12 +817,12 @@ def test_pipeline_build_holds_one_composite_at_a_time(machinery):
 
 
 def test_pipeline_build_allocates_no_block_the_machinery_does_not_write():
-    # no machinery noise, global depolarizing, and local depolarizing on
-    # multi-copy (which has no even pair) write into no block: the odd
-    # block reduces to the chain's tail and the even pair to a multiple of
-    # rbar, so a build holds register-size matrices only, under one parity
-    # block at n = 4, M = 2 (nq = 9) and under 16 MB at nq = 13, where a
-    # block takes 256 MB
+    # no machinery noise, global depolarizing, dephasing, and local
+    # depolarizing or amplitude damping on multi-copy (which has no even
+    # pair) leave no block to build: the odd block reduces to a register
+    # chain and the even pair to register products, so a build holds
+    # register-size matrices only, under one parity block at n = 4, M = 2
+    # (nq = 9) and under 16 MB at nq = 13, where a block takes 256 MB
     def peak(kind, n, copies, machinery):
         circ = random_circuit(np.random.default_rng(0), n, 8)
         obs = parse_observable(f"0.5*{'XYZIXY'[:n]} + 0.5*{'ZZXYZX'[:n]}")
@@ -829,20 +837,40 @@ def test_pipeline_build_allocates_no_block_the_machinery_does_not_write():
             tracemalloc.stop()
 
     block = 16 * 4**8
-    unwritten = ["none", "depolarizing-global"]
+    unwritten = ["none", "depolarizing-global", "dephasing"]
     for kind in SCHEME_KINDS:
-        extra = ["depolarizing-local"] if kind.startswith("multi-copy") else []
+        extra = ["depolarizing-local", "amplitude-damping"] if kind.startswith("multi-copy") else []
         for machinery in unwritten + extra:
             assert peak(kind, 4, 2, machinery) <= block, (kind, machinery)
-    for (kind, n, copies), machinery in iproduct(
-        [("combined", 6, 2), ("multi-copy", 4, 3)], unwritten
-    ):
-        assert peak(kind, n, copies, machinery) <= 16 * 2**20, (kind, machinery)
+    for (kind, n, copies), machinery in [
+        *iproduct([("combined", 6, 2), ("combined", 2, 6), ("multi-copy", 4, 3)], unwritten),
+        (("multi-copy", 3, 4), "amplitude-damping"),
+    ]:
+        assert peak(kind, n, copies, machinery) <= 16 * 2**20, (kind, n, copies, machinery)
 
 
-def _materialized(block, k, rows, columns):
-    """A copy of the k-qubit block that ``block`` stands for under the maps."""
-    return permuted_view(block, k, rows, columns).reshape(block.shape).copy()
+def test_state_verification_build_holds_no_scaled_register_copy():
+    # rho, the dual, rho^T and the two gather buffers of the Pauli-string
+    # readout: the even pair is the dual itself, read with its scalar
+    # apart, so the build peaks under 5.5 register matrices at n = 9
+    register = 16 * 4**9
+    circ = random_circuit(np.random.default_rng(0), 9, 8)
+    obs = parse_observable("0.5*XYZIXYZXY + 0.5*ZZXYZXYZI")
+    tracemalloc.start()
+    try:
+        build_pipeline(
+            "state-verification", circ, NoiseModel("depolarizing-local", 0.02), obs,
+            machinery_noise=NoiseModel("dephasing", 0.01),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * register, peak / register
+
+
+def _materialized(block, k, axes):
+    """A copy of the k-qubit block that ``block`` stands for under the map."""
+    return permuted_view(block, k, axes).reshape(block.shape).copy()
 
 
 def _composite_steps(mat, noise, fredkins, nq):
@@ -854,107 +882,131 @@ def _composite_steps(mat, noise, fredkins, nq):
     return mat
 
 
+def _composite_reduction(block, rho, n, copies):
+    """Tr_{2..M}[W (I (x) rho^(x)(M-1))] of a dense block W."""
+    d, others = 2**n, kron_power(rho, copies - 1)
+    e = others.shape[0]
+    return np.einsum("ikjl,lk->ij", block.reshape(d, e, d, e), others)
+
+
+def _backward_fredkins(n, copies):
+    """The build's Fredkin list, last first."""
+    return [
+        (1 + r * n + i, 1 + (r + 1) * n + i)
+        for r in reversed(range(copies - 1))
+        for i in reversed(range(n))
+    ]
+
+
 @pytest.mark.parametrize("copies", [2, 3])
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
 def test_parity_block_steps_match_the_composite_step(machinery, copies):
-    # one backward Fredkin step on the parity blocks, each stored under a
+    # one backward Fredkin step on the even pair, W_11 stored under a
     # random qubit map and read back through it, against the adjoint noise
-    # and the Fredkin on the whole composite, which keeps the off-parity
-    # blocks exactly zero; global depolarizing is folded by the build into
-    # a scale and an identity coefficient, and the odd block's scalar
-    # factor into another scale
+    # and the Fredkin on the whole composite, which keeps the odd blocks
+    # exactly zero; global depolarizing is folded by the build into a
+    # scale and an identity coefficient
     n = 2
     nq = 1 + copies * n
     k = nq - 1
     half = 2**k
     noise = NoiseModel(machinery, 0.1)
     p = noise.strength if machinery == "depolarizing-global" else 0.0
-    odd_step, even_step, odd_factor = schemes._parity_steps(noise, nq)
+    even_step, _ = schemes._parity_steps(noise, nq)
     rng = np.random.default_rng(22)
     zero = np.zeros((half, half), dtype=complex)
-    same = list(range(k))
     for r, i in iproduct(range(copies - 1), range(n)):
         a, b = 1 + r * n + i, 1 + (r + 1) * n + i
-        o = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
         pair = np.array([random_hermitian(rng, half), random_hermitian(rng, half)])
-        columns, axes = list(rng.permutation(k)), list(rng.permutation(k))
-        o_logical = _materialized(o, k, same, columns)
-        w_11 = _materialized(pair[1], k, axes, axes)
-        for parity, full in (
-            ("odd", np.block([[zero, o_logical], [o_logical.conj().T, zero]])),
-            ("even", np.block([[pair[0], zero], [zero, w_11]])),
-        ):
-            want = _composite_steps(full, noise, [(a, b)], nq).reshape(2, half, 2, half)
-            if parity == "odd":
-                got, got_columns = o.copy(), list(columns)
-                odd_step(got, got_columns, a, b)
-                got = (1.0 - p) * odd_factor * _materialized(got, k, same, got_columns)
-                assert not np.any(want[0, :, 0]) and not np.any(want[1, :, 1])
-                assert np.max(np.abs(want[0, :, 1] - got)) <= 1e-13
-                assert np.max(np.abs(want[1, :, 0] - got.conj().T)) <= 1e-13
-            else:
-                got, got_axes = pair.copy(), list(axes)
-                even_step(got, got_axes, a, b)
-                got = (1.0 - p) * np.array([got[0], _materialized(got[1], k, got_axes, got_axes)])
-                got += p * np.trace(full).real / 2**nq * np.eye(half)
-                assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
-                assert np.max(np.abs(want[0, :, 0] - got[0])) <= 1e-13
-                assert np.max(np.abs(want[1, :, 1] - got[1])) <= 1e-13
+        axes = list(rng.permutation(k))
+        full = np.block([[pair[0], zero], [zero, _materialized(pair[1], k, axes)]])
+        want = _composite_steps(full, noise, [(a, b)], nq).reshape(2, half, 2, half)
+        got, got_axes = pair.copy(), list(axes)
+        even_step(got, got_axes, a, b)
+        got = (1.0 - p) * np.array([got[0], _materialized(got[1], k, got_axes)])
+        got += p * np.trace(full).real / 2**nq * np.eye(half)
+        assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
+        assert np.max(np.abs(want[0, :, 0] - got[0])) <= 1e-13
+        assert np.max(np.abs(want[1, :, 1] - got[1])) <= 1e-13
 
 
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
 def test_parity_block_maps_after_the_fredkin_list_are_the_cyclic_shift(machinery):
-    # M = 3, the whole backward Fredkin list: the stored blocks read back
-    # through their composed maps as the composite result, each map ends
+    # M = 3, the whole backward Fredkin list: the stored even pair reads
+    # back through its composed map as the composite result, the map ends
     # as C_M at register level, and the register-level read of a stored
     # block equals the reduction of the block it stands for
     n, copies = 2, 3
     nq = 1 + copies * n
     k = nq - 1
-    half, d = 2**k, 2**n
+    half = 2**k
     noise = NoiseModel(machinery, 0.1)
-    fredkins = [
-        (1 + r * n + i, 1 + (r + 1) * n + i)
-        for r in reversed(range(copies - 1))
-        for i in reversed(range(n))
-    ]
+    fredkins = _backward_fredkins(n, copies)
     # global depolarizing folds into a scale and an identity coefficient
     p = noise.strength if machinery == "depolarizing-global" else 0.0
     scale = (1.0 - p) ** len(fredkins)
-    odd_step, even_step, odd_factor = schemes._parity_steps(noise, nq)
+    even_step, _ = schemes._parity_steps(noise, nq)
     rng = np.random.default_rng(23)
     zero = np.zeros((half, half), dtype=complex)
-    o = rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half))
     pair = np.array([random_hermitian(rng, half), random_hermitian(rng, half)])
-    want_odd = _composite_steps(np.block([[zero, o], [o.conj().T, zero]]), noise, fredkins, nq)
     even = np.block([[pair[0], zero], [zero, pair[1]]])
     want_even = _composite_steps(even, noise, fredkins, nq).reshape(2, half, 2, half)
     identity = (1.0 - scale) * np.trace(even).real / 2**nq * np.eye(half)
     same = list(range(k))
-    columns, axes = list(same), list(same)
+    axes = list(same)
     for a, b in fredkins:
-        odd_step(o, columns, a, b)
         even_step(pair, axes, a, b)
-    got_odd = scale * odd_factor ** len(fredkins) * _materialized(o, k, same, columns)
-    got_11 = scale * _materialized(pair[1], k, axes, axes) + identity
-    assert np.max(np.abs(want_odd.reshape(2, half, 2, half)[0, :, 1] - got_odd)) <= 1e-13
+    got_11 = scale * _materialized(pair[1], k, axes) + identity
     assert np.max(np.abs(want_even[0, :, 0] - scale * pair[0] - identity)) <= 1e-13
     assert np.max(np.abs(want_even[1, :, 1] - got_11)) <= 1e-13
     # C_M sends register r to r - 1: qubit q of register r is stored on
     # axis q of register (r - 1) mod M
-    shift = [((q // n - 1) % copies) * n + q % n for q in range(k)]
-    assert columns == axes == shift
-    rho = random_density(rng, d).matrix
-    others = kron_power(rho, copies - 1)
+    assert axes == [((q // n - 1) % copies) * n + q % n for q in range(k)]
+    rho = random_density(rng, 2**n).matrix
     weights = np.ascontiguousarray(kron_power(rho.T, copies - 1))
-    e = others.shape[0]
-    for stored, rows_map, columns_map in (
-        (pair[0], same, same), (o, same, columns), (pair[1], axes, axes)
-    ):
-        block = _materialized(stored, k, rows_map, columns_map)
-        want = np.einsum("ikjl,lk->ij", block.reshape(d, e, d, e), others)
-        got = schemes._reduced(stored, rows_map, columns_map, weights, n)
+    for stored, stored_axes in ((pair[0], same), (pair[1], axes)):
+        want = _composite_reduction(_materialized(stored, k, stored_axes), rho, n, copies)
+        got = schemes._reduced(stored, stored_axes, weights, n)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
+def test_register_reductions_match_the_composite(machinery):
+    # per-qubit machinery reaches each register alone, so the odd block's
+    # V_01 (both kinds) and the dephasing even pair (V_00, V_11) are
+    # register products; each is checked against the reduction of the
+    # composite effect after the whole backward Fredkin list, on random
+    # full-rank states, where the machinery moves every block
+    rng = np.random.default_rng(24)
+    noise = NoiseModel(machinery, 0.07)
+    for n, copies in [(n, m) for n in (1, 2, 3) for m in (2, 3, 4) if n * m <= 8]:
+        nq = 1 + copies * n
+        half = 2 ** (nq - 1)
+        rho, rbar = (random_density(rng, 2**n).matrix for _ in range(2))
+        fredkins = _backward_fredkins(n, copies)
+
+        def noisy(x):
+            return apply_noise(x.copy(), noise, range(n), n, adjoint=True)
+
+        _, odd_factor = schemes._parity_steps(noise, nq)
+        registers = kron_power(rbar, copies)
+        zero = np.zeros((half, half), dtype=complex)
+        odd = np.block([[zero, registers], [registers, zero]])
+        want = _composite_steps(odd, noise, fredkins, nq).reshape(2, half, 2, half)
+        want = _composite_reduction(want[0, :, 1], rho, n, copies)
+        got = schemes._odd_reduction(rho, rbar, copies, noisy)
+        assert np.max(np.abs(want - odd_factor ** len(fredkins) * got)) <= 1e-13, (n, copies)
+        chain = schemes._odd_reduction(rho, rbar, copies, lambda x: x)
+        assert np.max(np.abs(got - chain)) > 1e-5, (n, copies)
+        if machinery != "dephasing":
+            continue
+        even = np.block([[registers, zero], [zero, registers]])
+        want = _composite_steps(even, noise, fredkins, nq).reshape(2, half, 2, half)
+        unwritten = np.vdot(rbar, rho) ** (copies - 1) * rbar
+        for a, (x, t) in enumerate(schemes._even_reductions(rho, rbar, copies, noisy)):
+            block = _composite_reduction(want[a, :, a], rho, n, copies)
+            assert np.max(np.abs(block - t * x)) <= 1e-13, (a, n, copies)
+            assert np.max(np.abs(t * x - unwritten)) > 1e-5, (a, n, copies)
 
 
 @pytest.mark.parametrize(
