@@ -392,6 +392,22 @@ def test_depolarize_reads_a_map_per_block():
 
 @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_per_qubit_noise_reads_a_two_sided_map(kind, adjoint):
+    # under a two-sided map, noise on the targets' storage axes is the
+    # noise on the targets of the matrix the map stands for
+    rng = np.random.default_rng(20)
+    noise = NoiseModel(kind, 0.3)
+    for nq, targets in _IN_PLACE_CASES:
+        mat = _complex(rng, 2**nq, 2**nq)
+        axes = list(rng.permutation(nq))
+        want = apply_noise(_materialized(mat, nq, axes), noise, targets, nq, adjoint=adjoint)
+        stored = [int(axes[q]) for q in targets]
+        got = apply_noise(mat.copy(), noise, stored, nq, adjoint=adjoint)
+        assert np.max(np.abs(_materialized(got, nq, axes) - want)) <= 1e-14, (nq, targets)
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_per_qubit_noise_in_place_matches_the_kraus_pair(kind, adjoint):
     rng = np.random.default_rng(15)
     for p in (0.0, 0.3, 1.0):
