@@ -11,26 +11,26 @@ register-wide operator:
   reshape;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
-  4^k-operator Pauli Kraus sum. It also takes a stack of the diagonal
-  blocks of a matrix block-diagonal in further qubits, which then
-  depolarize jointly with the targets;
+  4^k-operator Pauli Kraus sum;
 * ``apply_noise`` maps a ``NoiseModel`` onto ``depolarize`` and the
-  per-qubit kernels: dephasing scales the whole matrix once by the
-  targets' factor tensor, and amplitude damping acts on each target's
-  2x2 blocks of row and column bits, in the Schrodinger or
+  per-qubit kernel: dephasing and amplitude damping act on each
+  target's 2x2 blocks of row and column bits, in the Schrodinger or
   (``adjoint=True``) the Heisenberg picture.
 
 ``depolarize`` and ``apply_noise`` work in place: they update the matrix
 they are given and return it, so the caller must own a writable,
-C-contiguous matrix. Their transients are at most a quarter of it. The
-read-only ``DensityOperator.matrix`` makes a misuse raise instead of
-corrupting a state.
+C-contiguous matrix or a writable ``[2] * 2nq`` view of one, of any
+strides. Their transients are at most a quarter of it. The read-only
+``DensityOperator.matrix`` makes a misuse raise instead of corrupting a
+state. Both also take a pair, the list [X_0, X_1] of the diagonal blocks
+of a matrix block-diagonal in one further leading qubit, which the noise
+reaches as well.
 
 A matrix may also be stored under a two-sided qubit map, its qubit q
 held on row and column axis ``map[q]``, so that a qubit swap is a
-relabeling that moves no data; ``permuted_view`` reads such a matrix
-back. The per-qubit kernels take the targets' storage axes, and
-``depolarize`` a map per block of its stack.
+relabeling that moves no data. ``permuted_view`` reads such a matrix as
+the matrix it stands for, and the kernels update it through that view,
+with targets named in the matrix it stands for.
 
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
@@ -56,6 +56,7 @@ live in ``reference``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -109,11 +110,21 @@ def superoperator(ops) -> np.ndarray:
 
 
 def _qubit_view(mat: np.ndarray, nq: int) -> np.ndarray:
-    """The ``[2] * 2nq`` view of ``mat`` (row bits, then column bits)."""
+    """The ``[2] * 2nq`` view of ``mat`` (row bits, then column bits); a
+    view of that shape is taken as it is, whatever its strides."""
+    shape = (2,) * (2 * nq)
+    if mat.shape == shape:
+        return mat
     if not mat.flags.c_contiguous:
         # reshape would copy, and the in-place update would be lost
         raise ValueError("in-place kernels need a C-contiguous matrix")
-    return mat.reshape([2] * (2 * nq))
+    return mat.reshape(shape)
+
+
+def _views(mat, nq: int) -> list:
+    """The ``[2] * 2nq`` views a kernel updates: of ``mat``, or of both
+    blocks of a pair."""
+    return [_qubit_view(block, nq) for block in (mat if isinstance(mat, list) else [mat])]
 
 
 def _bits(nq: int, fixed) -> tuple:
@@ -134,112 +145,96 @@ def permuted_view(mat: np.ndarray, nq: int, axes) -> np.ndarray:
     Qubit q of the result is row and column axis ``axes[q]`` of ``mat``,
     so a matrix stored under a qubit map (qubit q held on storage axis
     ``map[q]``) reads back as the matrix it stands for. A transpose, no
-    copy.
+    copy: the noise kernels update the stored matrix through it, with
+    the targets named as qubits of the matrix it stands for.
     """
     return _qubit_view(mat, nq).transpose(list(axes) + [nq + a for a in axes])
 
 
-def depolarize(mat: np.ndarray, p: float, targets, nq: int, maps=None) -> np.ndarray:
+def depolarize(mat, p: float, targets, nq: int):
     """Depolarize the listed qubits in place: (1-p) X + p I/d_k (x) Tr_targets X.
 
     Exact for the 4^k-operator Pauli Kraus form of
     ``reference.depolarizing_channel(k, p)``, at the cost of one partial
     trace: ``mat`` is scaled in place and the scaled partial trace is
-    added into its target-diagonal blocks. Self-adjoint, so it serves the Heisenberg
-    picture unchanged. Returns ``mat``, which must be writable and
-    C-contiguous.
+    added into its target-diagonal entries, one target-bit pattern at a
+    time, since a broadcast add into that strided view would buffer all
+    of it; with every qubit a target it is one add. Self-adjoint, so it
+    serves the Heisenberg picture unchanged. Returns ``mat``.
 
-    ``mat`` may also be a stack of the diagonal blocks X_j of a matrix
-    that is block-diagonal in c further qubits: a (2^c, 2^nq, 2^nq) array
-    or a sequence of 2^c matrices. Those qubits then depolarize jointly
-    with the targets: each block becomes
-    (1-p) X_j + p I/(2^c d_k) (x) Tr_targets(sum_j X_j), the diagonal
-    blocks of the depolarized matrix, which stays block-diagonal.
-
-    ``maps`` gives, per block of the stack, the two-sided qubit map it is
-    stored under (qubit q on row and column axis ``map[q]``; None for the
-    identity). Each block's partial trace is read through its map into
-    the unmapped frame, where they add, and added back through it.
+    ``mat`` may also be a pair, the list [X_0, X_1] of the diagonal blocks
+    of a matrix block-diagonal in one further leading qubit, which then
+    depolarizes jointly with the targets: each block becomes
+    (1-p) X_j + p I/(2 d_k) (x) Tr_targets(X_0 + X_1), the diagonal blocks
+    of the depolarized matrix, which stays block-diagonal.
     """
-    targets = {int(t) for t in targets}
+    targets = sorted({int(t) for t in targets})
     rest = [q for q in range(nq) if q not in targets]
     kept = rest + [nq + q for q in rest]
-    stack = mat if isinstance(mat, (list, tuple)) else mat.reshape((-1,) + mat.shape[-2:])
-    views = [_qubit_view(block, nq) for block in stack]
-    if maps is None:
-        maps = [None] * len(views)
-    # axis labels of each block's [2] * 2nq view: row q is q and column q is
-    # nq + q, except that a target's column shares its row's label
-    labels = []
-    for axes in maps:
-        label = [0] * (2 * nq)
-        for q, axis in enumerate(range(nq) if axes is None else axes):
-            label[axis] = q
-            label[nq + axis] = q if q in targets else nq + q
-        labels.append(label)
-    reduced = sum(np.einsum(view, label, kept) for view, label in zip(views, labels))
+    views = _views(mat, nq)
+    # row q is axis label q and column q is nq + q, except that a target's
+    # column shares its row's label
+    label = list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
+    # with no target einsum traces nothing and would return a view
+    reduced = np.einsum(views[0], label, kept) if targets else views[0].copy()
+    for view in views[1:]:
+        reduced += np.einsum(view, label, kept)
     reduced *= p / (len(views) * 2 ** len(targets))
-    for view, label in zip(views, labels):
+    for view in views:
         view *= 1.0 - p
-        # writable view of the block's entries diagonal in the targets
-        diagonal = np.einsum(view, label, sorted(targets) + kept)
-        diagonal += reduced
+        # writable view of the entries diagonal in the targets
+        diagonal = np.einsum(view, label, targets + kept)
+        for bits in product((0, 1), repeat=len(targets) if rest else 0):
+            diagonal[bits] += reduced
     return mat
 
 
-def _dephase(mat: np.ndarray, p: float, targets, nq: int) -> np.ndarray:
-    """Dephasing (1-p) X + p Z X Z on each target: the off-diagonal blocks
-    of its row and column bits scale by 1 - 2p. Self-adjoint.
+def _populations(x0: np.ndarray, x1: np.ndarray, gamma: float, adjoint: bool) -> None:
+    """Amplitude damping's population mix on the blocks X_0, X_1 of one
+    qubit's bit 0 and bit 1, in place: forward, X_0 gains gamma X_1;
+    adjoint, X_1 gains gamma X_0. Either way X_1 scales by 1 - gamma."""
+    if adjoint:
+        x1 *= 1.0 - gamma
+        x1 += gamma * x0
+    else:
+        x0 += gamma * x1
+        x1 *= 1.0 - gamma
 
-    The targets' factors form one tensor over their row bits and the whole
-    column index, so the ``[2] * nq + [2^nq]`` view (row bits, then the
-    contiguous column index) is scaled in one pass, whatever the targets.
+
+def _per_qubit(mat, scale: float, gamma: float, targets, nq: int, adjoint: bool):
+    """Per-qubit noise on each target's 2x2 blocks X_rc of row bit r and
+    column bit c, in place: X_01 and X_10 scale by ``scale``, and a
+    nonzero ``gamma`` mixes the populations (``_populations``).
+
+    Dephasing (1-p) X + p Z X Z is scale 1 - 2p with no mix, and
+    self-adjoint. Amplitude damping, K0 = diag(1, sqrt(1-gamma)) and
+    K1 = sqrt(gamma) |0><1|, is scale sqrt(1-gamma) with the mix. On a
+    pair the leading qubit's off-diagonal blocks are zero, so it meets
+    the mix alone, a quarter block at a time. The transient is a quarter
+    of a block.
     """
-    index = np.arange(2**nq)
-    factors = np.ones([1] * nq + [2**nq])
-    for q in targets:
-        shape = [1] * (nq + 1)
-        shape[q] = 2
-        same = np.arange(2).reshape(shape) == ((index >> (nq - 1 - q)) & 1)
-        factors = factors * np.where(same, 1.0, 1.0 - 2.0 * p)
-    view = _qubit_view(mat, nq).reshape([2] * nq + [2**nq])
-    view *= factors
+    views = _views(mat, nq)
+    for view in views:
+        for q in targets:
+            b00, b01, b10, b11 = (
+                view[_bits(nq, ((q, r), (nq + q, c)))]
+                for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))
+            )
+            b01 *= scale
+            b10 *= scale
+            if gamma:
+                _populations(b00, b11, gamma, adjoint)
+    if gamma and isinstance(mat, list):
+        # a quarter block at a time, with both blocks' axes in X_1's memory
+        # order, so that each quarter of X_1 is one contiguous run
+        order = np.argsort(views[1].strides, kind="stable")[::-1]
+        x0, x1 = (view.transpose(order) for view in views)
+        for r, c in product((0, 1), repeat=2):
+            _populations(x0[r : r + 1, c : c + 1], x1[r : r + 1, c : c + 1], gamma, adjoint)
     return mat
 
 
-def _damp(mat: np.ndarray, gamma: float, targets, nq: int, adjoint: bool) -> np.ndarray:
-    """Amplitude damping, K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma)
-    |0><1|, on each target's 2x2 blocks X_rc of row bit r, column bit c.
-
-    Forward, X_00 gains gamma X_11; adjoint, X_11 gains gamma X_00. Either
-    way the off-diagonal blocks scale by sqrt(1-gamma) and X_11 by
-    1 - gamma. The transient is a quarter of the matrix.
-    """
-    view = _qubit_view(mat, nq)
-    for q in targets:
-        b00, b01, b10, b11 = (
-            view[_bits(nq, ((q, r), (nq + q, c)))]
-            for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))
-        )
-        b01 *= np.sqrt(1.0 - gamma)
-        b10 *= np.sqrt(1.0 - gamma)
-        if adjoint:
-            b11 *= 1.0 - gamma
-            b11 += gamma * b00
-        else:
-            b00 += gamma * b11
-            b11 *= 1.0 - gamma
-    return mat
-
-
-def apply_noise(
-    mat: np.ndarray,
-    noise: NoiseModel,
-    targets,
-    nq: int,
-    register=None,
-    adjoint: bool = False,
-) -> np.ndarray:
+def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint: bool = False):
     """Noise inserted after a gate on ``targets`` of an nq-qubit matrix, in place.
 
     Local depolarizing acts jointly on the targets; dephasing and
@@ -247,9 +242,15 @@ def apply_noise(
     depolarizing hits every qubit of ``register`` (all nq qubits when
     None) regardless of targets. ``adjoint`` applies the Heisenberg-
     picture adjoint {K^dag} instead. ``mat`` is updated in place and
-    returned, so it must be writable and C-contiguous; trivial noise
-    returns it untouched. On a matrix stored under a two-sided qubit map
-    the per-qubit kinds take the targets' storage axes.
+    returned; trivial noise returns it untouched.
+
+    ``mat`` is a writable, C-contiguous matrix or a writable
+    ``[2] * 2nq`` view of any strides, such as ``permuted_view`` of a
+    matrix stored under a qubit map. It may also be a pair, the list
+    [X_0, X_1] of the diagonal blocks of a matrix block-diagonal in one
+    further leading qubit; the noise then reaches that qubit too:
+    jointly with the depolarized qubits, and as the population mix for
+    amplitude damping (dephasing only scales its zero blocks).
     """
     if noise.is_trivial:
         return mat
@@ -259,8 +260,9 @@ def apply_noise(
     if noise.kind == "depolarizing-local":
         return depolarize(mat, noise.strength, targets, nq)
     if noise.kind == "dephasing":
-        return _dephase(mat, noise.strength, targets, nq)
-    return _damp(mat, noise.strength, targets, nq, adjoint)
+        return _per_qubit(mat, 1.0 - 2.0 * noise.strength, 0.0, targets, nq, adjoint)
+    gamma = noise.strength
+    return _per_qubit(mat, np.sqrt(1.0 - gamma), gamma, targets, nq, adjoint)
 
 
 def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.ndarray:

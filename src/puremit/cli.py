@@ -423,8 +423,9 @@ def main(argv=None) -> int:
     except (UnstableDenominatorError, VanishingDenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError and the circuit and observable format errors among them
+    except (ValueError, OSError) as exc:
+        # ConfigError and the circuit and observable format errors among
+        # them, and a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

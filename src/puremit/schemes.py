@@ -52,7 +52,6 @@ from .channels import (
     NoiseModel,
     _global_layer,
     apply_noise,
-    depolarize,
     dual_state,
     noise_superoperator,
     permuted_view,
@@ -316,34 +315,25 @@ def _parity_steps(machinery: NoiseModel, nq: int):
 
     Returns (even, odd_factor): ``even(pair, axes, a, b)`` updates the
     (nq-1)-qubit blocks (W_00, W_11) and W_11's map in place, a and b being
-    composite targets; a build steps the pair only where the noise couples
-    two registers, under local depolarizing and amplitude damping. On the
-    odd block the ancilla's noise and local depolarizing are the scalar
-    ``odd_factor`` per step, left to the caller. Global depolarizing
-    commutes with every Fredkin, so no step reads it: the caller folds its
-    layers into one.
+    composite targets. For every kind its noise is one ``apply_noise`` on
+    the pair, W_11 read through ``permuted_view``, which reaches the
+    ancilla as the pair's leading qubit. A build steps the pair only where
+    the noise couples two registers, under local depolarizing and
+    amplitude damping. On the odd block each step leaves the scalar
+    ``odd_factor``, the ancilla's |0><1| entry, to the caller; it is 1 for
+    global depolarizing, which commutes with every Fredkin and which the
+    caller folds into one layer.
     """
     k = nq - 1
-    odd_factor = 1.0 - machinery.strength if machinery.kind == "depolarizing-local" else 1.0
-    if machinery.kind in _PER_QUBIT:
-        sup = noise_superoperator(machinery, 1, adjoint=True)
+    odd_factor = 1.0
+    if machinery.kind != "depolarizing-global":
         # entry [(x, y), (u, v)]: |x><y| in the output from |u><v|
-        odd_factor = sup[1, 1].real
-        populations = sup[::3, ::3].real
+        odd_factor = noise_superoperator(machinery, 1, adjoint=True)[1, 1].real
 
     def even(pair, axes, a, b):
         a, b = a - 1, b - 1
-        if machinery.kind == "depolarizing-local":
-            depolarize(pair, machinery.strength, (a, b), k, maps=(None, axes))
-        elif machinery.kind in _PER_QUBIT:
-            apply_noise(pair[0], machinery, (a, b), k, adjoint=True)
-            apply_noise(pair[1], machinery, (axes[a], axes[b]), k, adjoint=True)
-            # W_00 stays and W_11 becomes m_11 W_11 + m_10 W_00, W_00 read in
-            # W_11's frame half a block at a time
-            w_11 = pair[1].reshape([2] * (2 * k))
-            w_11 *= populations[1, 1]
-            for part, source in zip(w_11, permuted_view(pair[0], k, np.argsort(axes))):
-                part += populations[1, 0] * source
+        logical = [pair[0], permuted_view(pair[1], k, axes)]
+        apply_noise(logical, machinery, (a, b), k, adjoint=True)
         axes[a], axes[b] = axes[b], axes[a]
 
     return even, odd_factor
@@ -426,9 +416,10 @@ def build_pipeline(
     qubits, and per-qubit machinery noise reaches one register at a time,
     so O and, under dephasing, the even pair reduce to register products
     (``_odd_reduction``, ``_even_reductions``). Blocks are built only where
-    the noise couples two registers: local depolarizing and amplitude
-    damping's population mix, both on the combined even pair, stored under
-    a qubit map that ends as C_M.
+    the noise couples two registers: on the combined even pair, under local
+    depolarizing and amplitude damping, whose population mix reaches the
+    ancilla. W_11 is stored under a qubit map that ends as C_M, and each
+    step is one ``apply_noise`` on the pair.
 
     Global machinery depolarizing of strength p fixes I and commutes with
     every unitary, so the layers of the prefix Hadamard and of the F
@@ -460,9 +451,9 @@ def build_pipeline(
     becomes a signed permutation once per build, read by
     ``observables.pauli_traces`` and ``pauli_sandwiches``; Tr(V_00 rho) is
     read once. A build that steps a block peaks at R and one copy of it,
-    half a composite, plus transients of at most one block; any other
-    build holds register-size matrices only. See ``MeasurableTerm``
-    for the outcomes.
+    half a composite, plus the steps' transients of at most a quarter
+    block; any other build holds register-size matrices only. See
+    ``MeasurableTerm`` for the outcomes.
 
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
     vector psi (``circuits.circuit_state``), read against psi as a column

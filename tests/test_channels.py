@@ -376,34 +376,45 @@ def test_qubit_maps_read_back_as_the_swapped_matrix():
         assert np.max(np.abs(_materialized(mat, nq, axes) - swap @ mat @ swap)) <= 1e-14
 
 
-def test_depolarize_reads_a_map_per_block():
-    # the stacked blocks of a block-diagonal matrix, one of them relabeled,
-    # depolarize jointly as the blocks they stand for
-    rng = np.random.default_rng(21)
-    for nq, targets in _IN_PLACE_CASES:
-        stack = _complex(rng, 2, 2**nq, 2**nq)
-        axes = list(rng.permutation(nq))
-        logical = np.array([stack[0], _materialized(stack[1], nq, axes)])
-        want = depolarize(logical, 0.3, targets, nq)
-        got = depolarize(stack.copy(), 0.3, targets, nq, maps=(None, axes))
-        assert np.max(np.abs(got[0] - want[0])) <= 1e-14
-        assert np.max(np.abs(_materialized(got[1], nq, axes) - want[1])) <= 1e-14
-
-
-@pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
+@pytest.mark.parametrize("kind", NOISE_KINDS[1:])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-def test_per_qubit_noise_reads_a_two_sided_map(kind, adjoint):
-    # under a two-sided map, noise on the targets' storage axes is the
-    # noise on the targets of the matrix the map stands for
+def test_noise_kernels_update_a_matrix_through_its_permuted_view(kind, adjoint):
+    # a matrix stored under a two-sided map, updated through permuted_view
+    # with the targets named in the matrix it stands for, holds the noise
+    # on that matrix
     rng = np.random.default_rng(20)
     noise = NoiseModel(kind, 0.3)
     for nq, targets in _IN_PLACE_CASES:
         mat = _complex(rng, 2**nq, 2**nq)
         axes = list(rng.permutation(nq))
         want = apply_noise(_materialized(mat, nq, axes), noise, targets, nq, adjoint=adjoint)
-        stored = [int(axes[q]) for q in targets]
-        got = apply_noise(mat.copy(), noise, stored, nq, adjoint=adjoint)
-        assert np.max(np.abs(_materialized(got, nq, axes) - want)) <= 1e-14, (nq, targets)
+        view = permuted_view(mat, nq, axes)
+        assert apply_noise(view, noise, targets, nq, adjoint=adjoint) is view
+        assert np.max(np.abs(_materialized(mat, nq, axes) - want)) <= 1e-14, (nq, targets)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS[1:])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_noise_on_a_pair_is_noise_on_its_block_diagonal_matrix(kind, adjoint):
+    # [X_0, X_1] stands for the (nq+1)-qubit matrix diag(X_0, X_1), its
+    # leading qubit 0 reached by the noise with the targets shifted by one;
+    # X_1 is stored under a map and passed as its permuted view, as the
+    # even pair of a pipeline is
+    rng = np.random.default_rng(21)
+    noise = NoiseModel(kind, 0.3)
+    for nq, targets in _IN_PLACE_CASES:
+        d = 2**nq
+        x_0, x_1 = _complex(rng, d, d), _complex(rng, d, d)
+        axes = list(rng.permutation(nq))
+        zero = np.zeros((d, d), dtype=complex)
+        full = np.block([[x_0, zero], [zero, _materialized(x_1, nq, axes)]])
+        shifted = [0] + [t + 1 for t in targets]
+        want = apply_noise(full, noise, shifted, nq + 1, adjoint=adjoint).reshape(2, d, 2, d)
+        assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
+        pair = [x_0, permuted_view(x_1, nq, axes)]
+        assert apply_noise(pair, noise, targets, nq, adjoint=adjoint) is pair
+        assert np.max(np.abs(x_0 - want[0, :, 0])) <= 1e-14, (nq, targets)
+        assert np.max(np.abs(_materialized(x_1, nq, axes) - want[1, :, 1])) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])

@@ -385,6 +385,19 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_circuit_path_names_a_directory(tmp_path, capsys):
+    (tmp_path / "circ").mkdir()
+    cfg = _base_config(tmp_path, circuit="circ")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_exit_code_output_path_names_a_directory(tmp_path, capsys):
+    cfg = _base_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_observable_width_mismatch(tmp_path, capsys):
     _write(tmp_path, "plus.circ", PLUS_CIRCUIT)
     cfg = _write(
