@@ -86,7 +86,6 @@ from .schemes import (
     SchemePipeline,
     VanishingDenominatorError,
     build_pipeline,
-    circuit_level_combined,
     combined_estimate,
     multicopy_estimate,
     state_verification_estimate,

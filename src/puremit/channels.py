@@ -18,9 +18,10 @@ register-wide operator:
   (``adjoint=True``) the Heisenberg picture.
 
 ``depolarize`` and ``apply_noise`` work in place: they update the matrix
-they are given and return it, so the caller must own a writable,
-C-contiguous matrix or a writable ``[2] * 2nq`` view of one, of any
-strides. Their transients are at most a quarter of it. The read-only
+they are given and return it, so the caller must own it writable: a
+matrix or a ``[2] * 2nq`` view, of any strides, such as a transpose or a
+strided slice, since reshaping it to ``[2] * 2nq`` only splits axes and
+is a view. Their transients are at most a quarter of it. The read-only
 ``DensityOperator.matrix`` makes a misuse raise instead of corrupting a
 state. Both also take a pair, the list [X_0, X_1] of the diagonal blocks
 of a matrix block-diagonal in one further leading qubit, which the noise
@@ -109,34 +110,11 @@ def superoperator(ops) -> np.ndarray:
     return terms.sum(axis=0).reshape(d * d, d * d)
 
 
-def _qubit_view(mat: np.ndarray, nq: int) -> np.ndarray:
-    """The ``[2] * 2nq`` view of ``mat`` (row bits, then column bits); a
-    view of that shape is taken as it is, whatever its strides."""
-    shape = (2,) * (2 * nq)
-    if mat.shape == shape:
-        return mat
-    if not mat.flags.c_contiguous:
-        # reshape would copy, and the in-place update would be lost
-        raise ValueError("in-place kernels need a C-contiguous matrix")
-    return mat.reshape(shape)
-
-
 def _views(mat, nq: int) -> list:
-    """The ``[2] * 2nq`` views a kernel updates: of ``mat``, or of both
-    blocks of a pair."""
-    return [_qubit_view(block, nq) for block in (mat if isinstance(mat, list) else [mat])]
-
-
-def _bits(nq: int, fixed) -> tuple:
-    """Index of the ``[2] * 2nq`` view fixing each (axis, bit) in ``fixed``.
-
-    Each bit is a length-1 slice, not an int, so the result stays a view
-    even when every axis is fixed (nq = 1).
-    """
-    index = [slice(None)] * (2 * nq)
-    for axis, bit in fixed:
-        index[axis] = slice(bit, bit + 1)
-    return tuple(index)
+    """The ``[2] * 2nq`` views (row bits, then column bits) of ``mat`` or of a
+    pair's blocks; the reshape only splits axes, a view for any strides."""
+    shape = (2,) * (2 * nq)
+    return [block.reshape(shape) for block in (mat if isinstance(mat, list) else [mat])]
 
 
 def permuted_view(mat: np.ndarray, nq: int, axes) -> np.ndarray:
@@ -148,7 +126,7 @@ def permuted_view(mat: np.ndarray, nq: int, axes) -> np.ndarray:
     copy: the noise kernels update the stored matrix through it, with
     the targets named as qubits of the matrix it stands for.
     """
-    return _qubit_view(mat, nq).transpose(list(axes) + [nq + a for a in axes])
+    return mat.reshape((2,) * (2 * nq)).transpose(list(axes) + [nq + a for a in axes])
 
 
 def depolarize(mat, p: float, targets, nq: int):
@@ -216,10 +194,9 @@ def _per_qubit(mat, scale: float, gamma: float, targets, nq: int, adjoint: bool)
     views = _views(mat, nq)
     for view in views:
         for q in targets:
-            b00, b01, b10, b11 = (
-                view[_bits(nq, ((q, r), (nq + q, c)))]
-                for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))
-            )
+            # length-1 slices, not ints, so each stays a view even at nq = 1
+            x = np.moveaxis(view, (q, nq + q), (0, 1))
+            b00, b01, b10, b11 = (x[r : r + 1, c : c + 1] for r, c in product((0, 1), repeat=2))
             b01 *= scale
             b10 *= scale
             if gamma:
@@ -244,9 +221,9 @@ def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint
     picture adjoint {K^dag} instead. ``mat`` is updated in place and
     returned; trivial noise returns it untouched.
 
-    ``mat`` is a writable, C-contiguous matrix or a writable
-    ``[2] * 2nq`` view of any strides, such as ``permuted_view`` of a
-    matrix stored under a qubit map. It may also be a pair, the list
+    ``mat`` is any writable matrix or ``[2] * 2nq`` view, of any strides,
+    such as a transpose, a strided slice or ``permuted_view`` of a matrix
+    stored under a qubit map. It may also be a pair, the list
     [X_0, X_1] of the diagonal blocks of a matrix block-diagonal in one
     further leading qubit; the noise then reaches that qubit too:
     jointly with the depolarized qubits, and as the population mix for

@@ -101,6 +101,8 @@ class Gate:
             raise ValueError(f"gate {self.name} targets must be distinct, got {qubits}")
         if (self.angle is not None) != (self.name in ANGLE_GATES):
             raise ValueError(f"angle mismatch for gate {self.name}")
+        if self.angle is not None and not np.isfinite(self.angle):
+            raise ValueError(f"gate {self.name} angle {float(self.angle)} is not finite")
 
     def matrix(self) -> np.ndarray:
         return gate_matrix(self.name, self.angle)

@@ -23,7 +23,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -213,19 +213,17 @@ def _run_config(config: ExperimentConfig, config_dir: Path, exact: bool) -> Esti
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    out = {
-        "scheme": config.scheme,
-        "circuit": config.circuit,
-        "observable": config.observable,
-        "m": config.m,
-        "shots": "exact" if config.shots is None else config.shots,
-        "trials": config.trials,
-        "seed": config.seed,
-    }
-    for key in ("noise", "machinery_noise", "dual_noise"):
-        model = getattr(config, key)
-        if model is not None:
-            out[key] = {"kind": model.kind, "strength": model.strength}
+    """The set fields but the output path, shots ``exact`` when unset and a
+    noise model as {kind, strength}."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "shots" and value is None:
+            value = "exact"
+        if isinstance(value, NoiseModel):
+            value = {"kind": value.kind, "strength": value.strength}
+        if value is not None and f.name != "output":
+            out[f.name] = value
     return out
 
 
@@ -255,12 +253,12 @@ def cmd_run(args) -> int:
         "report": report.as_dict(),
         "wall_time_s": elapsed,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _emit(text, args.output if args.output is not None else config.output)
     return 0
 
 
-# a resource profile's fields after its kind, in ``as_dict`` order
+# a resource profile's fields after its kind, in field order
 _PROFILE_COLUMNS = [
     "degree",
     "registers",
@@ -325,7 +323,7 @@ def cmd_sweep(args) -> int:
             [
                 args.parameter,
                 value,
-                # the profile's fields in column order, its kind the report's
+                # the profile's fields in field order, its kind the report's
                 *report.resources.as_dict().values(),
                 repr(report.ratio),
                 repr(report.ratio_stderr),
@@ -351,7 +349,7 @@ def cmd_resources(args) -> int:
         if degree % 2 == 0:
             rows.append(resource_profile("combined", degree, args.qubits))
     header = ["kind", *_PROFILE_COLUMNS]
-    # as_dict lists the profile's fields in the order of the columns
+    # as_dict lists the profile's fields in field order, that of the columns
     cells = [[str(value) for value in r.as_dict().values()] for r in rows]
     if args.output is not None:
         buf = io.StringIO()

@@ -1,14 +1,16 @@
 """Experiment configuration files.
 
-Plain ``key = value`` lines with ``#`` comments. Noise models use dotted
-keys (``noise.kind``, ``machinery_noise.strength``, ``dual_noise.kind``).
-``shots`` is a positive integer or the word ``exact``. Parsing and
-serialization round-trip exactly.
+Plain ``key = value`` lines with ``#`` comments. The keys are the fields
+of ``ExperimentConfig``, and a key a file leaves out takes the field's
+default. A noise model is two dotted keys, its ``kind`` and its
+``strength`` (``noise.kind``, ``machinery_noise.strength``). ``shots`` is
+a positive integer or the word ``exact``. Parsing and serialization
+round-trip exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .channels import NO_NOISE, NOISE_KINDS, NoiseModel
 from .observables import ObservableFormatError, parse_observable
@@ -50,22 +52,16 @@ class ExperimentConfig:
             raise ConfigError(f"field 'observable': {exc}") from None
 
 
+def _is_noise(f) -> bool:
+    """Whether a field holds a noise model; annotations here are strings."""
+    return "NoiseModel" in f.type
+
+
 _REQUIRED = ("scheme", "circuit", "observable")
 _KNOWN = {
-    "scheme",
-    "circuit",
-    "observable",
-    "m",
-    "shots",
-    "trials",
-    "seed",
-    "output",
-    "noise.kind",
-    "noise.strength",
-    "machinery_noise.kind",
-    "machinery_noise.strength",
-    "dual_noise.kind",
-    "dual_noise.strength",
+    key
+    for f in fields(ExperimentConfig)
+    for key in ((f"{f.name}.kind", f"{f.name}.strength") if _is_noise(f) else (f.name,))
 }
 
 
@@ -83,11 +79,12 @@ def _to_float(key: str, value: str) -> float:
         raise ConfigError(f"field {key!r}: {value!r} is not a number") from None
 
 
-def _noise_from(fields: dict, prefix: str, default: NoiseModel | None) -> NoiseModel | None:
-    kind = fields.get(f"{prefix}.kind")
-    strength = fields.get(f"{prefix}.strength")
+def _noise_from(values: dict, prefix: str) -> NoiseModel | None:
+    """The model ``prefix.kind`` and ``prefix.strength`` set; None if neither is."""
+    kind = values.get(f"{prefix}.kind")
+    strength = values.get(f"{prefix}.strength")
     if kind is None and strength is None:
-        return default
+        return None
     if kind is None:
         raise ConfigError(f"field {prefix}.strength given without {prefix}.kind")
     if kind not in NOISE_KINDS:
@@ -102,7 +99,7 @@ def _noise_from(fields: dict, prefix: str, default: NoiseModel | None) -> NoiseM
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    fields: dict = {}
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -114,56 +111,46 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         value = value.strip()
         if key not in _KNOWN:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in fields:
+        if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{source}:{lineno}: empty value for key {key!r}")
-        fields[key] = value
+        values[key] = value
     for key in _REQUIRED:
-        if key not in fields:
+        if key not in values:
             raise ConfigError(f"{source}: missing required key {key!r}")
-    shots_text = fields.get("shots")
-    if shots_text is None or shots_text.lower() == "exact":
-        shots = None
-    else:
-        shots = _to_int("shots", shots_text)
+    # shots, converted here, is passed on as it stands
+    shots = values.get("shots")
+    if shots is not None:
+        values["shots"] = None if shots.lower() == "exact" else _to_int("shots", shots)
     try:
-        return ExperimentConfig(
-            scheme=fields["scheme"],
-            circuit=fields["circuit"],
-            observable=fields["observable"],
-            m=_to_int("m", fields.get("m", "2")),
-            shots=shots,
-            trials=_to_int("trials", fields.get("trials", "1")),
-            seed=_to_int("seed", fields.get("seed", "0")),
-            noise=_noise_from(fields, "noise", NO_NOISE),
-            machinery_noise=_noise_from(fields, "machinery_noise", NO_NOISE),
-            dual_noise=_noise_from(fields, "dual_noise", None),
-            output=fields.get("output"),
-        )
+        # only the fields the file sets; the rest take their defaults
+        given = {}
+        for f in fields(ExperimentConfig):
+            if _is_noise(f):
+                model = _noise_from(values, f.name)
+                if model is not None:
+                    given[f.name] = model
+            elif f.name in values:
+                value = values[f.name]
+                given[f.name] = _to_int(f.name, value) if f.type == "int" else value
+        return ExperimentConfig(**given)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
 def format_config(config: ExperimentConfig) -> str:
-    lines = [
-        f"scheme = {config.scheme}",
-        f"circuit = {config.circuit}",
-        f"observable = {config.observable}",
-        f"m = {config.m}",
-        f"shots = {'exact' if config.shots is None else config.shots}",
-        f"trials = {config.trials}",
-        f"seed = {config.seed}",
-        f"noise.kind = {config.noise.kind}",
-        f"noise.strength = {config.noise.strength!r}",
-        f"machinery_noise.kind = {config.machinery_noise.kind}",
-        f"machinery_noise.strength = {config.machinery_noise.strength!r}",
-    ]
-    if config.dual_noise is not None:
-        lines.append(f"dual_noise.kind = {config.dual_noise.kind}")
-        lines.append(f"dual_noise.strength = {config.dual_noise.strength!r}")
-    if config.output is not None:
-        lines.append(f"output = {config.output}")
+    """A line per set field; shots ``exact`` when unset, a noise model two."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "shots" and value is None:
+            value = "exact"
+        if isinstance(value, NoiseModel):
+            lines.append(f"{f.name}.kind = {value.kind}")
+            lines.append(f"{f.name}.strength = {value.strength!r}")
+        elif value is not None:
+            lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -134,7 +134,7 @@ def hermitian_eig(a: np.ndarray, atol: float = HERMITICITY_ATOL):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > atol:
+    if not dev <= atol:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian: max |a - a^dag| = {dev:.3e} > {atol:.1e}")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     w = w[::-1].copy()
@@ -203,7 +203,7 @@ def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
 
 def _check_hermitian(mat: np.ndarray) -> None:
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > HERMITICITY_ATOL:
+    if not dev <= HERMITICITY_ATOL:  # NaN fails too
         raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
 
 
@@ -218,7 +218,7 @@ def _unit_vector(psi, name: str) -> np.ndarray:
 
 def _check_trace(mat: np.ndarray) -> None:
     tr = float(mat.trace().real)
-    if abs(tr - 1.0) > TRACE_ATOL:
+    if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"density matrix trace {tr!r} != 1")
 
 
@@ -251,7 +251,7 @@ class DensityOperator:
         mat = mat + mat.conj().T
         mat /= 2.0
         evals = np.linalg.eigvalsh(mat)
-        if evals[0] < -PSD_ATOL:
+        if not evals[0] >= -PSD_ATOL:
             raise ValueError(f"density matrix not PSD: min eigenvalue {evals[0]:.3e}")
         if self.normalized:
             _check_trace(mat)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .resources import ResourceProfile
 
@@ -36,22 +36,11 @@ class EstimateReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "ratio": self.ratio,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "shots_used": self.shots_used,
-            "trials": self.trials,
-            "ratio_stderr": self.ratio_stderr,
-            "numerator_stderr": self.numerator_stderr,
-            "denominator_stderr": self.denominator_stderr,
-            "exact_ratio": self.exact_ratio,
-            "ideal_value": self.ideal_value,
-            "raw_value": self.raw_value,
-            "imag_residual": self.imag_residual,
-            "resources": self.resources.as_dict(),
-        }
-        if self.details:
-            out["details"] = dict(self.details)
+        """The fields by name, shallow: ``resources`` as its ``as_dict``, and
+        ``details`` copied, left out when empty. A new field is a new key."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["resources"] = self.resources.as_dict()
+        details = out.pop("details")
+        if details:
+            out["details"] = dict(details)
         return out

@@ -10,7 +10,7 @@ is one controlled qubit swap per qubit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SCHEME_KINDS = (
     "raw",
@@ -40,15 +40,8 @@ class ResourceProfile:
     ancillas: int
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "registers": self.registers,
-            "control_register_swaps": self.control_register_swaps,
-            "qubit_level_control_swaps": self.qubit_level_control_swaps,
-            "depth_factor": self.depth_factor,
-            "ancillas": self.ancillas,
-        }
+        """The fields by name, in field order (the CSV columns' order)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def resource_profile(kind: str, degree: int, n_qubits: int) -> ResourceProfile:

@@ -60,13 +60,14 @@ class SampleStats:
 def _normalized(probs: np.ndarray) -> np.ndarray:
     """Validated outcome probabilities, clipped at zero and rescaled to sum 1."""
     low = float(probs.min())
-    if low < -_NEG_PROB_ATOL:
+    # written so that NaN fails
+    if not low >= -_NEG_PROB_ATOL:
         raise ValueError(
             f"state yields negative outcome probability {low:.3e}; not a valid state"
         )
     probs = np.clip(probs, 0.0, None)
     total = float(probs.sum())
-    if abs(total - 1.0) > _SUM_PROB_ATOL:
+    if not abs(total - 1.0) <= _SUM_PROB_ATOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
     return probs / total
 

@@ -320,15 +320,15 @@ def _parity_steps(machinery: NoiseModel, nq: int):
     ancilla as the pair's leading qubit. A build steps the pair only where
     the noise couples two registers, under local depolarizing and
     amplitude damping. On the odd block each step leaves the scalar
-    ``odd_factor``, the ancilla's |0><1| entry, to the caller; it is 1 for
-    global depolarizing, which commutes with every Fredkin and which the
-    caller folds into one layer.
+    ``odd_factor``, the ancilla's |0><1| entry under the noise, to the
+    caller, read off ``noise_superoperator`` for every kind: 1 - p under
+    both depolarizing kinds, 1 - 2p under dephasing and sqrt(1 - p) under
+    amplitude damping. A build passes global machinery as no noise, since
+    it folds that into one layer.
     """
     k = nq - 1
-    odd_factor = 1.0
-    if machinery.kind != "depolarizing-global":
-        # entry [(x, y), (u, v)]: |x><y| in the output from |u><v|
-        odd_factor = noise_superoperator(machinery, 1, adjoint=True)[1, 1].real
+    # entry [(x, y), (u, v)]: |x><y| in the output from |u><v|
+    odd_factor = noise_superoperator(machinery, 1, adjoint=True)[1, 1].real
 
     def even(pair, axes, a, b):
         a, b = a - 1, b - 1
@@ -422,13 +422,14 @@ def build_pipeline(
     step is one ``apply_noise`` on the pair.
 
     Global machinery depolarizing of strength p fixes I and commutes with
-    every unitary, so the layers of the prefix Hadamard and of the F
-    Fredkins, all before the inverse circuits, are one layer of strength
+    every unitary, so it is split off once: the steps see no local noise,
+    and the layers of the prefix Hadamard and of the F Fredkins, all
+    before the inverse circuits, are one layer of strength
     q = 1 - (1-p)^(F+1) (``channels._global_layer``), which maps W to
-    (1-q) W + q Tr(W) I/2^nq. The final Hadamard's layer acts before the
-    inverse circuits' adjoint, which is not unital under amplitude
-    damping, so it stays in c. The scalar s each Fredkin's noise leaves on
-    O folds in the same way.
+    (1-q) W + q Tr(W) I/2^nq. The final Hadamard's layer, of strength
+    1 - (1-p), acts before the inverse circuits' adjoint, which is not
+    unital under amplitude damping, so it stays in c. The scalar s each
+    Fredkin's local noise leaves on O folds in the same way.
 
     No prefix state is built either. The prefix is A (x) rho^(x)M, with A
     the ancilla after its Hadamard and its machinery noise, global noise
@@ -499,12 +500,12 @@ def build_pipeline(
         # each string read as a sign: +1 with probability (Tr rho + Tr(P rho))/2
         z, kept, rest, operator_ratio = raw, rho_trace, None, raw_value
     else:
-        # the prefix A (x) rho^(x)M, kept as its factors: global machinery
-        # noise folds into the Fredkins' layer, every other kind acts on the
-        # ancilla alone
+        # global machinery is the folded layers alone, any other kind local
+        local_noise = NO_NOISE if machinery.kind == "depolarizing-global" else machinery
+        final = _global_layer(machinery, 1)
+        # the prefix A (x) rho^(x)M, kept as its factors
         ancilla = gate_matrix("H") @ zero_projector(2) @ gate_matrix("H")
-        if machinery.kind != "depolarizing-global":
-            ancilla = apply_noise(ancilla, machinery, [0], 1)
+        ancilla = apply_noise(ancilla, local_noise, [0], 1)
         # Tr(A (x) rho^(x)M), which the identity reads off every unit
         unit_trace = float(np.trace(ancilla).real) * rho_trace**copies
         # multi-copy is the verified readout with rbar = I and Pi = I
@@ -523,15 +524,11 @@ def build_pipeline(
         def head(diag: np.ndarray):
             """(c, alpha, beta) with the readout effect diag (x) Pi equal to
             c I + alpha I_anc (x) R + beta X_anc (x) R before the Fredkins."""
-            c = 0.0
-            if machinery.kind == "depolarizing-global":
-                # (1-p) W + p Tr(W)/2^nq I on the whole composite; Tr Pi = 1
-                # when verifying, and multi-copy reads only Z, of trace 0
-                c = machinery.strength * diag.sum() / 2**nq
-                diag = (1.0 - machinery.strength) * diag
-            else:
-                effect = np.diag(diag).astype(complex)
-                diag = np.diagonal(apply_noise(effect, machinery, [0], 1, adjoint=True)).real
+            # the final layer: (1-q) W + q Tr(W)/2^nq I on the composite; Tr Pi
+            # = 1 when verifying, and multi-copy reads only Z, of trace 0
+            c = final * diag.sum() / 2**nq
+            effect = np.diag((1.0 - final) * diag).astype(complex)
+            diag = np.diagonal(apply_noise(effect, local_noise, [0], 1, adjoint=True)).real
             # H diag(z0, z1) H = (z0 + z1)/2 I + (z0 - z1)/2 X; the suffix is
             # trace-preserving, so every adjoint leaves c I alone
             return c, (diag[0] + diag[1]) / 2, (diag[0] - diag[1]) / 2
@@ -544,13 +541,13 @@ def build_pipeline(
             for i in reversed(range(n))
         ]
         scale = 1.0 - _global_layer(machinery, len(fredkins) + 1)
-        even_step, odd_factor = _parity_steps(machinery, nq)
-        local = bool(fredkins) and not machinery.is_trivial
-        per_qubit = local and machinery.kind in _PER_QUBIT
+        even_step, odd_factor = _parity_steps(local_noise, nq)
+        local = bool(fredkins) and not local_noise.is_trivial
+        per_qubit = local and local_noise.kind in _PER_QUBIT
 
         def noisy(x):
             """N, the Fredkins' per-qubit noise as one register meets it."""
-            return apply_noise(x.copy(), machinery, range(n), n, adjoint=True) if per_qubit else x
+            return apply_noise(x.copy(), local_noise, range(n), n, adjoint=True) if per_qubit else x
 
         # Tr(V_01 P rho) per string; with N the identity V_01 is the chain's tail
         forward = chain
@@ -562,7 +559,7 @@ def build_pipeline(
             # R = I, and every adjoint of the suffix keeps I_anc (x) I
             even = unit_trace
         else:
-            if local and machinery.kind in ("depolarizing-local", "amplitude-damping"):
+            if local and local_noise.kind in ("depolarizing-local", "amplitude-damping"):
                 # the noise couples two registers: W_00 takes over R, W_11 a
                 # copy of it, and registers 2..M of the prefix are traced
                 # against each block, transposed
@@ -611,24 +608,3 @@ def build_pipeline(
         raw_value=float(raw_value),
         operator_ratio=operator_ratio,
     )
-
-
-def circuit_level_combined(
-    circuit: GateCircuit,
-    noise: NoiseModel,
-    observable: PauliObservable,
-    n_copies: int = 2,
-    machinery_noise: NoiseModel | None = None,
-    dual_noise: NoiseModel | None = None,
-) -> EstimateReport:
-    """Exact circuit-level run of the combined scheme."""
-    pipe = build_pipeline(
-        "combined",
-        circuit,
-        noise,
-        observable,
-        n_copies=n_copies,
-        machinery_noise=machinery_noise,
-        dual_noise=dual_noise,
-    )
-    return pipe.exact_report()

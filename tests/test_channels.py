@@ -476,9 +476,36 @@ def test_in_place_kernels_refuse_matrices_they_cannot_update(kind):
     state = DensityOperator.maximally_mixed(4)
     with pytest.raises(ValueError):
         apply_noise(state.matrix, NoiseModel(kind, 0.1), [0], 2)
-    transposed = _complex(np.random.default_rng(17), 4, 4).T
-    with pytest.raises(ValueError):
-        apply_noise(transposed, NoiseModel(kind, 0.1), [0], 2)
+
+
+def _blocks(mat) -> list:
+    return mat if isinstance(mat, list) else [mat]
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS[1:])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_in_place_kernels_update_transposed_and_strided_matrices(kind, adjoint):
+    # reshaping a transpose or a strided slice to [2] * 2nq only splits
+    # axes, so it is a view and the kernels write through it
+    rng = np.random.default_rng(17)
+    noise = NoiseModel(kind, 0.15)
+    nq, targets = 3, [0, 2]
+    store = _complex(rng, 16, 16)
+    rest = store[1::2].copy(), store[:, 1::2].copy()
+    transposed = _complex(rng, 8, 8).T
+    strided = store[::2, ::2]
+    for mat in (transposed, strided, [transposed, strided]):
+        before = [block.copy() for block in _blocks(mat)]
+        want = [block.copy() for block in before]
+        apply_noise(want if isinstance(mat, list) else want[0], noise, targets, nq,
+                    adjoint=adjoint)
+        assert apply_noise(mat, noise, targets, nq, adjoint=adjoint) is mat
+        for got, w, b in zip(_blocks(mat), want, before):
+            assert np.max(np.abs(got - w)) <= 1e-14
+            assert np.max(np.abs(got - b)) > 1e-3
+    # the slice's update left the rest of its array alone
+    assert np.array_equal(store[1::2], rest[0])
+    assert np.array_equal(store[:, 1::2], rest[1])
 
 
 # --- fused gate-and-noise steps against the two-step path -------------------

@@ -14,6 +14,8 @@ from puremit.config import (
     load_config,
     parse_config,
 )
+from puremit.reports import EstimateReport
+from puremit.resources import resource_profile
 
 PLUS_CIRCUIT = "qubits 1\nH 0\n"
 BELL_CIRCUIT = "qubits 2\nH 0\nCNOT 0 1\n"
@@ -59,6 +61,64 @@ def test_parse_config_round_trip():
         output="out.json",
     )
     assert parse_config(format_config(cfg)) == cfg
+    assert parse_config(format_config(_SPARSE_CONFIG)) == _SPARSE_CONFIG
+
+
+# shots exact, no dual noise and no output path
+_SPARSE_CONFIG = ExperimentConfig(
+    scheme="state-verification",
+    circuit="bell.circ",
+    observable="ZZ",
+    noise=NoiseModel("amplitude-damping", 0.05),
+)
+
+
+def test_format_config_text_with_every_field_set():
+    cfg = ExperimentConfig(
+        scheme="combined",
+        circuit="c.circ",
+        observable="0.5*ZI + 0.5*IZ",
+        m=3,
+        shots=2000,
+        trials=4,
+        seed=9,
+        noise=NoiseModel("dephasing", 0.1),
+        machinery_noise=NoiseModel("depolarizing-local", 0.02),
+        dual_noise=NO_NOISE,
+        output="out.json",
+    )
+    assert format_config(cfg) == (
+        "scheme = combined\n"
+        "circuit = c.circ\n"
+        "observable = 0.5*ZI + 0.5*IZ\n"
+        "m = 3\n"
+        "shots = 2000\n"
+        "trials = 4\n"
+        "seed = 9\n"
+        "noise.kind = dephasing\n"
+        "noise.strength = 0.1\n"
+        "machinery_noise.kind = depolarizing-local\n"
+        "machinery_noise.strength = 0.02\n"
+        "dual_noise.kind = none\n"
+        "dual_noise.strength = 0.0\n"
+        "output = out.json\n"
+    )
+
+
+def test_format_config_text_with_exact_shots_and_unset_fields():
+    assert format_config(_SPARSE_CONFIG) == (
+        "scheme = state-verification\n"
+        "circuit = bell.circ\n"
+        "observable = ZZ\n"
+        "m = 2\n"
+        "shots = exact\n"
+        "trials = 1\n"
+        "seed = 0\n"
+        "noise.kind = amplitude-damping\n"
+        "noise.strength = 0.05\n"
+        "machinery_noise.kind = none\n"
+        "machinery_noise.strength = 0.0\n"
+    )
 
 
 def test_parse_config_defaults():
@@ -213,6 +273,93 @@ def test_cmd_run_reports_are_deterministic_minus_wall_time(tmp_path):
     assert _strip_wall_time(ta) == _strip_wall_time(tb)
 
 
+_NOISE_KEYS = {"kind", "strength"}
+_REPORT_KEYS = {
+    "kind",
+    "ratio",
+    "numerator",
+    "denominator",
+    "shots_used",
+    "trials",
+    "ratio_stderr",
+    "numerator_stderr",
+    "denominator_stderr",
+    "exact_ratio",
+    "ideal_value",
+    "raw_value",
+    "imag_residual",
+    "resources",
+    "details",
+}
+_PROFILE_KEYS = {
+    "kind",
+    "degree",
+    "registers",
+    "control_register_swaps",
+    "qubit_level_control_swaps",
+    "depth_factor",
+    "ancillas",
+}
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+def test_cmd_run_json_keys_and_nesting(tmp_path, sampled):
+    # the config's output path is never echoed; dual noise only when set
+    overrides = {"output": "ignored.json"}
+    if sampled:
+        overrides.update(
+            {"shots": "2000", "dual_noise.kind": "dephasing", "dual_noise.strength": "0.01"}
+        )
+    cfg = _base_config(tmp_path, **overrides)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"config", "report", "wall_time_s"}
+    config = payload["config"]
+    models = ["noise", "machinery_noise"] + (["dual_noise"] if sampled else [])
+    assert set(config) == {"scheme", "circuit", "observable", "m", "shots", "trials", "seed"} | set(
+        models
+    )
+    assert config["shots"] == (2000 if sampled else "exact")
+    assert config["noise"] == {"kind": "depolarizing-global", "strength": 0.2}
+    assert config["machinery_noise"] == {"kind": "none", "strength": 0.0}
+    if sampled:
+        assert config["dual_noise"] == {"kind": "dephasing", "strength": 0.01}
+    nested = [key for key, value in config.items() if isinstance(value, dict)]
+    assert sorted(nested) == sorted(models)
+    assert all(set(config[key]) == _NOISE_KEYS for key in models)
+    report = payload["report"]
+    assert set(report) == _REPORT_KEYS
+    nested = [key for key, value in report.items() if isinstance(value, dict)]
+    assert sorted(nested) == ["details", "resources"]
+    assert set(report["resources"]) == _PROFILE_KEYS
+    assert not any(isinstance(v, (dict, list)) for v in report["resources"].values())
+    evaluation = "sampled" if sampled else "pipeline-exact"
+    assert report["details"]["evaluation"] == evaluation
+    assert set(report["details"]) == (
+        {"evaluation", "shot_allocation"} if sampled else {"evaluation"}
+    )
+
+
+def test_report_as_dict_leaves_out_empty_details_and_copies_the_rest():
+    profile = resource_profile("raw", 1, 1)
+    report = EstimateReport("raw", 0.5, 0.5, 1.0, profile)
+    out = report.as_dict()
+    assert set(out) == _REPORT_KEYS - {"details"}
+    assert out["resources"] == {
+        "kind": "raw",
+        "degree": 1,
+        "registers": 1,
+        "control_register_swaps": 0,
+        "qubit_level_control_swaps": 0,
+        "depth_factor": 1,
+        "ancillas": 0,
+    }
+    details = {"evaluation": "pipeline-exact"}
+    out = EstimateReport("raw", 0.5, 0.5, 1.0, profile, details=details).as_dict()
+    assert out["details"] == details and out["details"] is not details
+
+
 def test_cmd_run_m1_multicopy_degrades_to_raw(tmp_path, capsys):
     cfg = _base_config(tmp_path, m="1")
     assert main(["run", "--config", str(cfg)]) == 0
@@ -348,6 +495,32 @@ def test_cmd_resources_table(capsys):
     assert rows[("raw", "1")][2:] == ["1", "0", "0", "1", "0"]
 
 
+def test_cmd_resources_csv_is_pinned(tmp_path):
+    out = tmp_path / "resources.csv"
+    assert main(
+        ["resources", "--qubits", "3", "--max-degree", "6", "--output", str(out)]
+    ) == 0
+    rows = [
+        "kind,degree,registers,ctrl_register_swaps,ctrl_qubit_swaps,depth_factor,ancillas",
+        "raw,1,1,0,0,1,0",
+        "multi-copy,2,2,1,3,1,1",
+        "multi-copy-recycled,2,2,1,3,1,1",
+        "state-verification,2,1,0,0,2,1",
+        "combined,2,1,0,0,2,1",
+        "multi-copy,3,3,2,6,1,1",
+        "multi-copy-recycled,3,2,2,6,2,1",
+        "multi-copy,4,4,3,9,1,1",
+        "multi-copy-recycled,4,2,3,9,3,1",
+        "combined,4,2,1,3,2,1",
+        "multi-copy,5,5,4,12,1,1",
+        "multi-copy-recycled,5,2,4,12,4,1",
+        "multi-copy,6,6,5,15,1,1",
+        "multi-copy-recycled,6,2,5,15,5,1",
+        "combined,6,3,2,6,2,1",
+    ]
+    assert out.read_bytes() == "".join(f"{row}\r\n" for row in rows).encode()
+
+
 def test_cmd_resources_csv_output(tmp_path):
     out = tmp_path / "resources.csv"
     assert main(
@@ -383,6 +556,23 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     )
     assert main(["run", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shots", ["exact", "1000"])
+def test_exit_code_non_finite_gate_angle(tmp_path, capsys, angle, shots):
+    _write(tmp_path, "c.circ", f"qubits 2\nH 0\nRX {angle} 0\nCNOT 0 1\n")
+    cfg = _write(
+        tmp_path,
+        "n.cfg",
+        "scheme = combined\ncircuit = c.circ\nobservable = ZZ\nm = 2\n"
+        f"shots = {shots}\nnoise.kind = dephasing\nnoise.strength = 0.02\n",
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"c.circ:3: gate RX angle {float(angle)} is not finite" in captured.err
 
 
 def test_exit_code_circuit_path_names_a_directory(tmp_path, capsys):

@@ -163,6 +163,20 @@ def test_density_operator_validation():
     DensityOperator(np.diag([0.7, 0.7]), normalized=False)  # allowed unnormalized
 
 
+def test_validity_checks_reject_a_nan_matrix():
+    # NaN passes any comparison written as x > tol
+    bad = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(ValueError):
+        DensityOperator(bad)
+    with pytest.raises(ValueError):
+        DensityOperator(bad, normalized=False)
+    for normalized in (True, False):
+        with pytest.raises(ValueError):
+            DensityOperator._trusted(bad.copy(), normalized=normalized)
+    with pytest.raises(ValueError):
+        hermitian_eig(bad)
+
+
 def test_density_operator_is_read_only():
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError):

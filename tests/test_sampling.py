@@ -101,6 +101,12 @@ def test_sample_expectation_rejects_invalid_state():
         sample_expectation(bad, z, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.0], [np.nan] * 3])
+def test_outcome_probabilities_reject_nan(probs):
+    with pytest.raises(ValueError):
+        sampling._normalized(np.array(probs))
+
+
 def test_ratio_estimator_frozen_arithmetic():
     num = SampleStats(0.5, 0.01, 1000)
     den = SampleStats(0.8, 0.01, 1000)

@@ -50,7 +50,6 @@ from puremit.schemes import (
     SchemePipeline,
     VanishingDenominatorError,
     build_pipeline,
-    circuit_level_combined,
     combined_estimate,
     multicopy_estimate,
     state_verification_estimate,
@@ -423,11 +422,11 @@ def test_depolarizing_machinery_cancels_in_the_ratio():
     circ = _generic_circuit()
     noise = NoiseModel("depolarizing-local", 0.1)
     obs = PauliObservable.single("ZI")
-    clean = circuit_level_combined(circ, noise, obs, 2)
+    clean = build_pipeline("combined", circ, noise, obs, 2).exact_report()
     for kind in ("depolarizing-local", "depolarizing-global"):
-        dirty = circuit_level_combined(
-            circ, noise, obs, 2, machinery_noise=NoiseModel(kind, 0.05)
-        )
+        dirty = build_pipeline(
+            "combined", circ, noise, obs, 2, machinery_noise=NoiseModel(kind, 0.05)
+        ).exact_report()
         assert dirty.ratio == pytest.approx(clean.ratio, abs=1e-12)
 
 
@@ -435,8 +434,10 @@ def test_dephasing_machinery_biases_the_ratio():
     circ = _generic_circuit()
     obs = PauliObservable.single("ZI")
     mach = NoiseModel("dephasing", 0.05)
-    clean = circuit_level_combined(circ, NO_NOISE, obs, 2)
-    dirty = circuit_level_combined(circ, NO_NOISE, obs, 2, machinery_noise=mach)
+    clean = build_pipeline("combined", circ, NO_NOISE, obs, 2).exact_report()
+    dirty = build_pipeline(
+        "combined", circ, NO_NOISE, obs, 2, machinery_noise=mach
+    ).exact_report()
     assert abs(clean.ratio - clean.ideal_value) < 1e-10
     assert abs(dirty.ratio - dirty.ideal_value) > 1e-6
 
@@ -461,16 +462,20 @@ def test_machinery_noise_not_suppressed_over_circuit_family():
                 Gate("RZ", (1,), float(a[4])),
             ),
         )
-        clean = circuit_level_combined(circ, NO_NOISE, obs, 2)
-        dirty = circuit_level_combined(circ, NO_NOISE, obs, 2, machinery_noise=mach)
+        clean = build_pipeline("combined", circ, NO_NOISE, obs, 2).exact_report()
+        dirty = build_pipeline(
+            "combined", circ, NO_NOISE, obs, 2, machinery_noise=mach
+        ).exact_report()
         bias_clean = abs(clean.ratio - clean.ideal_value)
         bias_dirty = abs(dirty.ratio - dirty.ideal_value)
         assert bias_clean <= 1e-10
         assert bias_dirty > 1e-6
         assert bias_dirty > bias_clean
         # and with noisy state prep the machinery still shifts the value
-        shifted = circuit_level_combined(circ, prep, obs, 2, machinery_noise=mach)
-        base = circuit_level_combined(circ, prep, obs, 2)
+        shifted = build_pipeline(
+            "combined", circ, prep, obs, 2, machinery_noise=mach
+        ).exact_report()
+        base = build_pipeline("combined", circ, prep, obs, 2).exact_report()
         assert abs(shifted.ratio - base.ratio) > 1e-6
 
 
@@ -982,6 +987,23 @@ def test_parity_block_maps_after_the_fredkin_list_are_the_cyclic_shift(machinery
         want = _composite_reduction(_materialized(stored, k, stored_axes), rho, n, copies)
         got = schemes._reduced(stored, stored_axes, weights, n)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+_ODD_FACTORS = {
+    "depolarizing-local": lambda p: 1 - p,
+    "depolarizing-global": lambda p: 1 - p,
+    "dephasing": lambda p: 1 - 2 * p,
+    "amplitude-damping": lambda p: np.sqrt(1 - p),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ODD_FACTORS))
+def test_odd_factor_is_the_ancilla_coherence_under_the_noise(kind):
+    # read off noise_superoperator for every kind; a build passes global
+    # machinery as no noise, since it folds it into one layer
+    for p in (0.0, 0.07, 0.3):
+        _, odd_factor = schemes._parity_steps(NoiseModel(kind, p), 5)
+        assert odd_factor == pytest.approx(_ODD_FACTORS[kind](p), abs=1e-15), p
 
 
 @pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
