@@ -3,12 +3,13 @@
 States evolve through one local-contraction engine that never builds a
 register-wide operator:
 
-* ``linalg.contract`` applies a 4^k x 4^k superoperator (``superoperator``
-  of a gate's Kraus stack, its local noise fused in) to the targets' row
-  and column axes of the register's ``[2] * 2n`` tensor in one matrix
-  product. The register stays that tensor from gate to gate, each
-  product a transposed view, so a gate makes one copy: the next gate's
-  reshape;
+* ``linalg.contract`` applies a 4^k x 4^k superoperator (a fused step:
+  ``superoperator`` of a gate's Kraus stack, its local noise folded in,
+  with the pending one-qubit steps on its qubits taken in) to the
+  targets' row and column axes of the register's ``[2] * 2n`` tensor in
+  one matrix product. The register stays that tensor from step to step,
+  each product a transposed view, so a step makes one copy: the next
+  step's reshape;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
   4^k-operator Pauli Kraus sum;
@@ -36,11 +37,14 @@ with targets named in the matrix it stands for.
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
 from the same projector: the circuit's own gates, each after its
-adjoint noise. On these registers each gate and its local
-noise are fused into one superoperator, so a gate costs one contraction;
-the noise part (``noise_superoperator``) is read off the in-place
-kernels, which stay the only definition of noise. Global depolarizing
-commutes with the gates, so its layers fold into one register-wide
+adjoint noise. On these registers each gate and its local noise are
+fused into one superoperator, built once per distinct gate, and
+one-qubit steps ride on the next two-qubit step on their qubit
+(``_gate_steps``), so an evolution costs one contraction per two-qubit
+gate plus one per qubit that ends on a one-qubit gate; the noise part
+(``noise_superoperator``) is read off the in-place kernels, which stay
+the only definition of noise. Global depolarizing commutes with the
+gates, so its layers fold into one register-wide
 ``depolarize`` per evolution. Both wrap their result without the
 eigenvalue check, since an evolution keeps it PSD. A pipeline
 (``schemes.build_pipeline``) never contracts a composite: a readout
@@ -261,23 +265,48 @@ def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.
 
 
 def _gate_steps(gates, noise: NoiseModel, adjoint: bool):
-    """(superoperator, targets) per gate, with its local noise folded in.
+    """Fused (superoperator, targets) steps equal to ``gates`` in the order listed.
 
-    Forward, the noise acts after the gate; adjoint, the adjoint noise
-    acts before it. Global depolarizing is left to the caller. The noise
-    superoperators are derived once per call, for the gate sizes that
-    occur.
+    A gate's step is its superoperator with its local noise folded in:
+    forward, the noise acts after the gate; adjoint, the adjoint noise
+    acts before it. Each distinct gate (name and angle) builds its step
+    once per call, and the noise superoperators once per gate size.
+    Global depolarizing is left to the caller.
+
+    A one-qubit step is held pending on its qubit, where later one-qubit
+    steps multiply into it; the next step on more qubits that touches the
+    qubit takes it in, right-multiplied on that qubit's input axes, and
+    the steps still pending at the end come out as they are. Steps on
+    disjoint qubits commute, so the fused steps make the same map with
+    one contraction per two-qubit gate and one per qubit whose last gate
+    acts on it alone.
     """
     local = not noise.is_trivial and noise.kind != "depolarizing-global"
     derived = {}
+    built = {}
+    pending = {}
     for g in gates:
-        sup = superoperator([g.matrix()])
-        if local:
-            k = len(g.qubits)
-            if k not in derived:
-                derived[k] = noise_superoperator(noise, k, adjoint)
-            sup = sup @ derived[k] if adjoint else derived[k] @ sup
+        k = len(g.qubits)
+        sup = built.get((g.name, g.angle))
+        if sup is None:
+            sup = superoperator([g.matrix()])
+            if local:
+                if k not in derived:
+                    derived[k] = noise_superoperator(noise, k, adjoint)
+                sup = sup @ derived[k] if adjoint else derived[k] @ sup
+            built[g.name, g.angle] = sup
+        if k == 1:
+            q = g.qubits[0]
+            pending[q] = sup @ pending[q] if q in pending else sup
+            continue
+        for i, q in enumerate(g.qubits):
+            if q in pending:
+                # input axes 2k + i and 3k + i hold qubit i's row and column bits
+                view = sup.reshape([2] * (4 * k))
+                sup = contract(view, pending.pop(q).T, [2 * k + i, 3 * k + i]).reshape(sup.shape)
         yield sup, g.qubits
+    for q, sup in pending.items():
+        yield sup, (q,)
 
 
 def _global_layer(noise: NoiseModel, gates: int) -> float:
@@ -294,7 +323,7 @@ def _global_layer(noise: NoiseModel, gates: int) -> float:
 
 def _evolve(n: int, gates, noise: NoiseModel, adjoint: bool) -> np.ndarray:
     """|0...0><0...0| on n qubits through ``gates`` in the order listed,
-    one contraction per gate (``_gate_steps``) on the ``[2] * 2n``
+    one contraction per fused step (``_gate_steps``) on the ``[2] * 2n``
     tensor; global noise is one layer at the end (``_global_layer``), on
     the row-major matrix the tensor is reshaped into."""
     t = zero_projector(2**n).reshape([2] * (2 * n))
@@ -322,9 +351,9 @@ def dual_state(
     C_1^dag(...C_L^dag(|0><0|)). C_L inverts the circuit's first gate g,
     and the adjoint of conjugation by g^-1 is conjugation by g, so the
     dual runs the circuit's own gates in order, each after its adjoint
-    noise, one contraction per gate. Global depolarizing is self-adjoint
-    and commutes with the gates, so its L layers are one
-    (``_global_layer``). ``dual_noise`` overrides the noise model on the
+    noise, as the same fused steps as the forward state. Global
+    depolarizing is self-adjoint and commutes with the gates, so its L
+    layers are one (``_global_layer``). ``dual_noise`` overrides the noise model on the
     inverse circuit when the mitigation run and the verification run see
     different hardware.
     """

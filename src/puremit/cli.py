@@ -110,8 +110,9 @@ def _verify_checks(seed: int):
     res_state = 0.0
     res_dual = 0.0
     for kind in NOISE_KINDS * 2:
-        n = int(rng.integers(1, 3))
-        circ = random_circuit(rng, n, 4)
+        # n = 3 and 8 gates reach a one-qubit step carried past a disjoint gate
+        n = int(rng.integers(1, 4))
+        circ = random_circuit(rng, n, 8)
         noise = NoiseModel(kind, 0.1)
         zero = DensityOperator.computational_zero(n).matrix
         rho = prepare_noisy_state(circ, noise).matrix

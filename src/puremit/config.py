@@ -119,11 +119,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"{source}: missing required key {key!r}")
-    # shots, converted here, is passed on as it stands
-    shots = values.get("shots")
-    if shots is not None:
-        values["shots"] = None if shots.lower() == "exact" else _to_int("shots", shots)
     try:
+        # shots, converted here, is passed on as it stands
+        shots = values.get("shots")
+        if shots is not None:
+            values["shots"] = None if shots.lower() == "exact" else _to_int("shots", shots)
         # only the fields the file sets; the rest take their defaults
         given = {}
         for f in fields(ExperimentConfig):

@@ -85,7 +85,9 @@ def contract(tensor: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
     axes = [int(a) for a in axes]
     order = axes + [a for a in range(tensor.ndim) if a not in axes]
     x = tensor.transpose(order).reshape(op.shape[1], -1)
-    return (op @ x).reshape(tensor.shape).transpose(np.argsort(order))
+    # the inverse permutation, in Python: np.argsort would first convert the list
+    back = sorted(range(len(order)), key=order.__getitem__)
+    return (op @ x).reshape(tensor.shape).transpose(back)
 
 
 def kron_all(factors) -> np.ndarray:

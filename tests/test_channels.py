@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from puremit import channels
 from puremit.channels import (
     NO_NOISE,
     NOISE_KINDS,
@@ -19,12 +20,19 @@ from puremit.circuits import (
     SWAP_GATE,
     Gate,
     GateCircuit,
+    circuit_state,
     circuit_unitary,
     embed_operator,
     inverse_circuit,
     random_circuit,
 )
-from puremit.linalg import DensityOperator, random_density, random_hermitian, zero_projector
+from puremit.linalg import (
+    DensityOperator,
+    contract,
+    random_density,
+    random_hermitian,
+    zero_projector,
+)
 from puremit.reference import (
     KrausChannel,
     adjoint_channel,
@@ -320,19 +328,111 @@ def test_depolarize_matches_kraus_sum():
             assert np.max(np.abs(got - want)) < 1e-12
 
 
+# circuits that reach every fusion case: a one-qubit chain on one qubit
+# (H T RX on 0), a one-qubit step carried past a disjoint two-qubit gate
+# (RY on 2 past CNOT 0 1), a rotation repeated with the same angle (RZ
+# 0.9), steps pending on the first, the second and both qubits of a
+# two-qubit gate, trailing one-qubit steps, a one-qubit circuit and an
+# empty one
+_FUSION_CIRCUITS = [
+    GateCircuit(3, (
+        Gate("H", (0,)),
+        Gate("T", (0,)),
+        Gate("RX", (0,), 0.3),
+        Gate("RY", (2,), 0.4),
+        Gate("CNOT", (0, 1)),
+        Gate("RZ", (1,), 0.9),
+        Gate("CZ", (2, 0)),
+        Gate("RZ", (1,), 0.9),
+        Gate("SWAP", (1, 2)),
+        Gate("RZ", (2,), 0.9),
+        Gate("S", (0,)),
+        Gate("X", (2,)),
+        Gate("RZ", (0,), 0.9),
+    )),
+    GateCircuit(3, (
+        Gate("Y", (2,)),
+        Gate("X", (1,)),
+        Gate("H", (0,)),
+        Gate("CZ", (0, 1)),
+        Gate("SWAP", (1, 0)),
+        Gate("RX", (2,), -1.1),
+        Gate("CNOT", (1, 2)),
+        Gate("H", (0,)),
+    )),
+    GateCircuit(1, (
+        Gate("H", (0,)),
+        Gate("RZ", (0,), 0.5),
+        Gate("RZ", (0,), 0.5),
+        Gate("S", (0,)),
+    )),
+    GateCircuit(2, ()),
+]
+
+
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 def test_engine_states_match_dense_channel_oracles(kind):
     rng = np.random.default_rng(13)
     noise = NoiseModel(kind, 0.15)
-    for n in (1, 2, 3):
-        circ = random_circuit(rng, n, 6)
-        zero = DensityOperator.computational_zero(n).matrix
+    # the dual's noise may differ from the forward noise in kind and strength
+    dual_noise = NoiseModel(NOISE_KINDS[NOISE_KINDS.index(kind) - 1], 0.1)
+    circuits = [random_circuit(rng, n, 6) for n in (1, 2, 3)] + _FUSION_CIRCUITS
+    for circ in circuits:
+        zero = DensityOperator.computational_zero(circ.n_qubits).matrix
         want = apply_channel(noisy_circuit_channel(circ, noise), zero).matrix
         got = prepare_noisy_state(circ, noise).matrix
-        assert np.max(np.abs(got - want)) < 1e-12
-        adj = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), noise))
-        got = dual_state(circ, noise).matrix
-        assert np.max(np.abs(got - _act(adj, zero))) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12, circ
+        for dual in (noise, dual_noise):
+            adj = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), dual))
+            got = dual_state(circ, noise, dual_noise=dual).matrix
+            assert np.max(np.abs(got - _act(adj, zero))) < 1e-12, (circ, dual)
+
+
+# --- fused gate steps on the hot path ----------------------------------------
+
+
+def _fused_steps(circ) -> int:
+    """Two-qubit gates plus the qubits whose last gate acts on them alone."""
+    last = {}
+    for g in circ.gates:
+        for q in g.qubits:
+            last[q] = len(g.qubits)
+    return sum(len(g.qubits) == 2 for g in circ.gates) + sum(k == 1 for k in last.values())
+
+
+@pytest.mark.parametrize("evolve", [prepare_noisy_state, dual_state], ids=lambda f: f.__name__)
+def test_register_evolution_makes_one_contraction_per_fused_step(monkeypatch, evolve):
+    # a register is a [2] * 2n tensor and a folded two-qubit step a [2] * 8
+    # one, so the widths counted here skip n = 4, where the two look alike
+    ndims = []
+
+    def counting(tensor, op, axes):
+        ndims.append(tensor.ndim)
+        return contract(tensor, op, axes)
+
+    monkeypatch.setattr(channels, "contract", counting)
+    rng = np.random.default_rng(20)
+    circuits = _FUSION_CIRCUITS + [random_circuit(rng, n, 14) for n in (1, 2, 3, 5, 6)]
+    for circ in circuits:
+        ndims.clear()
+        evolve(circ, NoiseModel("dephasing", 0.05))
+        assert ndims.count(2 * circ.n_qubits) == _fused_steps(circ), circ
+    # 13 gates: 3 two-qubit steps and one-qubit steps trailing on qubits 0 and 2
+    assert _fused_steps(_FUSION_CIRCUITS[0]) == 5
+
+
+def test_contract_needs_no_argsort(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linalg.contract called np.argsort")
+
+    circ = _FUSION_CIRCUITS[0]
+    noise = NoiseModel("amplitude-damping", 0.1)
+    monkeypatch.setattr(np, "argsort", refuse)
+    prepare_noisy_state(circ, noise)
+    dual_state(circ, noise)
+    circuit_state(circ)
+    circuit_unitary(circ)
+    embed_operator(SWAP_GATE, (2, 0), 3)
 
 
 # --- in-place kernels against apply_local and the Kraus sums -----------------

@@ -166,6 +166,13 @@ def test_parse_config_diagnostics(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["shots = lots", "m = two"])
+def test_parse_config_field_errors_name_the_source(line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scheme = raw\ncircuit = a\nobservable = Z\n{line}\n", source="exp.cfg")
+    assert str(err.value).startswith("exp.cfg: field ")
+
+
 def test_parse_config_reports_line_numbers():
     with pytest.raises(ConfigError) as err:
         parse_config("scheme = raw\nbogus line\n", source="exp.cfg")
