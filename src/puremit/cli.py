@@ -49,13 +49,14 @@ from .reports import EstimateReport
 from .reference import (
     adjoint_channel,
     apply_channel,
+    kraus_sum,
     noisy_circuit_channel,
     permutation_contraction,
     verified_composite_contraction,
 )
 from .resources import resource_profile
 from .sampling import ShotConfig, UnstableDenominatorError, scheme_shot_experiment
-from .schemes import VanishingDenominatorError, build_pipeline
+from .schemes import SchemePipeline, VanishingDenominatorError, build_pipeline
 
 
 def _verify_checks(seed: int):
@@ -102,8 +103,8 @@ def _verify_checks(seed: int):
         adj = adjoint_channel(ch)
         a = random_hermitian(rng, d)
         b = random_hermitian(rng, d)
-        lhs = np.trace(_apply(adj, a) @ b)
-        rhs = np.trace(a @ _apply(ch, b))
+        lhs = np.trace(kraus_sum(adj, a) @ b)
+        rhs = np.trace(a @ kraus_sum(ch, b))
         res = max(res, abs(complex(lhs - rhs)))
     yield "adjoint-pairing", res
 
@@ -120,7 +121,7 @@ def _verify_checks(seed: int):
         res_state = max(res_state, float(np.max(np.abs(rho - want))))
         rbar = dual_state(circ, noise).matrix
         ch = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), noise))
-        want = _apply(ch, zero)
+        want = kraus_sum(ch, zero)
         res_dual = max(res_dual, float(np.max(np.abs(rbar - want))))
     yield "noisy-state-reconstruction", res_state
     yield "dual-state-reconstruction", res_dual
@@ -159,11 +160,6 @@ def _verify_checks(seed: int):
         im = hadamard_test(u, s, rho, "imag")
         res = max(res, abs(complex(re, im) - complex(np.trace(s @ u @ rho))))
     yield "hadamard-test", res
-
-
-def _apply(channel, mat: np.ndarray) -> np.ndarray:
-    ops = channel.ops
-    return np.einsum("kij,jl,kml->im", ops, mat, ops.conj(), optimize=True)
 
 
 def cmd_verify(args) -> int:
@@ -205,12 +201,15 @@ def _build_from_config(config: ExperimentConfig, config_dir: Path):
     )
 
 
-def _run_config(config: ExperimentConfig, config_dir: Path, exact: bool) -> EstimateReport:
+def _run_config(
+    config: ExperimentConfig, config_dir: Path, exact: bool
+) -> tuple[SchemePipeline, EstimateReport]:
+    """The config's pipeline, built once, and its exact or sampled report."""
     pipeline = _build_from_config(config, config_dir)
     if exact or config.shots is None:
-        return pipeline.exact_report()
+        return pipeline, pipeline.exact_report()
     shot_config = ShotConfig(shots=config.shots, trials=config.trials, seed=config.seed)
-    return scheme_shot_experiment(pipeline, shot_config)
+    return pipeline, scheme_shot_experiment(pipeline, shot_config)
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
@@ -247,7 +246,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     config = _apply_overrides(config, args)
     started = time.perf_counter()
-    report = _run_config(config, Path(args.config).parent, args.exact)
+    _, report = _run_config(config, Path(args.config).parent, args.exact)
     elapsed = time.perf_counter() - started
     payload = {
         "config": _config_dict(config),
@@ -311,15 +310,9 @@ def cmd_sweep(args) -> int:
             except ValueError:
                 raise ConfigError(f"sweep value {text!r} is not a number") from None
             point = replace(config, noise=NoiseModel(config.noise.kind, value))
-        pipeline = _build_from_config(point, config_dir)
-        exact = pipeline.exact_report()
-        if args.exact or point.shots is None:
-            report = exact
-        else:
-            shot_config = ShotConfig(
-                shots=point.shots, trials=point.trials, seed=point.seed
-            )
-            report = scheme_shot_experiment(pipeline, shot_config)
+        pipeline, report = _run_config(point, config_dir, args.exact)
+        # an exact report draws no shots; a sampled point reads the exact one too
+        exact = report if report.shots_used == 0 else pipeline.exact_report()
         writer.writerow(
             [
                 args.parameter,

@@ -46,6 +46,8 @@ class ExperimentConfig:
             raise ConfigError(f"shots must be >= 1, got {self.shots}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
             parse_observable(self.observable)
         except ObservableFormatError as exc:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import HADAMARD, I2, PAULI_X, PAULI_Y
-from .linalg import as_matrix, zero_projector
+from .linalg import as_matrix, check_dimension, zero_projector
 from .observables import PauliObservable
-from .schemes import DENOMINATOR_FLOOR, VanishingDenominatorError
+from .schemes import checked_ratio
 
 _UNITARY_ATOL = 1e-10
 _INVOLUTION_ATOL = 1e-10
@@ -44,6 +44,9 @@ def hadamard_test(unitary: np.ndarray, companion, state, part: str = "real") -> 
         raise ValueError(
             f"dimension mismatch: state {rho.shape}, unitary {u.shape}, companion {s.shape}"
         )
+    # the ancilla doubles the register: refuse a composite past the cap
+    # before any matrix of its size exists
+    check_dimension(2 * d)
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
     if dev > _UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: |U^dag U - I| = {dev:.3e}")
@@ -74,13 +77,10 @@ def involution_projectors(observable: PauliObservable):
     return (eye + g) / 2.0, (eye - g) / 2.0
 
 
-def symmetric_product_measure(companion, observable: PauliObservable, state) -> float:
-    """Anticommutator half Tr((S G + G S) rho / 2) via projective outcomes.
-
-    Measures G projectively, weights the post-measurement states by the
-    outcome, and reads S: returns sum_l l * Tr(S P_l rho P_l), which for
-    Hermitian S equals Re Tr(S G rho).
-    """
+def _signed_sandwich(companion, observable: PauliObservable, state, rotations: bool) -> float:
+    """Re sum_l l Tr(S K_l rho K_l^dag) over l = +1, -1, with K_l the
+    projectors P_l of G or, with ``rotations``, the rotations
+    R_l = exp(i l pi G / 4) = (I + i l G)/sqrt(2)."""
     s = _obs_matrix(companion)
     rho = as_matrix(state)
     p_plus, p_minus = involution_projectors(observable)
@@ -89,10 +89,23 @@ def symmetric_product_measure(companion, observable: PauliObservable, state) -> 
             f"dimension mismatch: companion {s.shape}, state {rho.shape}, "
             f"projectors {p_plus.shape}"
         )
-    val = complex(
-        np.trace(s @ p_plus @ rho @ p_plus) - np.trace(s @ p_minus @ rho @ p_minus)
-    )
-    return float(val.real)
+    ops = (p_plus, p_minus)
+    if rotations:
+        g = p_plus - p_minus
+        eye = np.eye(g.shape[0], dtype=complex)
+        ops = ((eye + 1j * g) / np.sqrt(2.0), (eye - 1j * g) / np.sqrt(2.0))
+    plus, minus = (np.trace(s @ k @ rho @ k.conj().T) for k in ops)
+    return float(complex(plus - minus).real)
+
+
+def symmetric_product_measure(companion, observable: PauliObservable, state) -> float:
+    """Anticommutator half Tr((S G + G S) rho / 2) via projective outcomes.
+
+    Measures G projectively, weights the post-measurement states by the
+    outcome, and reads S: returns sum_l l * Tr(S P_l rho P_l), which for
+    Hermitian S equals Re Tr(S G rho).
+    """
+    return _signed_sandwich(companion, observable, state, rotations=False)
 
 
 def antisymmetric_product_measure(companion, observable: PauliObservable, state) -> float:
@@ -101,20 +114,7 @@ def antisymmetric_product_measure(companion, observable: PauliObservable, state)
     Returns the real number (1/2) sum_l l Tr(S R_l rho R_l^dag), which
     equals i Tr((S G - G S) rho / 2), i.e. -Im Tr(S G rho) for Hermitian S.
     """
-    s = _obs_matrix(companion)
-    rho = as_matrix(state)
-    p_plus, p_minus = involution_projectors(observable)
-    g = p_plus - p_minus
-    if s.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: companion {s.shape}, state {rho.shape}")
-    eye = np.eye(g.shape[0], dtype=complex)
-    r_plus = (eye + 1j * g) / np.sqrt(2.0)
-    r_minus = (eye - 1j * g) / np.sqrt(2.0)
-    val = 0.5 * complex(
-        np.trace(s @ r_plus @ rho @ r_plus.conj().T)
-        - np.trace(s @ r_minus @ rho @ r_minus.conj().T)
-    )
-    return float(val.real)
+    return 0.5 * _signed_sandwich(companion, observable, state, rotations=True)
 
 
 def product_expectation(companion, observable: PauliObservable, state) -> complex:
@@ -140,6 +140,4 @@ def symmetrized_verified_estimate(state, dual, observable: PauliObservable) -> f
     rbar = as_matrix(dual)
     num = symmetric_product_measure(rbar, observable, rho)
     den = complex(np.trace(rbar @ rho)).real
-    if abs(den) < DENOMINATOR_FLOOR:
-        raise VanishingDenominatorError(f"state/dual overlap {den:.3e} is numerically zero")
-    return float(num / den)
+    return float(checked_ratio(num, den, "state/dual overlap"))

@@ -7,7 +7,7 @@ and the tests):
 * Kraus channels on a whole register: the identity, unitary and noise
   channels, a noisy circuit as one channel (``noisy_circuit_channel``),
   their composition, compression to minimal Kraus form and adjoints,
-  and ``apply_channel``;
+  ``apply_channel`` and the bare Kraus sum ``kraus_sum``;
 * ``apply_local``, one gate's Kraus stack applied to the listed qubits of
   a matrix as a new matrix (``linalg.contract``), for the forward
   reference evolution of a composite;
@@ -110,9 +110,14 @@ def apply_channel(channel: KrausChannel, state) -> DensityOperator:
         raise ValueError(
             f"dimension mismatch: channel {channel.dim}, state {mat.shape[0]}"
         )
+    return DensityOperator(kraus_sum(channel, mat), normalized=normalized)
+
+
+def kraus_sum(channel: KrausChannel, mat: np.ndarray) -> np.ndarray:
+    """sum_k K_k mat K_k^dag for any square matrix of the channel's size, a
+    state or not (``puremit verify`` pairs adjoints on Hermitian matrices)."""
     ops = channel.ops
-    out = (ops @ mat @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
-    return DensityOperator(out, normalized=normalized)
+    return (ops @ mat @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def adjoint_channel(channel: KrausChannel) -> KrausChannel:

@@ -48,6 +48,8 @@ class ShotConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,12 @@ The estimators all measure a ratio. At operator level:
 Each is a register chain rho^(M-k) (rho rho_bar)^k (``_chain``), read as
 Tr(P rho tail) so its last product is never formed: every Pauli string
 of O, and the all-I string of the denominator, is read against the
-chain by ``observables.pauli_traces``.
+chain by ``observables.pauli_traces``. The three estimators share one
+register check (``_registers``) and one chain report (``_chain_report``).
+Every exact ratio, theirs, a pipeline's operator ratio and exact readout,
+and ``measurement.symmetrized_verified_estimate``, divides through one
+guard, ``checked_ratio``: a denominator under ``DENOMINATOR_FLOOR``, or a
+NaN or infinite part, raises ``VanishingDenominatorError``.
 
 Circuit-level pipelines build the ancilla-controlled measurement circuit
 explicitly (Hadamard, controlled observable, controlled register swaps,
@@ -69,26 +74,43 @@ _MULTICOPY_KINDS = ("multi-copy", "multi-copy-recycled")
 
 
 class VanishingDenominatorError(ZeroDivisionError):
-    """The scheme denominator is numerically zero; the ratio is undefined."""
+    """The scheme ratio is undefined: its denominator is numerically zero or not finite."""
 
 
-def _require_power_of_two(dim: int) -> int:
+def checked_ratio(num: float, den: float, quantity: str) -> float:
+    """num / den, raising when the denominator, named ``quantity`` in the
+    message, is numerically zero or either part is NaN or infinite. The
+    one guard of every exact ratio, written so that NaN fails."""
+    finite = math.isfinite(num) and math.isfinite(den)
+    if not (finite and abs(den) >= DENOMINATOR_FLOOR):
+        why = "is numerically zero" if finite else f"or numerator {num:.3e} is not finite"
+        raise VanishingDenominatorError(f"{quantity} {den:.3e} {why}")
+    return num / den
+
+
+def _denominator_name(kind: str, m: int) -> str:
+    """What the denominator of an m-register ``kind`` ratio is called."""
+    verified = {"state-verification": "state/dual overlap", "combined": "verified chain trace"}
+    return verified.get(kind, f"Tr(rho^{m}) =")
+
+
+def _registers(state, dual, observable: PauliObservable):
+    """(rho, rbar, n): the state and, unless None, the dual as matrices,
+    checked to be 2^n x 2^n registers of the observable's width."""
+    rho = as_matrix(state)
+    rbar = None if dual is None else as_matrix(dual)
+    dim = rho.shape[0]
     n = int(dim).bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"register dimension {dim} is not a power of two")
-    return n
-
-
-def _check_observable(observable: PauliObservable, rho: np.ndarray) -> None:
+    if rbar is not None and rho.shape != rbar.shape:
+        raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
     if (observable.dim, observable.dim) != rho.shape:
         raise ValueError(
             f"dimension mismatch: state {rho.shape}, observable "
             f"{(observable.dim, observable.dim)}"
         )
-
-
-# the denominator each verified scheme names when it vanishes
-_OVERLAP = {"state-verification": "state/dual overlap", "combined": "verified chain trace"}
+    return rho, rbar, n
 
 
 def _term_sum(observable: PauliObservable, traces: np.ndarray):
@@ -97,16 +119,23 @@ def _term_sum(observable: PauliObservable, traces: np.ndarray):
     return complex(observable.coefficients @ traces[:-1]), complex(traces[-1])
 
 
-def _ratio_report(
-    kind: str, observable: PauliObservable, traces: np.ndarray, quantity: str, resources, **extra
+def _chain(rho: np.ndarray, rbar, m: int, k: int):
+    """The chain rho^(m-k) (rho rbar)^k, 0 <= k <= m, as its tail: the
+    product after the first rho, or None when rho is the whole chain.
+    ``pauli_traces(perms, rho, tail)`` reads Tr(P chain) = Tr(P rho tail)
+    at O(d^2) per string. ``rbar`` is read only when k >= 1."""
+    factors = ([rho] * (m - k) + [rho, rbar] * k)[1:]
+    return reduce(np.matmul, factors) if factors else None
+
+
+def _chain_report(
+    kind: str, observable: PauliObservable, rho, rbar, m: int, k: int, resources, **extra
 ) -> EstimateReport:
-    """The estimate Re Tr(O X) / Re Tr X from the traces against X of
-    ``observable.permutations()``; raises when Tr X, named ``quantity`` in
-    the message, is numerically zero."""
+    """The estimate Re Tr(O X) / Re Tr X for the chain X = rho^(m-k)
+    (rho rbar)^k, every string of O and the all-I string read once."""
+    traces = pauli_traces(observable.permutations(), rho, _chain(rho, rbar, m, k))
     num, den = _term_sum(observable, traces)
-    if abs(den.real) < DENOMINATOR_FLOOR:
-        raise VanishingDenominatorError(f"{quantity} {den.real:.3e} is numerically zero")
-    ratio = num.real / den.real
+    ratio = checked_ratio(num.real, den.real, _denominator_name(kind, m))
     return EstimateReport(
         kind=kind,
         ratio=ratio,
@@ -117,15 +146,6 @@ def _ratio_report(
         imag_residual=float(max(abs(num.imag), abs(den.imag))),
         **extra,
     )
-
-
-def _chain(rho: np.ndarray, rbar, m: int, k: int):
-    """The chain rho^(m-k) (rho rbar)^k, 0 <= k <= m, as its tail: the
-    product after the first rho, or None when rho is the whole chain.
-    ``pauli_traces(perms, rho, tail)`` reads Tr(P chain) = Tr(P rho tail)
-    at O(d^2) per string. ``rbar`` is read only when k >= 1."""
-    factors = ([rho] * (m - k) + [rho, rbar] * k)[1:]
-    return reduce(np.matmul, factors) if factors else None
 
 
 def multicopy_estimate(
@@ -143,13 +163,9 @@ def multicopy_estimate(
         raise ValueError(f"kind must be one of {_MULTICOPY_KINDS}, got {kind!r}")
     if n_copies < 1:
         raise ValueError(f"need n_copies >= 1, got {n_copies}")
-    rho = as_matrix(state)
-    n_qubits = _require_power_of_two(rho.shape[0])
-    _check_observable(observable, rho)
-    profile_kind = kind if n_copies >= 2 else "raw"
-    resources = resource_profile(profile_kind, n_copies, n_qubits)
-    traces = pauli_traces(observable.permutations(), rho, _chain(rho, None, n_copies, 0))
-    return _ratio_report(kind, observable, traces, f"Tr(rho^{n_copies}) =", resources)
+    rho, _, n_qubits = _registers(state, None, observable)
+    resources = resource_profile(kind if n_copies >= 2 else "raw", n_copies, n_qubits)
+    return _chain_report(kind, observable, rho, None, n_copies, 0, resources)
 
 
 def state_verification_estimate(state, dual, observable: PauliObservable) -> EstimateReport:
@@ -159,17 +175,9 @@ def state_verification_estimate(state, dual, observable: PauliObservable) -> Est
     dual equal to rho this reduces to degree-2 purification. Read as
     Tr(O rho rho_bar), O(d^2) per string.
     """
-    rho = as_matrix(state)
-    rbar = as_matrix(dual)
-    n_qubits = _require_power_of_two(rho.shape[0])
-    if rho.shape != rbar.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
-    _check_observable(observable, rho)
+    rho, rbar, n_qubits = _registers(state, dual, observable)
     resources = resource_profile("state-verification", 2, n_qubits)
-    traces = pauli_traces(observable.permutations(), rho, _chain(rho, rbar, 1, 1))
-    return _ratio_report(
-        "state-verification", observable, traces, _OVERLAP["state-verification"], resources
-    )
+    return _chain_report("state-verification", observable, rho, rbar, 1, 1, resources)
 
 
 def combined_estimate(
@@ -192,17 +200,11 @@ def combined_estimate(
     k = n_copies if verified_copies is None else int(verified_copies)
     if not 0 <= k <= n_copies:
         raise ValueError(f"verified_copies {k} outside 0..{n_copies}")
-    rho = as_matrix(state)
-    rbar = as_matrix(dual)
-    if rho.shape != rbar.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, dual {rbar.shape}")
-    n_qubits = _require_power_of_two(rho.shape[0])
-    _check_observable(observable, rho)
+    rho, rbar, n_qubits = _registers(state, dual, observable)
     # the odd-degree family takes the machinery of the full combined scheme
     resources = replace(resource_profile("combined", 2 * n_copies, n_qubits), degree=n_copies + k)
-    traces = pauli_traces(observable.permutations(), rho, _chain(rho, rbar, n_copies, k))
-    return _ratio_report(
-        "combined", observable, traces, _OVERLAP["combined"], resources,
+    return _chain_report(
+        "combined", observable, rho, rbar, n_copies, k, resources,
         details={"verified_copies": k},
     )
 
@@ -259,13 +261,9 @@ class SchemePipeline:
         num = sum(term.coefficient * term.value() for term in self.numerator_terms)
         den = self.denominator.value()
         units = (*self.numerator_terms, self.denominator)
-        if abs(den) < DENOMINATOR_FLOOR:
-            raise VanishingDenominatorError(
-                f"pipeline denominator {den:.3e} is numerically zero"
-            )
         return EstimateReport(
             kind=self.kind,
-            ratio=num / den,
+            ratio=checked_ratio(num, den, "pipeline denominator"),
             numerator=num,
             denominator=den,
             resources=self.resources,
@@ -516,8 +514,8 @@ def build_pipeline(
         # the operator chain Tr(P rho tail): rho^M, or (rho rbar)^M when verifying
         tail = _chain(rho_mat, rbar, copies, copies if verify else 0)
         chain = pauli_traces(perms, rho_mat, tail)
-        quantity = _OVERLAP.get(kind, f"Tr(rho^{copies}) =")
-        operator_ratio = _ratio_report(kind, observable, chain, quantity, resources).ratio
+        num, den = _term_sum(observable, chain)
+        operator_ratio = checked_ratio(num.real, den.real, _denominator_name(kind, copies))
         # the adjoint of the inverse circuits maps Pi to R = rbar^(x)M
         r_trace = float(np.trace(rbar).real) ** copies
 

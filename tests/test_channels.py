@@ -45,6 +45,7 @@ from puremit.reference import (
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
+    kraus_sum,
     noise_channel,
     noisy_circuit_channel,
     unitary_channel,
@@ -129,6 +130,21 @@ def test_apply_channel_tracks_normalization():
     assert abs(out.trace - 0.5) < 1e-12
     with pytest.raises(ValueError):
         apply_channel(dephasing_channel(0.1), DensityOperator.maximally_mixed(4))
+
+
+def test_kraus_sum_applies_to_any_square_matrix():
+    # the adjoint-pairing check of puremit verify applies channels to
+    # Hermitian matrices that are not states, which apply_channel refuses
+    rng = np.random.default_rng(5)
+    noise = NoiseModel("amplitude-damping", 0.2)
+    channel = noisy_circuit_channel(random_circuit(rng, 2, 4), noise)
+    a = random_hermitian(rng, 4)
+    assert np.max(np.abs(kraus_sum(channel, a) - _act(channel, a))) < 1e-12
+    with pytest.raises(ValueError):
+        apply_channel(channel, a)
+    rho = random_density(rng, 4)
+    got = apply_channel(channel, rho).matrix
+    assert np.max(np.abs(got - kraus_sum(channel, rho.matrix))) < 1e-15
 
 
 def test_adjoint_channel_pairing():

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from puremit import cli
 from puremit.channels import NO_NOISE, NoiseModel
 from puremit.cli import main
 from puremit.config import (
@@ -158,6 +159,10 @@ def test_parse_config_comments_and_exact_shots():
         ("scheme = distill\ncircuit = a\nobservable = Z\n", "unknown scheme"),
         ("scheme = raw\ncircuit = a\nobservable = Q\n", "observable"),
         ("scheme = raw\ncircuit = a\nobservable = Z\nm = 0\n", "M must be >= 1"),
+        (
+            "scheme = raw\ncircuit = a\nobservable = Z\nseed = -3\n",
+            "exp.cfg: seed must be >= 0, got -3",
+        ),
     ],
 )
 def test_parse_config_diagnostics(text, fragment):
@@ -471,6 +476,28 @@ def test_cmd_sweep_seed_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--values", "2,3"], ["--values", "2,3", "--exact"],
+     ["--parameter", "noise.strength", "--values", "0.1,0.3"]],
+)
+def test_cmd_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch, extra):
+    # a sampled point reads its exact ratio off the pipeline it sampled
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return build_pipeline(*args, **kwargs)
+
+    build_pipeline = cli.build_pipeline
+    monkeypatch.setattr(cli, "build_pipeline", counting)
+    cfg = _base_config(tmp_path, shots="2000")
+    assert main(["sweep", "--config", str(cfg), *extra]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(built) == len(rows) == 2
+    assert {r["shots_used"] for r in rows} == {"0" if "--exact" in extra else "2000"}
+
+
 def test_cmd_sweep_rejects_bad_values(tmp_path, capsys):
     cfg = _base_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--values", "x"]) == 2
@@ -563,6 +590,20 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     )
     assert main(["run", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("shots", ["exact", "1000"])
+def test_exit_code_negative_seed_names_the_field(tmp_path, capsys, command, shots):
+    # numpy would refuse a negative seed only once shots are drawn, without
+    # naming it; an exact run is refused as well
+    values = ["--values", "2"] if command == "sweep" else []
+    cfg = _base_config(tmp_path, shots=shots, seed="-3")
+    assert main([command, "--config", str(cfg), *values]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: seed must be >= 0, got -3\n"
+    cfg = _base_config(tmp_path, shots=shots)
+    assert main([command, "--config", str(cfg), "--seed", "-3", *values]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
 
 
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])

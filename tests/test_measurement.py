@@ -1,7 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from puremit.linalg import random_density, random_hermitian, random_unitary
+from puremit.linalg import (
+    MAX_QUBITS,
+    DimensionCapError,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 from puremit.measurement import (
     antisymmetric_product_measure,
     hadamard_test,
@@ -11,7 +19,7 @@ from puremit.measurement import (
     symmetrized_verified_estimate,
 )
 from puremit.observables import PauliObservable
-from puremit.schemes import state_verification_estimate
+from puremit.schemes import VanishingDenominatorError, state_verification_estimate
 
 
 def test_hadamard_test_reconstructs_complex_trace():
@@ -44,6 +52,22 @@ def test_hadamard_test_validation():
         hadamard_test(np.eye(2), np.eye(2), rho, part="modulus")
     with pytest.raises(ValueError):
         hadamard_test(np.eye(4), np.eye(2), rho)
+
+
+def test_hadamard_test_refuses_a_composite_past_the_cap():
+    # a valid register at the cap: the ancilla doubles it, so the test must
+    # refuse before it builds any 2d x 2d matrix (zero-stride inputs hold
+    # one element each)
+    d = 2**MAX_QUBITS
+    zero = np.broadcast_to(np.complex128(0.0), (d, d))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError):
+            hadamard_test(zero, zero, zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_involution_projectors_split_identity():
@@ -114,6 +138,18 @@ def test_commuting_pair_kills_antisymmetric_half():
     assert abs(antisymmetric_product_measure(z, obs, rho)) < 1e-12
 
 
+@pytest.mark.parametrize("measure", [symmetric_product_measure, antisymmetric_product_measure])
+def test_product_measures_share_one_operand_check(measure):
+    # companion and state of one size, the observable of another: both
+    # halves refuse it with the same message before any product
+    rho = np.eye(2, dtype=complex) / 2
+    for companion, string, shapes in [(2, "XZ", (2, 2, 4)), (4, "X", (4, 2, 2))]:
+        with pytest.raises(ValueError) as err:
+            measure(np.eye(companion), PauliObservable.single(string), rho)
+        a, b, c = ((k, k) for k in shapes)
+        assert str(err.value) == f"dimension mismatch: companion {a}, state {b}, projectors {c}"
+
+
 def test_product_expectation_reassembles_trace():
     rng = np.random.default_rng(6)
     for _ in range(50):
@@ -157,3 +193,15 @@ def test_symmetrized_verified_estimate_zero_overlap():
     rbar = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(ZeroDivisionError):
         symmetrized_verified_estimate(rho, rbar, PauliObservable.single("Z"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("operand", ["state", "dual"])
+def test_symmetrized_verified_estimate_raises_on_a_non_finite_entry(operand, bad):
+    rng = np.random.default_rng(8)
+    rho, rbar = (random_density(rng, 4).matrix.copy() for _ in range(2))
+    (rho if operand == "state" else rbar)[2, 1] = bad
+    # numpy's invalid-value warning on an infinite entry is not what is tested
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(VanishingDenominatorError, match="state/dual overlap .* is not finite"):
+            symmetrized_verified_estimate(rho, rbar, PauliObservable.single("ZX"))

@@ -62,6 +62,8 @@ def test_shot_config_validation():
         ShotConfig(0)
     with pytest.raises(ValueError):
         ShotConfig(10, trials=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ShotConfig(10, seed=-1)
     cfg = ShotConfig(10)
     assert cfg.trials == 1 and cfg.seed == 0
 

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import tracemalloc
+from dataclasses import replace
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -235,6 +236,50 @@ def test_state_verification_orthogonal_dual_raises():
     dual = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(VanishingDenominatorError):
         state_verification_estimate(rho, dual, PauliObservable.single("Z"))
+
+
+_ESTIMATORS = {
+    "multi-copy": lambda rho, rbar, obs: multicopy_estimate(rho, obs, 2),
+    "state-verification": state_verification_estimate,
+    "combined": lambda rho, rbar, obs: combined_estimate(rho, rbar, obs, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "kind,operand",
+    [("multi-copy", "state"), ("state-verification", "state"), ("state-verification", "dual"),
+     ("combined", "state"), ("combined", "dual")],
+)
+def test_estimators_raise_on_a_non_finite_chain(kind, operand, bad):
+    # one entry of a raw ndarray makes the chain trace NaN or infinite; a
+    # guard written abs(den) < floor would let NaN through as the ratio
+    rng = np.random.default_rng(4)
+    rho, rbar = (random_density(rng, 4).matrix.copy() for _ in range(2))
+    target = rho if operand == "state" else rbar
+    target[1, 2] = bad
+    # an infinite entry meets a zero or its negative in the chain: numpy's
+    # invalid-value warning is not what is tested here
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(VanishingDenominatorError, match="numerator .* is not finite"):
+            _ESTIMATORS[kind](rho, rbar, PauliObservable(((0.5, "XZ"), (0.5, "ZZ"))))
+
+
+def test_checked_ratio_is_the_one_denominator_guard():
+    assert schemes.checked_ratio(0.25, 0.5, "x") == 0.5
+    assert schemes.checked_ratio(-1e-3, -2e-12, "x") == -1e-3 / -2e-12
+    # a finite denominator under the floor: the quantity and its value
+    for den, text in [(0.0, "0.000e+00"), (-5e-13, "-5.000e-13")]:
+        with pytest.raises(VanishingDenominatorError) as err:
+            schemes.checked_ratio(1.0, den, "Tr(rho^2) =")
+        assert str(err.value) == f"Tr(rho^2) = {text} is numerically zero"
+    for num, den, text in [
+        (1.0, np.nan, "nan or numerator 1.000e+00"), (np.nan, 1.0, "1.000e+00 or numerator nan"),
+        (1.0, np.inf, "inf or numerator 1.000e+00"), (-np.inf, 1.0, "1.000e+00 or numerator -inf"),
+    ]:
+        with pytest.raises(VanishingDenominatorError) as err:
+            schemes.checked_ratio(num, den, "overlap")
+        assert str(err.value) == f"overlap {text} is not finite"
 
 
 def test_combined_estimate_equals_high_degree_purification():
@@ -798,6 +843,27 @@ def test_pipeline_exact_report_raises_on_a_vanishing_denominator(kind, copies, m
         VanishingDenominatorError, match="pipeline denominator 0.000e\\+00 is numerically zero"
     ):
         pipe.exact_report()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "kind,copies",
+    [("raw", 1), ("multi-copy", 2), ("state-verification", 1), ("combined", 2)],
+)
+def test_pipeline_exact_report_raises_on_a_non_finite_denominator(kind, copies, bad):
+    # a denominator unit with one non-finite outcome probability: the
+    # readout refuses it rather than reporting a NaN or zero ratio
+    pipe = build_pipeline(
+        kind, _generic_circuit(), NoiseModel("dephasing", 0.05),
+        parse_observable("0.6*ZY - 0.4*XI"), n_copies=copies,
+    )
+    probs = pipe.denominator.state.copy()
+    probs[0] = bad
+    broken = replace(pipe, denominator=replace(pipe.denominator, state=probs))
+    with pytest.raises(
+        VanishingDenominatorError, match="pipeline denominator .* is not finite"
+    ):
+        broken.exact_report()
 
 
 @pytest.mark.parametrize("machinery", NOISE_KINDS)

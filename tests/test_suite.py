@@ -74,3 +74,39 @@ def test_only_observables_reads_pauli_strings_as_permutations(path):
         or (isinstance(node, ast.alias) and node.name == "pauli_permutation")
     ]
     assert not named, f"{path.name} names pauli_permutation on lines {named}"
+
+
+def _is_name(node, name: str) -> bool:
+    """Whether ``node`` reads or imports ``name``, bare or as an attribute."""
+    if isinstance(node, ast.Name):
+        return node.id == name and not isinstance(node.ctx, ast.Store)
+    return (isinstance(node, ast.Attribute) and node.attr == name) or (
+        isinstance(node, ast.alias) and node.name == name
+    )
+
+
+def _guarded_lines(tree: ast.Module):
+    """Lines that read DENOMINATOR_FLOOR or raise VanishingDenominatorError
+    outside the function ``checked_ratio``."""
+    inside = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "checked_ratio"
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        raised = isinstance(node, ast.Raise) and node.exc is not None and any(
+            _is_name(n, "VanishingDenominatorError") for n in ast.walk(node.exc)
+        )
+        if raised or _is_name(node, "DENOMINATOR_FLOOR"):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda p: p.name)
+def test_only_checked_ratio_guards_a_denominator(path):
+    # whether an exact ratio exists is decided in schemes.checked_ratio
+    # alone, which NaN and infinities fail; every other ratio goes through it
+    lines = list(_guarded_lines(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not lines, f"{path.name} guards a denominator itself on lines {lines}"
