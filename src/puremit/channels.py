@@ -24,9 +24,7 @@ matrix or a ``[2] * 2nq`` view, of any strides, such as a transpose or a
 strided slice, since reshaping it to ``[2] * 2nq`` only splits axes and
 is a view. Their transients are at most a quarter of it. The read-only
 ``DensityOperator.matrix`` makes a misuse raise instead of corrupting a
-state. Both also take a pair, the list [X_0, X_1] of the diagonal blocks
-of a matrix block-diagonal in one further leading qubit, which the noise
-reaches as well.
+state.
 
 A matrix may also be stored under a two-sided qubit map, its qubit q
 held on row and column axis ``map[q]``, so that a qubit swap is a
@@ -37,22 +35,18 @@ with targets named in the matrix it stands for.
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
 from the same projector: the circuit's own gates, each after its
-adjoint noise. On these registers each gate and its local noise are
-fused into one superoperator, built once per distinct gate, and
-one-qubit steps ride on the next two-qubit step on their qubit
-(``_gate_steps``), so an evolution costs one contraction per two-qubit
-gate plus one per qubit that ends on a one-qubit gate; the noise part
-(``noise_superoperator``) is read off the in-place kernels, which stay
-the only definition of noise. Global depolarizing commutes with the
-gates, so its layers fold into one register-wide
-``depolarize`` per evolution. Both wrap their result without the
-eigenvalue check, since an evolution keeps it PSD. A pipeline
-(``schemes.build_pipeline``) never contracts a composite: a readout
-block on which machinery noise couples two registers is carried at
-quarter size under a qubit map and updated in place by the noise
-kernels, and any other block reduces to register products. Dual states
-are PSD but not normalized in general (they are exactly trace-1 when
-every inserted channel is unital).
+adjoint noise. Each gate and its local noise are one fused step
+(``_gate_steps``), whose noise part (``noise_superoperator``) is read
+off the in-place kernels, which stay the only definition of noise;
+global depolarizing is one register-wide ``depolarize`` per evolution
+(``_global_layer``). Both wrap their result without the eigenvalue
+check, since an evolution keeps it PSD. A pipeline
+(``schemes.build_pipeline``) never contracts a composite: only under
+local depolarizing machinery is a readout block carried, at quarter
+size under a qubit map and updated in place by the noise kernels; any
+other block reduces to register products. Dual states are PSD but not
+normalized in general (they are exactly trace-1 when every inserted
+channel is unital).
 
 The dense whole-register Kraus channels the engine is checked against
 live in ``reference``.
@@ -114,13 +108,6 @@ def superoperator(ops) -> np.ndarray:
     return terms.sum(axis=0).reshape(d * d, d * d)
 
 
-def _views(mat, nq: int) -> list:
-    """The ``[2] * 2nq`` views (row bits, then column bits) of ``mat`` or of a
-    pair's blocks; the reshape only splits axes, a view for any strides."""
-    shape = (2,) * (2 * nq)
-    return [block.reshape(shape) for block in (mat if isinstance(mat, list) else [mat])]
-
-
 def permuted_view(mat: np.ndarray, nq: int, axes) -> np.ndarray:
     """The ``[2] * 2nq`` view of ``mat`` with its qubits reordered.
 
@@ -153,7 +140,7 @@ def depolarize(mat, p: float, targets, nq: int):
     targets = sorted({int(t) for t in targets})
     rest = [q for q in range(nq) if q not in targets]
     kept = rest + [nq + q for q in rest]
-    views = _views(mat, nq)
+    views = [block.reshape((2,) * (2 * nq)) for block in (mat if isinstance(mat, list) else [mat])]
     # row q is axis label q and column q is nq + q, except that a target's
     # column shares its row's label
     label = list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
@@ -171,47 +158,30 @@ def depolarize(mat, p: float, targets, nq: int):
     return mat
 
 
-def _populations(x0: np.ndarray, x1: np.ndarray, gamma: float, adjoint: bool) -> None:
-    """Amplitude damping's population mix on the blocks X_0, X_1 of one
-    qubit's bit 0 and bit 1, in place: forward, X_0 gains gamma X_1;
-    adjoint, X_1 gains gamma X_0. Either way X_1 scales by 1 - gamma."""
-    if adjoint:
-        x1 *= 1.0 - gamma
-        x1 += gamma * x0
-    else:
-        x0 += gamma * x1
-        x1 *= 1.0 - gamma
-
-
 def _per_qubit(mat, scale: float, gamma: float, targets, nq: int, adjoint: bool):
     """Per-qubit noise on each target's 2x2 blocks X_rc of row bit r and
     column bit c, in place: X_01 and X_10 scale by ``scale``, and a
-    nonzero ``gamma`` mixes the populations (``_populations``).
+    nonzero ``gamma`` scales X_11 by 1 - gamma and mixes the populations:
+    forward, X_00 gains gamma X_11; adjoint, X_11 gains gamma X_00.
 
     Dephasing (1-p) X + p Z X Z is scale 1 - 2p with no mix, and
     self-adjoint. Amplitude damping, K0 = diag(1, sqrt(1-gamma)) and
-    K1 = sqrt(gamma) |0><1|, is scale sqrt(1-gamma) with the mix. On a
-    pair the leading qubit's off-diagonal blocks are zero, so it meets
-    the mix alone, a quarter block at a time. The transient is a quarter
-    of a block.
+    K1 = sqrt(gamma) |0><1|, is scale sqrt(1-gamma) with the mix. The
+    transient is a quarter of the matrix.
     """
-    views = _views(mat, nq)
-    for view in views:
-        for q in targets:
-            # length-1 slices, not ints, so each stays a view even at nq = 1
-            x = np.moveaxis(view, (q, nq + q), (0, 1))
-            b00, b01, b10, b11 = (x[r : r + 1, c : c + 1] for r, c in product((0, 1), repeat=2))
-            b01 *= scale
-            b10 *= scale
-            if gamma:
-                _populations(b00, b11, gamma, adjoint)
-    if gamma and isinstance(mat, list):
-        # a quarter block at a time, with both blocks' axes in X_1's memory
-        # order, so that each quarter of X_1 is one contiguous run
-        order = np.argsort(views[1].strides, kind="stable")[::-1]
-        x0, x1 = (view.transpose(order) for view in views)
-        for r, c in product((0, 1), repeat=2):
-            _populations(x0[r : r + 1, c : c + 1], x1[r : r + 1, c : c + 1], gamma, adjoint)
+    view = mat.reshape((2,) * (2 * nq))
+    for q in targets:
+        # length-1 slices, not ints, so each stays a view even at nq = 1
+        x = np.moveaxis(view, (q, nq + q), (0, 1))
+        b00, b01, b10, b11 = (x[r : r + 1, c : c + 1] for r, c in product((0, 1), repeat=2))
+        b01 *= scale
+        b10 *= scale
+        if gamma and adjoint:
+            b11 *= 1.0 - gamma
+            b11 += gamma * b00
+        elif gamma:
+            b00 += gamma * b11
+            b11 *= 1.0 - gamma
     return mat
 
 
@@ -227,11 +197,8 @@ def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint
 
     ``mat`` is any writable matrix or ``[2] * 2nq`` view, of any strides,
     such as a transpose, a strided slice or ``permuted_view`` of a matrix
-    stored under a qubit map. It may also be a pair, the list
-    [X_0, X_1] of the diagonal blocks of a matrix block-diagonal in one
-    further leading qubit; the noise then reaches that qubit too:
-    jointly with the depolarized qubits, and as the population mix for
-    amplitude damping (dephasing only scales its zero blocks).
+    stored under a qubit map. Under the depolarizing kinds it may also
+    be a pair of diagonal blocks (``depolarize``).
     """
     if noise.is_trivial:
         return mat

@@ -14,7 +14,7 @@ import numpy as np
 from .circuits import HADAMARD, I2, PAULI_X, PAULI_Y
 from .linalg import as_matrix, check_dimension, zero_projector
 from .observables import PauliObservable
-from .schemes import checked_ratio
+from .schemes import _registers, checked_ratio
 
 _UNITARY_ATOL = 1e-10
 _INVOLUTION_ATOL = 1e-10
@@ -136,8 +136,7 @@ def symmetrized_verified_estimate(state, dual, observable: PauliObservable) -> f
     and no rotation machinery is needed. Divides by the overlap
     Tr(rho_bar rho).
     """
-    rho = as_matrix(state)
-    rbar = as_matrix(dual)
+    rho, rbar, _ = _registers(state, dual, observable, "state-verification", 1)
     num = symmetric_product_measure(rbar, observable, rho)
     den = complex(np.trace(rbar @ rho)).real
     return float(checked_ratio(num, den, "state/dual overlap"))

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -94,9 +94,10 @@ def _denominator_name(kind: str, m: int) -> str:
     return verified.get(kind, f"Tr(rho^{m}) =")
 
 
-def _registers(state, dual, observable: PauliObservable):
+def _registers(state, dual, observable: PauliObservable, kind: str, m: int):
     """(rho, rbar, n): the state and, unless None, the dual as matrices,
-    checked to be 2^n x 2^n registers of the observable's width."""
+    checked before any product to be finite 2^n x 2^n registers of the
+    observable's width; a non-finite entry fails the ``kind`` ratio's guard."""
     rho = as_matrix(state)
     rbar = None if dual is None else as_matrix(dual)
     dim = rho.shape[0]
@@ -110,6 +111,8 @@ def _registers(state, dual, observable: PauliObservable):
             f"dimension mismatch: state {rho.shape}, observable "
             f"{(observable.dim, observable.dim)}"
         )
+    if not all(np.isfinite(x).all() for x in (rho, rbar) if x is not None):
+        checked_ratio(math.nan, math.nan, _denominator_name(kind, m))
     return rho, rbar, n
 
 
@@ -163,7 +166,7 @@ def multicopy_estimate(
         raise ValueError(f"kind must be one of {_MULTICOPY_KINDS}, got {kind!r}")
     if n_copies < 1:
         raise ValueError(f"need n_copies >= 1, got {n_copies}")
-    rho, _, n_qubits = _registers(state, None, observable)
+    rho, _, n_qubits = _registers(state, None, observable, kind, n_copies)
     resources = resource_profile(kind if n_copies >= 2 else "raw", n_copies, n_qubits)
     return _chain_report(kind, observable, rho, None, n_copies, 0, resources)
 
@@ -175,7 +178,7 @@ def state_verification_estimate(state, dual, observable: PauliObservable) -> Est
     dual equal to rho this reduces to degree-2 purification. Read as
     Tr(O rho rho_bar), O(d^2) per string.
     """
-    rho, rbar, n_qubits = _registers(state, dual, observable)
+    rho, rbar, n_qubits = _registers(state, dual, observable, "state-verification", 1)
     resources = resource_profile("state-verification", 2, n_qubits)
     return _chain_report("state-verification", observable, rho, rbar, 1, 1, resources)
 
@@ -200,7 +203,7 @@ def combined_estimate(
     k = n_copies if verified_copies is None else int(verified_copies)
     if not 0 <= k <= n_copies:
         raise ValueError(f"verified_copies {k} outside 0..{n_copies}")
-    rho, rbar, n_qubits = _registers(state, dual, observable)
+    rho, rbar, n_qubits = _registers(state, dual, observable, "combined", n_copies)
     # the odd-degree family takes the machinery of the full combined scheme
     resources = replace(resource_profile("combined", 2 * n_copies, n_qubits), degree=n_copies + k)
     return _chain_report(
@@ -297,32 +300,22 @@ def _sign_units(observable: PauliObservable, kept, t: np.ndarray, rest=None) -> 
     ]
 
 
-# machinery noise kinds that act on one qubit at a time
-_PER_QUBIT = ("dephasing", "amplitude-damping")
-
-
 def _parity_steps(machinery: NoiseModel, nq: int):
     """One backward Fredkin step on the even pair of an nq-qubit effect.
 
     Backwards, a Fredkin is its adjoint machinery noise on (ancilla, a, b),
     then the Fredkin. Over the ancilla (qubit 0) it maps W_xy to
     S^x W_xy S^y, S the swap of qubits a and b, and every noise kind keeps
-    the ancilla parity. S moves no data: it swaps two entries of the
-    two-sided map of W_11 (qubit q stored on axis ``map[q]``); W_00 is
-    never mapped.
+    the ancilla parity. S moves no data: it swaps two entries of W_11's
+    two-sided map; W_00 is never mapped.
 
     Returns (even, odd_factor): ``even(pair, axes, a, b)`` updates the
-    (nq-1)-qubit blocks (W_00, W_11) and W_11's map in place, a and b being
-    composite targets. For every kind its noise is one ``apply_noise`` on
-    the pair, W_11 read through ``permuted_view``, which reaches the
-    ancilla as the pair's leading qubit. A build steps the pair only where
-    the noise couples two registers, under local depolarizing and
-    amplitude damping. On the odd block each step leaves the scalar
-    ``odd_factor``, the ancilla's |0><1| entry under the noise, to the
-    caller, read off ``noise_superoperator`` for every kind: 1 - p under
-    both depolarizing kinds, 1 - 2p under dephasing and sqrt(1 - p) under
-    amplitude damping. A build passes global machinery as no noise, since
-    it folds that into one layer.
+    blocks (W_00, W_11) and W_11's map in place, a and b composite
+    targets, by one ``apply_noise`` on the pair; a build calls it only
+    under local depolarizing. ``odd_factor`` is the scalar each step
+    leaves on the odd block, the ancilla's |0><1| entry under the noise
+    (``noise_superoperator``): 1 - p under both depolarizing kinds,
+    1 - 2p under dephasing and sqrt(1 - p) under amplitude damping.
     """
     k = nq - 1
     # entry [(x, y), (u, v)]: |x><y| in the output from |u><v|
@@ -348,19 +341,45 @@ def _odd_reduction(rho: np.ndarray, rbar: np.ndarray, m: int, noisy) -> np.ndarr
     return y
 
 
-def _even_reductions(rho: np.ndarray, rbar: np.ndarray, m: int, noisy) -> list:
-    """[(X_00, t_00), (X_11, t_11)] with V_aa = t_aa X_aa, the even pair
-    after the backward Fredkins when N = ``noisy`` couples no two registers
-    (dephasing, or the identity). In W_00 register r meets N c_r =
-    (r > 0) + (r < M-1) times: V_00 = N^(c_0)(rbar) prod_{r>=1}
-    Tr(N^(c_r)(rbar) rho). In W_11 register 1 meets it M - 1 times and the
-    others once: V_11 = N^(M-1)(rbar) Tr(N(rbar) rho)^(M-1). With N the
-    identity both are Tr(rbar rho)^(M-1) rbar, with no scaled copy."""
-    powers = [rbar]
-    for _ in range(m - 1):
-        powers.append(noisy(powers[-1]))
-    passes = ([(r > 0) + (r < m - 1) for r in range(m)], [m - 1] + [1] * (m - 1))
-    return [(powers[c[0]], math.prod(np.vdot(powers[k], rho) for k in c[1:])) for c in passes]
+def _even_terms(fredkins, gamma: float, k: int) -> list:
+    """The even pair after the backward Fredkins, as terms [weight, axes,
+    counts]: W_00, then those that sum to W_11. A term is R = rbar^(x)M,
+    N applied counts[s] times to stored qubit s, under the two-sided map
+    ``axes``. Step (a, b) applies N to qubits a and b of both blocks and
+    swaps them in W_11's map; amplitude damping's ancilla mix adds
+    gamma W_00 into (1 - gamma) W_11, a term per step (none at gamma = 0)."""
+    terms = [[1.0, list(range(k)), [0] * k] for _ in range(2)]
+    for a, b in fredkins:
+        a, b = a - 1, b - 1
+        for term in terms[1:]:
+            term[0] *= 1.0 - gamma
+        if gamma:
+            terms.append([gamma, list(range(k)), list(terms[0][2])])
+        for i, (_, axes, counts) in enumerate(terms):
+            counts[axes[a]] += 1
+            counts[axes[b]] += 1
+            if i:
+                axes[a], axes[b] = axes[b], axes[a]
+    return terms
+
+
+def _reduced_product(factor, counts, rho: np.ndarray, axes, n: int) -> np.ndarray:
+    """Tr_{2..M}[W (I (x) rho^(x)(M-1))], 2^n x 2^n, for the register
+    product W under the two-sided map ``axes``, stored register r being
+    ``factor`` of its qubits' ``counts``: one einsum, stored qubit s
+    labelled s on the rows and k + s on the columns (at most 24 labels)."""
+    k = len(axes)
+    shape = (2,) * (2 * n)
+    operands = []
+    for r in range(k // n):
+        stored = range(r * n, (r + 1) * n)
+        x = factor(tuple(counts[r * n : (r + 1) * n]))
+        operands += [x.reshape(shape), [*stored, *(k + s for s in stored)]]
+    for r in range(1, k // n):
+        held = axes[r * n : (r + 1) * n]
+        operands += [rho.reshape(shape), [*(k + s for s in held), *held]]
+    out = [*axes[:n], *(k + s for s in axes[:n])]
+    return np.einsum(*operands, out, optimize=True).reshape(2**n, 2**n)
 
 
 def _reduced(block: np.ndarray, axes, weights, n: int) -> np.ndarray:
@@ -412,12 +431,10 @@ def build_pipeline(
     times alpha, the even part of W_Z. For multi-copy R = I, which every
     adjoint fixes, so the even part stays alpha I. A Fredkin only relabels
     qubits, and per-qubit machinery noise reaches one register at a time,
-    so O and, under dephasing, the even pair reduce to register products
-    (``_odd_reduction``, ``_even_reductions``). Blocks are built only where
-    the noise couples two registers: on the combined even pair, under local
-    depolarizing and amplitude damping, whose population mix reaches the
-    ancilla. W_11 is stored under a qubit map that ends as C_M, and each
-    step is one ``apply_noise`` on the pair.
+    so O and the even pair reduce to register products (``_odd_reduction``,
+    ``_even_terms``). Only local depolarizing couples two registers, so
+    only under it is the combined even pair built as blocks, W_11 stored
+    under a qubit map that ends as C_M, each step one ``apply_noise``.
 
     Global machinery depolarizing of strength p fixes I and commutes with
     every unitary, so it is split off once: the steps see no local noise,
@@ -541,11 +558,16 @@ def build_pipeline(
         scale = 1.0 - _global_layer(machinery, len(fredkins) + 1)
         even_step, odd_factor = _parity_steps(local_noise, nq)
         local = bool(fredkins) and not local_noise.is_trivial
-        per_qubit = local and local_noise.kind in _PER_QUBIT
+        per_qubit = local and local_noise.kind in ("dephasing", "amplitude-damping")
 
-        def noisy(x):
-            """N, the Fredkins' per-qubit noise as one register meets it."""
-            return apply_noise(x.copy(), local_noise, range(n), n, adjoint=True) if per_qubit else x
+        def noisy(x, counts=(1,) * n):
+            """x after N, the Fredkins' per-qubit noise, counts[q] times on qubit q."""
+            for level in range(max(counts)):
+                hit = [q for q, c in enumerate(counts) if c > level]
+                x = apply_noise(x.copy(), local_noise, hit, n, adjoint=True)
+            return x
+
+        factor = cache(lambda counts: noisy(rbar, counts))
 
         # Tr(V_01 P rho) per string; with N the identity V_01 is the chain's tail
         forward = chain
@@ -557,7 +579,8 @@ def build_pipeline(
             # R = I, and every adjoint of the suffix keeps I_anc (x) I
             even = unit_trace
         else:
-            if local and local_noise.kind in ("depolarizing-local", "amplitude-damping"):
+            t = 1.0
+            if local and local_noise.kind == "depolarizing-local":
                 # the noise couples two registers: W_00 takes over R, W_11 a
                 # copy of it, and registers 2..M of the prefix are traced
                 # against each block, transposed
@@ -570,16 +593,25 @@ def build_pipeline(
                 weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1))
                 v_00 = _reduced(pair[0], unmapped, weights, n)
                 v_11 = _reduced(pair[1], axes, weights, n)
-                t_00 = t_11 = 1.0
                 del pair
+            elif per_qubit:
+                # register products, reduced one by one; dephasing is gamma = 0
+                gamma = local_noise.strength if local_noise.kind == "amplitude-damping" else 0.0
+                v_00, *jumps = (
+                    weight * _reduced_product(factor, counts, rho_mat, axes, n)
+                    for weight, axes, counts in _even_terms(fredkins, gamma, nq - 1)
+                )
+                v_11 = sum(jumps)
             else:
-                (v_00, t_00), (v_11, t_11) = _even_reductions(rho_mat, rbar, copies, noisy)
+                # R itself: Tr(rbar rho)^(M-1) rbar, with no scaled copy
+                v_00 = v_11 = rbar
+                t = np.vdot(rbar, rho_mat) ** (copies - 1)
             # rho^T copied row-major once, read as rho_t.T without a copy:
             # Tr(V_00 rho), the same for every string, and
             # Tr(V_11 P rho P^dag) = Tr(rho P V_11 P^dag)
             rho_t = rho_mat.T.copy()
-            even = ancilla[0, 0] * t_00 * pauli_traces(perms[-1:], v_00, rho_t.T)
-            even = even + ancilla[1, 1] * t_11 * pauli_sandwiches(perms, rho_t.T, v_11)
+            even = ancilla[0, 0] * t * pauli_traces(perms[-1:], v_00, rho_t.T)
+            even = even + ancilla[1, 1] * t * pauli_sandwiches(perms, rho_t.T, v_11)
         # the folded global layer leaves (1 - scale) Tr(I_anc (x) R)/2^nq I of
         # the even part; the scalar each Fredkin's noise leaves on O folds in too
         even = scale * even + (1.0 - scale) * 2.0 * r_trace / 2**nq * unit_trace

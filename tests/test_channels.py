@@ -509,11 +509,15 @@ def test_noise_kernels_update_a_matrix_through_its_permuted_view(kind, adjoint):
         assert np.max(np.abs(_materialized(mat, nq, axes) - want)) <= 1e-14, (nq, targets)
 
 
-@pytest.mark.parametrize("kind", NOISE_KINDS[1:])
+# the depolarizing kinds, the ones that take a pair
+_PAIR_KINDS = ["depolarizing-local", "depolarizing-global"]
+
+
+@pytest.mark.parametrize("kind", _PAIR_KINDS)
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_noise_on_a_pair_is_noise_on_its_block_diagonal_matrix(kind, adjoint):
     # [X_0, X_1] stands for the (nq+1)-qubit matrix diag(X_0, X_1), its
-    # leading qubit 0 reached by the noise with the targets shifted by one;
+    # leading qubit 0 depolarized jointly with the targets shifted by one;
     # X_1 is stored under a map and passed as its permuted view, as the
     # even pair of a pipeline is
     rng = np.random.default_rng(21)
@@ -602,7 +606,8 @@ def _blocks(mat) -> list:
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_in_place_kernels_update_transposed_and_strided_matrices(kind, adjoint):
     # reshaping a transpose or a strided slice to [2] * 2nq only splits
-    # axes, so it is a view and the kernels write through it
+    # axes, so it is a view and the kernels write through it, also as a
+    # pair under the depolarizing kinds
     rng = np.random.default_rng(17)
     noise = NoiseModel(kind, 0.15)
     nq, targets = 3, [0, 2]
@@ -610,7 +615,8 @@ def test_in_place_kernels_update_transposed_and_strided_matrices(kind, adjoint):
     rest = store[1::2].copy(), store[:, 1::2].copy()
     transposed = _complex(rng, 8, 8).T
     strided = store[::2, ::2]
-    for mat in (transposed, strided, [transposed, strided]):
+    pairs = [[transposed, strided]] if kind in _PAIR_KINDS else []
+    for mat in (transposed, strided, *pairs):
         before = [block.copy() for block in _blocks(mat)]
         want = [block.copy() for block in before]
         apply_noise(want if isinstance(mat, list) else want[0], noise, targets, nq,
