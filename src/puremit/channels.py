@@ -198,7 +198,8 @@ def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint
     ``mat`` is any writable matrix or ``[2] * 2nq`` view, of any strides,
     such as a transpose, a strided slice or ``permuted_view`` of a matrix
     stored under a qubit map. Under the depolarizing kinds it may also
-    be a pair of diagonal blocks (``depolarize``).
+    be a pair of diagonal blocks (``depolarize``); the per-qubit kinds
+    refuse a pair with ``TypeError``.
     """
     if noise.is_trivial:
         return mat
@@ -207,6 +208,8 @@ def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint
         return depolarize(mat, noise.strength, register, nq)
     if noise.kind == "depolarizing-local":
         return depolarize(mat, noise.strength, targets, nq)
+    if isinstance(mat, list):
+        raise TypeError(f"{noise.kind} noise takes one matrix, not a pair")
     if noise.kind == "dephasing":
         return _per_qubit(mat, 1.0 - 2.0 * noise.strength, 0.0, targets, nq, adjoint)
     gamma = noise.strength

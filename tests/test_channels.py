@@ -539,6 +539,20 @@ def test_noise_on_a_pair_is_noise_on_its_block_diagonal_matrix(kind, adjoint):
 
 @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_per_qubit_noise_refuses_a_pair(kind, adjoint):
+    # a pipeline reduces the even pair to register products under per-qubit
+    # machinery, so only the depolarizing kinds take a pair; the refusal
+    # comes before either block is written
+    rng = np.random.default_rng(21)
+    pair = [_complex(rng, 8, 8), _complex(rng, 8, 8)]
+    before = [block.copy() for block in pair]
+    with pytest.raises(TypeError, match=f"{kind} noise takes one matrix, not a pair"):
+        apply_noise(pair, NoiseModel(kind, 0.3), [0, 2], 3, adjoint=adjoint)
+    assert all(np.array_equal(x, b) for x, b in zip(pair, before))
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_per_qubit_noise_in_place_matches_the_kraus_pair(kind, adjoint):
     rng = np.random.default_rng(15)
     for p in (0.0, 0.3, 1.0):

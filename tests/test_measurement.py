@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -202,5 +203,7 @@ def test_symmetrized_verified_estimate_raises_on_a_non_finite_entry(operand, bad
     rho, rbar = (random_density(rng, 4).matrix.copy() for _ in range(2))
     (rho if operand == "state" else rbar)[2, 1] = bad
     # checked before any product: the package's error, not numpy's warning
-    with pytest.raises(VanishingDenominatorError, match="state/dual overlap .* is not finite"):
-        symmetrized_verified_estimate(rho, rbar, PauliObservable.single("ZX"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VanishingDenominatorError, match="state/dual overlap .* is not finite"):
+            symmetrized_verified_estimate(rho, rbar, PauliObservable.single("ZX"))

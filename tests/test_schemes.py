@@ -1,7 +1,9 @@
 import ast
 import inspect
 import tracemalloc
+import warnings
 from dataclasses import replace
+from functools import partial, reduce
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -260,8 +262,10 @@ def test_estimators_raise_on_a_non_finite_chain(kind, operand, bad):
     target[1, 2] = bad
     # the registers are checked before any product, so an infinite entry
     # raises the package's error, not numpy's invalid-value warning
-    with pytest.raises(VanishingDenominatorError, match="numerator .* is not finite"):
-        _ESTIMATORS[kind](rho, rbar, PauliObservable(((0.5, "XZ"), (0.5, "ZZ"))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VanishingDenominatorError, match="numerator .* is not finite"):
+            _ESTIMATORS[kind](rho, rbar, PauliObservable(((0.5, "XZ"), (0.5, "ZZ"))))
 
 
 def test_checked_ratio_is_the_one_denominator_guard():
@@ -1073,20 +1077,31 @@ def test_odd_factor_is_the_ancilla_coherence_under_the_noise(kind):
         assert odd_factor == pytest.approx(_ODD_FACTORS[kind](p), abs=1e-15), p
 
 
+def _noisy_register(rbar, noise, register_counts):
+    """rbar after the adjoint noise N applied qubit by qubit, as often as
+    ``register_counts`` says for each of its qubits."""
+    x = rbar.copy()
+    for q, c in enumerate(register_counts):
+        for _ in range(c):
+            apply_noise(x, noise, [q], len(register_counts), adjoint=True)
+    return x
+
+
 def _even_term_reduction(term, noise, rbar, rho, n):
     """weight * Tr_{2..M}[W (I (x) rho^(x)(M-1))] for an even-pair term, each
-    stored register rbar after the noise N applied qubit by qubit, as often
-    as the term counts."""
+    stored register rbar after N as often as the term counts."""
     weight, axes, counts = term
-
-    def factor(register_counts):
-        x = rbar.copy()
-        for q, c in enumerate(register_counts):
-            for _ in range(c):
-                apply_noise(x, noise, [q], n, adjoint=True)
-        return x
-
+    factor = partial(_noisy_register, rbar, noise)
     return weight * schemes._reduced_product(factor, counts, rho, axes, n)
+
+
+def _even_term_matrix(term, noise, rbar, n):
+    """weight * the k-qubit matrix W an even-pair term stands for: its
+    stored registers' product read back through its map."""
+    weight, axes, counts = term
+    k = len(axes)
+    registers = [_noisy_register(rbar, noise, counts[s : s + n]) for s in range(0, k, n)]
+    return weight * _materialized(reduce(np.kron, registers), k, axes)
 
 
 @pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
@@ -1130,6 +1145,81 @@ def test_register_reductions_match_the_composite(machinery):
             block = _composite_reduction(want[a, :, a], rho, n, copies)
             assert np.max(np.abs(block - got)) <= 1e-13, (a, n, copies)
             assert np.max(np.abs(got - unwritten)) > 1e-5, (a, n, copies)
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
+def test_even_terms_match_the_composite_after_each_step(machinery, copies):
+    # after each prefix of the backward Fredkin list, the matrices the terms
+    # stand for, unreduced (W_00 the first, W_11 the sum of the rest),
+    # against the adjoint noise and the Fredkins on the whole composite
+    n = 2
+    nq = 1 + copies * n
+    k, half = nq - 1, 2 ** (nq - 1)
+    noise = NoiseModel(machinery, 0.1)
+    gamma = noise.strength if machinery == "amplitude-damping" else 0.0
+    rng = np.random.default_rng(27)
+    rbar = random_density(rng, 2**n).matrix
+    registers = kron_power(rbar, copies)
+    zero = np.zeros((half, half), dtype=complex)
+    composite = np.block([[registers, zero], [zero, registers]])
+    fredkins = _backward_fredkins(n, copies)
+    for steps, step in enumerate(fredkins, start=1):
+        composite = _composite_steps(composite, noise, [step], nq)
+        want = composite.reshape(2, half, 2, half)
+        terms = schemes._even_terms(fredkins[:steps], gamma, k)
+        matrices = [_even_term_matrix(t, noise, rbar, n) for t in terms]
+        for a, got in enumerate([matrices[0], sum(matrices[1:])]):
+            assert np.max(np.abs(want[a, :, a] - got)) <= 1e-13, (a, steps)
+            assert np.max(np.abs(got - registers)) > 1e-5, (a, steps)
+
+
+@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
+def test_even_terms_after_the_fredkin_list(machinery):
+    # W_00 keeps the identity map, its register r meeting N (r > 0) +
+    # (r < M-1) times. W_11's no-jump term ends under C_M, the register
+    # stored last meeting N M - 1 times and the others once, weighted
+    # (1-g)^F; the term of the jump at step j weighs g (1-g)^(F-1-j), so
+    # W_11's weights sum to 1, as the unital adjoint damping keeps I_anc
+    gamma = 0.1 if machinery == "amplitude-damping" else 0.0
+    for n, copies in [(2, 3), (1, 4)]:
+        k = n * copies
+        fredkins = _backward_fredkins(n, copies)
+        f = len(fredkins)
+        (w_00, axes_00, counts_00), (w, axes, counts), *jumps = schemes._even_terms(
+            fredkins, gamma, k
+        )
+        assert (w_00, axes_00) == (1.0, list(range(k)))
+        assert counts_00 == [(r > 0) + (r < copies - 1) for r in range(copies) for _ in range(n)]
+        assert axes == [((q // n - 1) % copies) * n + q % n for q in range(k)]
+        assert counts == [1] * (k - n) + [copies - 1] * n
+        assert w == pytest.approx((1 - gamma) ** f, abs=1e-15)
+        want = [gamma * (1 - gamma) ** (f - 1 - j) for j in range(f)] if gamma else []
+        assert [term[0] for term in jumps] == pytest.approx(want, abs=1e-15)
+        assert w + sum(term[0] for term in jumps) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
+def test_even_pair_terms_reduce_in_register_size_memory(machinery):
+    # at the 13-qubit cap (k = 12) the even pair is reduced term by term,
+    # one einsum over register tensors each, and peaks under 1/128 of the
+    # k = 12 block a build would otherwise step
+    block = 16 * 4**12
+    noise = NoiseModel(machinery, 0.07)
+    gamma = noise.strength if machinery == "amplitude-damping" else 0.0
+    rng = np.random.default_rng(26)
+    for n, copies in [(3, 4), (6, 2), (2, 6)]:
+        rho, rbar = (random_density(rng, 2**n).matrix for _ in range(2))
+        terms = schemes._even_terms(_backward_fredkins(n, copies), gamma, n * copies)
+        tracemalloc.start()
+        try:
+            v_00, *jumps = (_even_term_reduction(t, noise, rbar, rho, n) for t in terms)
+            v_11 = sum(jumps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v_00.shape == v_11.shape == (2**n, 2**n)
+        assert peak <= block / 128, (n, copies, peak / block)
 
 
 @pytest.mark.parametrize(
