@@ -26,12 +26,6 @@ is a view. Their transients are at most a quarter of it. The read-only
 ``DensityOperator.matrix`` makes a misuse raise instead of corrupting a
 state.
 
-A matrix may also be stored under a two-sided qubit map, its qubit q
-held on row and column axis ``map[q]``, so that a qubit swap is a
-relabeling that moves no data. ``permuted_view`` reads such a matrix as
-the matrix it stands for, and the kernels update it through that view,
-with targets named in the matrix it stands for.
-
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
 from the same projector: the circuit's own gates, each after its
@@ -41,12 +35,10 @@ off the in-place kernels, which stay the only definition of noise;
 global depolarizing is one register-wide ``depolarize`` per evolution
 (``_global_layer``). Both wrap their result without the eigenvalue
 check, since an evolution keeps it PSD. A pipeline
-(``schemes.build_pipeline``) never contracts a composite: only under
-local depolarizing machinery is a readout block carried, at quarter
-size under a qubit map and updated in place by the noise kernels; any
-other block reduces to register products. Dual states are PSD but not
-normalized in general (they are exactly trace-1 when every inserted
-channel is unital).
+(``schemes.build_pipeline``) never contracts a composite: its readout
+blocks reduce to register matrices, which the kernels update in place.
+Dual states are PSD but not normalized in general (they are exactly
+trace-1 when every inserted channel is unital).
 
 The dense whole-register Kraus channels the engine is checked against
 live in ``reference``.
@@ -108,18 +100,6 @@ def superoperator(ops) -> np.ndarray:
     return terms.sum(axis=0).reshape(d * d, d * d)
 
 
-def permuted_view(mat: np.ndarray, nq: int, axes) -> np.ndarray:
-    """The ``[2] * 2nq`` view of ``mat`` with its qubits reordered.
-
-    Qubit q of the result is row and column axis ``axes[q]`` of ``mat``,
-    so a matrix stored under a qubit map (qubit q held on storage axis
-    ``map[q]``) reads back as the matrix it stands for. A transpose, no
-    copy: the noise kernels update the stored matrix through it, with
-    the targets named as qubits of the matrix it stands for.
-    """
-    return mat.reshape((2,) * (2 * nq)).transpose(list(axes) + [nq + a for a in axes])
-
-
 def depolarize(mat, p: float, targets, nq: int):
     """Depolarize the listed qubits in place: (1-p) X + p I/d_k (x) Tr_targets X.
 
@@ -130,31 +110,22 @@ def depolarize(mat, p: float, targets, nq: int):
     time, since a broadcast add into that strided view would buffer all
     of it; with every qubit a target it is one add. Self-adjoint, so it
     serves the Heisenberg picture unchanged. Returns ``mat``.
-
-    ``mat`` may also be a pair, the list [X_0, X_1] of the diagonal blocks
-    of a matrix block-diagonal in one further leading qubit, which then
-    depolarizes jointly with the targets: each block becomes
-    (1-p) X_j + p I/(2 d_k) (x) Tr_targets(X_0 + X_1), the diagonal blocks
-    of the depolarized matrix, which stays block-diagonal.
     """
     targets = sorted({int(t) for t in targets})
     rest = [q for q in range(nq) if q not in targets]
     kept = rest + [nq + q for q in rest]
-    views = [block.reshape((2,) * (2 * nq)) for block in (mat if isinstance(mat, list) else [mat])]
+    view = mat.reshape((2,) * (2 * nq))
     # row q is axis label q and column q is nq + q, except that a target's
     # column shares its row's label
     label = list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
     # with no target einsum traces nothing and would return a view
-    reduced = np.einsum(views[0], label, kept) if targets else views[0].copy()
-    for view in views[1:]:
-        reduced += np.einsum(view, label, kept)
-    reduced *= p / (len(views) * 2 ** len(targets))
-    for view in views:
-        view *= 1.0 - p
-        # writable view of the entries diagonal in the targets
-        diagonal = np.einsum(view, label, targets + kept)
-        for bits in product((0, 1), repeat=len(targets) if rest else 0):
-            diagonal[bits] += reduced
+    reduced = np.einsum(view, label, kept) if targets else view.copy()
+    reduced *= p / 2 ** len(targets)
+    view *= 1.0 - p
+    # writable view of the entries diagonal in the targets
+    diagonal = np.einsum(view, label, targets + kept)
+    for bits in product((0, 1), repeat=len(targets) if rest else 0):
+        diagonal[bits] += reduced
     return mat
 
 
@@ -196,10 +167,7 @@ def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint
     returned; trivial noise returns it untouched.
 
     ``mat`` is any writable matrix or ``[2] * 2nq`` view, of any strides,
-    such as a transpose, a strided slice or ``permuted_view`` of a matrix
-    stored under a qubit map. Under the depolarizing kinds it may also
-    be a pair of diagonal blocks (``depolarize``); the per-qubit kinds
-    refuse a pair with ``TypeError``.
+    such as a transpose or a strided slice.
     """
     if noise.is_trivial:
         return mat
@@ -208,8 +176,6 @@ def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint
         return depolarize(mat, noise.strength, register, nq)
     if noise.kind == "depolarizing-local":
         return depolarize(mat, noise.strength, targets, nq)
-    if isinstance(mat, list):
-        raise TypeError(f"{noise.kind} noise takes one matrix, not a pair")
     if noise.kind == "dephasing":
         return _per_qubit(mat, 1.0 - 2.0 * noise.strength, 0.0, targets, nq, adjoint)
     gamma = noise.strength

@@ -2,8 +2,10 @@
 
 Subcommands:
 
-* ``verify``: seeded self-checks of the core identities, one PASS/FAIL
-  line each. Exit 0 when every residual is below tolerance, 1 otherwise.
+* ``verify``: seeded self-checks of the core identities and of a
+  pipeline's outcome probabilities against a forward composite, one
+  PASS/FAIL line each. Exit 0 when every residual is below tolerance, 1
+  otherwise.
 * ``run``: execute one configured experiment, exact or sampled, and emit
   a JSON report.
 * ``sweep``: repeat a run while varying the copy count or the noise
@@ -49,6 +51,7 @@ from .reports import EstimateReport
 from .reference import (
     adjoint_channel,
     apply_channel,
+    forward_outcomes,
     kraus_sum,
     noisy_circuit_channel,
     permutation_contraction,
@@ -160,6 +163,20 @@ def _verify_checks(seed: int):
         im = hadamard_test(u, s, rho, "imag")
         res = max(res, abs(complex(re, im) - complex(np.trace(s @ u @ rho))))
     yield "hadamard-test", res
+
+    # every unit's outcome probabilities against a forward evolution of
+    # the composite, nq = 7 at most, under every machinery kind
+    res = 0.0
+    circ = random_circuit(rng, 2, 6)
+    noise = NoiseModel("amplitude-damping", 0.1)
+    obs = parse_observable("0.6*ZY + 0.4*XI")
+    for kind, copies in (("multi-copy", 3), ("state-verification", 1), ("combined", 3)):
+        for machinery in (NoiseModel(k, 0.05) for k in NOISE_KINDS):
+            pipe = build_pipeline(kind, circ, noise, obs, copies, machinery)
+            want = forward_outcomes(kind, circ, noise, obs, copies, machinery)
+            for unit, probs in zip((*pipe.numerator_terms, pipe.denominator), want):
+                res = max(res, float(np.max(np.abs(unit.state - probs))))
+    yield "pipeline-outcomes", res
 
 
 def cmd_verify(args) -> int:

@@ -14,7 +14,9 @@ and the tests):
 * the composite permutations (``cyclic_permutation``, ``register_swap``,
   ``fredkin_matrix``, ``controlled_register_swap``) and the composite
   contractions the estimators' reduced chains equal
-  (``permutation_contraction``, ``verified_composite_contraction``).
+  (``permutation_contraction``, ``verified_composite_contraction``);
+* ``forward_outcomes``, a pipeline's outcome probabilities from a forward
+  evolution of its whole composite circuit.
 
 ``channels``, ``schemes`` and ``sampling`` do not import this module.
 """
@@ -26,8 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from .channels import NoiseModel, superoperator
-from .circuits import I2, PAULI_Z, GateCircuit, embed_operator
+from .channels import NoiseModel, apply_noise, prepare_noisy_state, superoperator
+from .circuits import I2, PAULI_Z, GateCircuit, embed_operator, gate_matrix, inverse_circuit
 from .linalg import DensityOperator, check_dimension, contract, kron_all, kron_power, zero_projector
 from .observables import pauli_string_matrix
 
@@ -348,3 +350,42 @@ def verified_composite_contraction(rb_m, obs_mat, rho, n_copies):
     c = cyclic_permutation(n_copies, dim)
     o1 = np.kron(obs_mat, np.eye(dim ** (n_copies - 1), dtype=complex))
     return complex(np.trace(rb_m @ c @ o1 @ kron_power(rho, n_copies)))
+
+
+def forward_outcomes(kind: str, circ: GateCircuit, noise: NoiseModel, obs, copies: int, machinery):
+    """Outcome probabilities (+1, -1 and, verified, 0) of every unit of an
+    ancilla-scheme pipeline, the denominator last, from a forward
+    evolution of the whole composite circuit: prefix Hadamard, controlled
+    Pauli string, noisy Fredkins, inverse circuits when verifying, final
+    Hadamard. The oracle for ``schemes.build_pipeline``'s readout, on at
+    most 7 composite qubits."""
+    n = circ.n_qubits
+    nq = 1 + copies * n
+    if nq > 7:
+        raise ValueError(f"a {nq}-qubit composite is wider than 7")
+    verify = kind in ("state-verification", "combined")
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    rho = prepare_noisy_state(circ, noise).matrix
+    base = np.kron(p0, kron_power(rho, copies)).astype(complex)
+    base = apply_noise(apply_local(base, [gate_matrix("H")], [0], nq), machinery, [0], nq)
+    units = []
+    for _, string in obs.terms:
+        ctrl = np.kron(p0, np.eye(2**n)) + np.kron(p1, pauli_string_matrix(string))
+        units.append(apply_local(base, [ctrl], range(1 + n), nq))
+    out = []
+    for mat in units + [base]:
+        for r in range(copies - 1):
+            for i in range(n):
+                targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
+                mat = apply_local(mat, [fredkin_matrix()], targets, nq)
+                mat = apply_noise(mat, machinery, targets, nq)
+        for offset in range(1, nq, n) if verify else ():
+            for g in inverse_circuit(circ).gates:
+                targets = [offset + q for q in g.qubits]
+                mat = apply_local(mat, [g.matrix()], targets, nq)
+                mat = apply_noise(mat, noise, targets, nq, register=range(offset, offset + n))
+        mat = apply_noise(apply_local(mat, [gate_matrix("H")], [0], nq), machinery, [0], nq)
+        pops = np.diagonal(mat).real.reshape(2, -1)
+        kept = pops[:, 0] if verify else pops.sum(axis=1)
+        out.append([kept[0], kept[1]] + ([pops.sum() - kept.sum()] if verify else []))
+    return out

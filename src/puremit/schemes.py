@@ -25,12 +25,12 @@ inverse circuits, ancilla readout) so machinery noise on the swaps and
 ancilla gates can be studied. With noiseless machinery the pipeline
 reproduces the operator-level value. The readout is taken in the
 Heisenberg picture: its effects are propagated backwards through the
-shared suffix once, as quarter-size ancilla-parity blocks on which a
-Fredkin is a qubit relabeling, then reduced against the product prefix
-state and scored per term by the Pauli-string readers of ``observables``.
-A block is built only where machinery noise couples two registers;
-elsewhere it reduces to register products, and with no per-qubit noise
-to the operator chain, which a build reads once for its readout and its
+shared suffix once, as ancilla-parity blocks, and reduced against the
+product prefix state by one backward sweep over register pairs, which
+traces each register against rho once no later Fredkin touches it; the
+blocks are scored per term by the Pauli-string readers of
+``observables``. With no per-qubit machinery noise the odd block is the
+operator chain, which a build reads once for its readout and its
 operator-level ratio, calling no estimator. Neither a composite state
 nor a composite effect is ever built (``build_pipeline``). Every unit,
 the plain ``raw`` readout of one Pauli string included, is read out the
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -57,13 +57,13 @@ from .channels import (
     NoiseModel,
     _global_layer,
     apply_noise,
+    depolarize,
     dual_state,
     noise_superoperator,
-    permuted_view,
     prepare_noisy_state,
 )
 from .circuits import GateCircuit, circuit_state, gate_matrix
-from .linalg import as_matrix, check_dimension, kron_power, zero_projector
+from .linalg import as_matrix, check_dimension, zero_projector
 from .observables import PauliObservable, pauli_sandwiches, pauli_traces
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
@@ -300,103 +300,121 @@ def _sign_units(observable: PauliObservable, kept, t: np.ndarray, rest=None) -> 
     ]
 
 
-def _parity_steps(machinery: NoiseModel, nq: int):
-    """One backward Fredkin step on the even pair of an nq-qubit effect.
+# the state of one column of a register-pair term, the qubits i of both
+# registers: as they were, swapped, or each traced to I/2
+_KEPT, _SWAPPED, _TRACED = range(3)
 
-    Backwards, a Fredkin is its adjoint machinery noise on (ancilla, a, b),
-    then the Fredkin. Over the ancilla (qubit 0) it maps W_xy to
-    S^x W_xy S^y, S the swap of qubits a and b, and every noise kind keeps
-    the ancilla parity. S moves no data: it swaps two entries of W_11's
-    two-sided map; W_00 is never mapped.
 
-    Returns (even, odd_factor): ``even(pair, axes, a, b)`` updates the
-    blocks (W_00, W_11) and W_11's map in place, a and b composite
-    targets, by one ``apply_noise`` on the pair; a build calls it only
-    under local depolarizing. ``odd_factor`` is the scalar each step
-    leaves on the odd block, the ancilla's |0><1| entry under the noise
-    (``noise_superoperator``): 1 - p under both depolarizing kinds,
-    1 - 2p under dephasing and sqrt(1 - p) under amplitude damping.
+def _with(key: tuple, i: int, state: int) -> tuple:
+    return key[:i] + (state,) + key[i + 1 :]
+
+
+def _summed(items) -> dict:
+    """The (key, weights) items, weights of equal keys added."""
+    out = {}
+    for key, w in items:
+        out[key] = out.get(key, 0.0) + w
+    return out
+
+
+def _phase_terms(noise: NoiseModel, n: int) -> list:
+    """The even pair after one phase of the sweep, the n backward Fredkins
+    of registers r and r + 1, as terms (j, key, w): block W_jj gains
+    T_key(F (x) G), F = N(rbar) on register r and G = N(w_0 Y_0 + w_1 Y_1)
+    on register r + 1, for the blocks rbar (x) Y_0 and rbar (x) Y_1 the
+    phase starts from; N is the per-qubit adjoint machinery noise, or the
+    identity. T_key keeps, swaps or traces each column (``_KEPT``...).
+
+    Per column, last first: local depolarizing p maps each block to
+    (1-p) W_jj + p/2 T(W_00 + W_11), T the column traced; amplitude
+    damping's ancilla mix adds g W_00 into (1-g) W_11; then the Fredkin
+    swaps the column of W_11. N reaches every qubit once, before any swap
+    that moves it, so it acts on F and G.
     """
-    k = nq - 1
-    # entry [(x, y), (u, v)]: |x><y| in the output from |u><v|
-    odd_factor = noise_superoperator(machinery, 1, adjoint=True)[1, 1].real
-
-    def even(pair, axes, a, b):
-        a, b = a - 1, b - 1
-        logical = [pair[0], permuted_view(pair[1], k, axes)]
-        apply_noise(logical, machinery, (a, b), k, adjoint=True)
-        axes[a], axes[b] = axes[b], axes[a]
-
-    return even, odd_factor
-
-
-def _odd_reduction(rho: np.ndarray, rbar: np.ndarray, m: int, noisy) -> np.ndarray:
-    """V_01 of O = W_01 after the backward Fredkins of M = ``m`` registers,
-    odd_factor^F aside, with N = ``noisy`` the per-qubit machinery noise
-    on one register: y = rbar, then M - 1 times y = N(rbar) rho N(y). With
-    N the identity this is the chain's tail rbar (rho rbar)^(M-1)."""
-    y, first = rbar, noisy(rbar)
-    for _ in range(m - 1):
-        y = first @ (rho @ noisy(y))
-    return y
+    p = noise.strength if noise.kind == "depolarizing-local" else 0.0
+    g = noise.strength if noise.kind == "amplitude-damping" else 0.0
+    blocks = [{(_KEPT,) * n: w} for w in np.eye(2)]
+    for i in reversed(range(n)):
+        if p:
+            traced = [(_with(key, i, _TRACED), p / 2 * w) for b in blocks for key, w in b.items()]
+            blocks = [_summed([(key, (1 - p) * w) for key, w in b.items()] + traced) for b in blocks]
+        if g:
+            mixed = [(key, (1 - g) * w) for key, w in blocks[1].items()]
+            blocks[1] = _summed(mixed + [(key, g * w) for key, w in blocks[0].items()])
+        blocks[1] = {
+            _with(key, i, _SWAPPED) if key[i] == _KEPT else key: w for key, w in blocks[1].items()
+        }
+    return [(j, key, w) for j, b in enumerate(blocks) for key, w in b.items()]
 
 
-def _even_terms(fredkins, gamma: float, k: int) -> list:
-    """The even pair after the backward Fredkins, as terms [weight, axes,
-    counts]: W_00, then those that sum to W_11. A term is R = rbar^(x)M,
-    N applied counts[s] times to stored qubit s, under the two-sided map
-    ``axes``. Step (a, b) applies N to qubits a and b of both blocks and
-    swaps them in W_11's map; amplitude damping's ancilla mix adds
-    gamma W_00 into (1 - gamma) W_11, a term per step (none at gamma = 0)."""
-    terms = [[1.0, list(range(k)), [0] * k] for _ in range(2)]
-    for a, b in fredkins:
-        a, b = a - 1, b - 1
-        for term in terms[1:]:
-            term[0] *= 1.0 - gamma
-        if gamma:
-            terms.append([gamma, list(range(k)), list(terms[0][2])])
-        for i, (_, axes, counts) in enumerate(terms):
-            counts[axes[a]] += 1
-            counts[axes[b]] += 1
-            if i:
-                axes[a], axes[b] = axes[b], axes[a]
-    return terms
+def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr_2[T_key(F (x) G) (I (x) rho)] for n-qubit F, G and rho.
 
-
-def _reduced_product(factor, counts, rho: np.ndarray, axes, n: int) -> np.ndarray:
-    """Tr_{2..M}[W (I (x) rho^(x)(M-1))], 2^n x 2^n, for the register
-    product W under the two-sided map ``axes``, stored register r being
-    ``factor`` of its qubits' ``counts``: one einsum, stored qubit s
-    labelled s on the rows and k + s on the columns (at most 24 labels)."""
-    k = len(axes)
+    A traced column is I/2 (x) Tr_i on each factor, and then reads the
+    same kept or swapped. With every other column kept this is
+    F Tr(G rho), with every one swapped G Tr(F rho); otherwise one einsum
+    over the ``[2] * 2n`` tensors, qubit i labelled i and n + i on the
+    output's rows and columns and 2n + i and 3n + i inside the trace.
+    """
+    n = f.shape[0].bit_length() - 1
+    traced = [i for i, state in enumerate(key) if state == _TRACED]
+    if traced:
+        f, g = (depolarize(x.copy(), 1.0, traced, n) for x in (f, g))
+    moved = set(key) - {_TRACED}
+    if _SWAPPED not in moved:
+        return f * np.einsum("ij,ji->", g, rho)
+    if _KEPT not in moved:
+        return g * np.einsum("ij,ji->", f, rho)
+    # a row label plus n is its column's
+    swapped = [state == _SWAPPED for state in key]
+    f_rows = [2 * n + i if s else i for i, s in enumerate(swapped)]
+    g_rows = [i if s else 2 * n + i for i, s in enumerate(swapped)]
     shape = (2,) * (2 * n)
-    operands = []
-    for r in range(k // n):
-        stored = range(r * n, (r + 1) * n)
-        x = factor(tuple(counts[r * n : (r + 1) * n]))
-        operands += [x.reshape(shape), [*stored, *(k + s for s in stored)]]
-    for r in range(1, k // n):
-        held = axes[r * n : (r + 1) * n]
-        operands += [rho.reshape(shape), [*(k + s for s in held), *held]]
-    out = [*axes[:n], *(k + s for s in axes[:n])]
-    return np.einsum(*operands, out, optimize=True).reshape(2**n, 2**n)
+    return np.einsum(
+        f.reshape(shape), f_rows + [r + n for r in f_rows],
+        g.reshape(shape), g_rows + [r + n for r in g_rows],
+        rho.reshape(shape), [*range(3 * n, 4 * n), *range(2 * n, 3 * n)],
+        [*range(2 * n)], optimize=True,
+    ).reshape(f.shape)
 
 
-def _reduced(block: np.ndarray, axes, weights, n: int) -> np.ndarray:
-    """Tr_{2..M}[W (I (x) rho^(x)(M-1))], 2^n x 2^n, for the block W of M
-    n-qubit registers stored under the two-sided map ``axes``.
+def _phase(terms: list, f: np.ndarray, pair: list, rho: np.ndarray) -> list:
+    """The even pair [Y_0, Y_1] after one phase, register r + 1 traced
+    against rho, from the noised pair [N(Y_0), N(Y_1)] (``_phase_terms``)."""
+    out = [0.0, 0.0]
+    for j, key, w in terms:
+        out[j] = out[j] + _pair_trace(key, f, w[0] * pair[0] + w[1] * pair[1], rho)
+    return out
 
-    ``weights`` is (rho^T)^(x)(M-1), C-contiguous; a block exists only
-    when the build has Fredkins, so M >= 2. The map is the identity or
-    C_M, which stores register 1 last and the rest in order, so the trace
-    is one batched matrix product over the stored registers: no
-    transposed copy.
+
+def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify: bool):
+    """(V_01, [V_00, V_11]): the readout blocks after the backward Fredkins
+    of M = ``m`` registers, reduced against rho on registers 2..M by one
+    backward sweep over register pairs, the ancilla's scalar on V_01
+    aside. V_01 is None when N, the per-qubit adjoint machinery noise, is
+    the identity, since it is then the chain's tail; the even pair is
+    [rbar, rbar] unless ``verify``.
+
+    The Fredkins of pair (r, r + 1) run together, r = M-2 first, and no
+    later one touches register r + 1, so each phase traces it against rho
+    and leaves d x d blocks on register r. The odd block's phase is
+    y = N(rbar) rho N(y), the even pair's ``_phase``.
     """
-    d, e = 2**n, weights.shape[0]
-    if axes[0] == 0:
-        return (block.reshape(d, e, d, e) @ weights[..., None]).sum(axis=1).reshape(d, d)
-    # batched over the row registers, aligned with registers 2..M
-    return (weights[:, None, None] @ block.reshape(e, d, e, d)).sum(axis=0).reshape(d, d)
+    n = rho.shape[0].bit_length() - 1
+    per_qubit = not noise.is_trivial and noise.kind in ("dephasing", "amplitude-damping")
+
+    def noisy(x):
+        return apply_noise(x.copy(), noise, range(n), n, adjoint=True) if per_qubit else x
+
+    f = noisy(rbar)
+    terms = _phase_terms(noise, n) if verify and m > 1 else []
+    y, pair = rbar, [rbar, rbar]
+    for _ in range(m - 1):
+        if per_qubit:
+            y = f @ (rho @ noisy(y))
+        if verify:
+            pair = _phase(terms, f, [noisy(x) for x in pair], rho)
+    return (y if per_qubit else None), pair
 
 
 def build_pipeline(
@@ -424,17 +442,16 @@ def build_pipeline(
 
         W = c I + alpha I_anc (x) R + beta X_anc (x) R.
 
-    Every Fredkin step keeps an effect's ancilla parity
-    (``_parity_steps``), so the Fredkins and their noise act only on the
-    odd block O = W_01 of X_anc (x) R (W_10 = O^dag) and, when verifying,
-    on the even pair (W_00, W_11) of I_anc (x) R, which serves W_P and,
-    times alpha, the even part of W_Z. For multi-copy R = I, which every
-    adjoint fixes, so the even part stays alpha I. A Fredkin only relabels
-    qubits, and per-qubit machinery noise reaches one register at a time,
-    so O and the even pair reduce to register products (``_odd_reduction``,
-    ``_even_terms``). Only local depolarizing couples two registers, so
-    only under it is the combined even pair built as blocks, W_11 stored
-    under a qubit map that ends as C_M, each step one ``apply_noise``.
+    Backwards, a Fredkin is its adjoint machinery noise on (ancilla, a, b),
+    then the Fredkin, which maps W_xy to S^x W_xy S^y over the ancilla,
+    S the swap of qubits a and b. Every noise kind keeps the ancilla
+    parity, so the Fredkins and their noise act only on the odd block
+    O = W_01 of X_anc (x) R (W_10 = O^dag) and, when verifying, on the
+    even pair (W_00, W_11) of I_anc (x) R, which serves W_P and, times
+    alpha, the even part of W_Z. For multi-copy R = I, which every adjoint
+    fixes, so the even part stays alpha I. Both are reduced by one
+    backward sweep over register pairs (``_sweep``), which holds register
+    matrices only, whatever the machinery kind.
 
     Global machinery depolarizing of strength p fixes I and commutes with
     every unitary, so it is split off once: the steps see no local noise,
@@ -452,7 +469,8 @@ def build_pipeline(
     so each block W_ba reduces to the d x d block
     V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))]. With no per-qubit noise,
     O = R C_M reduces to the operator chain's tail (``_chain``),
-    rbar (rho rbar)^(M-1) or rho^(M-1), and W_00 = W_11 = R to
+    rbar (rho rbar)^(M-1) or rho^(M-1), and without machinery noise
+    W_00 = W_11 = R reduce to
     Tr(rbar rho)^(M-1) rbar. A unit X is scored at O(d^2) per term as
 
         Tr(W X) = c Tr X + alpha ((1-q) E + q 2 Tr(R) Tr X / 2^nq)
@@ -466,9 +484,7 @@ def build_pipeline(
     read once. Each string, the all-I string of the denominator included,
     becomes a signed permutation once per build, read by
     ``observables.pauli_traces`` and ``pauli_sandwiches``; Tr(V_00 rho) is
-    read once. A build that steps a block peaks at R and one copy of it,
-    half a composite, plus the steps' transients of at most a quarter
-    block; any other build holds register-size matrices only. See
+    read once. A build holds register-size matrices only. See
     ``MeasurableTerm`` for the outcomes.
 
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
@@ -548,74 +564,32 @@ def build_pipeline(
             # trace-preserving, so every adjoint leaves c I alone
             return c, (diag[0] + diag[1]) / 2, (diag[0] - diag[1]) / 2
 
-        # the Fredkins, last first; the global machinery layers of the prefix
-        # Hadamard and the Fredkins fold into one, the scale
-        fredkins = [
-            (1 + r * n + i, 1 + (r + 1) * n + i)
-            for r in reversed(range(copies - 1))
-            for i in reversed(range(n))
-        ]
-        scale = 1.0 - _global_layer(machinery, len(fredkins) + 1)
-        even_step, odd_factor = _parity_steps(local_noise, nq)
-        local = bool(fredkins) and not local_noise.is_trivial
-        per_qubit = local and local_noise.kind in ("dephasing", "amplitude-damping")
-
-        def noisy(x, counts=(1,) * n):
-            """x after N, the Fredkins' per-qubit noise, counts[q] times on qubit q."""
-            for level in range(max(counts)):
-                hit = [q for q, c in enumerate(counts) if c > level]
-                x = apply_noise(x.copy(), local_noise, hit, n, adjoint=True)
-            return x
-
-        factor = cache(lambda counts: noisy(rbar, counts))
-
+        # the global machinery layers of the prefix Hadamard and the F
+        # Fredkins fold into one, the scale
+        fredkins = (copies - 1) * n
+        scale = 1.0 - _global_layer(machinery, fredkins + 1)
+        # the scalar each Fredkin's noise leaves on O: the ancilla's |0><1|
+        # entry under it, entry [(x, y), (u, v)] being |x><y| out of |u><v|
+        odd_factor = noise_superoperator(local_noise, 1, adjoint=True)[1, 1].real
+        v_01, (v_00, v_11) = _sweep(local_noise, rho_mat, rbar, copies, verify)
         # Tr(V_01 P rho) per string; with N the identity V_01 is the chain's tail
-        forward = chain
-        if per_qubit:
-            forward = pauli_traces(perms, rho_mat, _odd_reduction(rho_mat, rbar, copies, noisy))
+        forward = chain if v_01 is None else pauli_traces(perms, rho_mat, v_01)
         # Tr(V_10 rho P) = conj Tr(V_01 P rho), since P and rho are Hermitian
         odd = ancilla[1, 0] * forward + ancilla[0, 1] * forward.conj()
         if not verify:
             # R = I, and every adjoint of the suffix keeps I_anc (x) I
             even = unit_trace
         else:
-            t = 1.0
-            if local and local_noise.kind == "depolarizing-local":
-                # the noise couples two registers: W_00 takes over R, W_11 a
-                # copy of it, and registers 2..M of the prefix are traced
-                # against each block, transposed
-                pair = [kron_power(rbar, copies)]
-                pair.append(pair[0].copy())
-                unmapped = list(range(nq - 1))
-                axes = list(unmapped)
-                for a, b in fredkins:
-                    even_step(pair, axes, a, b)
-                weights = np.ascontiguousarray(kron_power(rho_mat.T, copies - 1))
-                v_00 = _reduced(pair[0], unmapped, weights, n)
-                v_11 = _reduced(pair[1], axes, weights, n)
-                del pair
-            elif per_qubit:
-                # register products, reduced one by one; dephasing is gamma = 0
-                gamma = local_noise.strength if local_noise.kind == "amplitude-damping" else 0.0
-                v_00, *jumps = (
-                    weight * _reduced_product(factor, counts, rho_mat, axes, n)
-                    for weight, axes, counts in _even_terms(fredkins, gamma, nq - 1)
-                )
-                v_11 = sum(jumps)
-            else:
-                # R itself: Tr(rbar rho)^(M-1) rbar, with no scaled copy
-                v_00 = v_11 = rbar
-                t = np.vdot(rbar, rho_mat) ** (copies - 1)
             # rho^T copied row-major once, read as rho_t.T without a copy:
             # Tr(V_00 rho), the same for every string, and
             # Tr(V_11 P rho P^dag) = Tr(rho P V_11 P^dag)
             rho_t = rho_mat.T.copy()
-            even = ancilla[0, 0] * t * pauli_traces(perms[-1:], v_00, rho_t.T)
-            even = even + ancilla[1, 1] * t * pauli_sandwiches(perms, rho_t.T, v_11)
+            even = ancilla[0, 0] * pauli_traces(perms[-1:], v_00, rho_t.T)
+            even = even + ancilla[1, 1] * pauli_sandwiches(perms, rho_t.T, v_11)
         # the folded global layer leaves (1 - scale) Tr(I_anc (x) R)/2^nq I of
         # the even part; the scalar each Fredkin's noise leaves on O folds in too
         even = scale * even + (1.0 - scale) * 2.0 * r_trace / 2**nq * unit_trace
-        odd = scale * odd_factor ** len(fredkins) * odd
+        odd = scale * odd_factor**fredkins * odd
         # Tr(W X) = c Tr X + alpha Tr((I_anc (x) R) X) + beta Tr((X_anc (x) R) X)
         readout = (unit_trace, even, odd)
         z = sum(w * x for w, x in zip(head(_ANCILLA_VALUES), readout))

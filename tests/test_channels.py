@@ -12,7 +12,6 @@ from puremit.channels import (
     depolarize,
     dual_state,
     noise_superoperator,
-    permuted_view,
     prepare_noisy_state,
     superoperator,
 )
@@ -463,92 +462,6 @@ _IN_PLACE_CASES = [
     (6, [5, 2, 0]),
     (6, [3]),
 ]
-# qubit pairs (a, b), nq = 2..6
-_SWAP_CASES = [
-    (2, 0, 1),
-    (3, 2, 0),
-    (4, 1, 3),
-    (5, 4, 1),
-    (5, 0, 2),
-    (6, 5, 0),
-    (6, 2, 3),
-]
-
-
-def _materialized(mat, nq, axes):
-    """A copy of the matrix that ``mat`` stands for under the qubit map."""
-    return permuted_view(mat, nq, axes).reshape(mat.shape).copy()
-
-
-def test_qubit_maps_read_back_as_the_swapped_matrix():
-    # a Fredkin's swap of qubits a and b is a swap of two map entries:
-    # S mat S under a two-sided map
-    rng = np.random.default_rng(14)
-    for nq, a, b in _SWAP_CASES:
-        mat = _complex(rng, 2**nq, 2**nq)
-        swap = embed_operator(SWAP_GATE, [a, b], nq)
-        axes = list(range(nq))
-        axes[a], axes[b] = b, a
-        assert np.max(np.abs(_materialized(mat, nq, axes) - swap @ mat @ swap)) <= 1e-14
-
-
-@pytest.mark.parametrize("kind", NOISE_KINDS[1:])
-@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-def test_noise_kernels_update_a_matrix_through_its_permuted_view(kind, adjoint):
-    # a matrix stored under a two-sided map, updated through permuted_view
-    # with the targets named in the matrix it stands for, holds the noise
-    # on that matrix
-    rng = np.random.default_rng(20)
-    noise = NoiseModel(kind, 0.3)
-    for nq, targets in _IN_PLACE_CASES:
-        mat = _complex(rng, 2**nq, 2**nq)
-        axes = list(rng.permutation(nq))
-        want = apply_noise(_materialized(mat, nq, axes), noise, targets, nq, adjoint=adjoint)
-        view = permuted_view(mat, nq, axes)
-        assert apply_noise(view, noise, targets, nq, adjoint=adjoint) is view
-        assert np.max(np.abs(_materialized(mat, nq, axes) - want)) <= 1e-14, (nq, targets)
-
-
-# the depolarizing kinds, the ones that take a pair
-_PAIR_KINDS = ["depolarizing-local", "depolarizing-global"]
-
-
-@pytest.mark.parametrize("kind", _PAIR_KINDS)
-@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-def test_noise_on_a_pair_is_noise_on_its_block_diagonal_matrix(kind, adjoint):
-    # [X_0, X_1] stands for the (nq+1)-qubit matrix diag(X_0, X_1), its
-    # leading qubit 0 depolarized jointly with the targets shifted by one;
-    # X_1 is stored under a map and passed as its permuted view, as the
-    # even pair of a pipeline is
-    rng = np.random.default_rng(21)
-    noise = NoiseModel(kind, 0.3)
-    for nq, targets in _IN_PLACE_CASES:
-        d = 2**nq
-        x_0, x_1 = _complex(rng, d, d), _complex(rng, d, d)
-        axes = list(rng.permutation(nq))
-        zero = np.zeros((d, d), dtype=complex)
-        full = np.block([[x_0, zero], [zero, _materialized(x_1, nq, axes)]])
-        shifted = [0] + [t + 1 for t in targets]
-        want = apply_noise(full, noise, shifted, nq + 1, adjoint=adjoint).reshape(2, d, 2, d)
-        assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
-        pair = [x_0, permuted_view(x_1, nq, axes)]
-        assert apply_noise(pair, noise, targets, nq, adjoint=adjoint) is pair
-        assert np.max(np.abs(x_0 - want[0, :, 0])) <= 1e-14, (nq, targets)
-        assert np.max(np.abs(_materialized(x_1, nq, axes) - want[1, :, 1])) <= 1e-14
-
-
-@pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
-@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-def test_per_qubit_noise_refuses_a_pair(kind, adjoint):
-    # a pipeline reduces the even pair to register products under per-qubit
-    # machinery, so only the depolarizing kinds take a pair; the refusal
-    # comes before either block is written
-    rng = np.random.default_rng(21)
-    pair = [_complex(rng, 8, 8), _complex(rng, 8, 8)]
-    before = [block.copy() for block in pair]
-    with pytest.raises(TypeError, match=f"{kind} noise takes one matrix, not a pair"):
-        apply_noise(pair, NoiseModel(kind, 0.3), [0, 2], 3, adjoint=adjoint)
-    assert all(np.array_equal(x, b) for x, b in zip(pair, before))
 
 
 @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping"])
@@ -612,16 +525,11 @@ def test_in_place_kernels_refuse_matrices_they_cannot_update(kind):
         apply_noise(state.matrix, NoiseModel(kind, 0.1), [0], 2)
 
 
-def _blocks(mat) -> list:
-    return mat if isinstance(mat, list) else [mat]
-
-
 @pytest.mark.parametrize("kind", NOISE_KINDS[1:])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_in_place_kernels_update_transposed_and_strided_matrices(kind, adjoint):
     # reshaping a transpose or a strided slice to [2] * 2nq only splits
-    # axes, so it is a view and the kernels write through it, also as a
-    # pair under the depolarizing kinds
+    # axes, so it is a view and the kernels write through it
     rng = np.random.default_rng(17)
     noise = NoiseModel(kind, 0.15)
     nq, targets = 3, [0, 2]
@@ -629,16 +537,12 @@ def test_in_place_kernels_update_transposed_and_strided_matrices(kind, adjoint):
     rest = store[1::2].copy(), store[:, 1::2].copy()
     transposed = _complex(rng, 8, 8).T
     strided = store[::2, ::2]
-    pairs = [[transposed, strided]] if kind in _PAIR_KINDS else []
-    for mat in (transposed, strided, *pairs):
-        before = [block.copy() for block in _blocks(mat)]
-        want = [block.copy() for block in before]
-        apply_noise(want if isinstance(mat, list) else want[0], noise, targets, nq,
-                    adjoint=adjoint)
+    for mat in (transposed, strided):
+        before = mat.copy()
+        want = apply_noise(mat.copy(), noise, targets, nq, adjoint=adjoint)
         assert apply_noise(mat, noise, targets, nq, adjoint=adjoint) is mat
-        for got, w, b in zip(_blocks(mat), want, before):
-            assert np.max(np.abs(got - w)) <= 1e-14
-            assert np.max(np.abs(got - b)) > 1e-3
+        assert np.max(np.abs(mat - want)) <= 1e-14
+        assert np.max(np.abs(mat - before)) > 1e-3
     # the slice's update left the rest of its array alone
     assert np.array_equal(store[1::2], rest[0])
     assert np.array_equal(store[:, 1::2], rest[1])

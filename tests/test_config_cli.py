@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from puremit import cli
+from puremit import cli, schemes
 from puremit.channels import NO_NOISE, NoiseModel
 from puremit.cli import main
 from puremit.config import (
@@ -196,9 +196,25 @@ def test_cmd_verify_passes(capsys):
     assert main(["verify", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if "residual" in l]
-    assert len(lines) == 9
+    assert len(lines) == 10
+    assert lines[-1].startswith("pipeline-outcomes")
     assert all("PASS" in l for l in lines)
     assert "all checks passed" in out
+
+
+def test_cmd_verify_fails_a_sweep_that_never_swaps(monkeypatch, capsys):
+    # the pipeline check reads the outcomes of a build whose even pair
+    # keeps every column of W_11 in place, as if the Fredkins were absent
+    phase_terms = schemes._phase_terms
+
+    def unswapped(noise, n):
+        kept = tuple(schemes._KEPT for _ in range(n))
+        return [(j, kept, w) for j, _, w in phase_terms(noise, n)]
+
+    monkeypatch.setattr(schemes, "_phase_terms", unswapped)
+    assert main(["verify", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[0] for l in lines if "FAIL" in l] == ["pipeline-outcomes"]
 
 
 def test_cmd_verify_is_deterministic(capsys):

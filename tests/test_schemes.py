@@ -17,7 +17,7 @@ from puremit.channels import (
     NoiseModel,
     apply_noise,
     dual_state,
-    permuted_view,
+    noise_superoperator,
     prepare_noisy_state,
 )
 from puremit.circuits import (
@@ -42,6 +42,8 @@ from puremit.reference import (
     apply_local,
     controlled_register_swap,
     cyclic_permutation,
+    depolarizing_channel,
+    forward_outcomes,
     fredkin_matrix,
     permutation_contraction,
     register_swap,
@@ -662,39 +664,6 @@ def test_exact_pipelines_are_frozen(case):
     assert np.max(np.abs(np.subtract(got, _FROZEN_PIPELINES[case]))) <= 1e-12
 
 
-def _forward_outcomes(kind, circ, noise, obs, copies, machinery):
-    """Outcome probabilities (+1, -1 and, verified, 0) of every unit,
-    from a forward evolution of the whole composite circuit."""
-    n = circ.n_qubits
-    nq = 1 + copies * n
-    verify = kind in ("state-verification", "combined")
-    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    rho = prepare_noisy_state(circ, noise).matrix
-    base = np.kron(p0, kron_power(rho, copies)).astype(complex)
-    base = apply_noise(apply_local(base, [gate_matrix("H")], [0], nq), machinery, [0], nq)
-    units = []
-    for _, string in obs.terms:
-        ctrl = np.kron(p0, np.eye(2**n)) + np.kron(p1, pauli_string_matrix(string))
-        units.append(apply_local(base, [ctrl], range(1 + n), nq))
-    out = []
-    for mat in units + [base]:
-        for r in range(copies - 1):
-            for i in range(n):
-                targets = [0, 1 + r * n + i, 1 + (r + 1) * n + i]
-                mat = apply_local(mat, [fredkin_matrix()], targets, nq)
-                mat = apply_noise(mat, machinery, targets, nq)
-        for offset in range(1, nq, n) if verify else ():
-            for g in inverse_circuit(circ).gates:
-                targets = [offset + q for q in g.qubits]
-                mat = apply_local(mat, [g.matrix()], targets, nq)
-                mat = apply_noise(mat, noise, targets, nq, register=range(offset, offset + n))
-        mat = apply_noise(apply_local(mat, [gate_matrix("H")], [0], nq), machinery, [0], nq)
-        pops = np.diagonal(mat).real.reshape(2, -1)
-        kept = pops[:, 0] if verify else pops.sum(axis=1)
-        out.append([kept[0], kept[1]] + ([pops.sum() - kept.sum()] if verify else []))
-    return out
-
-
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
 def test_outcome_probabilities_match_a_forward_evolution(machinery):
     # the exact value reads only W_Z; the sampler also reads W_P through
@@ -711,49 +680,47 @@ def test_outcome_probabilities_match_a_forward_evolution(machinery):
     )
     for kind, copies in cases:
         pipe = build_pipeline(kind, circ, noise, obs, n_copies=copies, machinery_noise=mach)
-        want = _forward_outcomes(kind, circ, noise, obs, copies, mach)
+        want = forward_outcomes(kind, circ, noise, obs, copies, mach)
         for term, probs in zip((*pipe.numerator_terms, pipe.denominator), want):
             assert np.max(np.abs(term.state - probs)) <= 1e-12, (kind, copies)
 
 
+def test_forward_outcomes_refuse_a_composite_past_seven_qubits():
+    circ = random_circuit(np.random.default_rng(0), 2, 4)
+    with pytest.raises(ValueError, match="9-qubit composite is wider than 7"):
+        forward_outcomes("combined", circ, NO_NOISE, parse_observable("ZZ"), 4, NO_NOISE)
+
+
 def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
     # each term is scored from the reduced effects and its Pauli string, so
-    # adding observable terms adds no Fredkin step on a block. A block is
-    # stepped once per Fredkin, and only on the combined even pair under
-    # local depolarizing machinery, which couples two registers: never for
-    # multi-copy, and never under dephasing or amplitude damping
+    # adding observable terms adds no phase of the sweep: a verified build
+    # reduces its even pair once per register pair, M - 1 times, under
+    # every machinery kind, and multi-copy, whose even part is I, never
     calls = []
-    parity_steps = schemes._parity_steps
+    phase = schemes._phase
 
-    def counting(machinery, nq):
-        even, odd_factor = parity_steps(machinery, nq)
+    def counting(*args):
+        calls.append(args)
+        return phase(*args)
 
-        def counted(*args):
-            calls.append(nq)
-            return even(*args)
-
-        return counted, odd_factor
-
-    monkeypatch.setattr(schemes, "_parity_steps", counting)
+    monkeypatch.setattr(schemes, "_phase", counting)
     circ = _generic_circuit()
-    coupling = ["depolarizing-local"]
     cases = [
-        *iproduct([("combined", 2), ("combined", 3)], ["amplitude-damping", *coupling]),
-        *iproduct([("multi-copy", 2), ("multi-copy", 3)], NOISE_KINDS),
+        *iproduct([("combined", 2), ("combined", 3), ("multi-copy", 2), ("multi-copy", 3)],
+                  NOISE_KINDS),
         *iproduct([(kind, 2) for kind in SCHEME_KINDS], ["dephasing"]),
     ]
     for (kind, copies), machinery in cases:
         counts = []
         for text in ("ZX", "0.4*ZX + 0.3*YY - 0.2*XI + 0.1*IZ"):
             calls.clear()
-            build_pipeline(
+            pipe = build_pipeline(
                 kind, circ, NoiseModel("depolarizing-local", 0.05), parse_observable(text),
                 n_copies=copies, machinery_noise=NoiseModel(machinery, 0.03),
             )
             counts.append(len(calls))
-        coupled = kind == "combined" and machinery in coupling
-        fredkins = (copies - 1) * circ.n_qubits if coupled else 0
-        assert counts == [fredkins, fredkins], (kind, copies, machinery, counts)
+        phases = pipe.n_copies - 1 if kind in ("state-verification", "combined") else 0
+        assert counts == [phases, phases], (kind, copies, machinery, counts)
 
 
 def test_pipeline_build_reads_each_pauli_string_once(monkeypatch):
@@ -870,33 +837,12 @@ def test_pipeline_exact_report_raises_on_a_non_finite_denominator(kind, copies, 
 
 
 @pytest.mark.parametrize("machinery", NOISE_KINDS)
-def test_pipeline_build_holds_one_composite_at_a_time(machinery):
-    # an effect block, where one is built at all, is a quarter-size parity
-    # block propagated in place and reduced, and no prefix state is built,
-    # so a build peaks under one composite matrix (n = 4, M = 2: nq = 9)
-    composite = 16 * 4**9
-    circ = random_circuit(np.random.default_rng(0), 4, 8)
-    obs = parse_observable("0.5*XYZI + 0.5*ZZXY")
-    for kind in ("multi-copy", "combined"):
-        tracemalloc.start()
-        try:
-            build_pipeline(
-                kind, circ, NoiseModel("depolarizing-local", 0.02), obs,
-                n_copies=2, machinery_noise=NoiseModel(machinery, 0.01),
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= composite, (kind, peak / composite)
-
-
-def test_pipeline_build_allocates_no_block_the_machinery_does_not_write():
-    # no machinery noise, global depolarizing, dephasing, amplitude
-    # damping, and local depolarizing on multi-copy (which has no even
-    # pair) leave no block to build: the odd block reduces to a register
-    # chain and the even pair to register products, so a build holds
-    # register-size matrices only, under one parity block at n = 4, M = 2
-    # (nq = 9) and under 16 MB at nq = 13, where a block takes 256 MB
+def test_pipeline_build_allocates_no_block_the_machinery_does_not_write(machinery):
+    # under every machinery kind the odd block reduces to a register chain
+    # and the even pair, one register pair at a time, to register terms,
+    # so a build holds register-size matrices only: under one parity block
+    # at n = 4, M = 2 (nq = 9) and under 16 MB at nq = 13, where a block
+    # would take 256 MB
     def peak(kind, n, copies, machinery):
         circ = random_circuit(np.random.default_rng(0), n, 8)
         obs = parse_observable(f"0.5*{'XYZIXY'[:n]} + 0.5*{'ZZXYZX'[:n]}")
@@ -911,17 +857,13 @@ def test_pipeline_build_allocates_no_block_the_machinery_does_not_write():
             tracemalloc.stop()
 
     block = 16 * 4**8
-    unwritten = ["none", "depolarizing-global", "dephasing", "amplitude-damping"]
     for kind in SCHEME_KINDS:
-        extra = ["depolarizing-local"] if kind.startswith("multi-copy") else []
-        for machinery in unwritten + extra:
-            assert peak(kind, 4, 2, machinery) <= block, (kind, machinery)
-    for (kind, n, copies), machinery in [
-        *iproduct([("combined", 6, 2), ("combined", 2, 6), ("multi-copy", 4, 3)], unwritten),
-        (("combined", 3, 4), "amplitude-damping"),
-        (("multi-copy", 3, 4), "amplitude-damping"),
-    ]:
-        assert peak(kind, n, copies, machinery) <= 16 * 2**20, (kind, n, copies, machinery)
+        assert peak(kind, 4, 2, machinery) <= block, kind
+    splits = [("combined", 6, 2), ("combined", 3, 4), ("combined", 2, 6), ("multi-copy", 4, 3)]
+    if machinery == "amplitude-damping":
+        splits.append(("multi-copy", 3, 4))
+    for kind, n, copies in splits:
+        assert peak(kind, n, copies, machinery) <= 16 * 2**20, (kind, n, copies)
 
 
 def test_state_verification_build_holds_no_scaled_register_copy():
@@ -943,32 +885,6 @@ def test_state_verification_build_holds_no_scaled_register_copy():
     assert peak <= 5.5 * register, peak / register
 
 
-@pytest.mark.parametrize("machinery,bound", [("depolarizing-local", 0.15)])
-def test_even_pair_step_peaks_under_a_fraction_of_a_block(machinery, bound):
-    # one two-target step on a k = 10 pair, W_11 under a random map: local
-    # depolarizing, the one kind a build steps a block for, holds the two
-    # blocks' partial traces (1/16 of a block each) and adds their sum one
-    # target-bit pattern at a time
-    k = 10
-    block = 16 * 4**k
-    rng = np.random.default_rng(25)
-    pair = [random_hermitian(rng, 2**k), random_hermitian(rng, 2**k)]
-    axes = list(rng.permutation(k))
-    even_step, _ = schemes._parity_steps(NoiseModel(machinery, 0.1), k + 1)
-    tracemalloc.start()
-    try:
-        even_step(pair, axes, 4, 9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * block, peak / block
-
-
-def _materialized(block, k, axes):
-    """A copy of the k-qubit block that ``block`` stands for under the map."""
-    return permuted_view(block, k, axes).reshape(block.shape).copy()
-
-
 def _composite_steps(mat, noise, fredkins, nq):
     """Backward Fredkin steps on the whole composite, last Fredkin first:
     the adjoint noise on (ancilla, a, b), then the Fredkin."""
@@ -986,78 +902,12 @@ def _composite_reduction(block, rho, n, copies):
 
 
 def _backward_fredkins(n, copies):
-    """The build's Fredkin list, last first."""
+    """The Fredkin list of M = ``copies`` registers, last first."""
     return [
         (1 + r * n + i, 1 + (r + 1) * n + i)
         for r in reversed(range(copies - 1))
         for i in reversed(range(n))
     ]
-
-
-# machinery kinds whose even-pair step acts on a stored block
-_BLOCK_KINDS = ["none", "depolarizing-local", "depolarizing-global"]
-
-
-@pytest.mark.parametrize("copies", [2, 3])
-@pytest.mark.parametrize("machinery", _BLOCK_KINDS)
-def test_parity_block_steps_match_the_composite_step(machinery, copies):
-    # one backward Fredkin step on the even pair, W_11 stored under a
-    # random qubit map and read back through it, against the adjoint noise
-    # and the Fredkin on the whole composite, which keeps the odd blocks
-    # exactly zero
-    n = 2
-    nq = 1 + copies * n
-    k = nq - 1
-    half = 2**k
-    noise = NoiseModel(machinery, 0.1)
-    even_step, _ = schemes._parity_steps(noise, nq)
-    rng = np.random.default_rng(22)
-    zero = np.zeros((half, half), dtype=complex)
-    for r, i in iproduct(range(copies - 1), range(n)):
-        a, b = 1 + r * n + i, 1 + (r + 1) * n + i
-        pair = [random_hermitian(rng, half), random_hermitian(rng, half)]
-        axes = list(rng.permutation(k))
-        full = np.block([[pair[0], zero], [zero, _materialized(pair[1], k, axes)]])
-        want = _composite_steps(full, noise, [(a, b)], nq).reshape(2, half, 2, half)
-        even_step(pair, axes, a, b)
-        assert not np.any(want[0, :, 1]) and not np.any(want[1, :, 0])
-        assert np.max(np.abs(want[0, :, 0] - pair[0])) <= 1e-13
-        assert np.max(np.abs(want[1, :, 1] - _materialized(pair[1], k, axes))) <= 1e-13
-
-
-@pytest.mark.parametrize("machinery", _BLOCK_KINDS)
-def test_parity_block_maps_after_the_fredkin_list_are_the_cyclic_shift(machinery):
-    # M = 3, the whole backward Fredkin list: the stored even pair reads
-    # back through its composed map as the composite result, the map ends
-    # as C_M at register level, and the register-level read of a stored
-    # block equals the reduction of the block it stands for
-    n, copies = 2, 3
-    nq = 1 + copies * n
-    k = nq - 1
-    half = 2**k
-    noise = NoiseModel(machinery, 0.1)
-    fredkins = _backward_fredkins(n, copies)
-    even_step, _ = schemes._parity_steps(noise, nq)
-    rng = np.random.default_rng(23)
-    zero = np.zeros((half, half), dtype=complex)
-    pair = [random_hermitian(rng, half), random_hermitian(rng, half)]
-    even = np.block([[pair[0], zero], [zero, pair[1]]])
-    want_even = _composite_steps(even, noise, fredkins, nq).reshape(2, half, 2, half)
-    same = list(range(k))
-    axes = list(same)
-    for a, b in fredkins:
-        even_step(pair, axes, a, b)
-    assert np.max(np.abs(want_even[0, :, 0] - pair[0])) <= 1e-13
-    assert np.max(np.abs(want_even[1, :, 1] - _materialized(pair[1], k, axes))) <= 1e-13
-    # C_M sends register r to r - 1: qubit q of register r is stored on
-    # axis q of register (r - 1) mod M
-    assert axes == [((q // n - 1) % copies) * n + q % n for q in range(k)]
-    rho = random_density(rng, 2**n).matrix
-    weights = np.ascontiguousarray(kron_power(rho.T, copies - 1))
-    for stored, stored_axes in ((pair[0], same), (pair[1], axes)):
-        want = _composite_reduction(_materialized(stored, k, stored_axes), rho, n, copies)
-        got = schemes._reduced(stored, stored_axes, weights, n)
-        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 _ODD_FACTORS = {
@@ -1070,156 +920,97 @@ _ODD_FACTORS = {
 
 @pytest.mark.parametrize("kind", list(_ODD_FACTORS))
 def test_odd_factor_is_the_ancilla_coherence_under_the_noise(kind):
-    # read off noise_superoperator for every kind; a build passes global
-    # machinery as no noise, since it folds it into one layer
+    # a build reads the scalar each Fredkin leaves on the odd block off
+    # noise_superoperator, for every kind; it passes global machinery as
+    # no noise, since it folds it into one layer
     for p in (0.0, 0.07, 0.3):
-        _, odd_factor = schemes._parity_steps(NoiseModel(kind, p), 5)
+        odd_factor = noise_superoperator(NoiseModel(kind, p), 1, adjoint=True)[1, 1]
         assert odd_factor == pytest.approx(_ODD_FACTORS[kind](p), abs=1e-15), p
 
 
-def _noisy_register(rbar, noise, register_counts):
-    """rbar after the adjoint noise N applied qubit by qubit, as often as
-    ``register_counts`` says for each of its qubits."""
-    x = rbar.copy()
-    for q, c in enumerate(register_counts):
-        for _ in range(c):
-            apply_noise(x, noise, [q], len(register_counts), adjoint=True)
-    return x
+# the machinery kinds the sweep sees: a build passes global depolarizing
+# as no noise
+_SWEPT_KINDS = ["none", "depolarizing-local", "dephasing", "amplitude-damping"]
 
 
-def _even_term_reduction(term, noise, rbar, rho, n):
-    """weight * Tr_{2..M}[W (I (x) rho^(x)(M-1))] for an even-pair term, each
-    stored register rbar after N as often as the term counts."""
-    weight, axes, counts = term
-    factor = partial(_noisy_register, rbar, noise)
-    return weight * schemes._reduced_product(factor, counts, rho, axes, n)
+def _noisy(noise, n):
+    """N, the per-qubit adjoint machinery noise on every qubit of an n-qubit
+    register, or the identity under the other kinds."""
+    if noise.kind not in ("dephasing", "amplitude-damping"):
+        return lambda x: x
+    return lambda x: apply_noise(x.copy(), noise, range(n), n, adjoint=True)
 
 
-def _even_term_matrix(term, noise, rbar, n):
-    """weight * the k-qubit matrix W an even-pair term stands for: its
-    stored registers' product read back through its map."""
-    weight, axes, counts = term
-    k = len(axes)
-    registers = [_noisy_register(rbar, noise, counts[s : s + n]) for s in range(0, k, n)]
-    return weight * _materialized(reduce(np.kron, registers), k, axes)
-
-
-@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
-def test_register_reductions_match_the_composite(machinery):
-    # per-qubit machinery reaches each register alone, so the odd block's
-    # V_01 and the even pair's V_00 and V_11 are register products: V_01 the
-    # register loop, V_00 one term and V_11 the sum of the rest (F + 1 under
-    # amplitude damping, whose ancilla mix adds W_00 into W_11; one under
-    # dephasing). Each is checked against the reduction of the composite
-    # effect after the whole backward Fredkin list, on random full-rank
-    # states, where the machinery moves every block
-    rng = np.random.default_rng(24)
+@pytest.mark.parametrize(
+    "n,copies", [(n, m) for n in (1, 2, 3) for m in (2, 3, 4) if n * m <= 8], ids=str
+)
+@pytest.mark.parametrize("machinery", _SWEPT_KINDS)
+def test_register_reductions_match_the_composite(machinery, n, copies):
+    # the sweep's V_01, V_00 and V_11 against the reduction of the
+    # composite effect after the whole backward Fredkin list, on random
+    # full-rank states. V_01 is the chain's tail unless N writes it, and
+    # every written kind moves the even pair off rbar Tr(rbar rho)^(M-1)
+    rng = np.random.default_rng([24, n, copies])
     noise = NoiseModel(machinery, 0.07)
-    gamma = noise.strength if machinery == "amplitude-damping" else 0.0
-    for n, copies in [(n, m) for n in (1, 2, 3) for m in (2, 3, 4) if n * m <= 8]:
-        nq = 1 + copies * n
-        half = 2 ** (nq - 1)
-        rho, rbar = (random_density(rng, 2**n).matrix for _ in range(2))
-        fredkins = _backward_fredkins(n, copies)
-
-        def noisy(x):
-            return apply_noise(x.copy(), noise, range(n), n, adjoint=True)
-
-        _, odd_factor = schemes._parity_steps(noise, nq)
-        registers = kron_power(rbar, copies)
-        zero = np.zeros((half, half), dtype=complex)
-        odd = np.block([[zero, registers], [registers, zero]])
-        want = _composite_steps(odd, noise, fredkins, nq).reshape(2, half, 2, half)
-        want = _composite_reduction(want[0, :, 1], rho, n, copies)
-        got = schemes._odd_reduction(rho, rbar, copies, noisy)
-        assert np.max(np.abs(want - odd_factor ** len(fredkins) * got)) <= 1e-13, (n, copies)
-        chain = schemes._odd_reduction(rho, rbar, copies, lambda x: x)
-        assert np.max(np.abs(got - chain)) > 1e-5, (n, copies)
-        even = np.block([[registers, zero], [zero, registers]])
-        want = _composite_steps(even, noise, fredkins, nq).reshape(2, half, 2, half)
-        unwritten = np.vdot(rbar, rho) ** (copies - 1) * rbar
-        terms = schemes._even_terms(fredkins, gamma, nq - 1)
-        assert len(terms) == 2 + (len(fredkins) if gamma else 0), (n, copies)
-        reduced = [_even_term_reduction(t, noise, rbar, rho, n) for t in terms]
-        for a, got in enumerate([reduced[0], sum(reduced[1:])]):
-            block = _composite_reduction(want[a, :, a], rho, n, copies)
-            assert np.max(np.abs(block - got)) <= 1e-13, (a, n, copies)
-            assert np.max(np.abs(got - unwritten)) > 1e-5, (a, n, copies)
-
-
-@pytest.mark.parametrize("copies", [2, 3])
-@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
-def test_even_terms_match_the_composite_after_each_step(machinery, copies):
-    # after each prefix of the backward Fredkin list, the matrices the terms
-    # stand for, unreduced (W_00 the first, W_11 the sum of the rest),
-    # against the adjoint noise and the Fredkins on the whole composite
-    n = 2
+    odd_factor = noise_superoperator(noise, 1, adjoint=True)[1, 1].real
     nq = 1 + copies * n
-    k, half = nq - 1, 2 ** (nq - 1)
-    noise = NoiseModel(machinery, 0.1)
-    gamma = noise.strength if machinery == "amplitude-damping" else 0.0
-    rng = np.random.default_rng(27)
-    rbar = random_density(rng, 2**n).matrix
+    half = 2 ** (nq - 1)
+    rho, rbar = (random_density(rng, 2**n).matrix for _ in range(2))
+    fredkins = _backward_fredkins(n, copies)
+    v_01, (v_00, v_11) = schemes._sweep(noise, rho, rbar, copies, True)
     registers = kron_power(rbar, copies)
     zero = np.zeros((half, half), dtype=complex)
-    composite = np.block([[registers, zero], [zero, registers]])
-    fredkins = _backward_fredkins(n, copies)
-    for steps, step in enumerate(fredkins, start=1):
-        composite = _composite_steps(composite, noise, [step], nq)
-        want = composite.reshape(2, half, 2, half)
-        terms = schemes._even_terms(fredkins[:steps], gamma, k)
-        matrices = [_even_term_matrix(t, noise, rbar, n) for t in terms]
-        for a, got in enumerate([matrices[0], sum(matrices[1:])]):
-            assert np.max(np.abs(want[a, :, a] - got)) <= 1e-13, (a, steps)
-            assert np.max(np.abs(got - registers)) > 1e-5, (a, steps)
+    odd = np.block([[zero, registers], [registers, zero]])
+    want = _composite_steps(odd, noise, fredkins, nq).reshape(2, half, 2, half)
+    want = _composite_reduction(want[0, :, 1], rho, n, copies)
+    tail = schemes._chain(rho, rbar, copies, copies)
+    assert (v_01 is None) == (_noisy(noise, n)(rbar) is rbar)
+    got = tail if v_01 is None else v_01
+    assert np.max(np.abs(want - odd_factor ** len(fredkins) * got)) <= 1e-13
+    if v_01 is not None:
+        assert np.max(np.abs(got - tail)) > 1e-5
+    even = np.block([[registers, zero], [zero, registers]])
+    want = _composite_steps(even, noise, fredkins, nq).reshape(2, half, 2, half)
+    unwritten = np.vdot(rbar, rho) ** (copies - 1) * rbar
+    for a, got in enumerate([v_00, v_11]):
+        block = _composite_reduction(want[a, :, a], rho, n, copies)
+        assert np.max(np.abs(block - got)) <= 1e-13, a
+        moved = np.max(np.abs(got - unwritten))
+        assert moved <= 1e-13 if machinery == "none" else moved > 1e-5, a
 
 
-@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
-def test_even_terms_after_the_fredkin_list(machinery):
-    # W_00 keeps the identity map, its register r meeting N (r > 0) +
-    # (r < M-1) times. W_11's no-jump term ends under C_M, the register
-    # stored last meeting N M - 1 times and the others once, weighted
-    # (1-g)^F; the term of the jump at step j weighs g (1-g)^(F-1-j), so
-    # W_11's weights sum to 1, as the unital adjoint damping keeps I_anc
-    gamma = 0.1 if machinery == "amplitude-damping" else 0.0
-    for n, copies in [(2, 3), (1, 4)]:
-        k = n * copies
-        fredkins = _backward_fredkins(n, copies)
-        f = len(fredkins)
-        (w_00, axes_00, counts_00), (w, axes, counts), *jumps = schemes._even_terms(
-            fredkins, gamma, k
-        )
-        assert (w_00, axes_00) == (1.0, list(range(k)))
-        assert counts_00 == [(r > 0) + (r < copies - 1) for r in range(copies) for _ in range(n)]
-        assert axes == [((q // n - 1) % copies) * n + q % n for q in range(k)]
-        assert counts == [1] * (k - n) + [copies - 1] * n
-        assert w == pytest.approx((1 - gamma) ** f, abs=1e-15)
-        want = [gamma * (1 - gamma) ** (f - 1 - j) for j in range(f)] if gamma else []
-        assert [term[0] for term in jumps] == pytest.approx(want, abs=1e-15)
-        assert w + sum(term[0] for term in jumps) == pytest.approx(1.0, abs=1e-15)
+def _term_matrix(key, f, g, n):
+    """T_key(F (x) G) on 2n qubits, column i being qubits i and n + i: a
+    traced column fully depolarized, a swapped one conjugated by its swap."""
+    mat = np.kron(f, g)
+    for i, state in enumerate(key):
+        if state == schemes._TRACED:
+            mat = apply_local(mat, depolarizing_channel(2, 1.0).ops, [i, n + i], 2 * n)
+        elif state == schemes._SWAPPED:
+            mat = apply_local(mat, [SWAP_GATE], [i, n + i], 2 * n)
+    return mat
 
 
-@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
-def test_even_pair_terms_reduce_in_register_size_memory(machinery):
-    # at the 13-qubit cap (k = 12) the even pair is reduced term by term,
-    # one einsum over register tensors each, and peaks under 1/128 of the
-    # k = 12 block a build would otherwise step
-    block = 16 * 4**12
-    noise = NoiseModel(machinery, 0.07)
-    gamma = noise.strength if machinery == "amplitude-damping" else 0.0
-    rng = np.random.default_rng(26)
-    for n, copies in [(3, 4), (6, 2), (2, 6)]:
-        rho, rbar = (random_density(rng, 2**n).matrix for _ in range(2))
-        terms = schemes._even_terms(_backward_fredkins(n, copies), gamma, n * copies)
-        tracemalloc.start()
-        try:
-            v_00, *jumps = (_even_term_reduction(t, noise, rbar, rho, n) for t in terms)
-            v_11 = sum(jumps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert v_00.shape == v_11.shape == (2**n, 2**n)
-        assert peak <= block / 128, (n, copies, peak / block)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("machinery", _SWEPT_KINDS)
+def test_phase_terms_match_the_composite_after_one_register_pair(machinery, n):
+    # one phase: the n backward Fredkins of one register pair on the
+    # (2n + 1)-qubit composite diag(rbar (x) Y_0, rbar (x) Y_1), against
+    # the phase's terms per block, unreduced, on random Hermitian blocks
+    rng = np.random.default_rng([27, n])
+    noise = NoiseModel(machinery, 0.1)
+    nq = 1 + 2 * n
+    half = 4**n
+    noisy = _noisy(noise, n)
+    rbar, y_0, y_1 = (random_hermitian(rng, 2**n) for _ in range(3))
+    zero = np.zeros((half, half), dtype=complex)
+    pair = np.block([[np.kron(rbar, y_0), zero], [zero, np.kron(rbar, y_1)]])
+    want = _composite_steps(pair, noise, _backward_fredkins(n, 2), nq).reshape(2, half, 2, half)
+    got = [zero.copy(), zero.copy()]
+    for j, key, w in schemes._phase_terms(noise, n):
+        got[j] += _term_matrix(key, noisy(rbar), noisy(w[0] * y_0 + w[1] * y_1), n)
+    for j in (0, 1):
+        assert np.max(np.abs(want[j, :, j] - got[j])) <= 1e-13, j
 
 
 @pytest.mark.parametrize(
