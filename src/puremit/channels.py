@@ -13,32 +13,28 @@ register-wide operator:
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
   4^k-operator Pauli Kraus sum;
-* ``apply_noise`` maps a ``NoiseModel`` onto ``depolarize`` and the
-  per-qubit kernel: dephasing and amplitude damping act on each
-  target's 2x2 blocks of row and column bits, in the Schrodinger or
-  (``adjoint=True``) the Heisenberg picture.
+* ``apply_noise`` maps a ``NoiseModel`` onto ``depolarize`` and, for
+  dephasing and amplitude damping, one 4 x 4 superoperator per target
+  (``_qubit_superoperator``) contracted into its row and column axes, in
+  the Schrodinger or (``adjoint=True``) the Heisenberg picture.
 
-``depolarize`` and ``apply_noise`` work in place: they update the matrix
-they are given and return it, so the caller must own it writable: a
-matrix or a ``[2] * 2nq`` view, of any strides, such as a transpose or a
-strided slice, since reshaping it to ``[2] * 2nq`` only splits axes and
-is a view. Their transients are at most a quarter of it. The read-only
-``DensityOperator.matrix`` makes a misuse raise instead of corrupting a
-state.
+Every noise function returns its result as a new matrix (trivial noise
+returns the input) and never writes its input, so a read-only matrix, a
+transpose or a strided slice serves as well as any.
 
 ``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
 from the same projector: the circuit's own gates, each after its
 adjoint noise. Each gate and its local noise are one fused step
 (``_gate_steps``), whose noise part (``noise_superoperator``) is read
-off the in-place kernels, which stay the only definition of noise;
-global depolarizing is one register-wide ``depolarize`` per evolution
+off ``apply_noise``, which stays the only definition of noise; global
+depolarizing is one register-wide ``depolarize`` per evolution
 (``_global_layer``). Both wrap their result without the eigenvalue
 check, since an evolution keeps it PSD. A pipeline
 (``schemes.build_pipeline``) never contracts a composite: its readout
-blocks reduce to register matrices, which the kernels update in place.
-Dual states are PSD but not normalized in general (they are exactly
-trace-1 when every inserted channel is unital).
+blocks reduce to register matrices. Dual states are PSD but not
+normalized in general (they are exactly trace-1 when every inserted
+channel is unital).
 
 The dense whole-register Kraus channels the engine is checked against
 live in ``reference``.
@@ -47,7 +43,6 @@ live in ``reference``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -100,74 +95,58 @@ def superoperator(ops) -> np.ndarray:
     return terms.sum(axis=0).reshape(d * d, d * d)
 
 
-def depolarize(mat, p: float, targets, nq: int):
-    """Depolarize the listed qubits in place: (1-p) X + p I/d_k (x) Tr_targets X.
+def depolarize(mat, p: float, targets, nq: int) -> np.ndarray:
+    """(1-p) X + p I/d_k (x) Tr_targets X for the listed qubits, as a new matrix.
 
     Exact for the 4^k-operator Pauli Kraus form of
     ``reference.depolarizing_channel(k, p)``, at the cost of one partial
-    trace: ``mat`` is scaled in place and the scaled partial trace is
-    added into its target-diagonal entries, one target-bit pattern at a
-    time, since a broadcast add into that strided view would buffer all
-    of it; with every qubit a target it is one add. Self-adjoint, so it
-    serves the Heisenberg picture unchanged. Returns ``mat``.
+    trace, which is added into the target-diagonal entries of a scaled
+    copy of ``mat``. Self-adjoint, so it serves the Heisenberg picture
+    unchanged.
     """
     targets = sorted({int(t) for t in targets})
     rest = [q for q in range(nq) if q not in targets]
     kept = rest + [nq + q for q in rest]
-    view = mat.reshape((2,) * (2 * nq))
+    shape = (2,) * (2 * nq)
     # row q is axis label q and column q is nq + q, except that a target's
     # column shares its row's label
     label = list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
-    # with no target einsum traces nothing and would return a view
-    reduced = np.einsum(view, label, kept) if targets else view.copy()
-    reduced *= p / 2 ** len(targets)
-    view *= 1.0 - p
-    # writable view of the entries diagonal in the targets
-    diagonal = np.einsum(view, label, targets + kept)
-    for bits in product((0, 1), repeat=len(targets) if rest else 0):
-        diagonal[bits] += reduced
-    return mat
+    reduced = np.einsum(mat.reshape(shape), label, kept)
+    out = mat * (1.0 - p)
+    # writable view of the copy's entries diagonal in the targets
+    diagonal = np.einsum(out.reshape(shape), label, targets + kept)
+    diagonal += reduced * (p / 2 ** len(targets))
+    return out
 
 
-def _per_qubit(mat, scale: float, gamma: float, targets, nq: int, adjoint: bool):
-    """Per-qubit noise on each target's 2x2 blocks X_rc of row bit r and
-    column bit c, in place: X_01 and X_10 scale by ``scale``, and a
-    nonzero ``gamma`` scales X_11 by 1 - gamma and mixes the populations:
-    forward, X_00 gains gamma X_11; adjoint, X_11 gains gamma X_00.
+def _qubit_superoperator(noise: NoiseModel, adjoint: bool) -> np.ndarray:
+    """The 4 x 4 superoperator of dephasing or amplitude damping on one qubit.
 
-    Dephasing (1-p) X + p Z X Z is scale 1 - 2p with no mix, and
-    self-adjoint. Amplitude damping, K0 = diag(1, sqrt(1-gamma)) and
-    K1 = sqrt(gamma) |0><1|, is scale sqrt(1-gamma) with the mix. The
-    transient is a quarter of the matrix.
+    On the 2x2 blocks X_rc of row bit r and column bit c, X_01 and X_10
+    scale by s, X_11 by 1 - g, and X_00 gains g X_11. Dephasing,
+    (1-p) X + p Z X Z, is s = 1 - 2p and g = 0; amplitude damping,
+    K0 = diag(1, sqrt(1-g)) and K1 = sqrt(g) |0><1|, is s = sqrt(1-g).
+    The matrix is real, so the adjoint is its transpose: X_11 gains g X_00.
     """
-    view = mat.reshape((2,) * (2 * nq))
-    for q in targets:
-        # length-1 slices, not ints, so each stays a view even at nq = 1
-        x = np.moveaxis(view, (q, nq + q), (0, 1))
-        b00, b01, b10, b11 = (x[r : r + 1, c : c + 1] for r, c in product((0, 1), repeat=2))
-        b01 *= scale
-        b10 *= scale
-        if gamma and adjoint:
-            b11 *= 1.0 - gamma
-            b11 += gamma * b00
-        elif gamma:
-            b00 += gamma * b11
-            b11 *= 1.0 - gamma
-    return mat
+    if noise.kind == "dephasing":
+        s, g = 1.0 - 2.0 * noise.strength, 0.0
+    else:
+        g = noise.strength
+        s = np.sqrt(1.0 - g)
+    sup = np.diag([1.0, s, s, 1.0 - g])
+    sup[0, 3] = g
+    return sup.T if adjoint else sup
 
 
 def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint: bool = False):
-    """Noise inserted after a gate on ``targets`` of an nq-qubit matrix, in place.
+    """Noise inserted after a gate on ``targets`` of an nq-qubit matrix, as a new matrix.
 
     Local depolarizing acts jointly on the targets; dephasing and
-    amplitude damping act independently per target qubit; global
-    depolarizing hits every qubit of ``register`` (all nq qubits when
-    None) regardless of targets. ``adjoint`` applies the Heisenberg-
-    picture adjoint {K^dag} instead. ``mat`` is updated in place and
-    returned; trivial noise returns it untouched.
-
-    ``mat`` is any writable matrix or ``[2] * 2nq`` view, of any strides,
-    such as a transpose or a strided slice.
+    amplitude damping act independently per target qubit, one
+    ``linalg.contract`` each; global depolarizing hits every qubit of
+    ``register`` (all nq qubits when None) regardless of targets.
+    ``adjoint`` applies the Heisenberg-picture adjoint {K^dag} instead.
+    ``mat`` is only read; trivial noise returns it as it is.
     """
     if noise.is_trivial:
         return mat
@@ -176,19 +155,20 @@ def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint
         return depolarize(mat, noise.strength, register, nq)
     if noise.kind == "depolarizing-local":
         return depolarize(mat, noise.strength, targets, nq)
-    if noise.kind == "dephasing":
-        return _per_qubit(mat, 1.0 - 2.0 * noise.strength, 0.0, targets, nq, adjoint)
-    gamma = noise.strength
-    return _per_qubit(mat, np.sqrt(1.0 - gamma), gamma, targets, nq, adjoint)
+    sup = _qubit_superoperator(noise, adjoint)
+    t = mat.reshape((2,) * (2 * nq))
+    for q in targets:
+        t = contract(t, sup, [q, nq + q])
+    return t.reshape(mat.shape)
 
 
 def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.ndarray:
     """The superoperator of ``noise`` after a gate on all qubits of a k-qubit matrix.
 
-    Read off ``apply_noise`` (forward or adjoint), so the in-place kernels
-    stay the only definition of noise. One call acts on the first k of 2k
-    qubits of |phi><phi| = sum_ij E_ij (x) E_ij, with |phi> = sum_i |ii>,
-    which holds every basis matrix E_ij of the k qubits as a block. The
+    Read off ``apply_noise`` (forward or adjoint), so it stays the only
+    definition of noise. One call acts on the first k of 2k qubits of
+    |phi><phi| = sum_ij E_ij (x) E_ij, with |phi> = sum_i |ii>, which
+    holds every basis matrix E_ij of the k qubits as a block. The
     result sum_ij N(E_ij) (x) E_ij has entry [(a, i), (b, j)] equal to
     entry [(a, b), (i, j)] of the superoperator. Global depolarizing here
     acts on the k qubits alone.
@@ -196,7 +176,7 @@ def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.
     d = 2**k
     phi = np.eye(d, dtype=complex).reshape(-1)
     choi = np.outer(phi, phi)
-    apply_noise(choi, noise, range(k), 2 * k, register=range(k), adjoint=adjoint)
+    choi = apply_noise(choi, noise, range(k), 2 * k, register=range(k), adjoint=adjoint)
     return choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
@@ -267,9 +247,7 @@ def _evolve(n: int, gates, noise: NoiseModel, adjoint: bool) -> np.ndarray:
         t = contract(t, sup, [*targets, *(n + q for q in targets)])
     mat = t.reshape(2**n, 2**n)
     p = _global_layer(noise, len(gates))
-    if p:
-        depolarize(mat, p, range(n), n)
-    return mat
+    return depolarize(mat, p, range(n), n) if p else mat
 
 
 def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator:

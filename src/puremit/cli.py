@@ -165,17 +165,19 @@ def _verify_checks(seed: int):
     yield "hadamard-test", res
 
     # every unit's outcome probabilities against a forward evolution of
-    # the composite, nq = 7 at most, under every machinery kind
+    # the composite, nq = 7 at most, under every machinery kind, with the
+    # inverse circuits under the state's noise and under other noise
     res = 0.0
     circ = random_circuit(rng, 2, 6)
     noise = NoiseModel("amplitude-damping", 0.1)
     obs = parse_observable("0.6*ZY + 0.4*XI")
     for kind, copies in (("multi-copy", 3), ("state-verification", 1), ("combined", 3)):
         for machinery in (NoiseModel(k, 0.05) for k in NOISE_KINDS):
-            pipe = build_pipeline(kind, circ, noise, obs, copies, machinery)
-            want = forward_outcomes(kind, circ, noise, obs, copies, machinery)
-            for unit, probs in zip((*pipe.numerator_terms, pipe.denominator), want):
-                res = max(res, float(np.max(np.abs(unit.state - probs))))
+            for dual in (None, NoiseModel("dephasing", 0.07)):
+                pipe = build_pipeline(kind, circ, noise, obs, copies, machinery, dual)
+                want = forward_outcomes(kind, circ, noise, obs, copies, machinery, dual)
+                for unit, probs in zip((*pipe.numerator_terms, pipe.denominator), want):
+                    res = max(res, float(np.max(np.abs(unit.state - probs))))
     yield "pipeline-outcomes", res
 
 

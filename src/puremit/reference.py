@@ -261,6 +261,14 @@ def apply_local(mat: np.ndarray, ops, targets, nq: int) -> np.ndarray:
     return contract(mat.reshape([2] * (2 * nq)), superoperator(ops), axes).reshape(mat.shape)
 
 
+def _cyclic_rows(n_copies: int, dim: int) -> np.ndarray:
+    """The row of C's one nonzero entry in each column, C the cyclic shift
+    of ``cyclic_permutation``."""
+    cols = np.arange(dim**n_copies)
+    lead = dim ** (n_copies - 1)
+    return (cols % lead) * dim + cols // lead
+
+
 def cyclic_permutation(n_copies: int, dim: int) -> np.ndarray:
     """Permutation C on dim**n_copies with C|k_1 k_2 ... k_M> = |k_2 ... k_M k_1>.
 
@@ -272,11 +280,8 @@ def cyclic_permutation(n_copies: int, dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
     total = check_dimension(dim**n_copies)
-    cols = np.arange(total)
-    lead = dim ** (n_copies - 1)
-    rows = (cols % lead) * dim + cols // lead
     c = np.zeros((total, total), dtype=complex)
-    c[rows, cols] = 1.0
+    c[_cyclic_rows(n_copies, dim), np.arange(total)] = 1.0
     return c
 
 
@@ -330,15 +335,11 @@ def permutation_contraction(obs_mat, factors):
 
     The dense oracle for the reduced chain of ``schemes.multicopy_estimate``.
     """
-    m = len(factors)
-    dim = factors[0].shape[0]
     first = obs_mat @ factors[0]
     big = kron_all([first] + list(factors[1:]))
     # Tr(C X) picks one entry of X per column of the permutation
-    cols = np.arange(big.shape[0])
-    lead = dim ** (m - 1)
-    rows = (cols % lead) * dim + cols // lead
-    return complex(big[cols, rows].sum())
+    rows = _cyclic_rows(len(factors), factors[0].shape[0])
+    return complex(big[np.arange(rows.size), rows].sum())
 
 
 def verified_composite_contraction(rb_m, obs_mat, rho, n_copies):
@@ -352,25 +353,29 @@ def verified_composite_contraction(rb_m, obs_mat, rho, n_copies):
     return complex(np.trace(rb_m @ c @ o1 @ kron_power(rho, n_copies)))
 
 
-def forward_outcomes(kind: str, circ: GateCircuit, noise: NoiseModel, obs, copies: int, machinery):
+def forward_outcomes(
+    kind: str, circ: GateCircuit, noise: NoiseModel, obs, copies: int, machinery, dual_noise=None
+):
     """Outcome probabilities (+1, -1 and, verified, 0) of every unit of an
     ancilla-scheme pipeline, the denominator last, from a forward
     evolution of the whole composite circuit: prefix Hadamard, controlled
-    Pauli string, noisy Fredkins, inverse circuits when verifying, final
-    Hadamard. The oracle for ``schemes.build_pipeline``'s readout, on at
-    most 7 composite qubits."""
+    Pauli string, noisy Fredkins, inverse circuits when verifying (under
+    ``dual_noise`` when given, else ``noise``), final Hadamard. The oracle
+    for ``schemes.build_pipeline``'s readout, on at most 7 composite
+    qubits."""
     n = circ.n_qubits
     nq = 1 + copies * n
     if nq > 7:
         raise ValueError(f"a {nq}-qubit composite is wider than 7")
     verify = kind in ("state-verification", "combined")
-    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    inverse_noise = dual_noise or noise
+    p0 = zero_projector(2)
     rho = prepare_noisy_state(circ, noise).matrix
-    base = np.kron(p0, kron_power(rho, copies)).astype(complex)
+    base = np.kron(p0, kron_power(rho, copies))
     base = apply_noise(apply_local(base, [gate_matrix("H")], [0], nq), machinery, [0], nq)
     units = []
     for _, string in obs.terms:
-        ctrl = np.kron(p0, np.eye(2**n)) + np.kron(p1, pauli_string_matrix(string))
+        ctrl = np.kron(p0, np.eye(2**n)) + np.kron(np.eye(2) - p0, pauli_string_matrix(string))
         units.append(apply_local(base, [ctrl], range(1 + n), nq))
     out = []
     for mat in units + [base]:
@@ -383,7 +388,8 @@ def forward_outcomes(kind: str, circ: GateCircuit, noise: NoiseModel, obs, copie
             for g in inverse_circuit(circ).gates:
                 targets = [offset + q for q in g.qubits]
                 mat = apply_local(mat, [g.matrix()], targets, nq)
-                mat = apply_noise(mat, noise, targets, nq, register=range(offset, offset + n))
+                register = range(offset, offset + n)
+                mat = apply_noise(mat, inverse_noise, targets, nq, register=register)
         mat = apply_noise(apply_local(mat, [gate_matrix("H")], [0], nq), machinery, [0], nq)
         pops = np.diagonal(mat).real.reshape(2, -1)
         kept = pops[:, 0] if verify else pops.sum(axis=1)

@@ -359,7 +359,7 @@ def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np
     n = f.shape[0].bit_length() - 1
     traced = [i for i, state in enumerate(key) if state == _TRACED]
     if traced:
-        f, g = (depolarize(x.copy(), 1.0, traced, n) for x in (f, g))
+        f, g = (depolarize(x, 1.0, traced, n) for x in (f, g))
     moved = set(key) - {_TRACED}
     if _SWAPPED not in moved:
         return f * np.einsum("ij,ji->", g, rho)
@@ -392,8 +392,8 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
     of M = ``m`` registers, reduced against rho on registers 2..M by one
     backward sweep over register pairs, the ancilla's scalar on V_01
     aside. V_01 is None when N, the per-qubit adjoint machinery noise, is
-    the identity, since it is then the chain's tail; the even pair is
-    [rbar, rbar] unless ``verify``.
+    the identity or M = 1, since it is then the chain's tail; the even
+    pair is [rbar, rbar] unless ``verify``.
 
     The Fredkins of pair (r, r + 1) run together, r = M-2 first, and no
     later one touches register r + 1, so each phase traces it against rho
@@ -401,10 +401,13 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
     y = N(rbar) rho N(y), the even pair's ``_phase``.
     """
     n = rho.shape[0].bit_length() - 1
-    per_qubit = not noise.is_trivial and noise.kind in ("dephasing", "amplitude-damping")
+    # the noise acts on the Fredkins, and one register has none
+    per_qubit = (
+        m > 1 and not noise.is_trivial and noise.kind in ("dephasing", "amplitude-damping")
+    )
 
     def noisy(x):
-        return apply_noise(x.copy(), noise, range(n), n, adjoint=True) if per_qubit else x
+        return apply_noise(x, noise, range(n), n, adjoint=True) if per_qubit else x
 
     f = noisy(rbar)
     terms = _phase_terms(noise, n) if verify and m > 1 else []

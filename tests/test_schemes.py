@@ -678,17 +678,41 @@ def test_outcome_probabilities_match_a_forward_evolution(machinery):
         ("multi-copy", 2), ("multi-copy", 3), ("state-verification", 1),
         ("combined", 2), ("combined", 3),
     )
-    for kind, copies in cases:
-        pipe = build_pipeline(kind, circ, noise, obs, n_copies=copies, machinery_noise=mach)
-        want = forward_outcomes(kind, circ, noise, obs, copies, mach)
+    # the inverse circuits under the state's noise, and under noise of
+    # another kind and strength
+    for (kind, copies), dual in iproduct(cases, (None, NoiseModel("dephasing", 0.07))):
+        pipe = build_pipeline(
+            kind, circ, noise, obs, n_copies=copies, machinery_noise=mach, dual_noise=dual
+        )
+        want = forward_outcomes(kind, circ, noise, obs, copies, mach, dual_noise=dual)
         for term, probs in zip((*pipe.numerator_terms, pipe.denominator), want):
-            assert np.max(np.abs(term.state - probs)) <= 1e-12, (kind, copies)
+            assert np.max(np.abs(term.state - probs)) <= 1e-12, (kind, copies, dual)
 
 
 def test_forward_outcomes_refuse_a_composite_past_seven_qubits():
     circ = random_circuit(np.random.default_rng(0), 2, 4)
     with pytest.raises(ValueError, match="9-qubit composite is wider than 7"):
         forward_outcomes("combined", circ, NO_NOISE, parse_observable("ZZ"), 4, NO_NOISE)
+
+
+@pytest.mark.parametrize("machinery", ["dephasing", "amplitude-damping"])
+@pytest.mark.parametrize("kind", ["state-verification", "combined"])
+def test_one_register_build_noises_only_the_ancilla(monkeypatch, kind, machinery):
+    # one register has no Fredkin, so per-qubit machinery noise reaches the
+    # ancilla's Hadamards alone and the odd block is the chain's tail
+    widths = []
+
+    def recording(mat, noise, targets, nq, *args, **kwargs):
+        widths.append(nq)
+        return apply_noise(mat, noise, targets, nq, *args, **kwargs)
+
+    monkeypatch.setattr(schemes, "apply_noise", recording)
+    build_pipeline(
+        kind, random_circuit(np.random.default_rng(3), 3, 8),
+        NoiseModel("depolarizing-local", 0.02), parse_observable("0.5*XYZ + 0.5*ZZI"),
+        n_copies=1, machinery_noise=NoiseModel(machinery, 0.05),
+    )
+    assert widths and set(widths) == {1}, widths
 
 
 def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
@@ -889,7 +913,7 @@ def _composite_steps(mat, noise, fredkins, nq):
     """Backward Fredkin steps on the whole composite, last Fredkin first:
     the adjoint noise on (ancilla, a, b), then the Fredkin."""
     for a, b in fredkins:
-        mat = apply_noise(mat.copy(), noise, [0, a, b], nq, adjoint=True)
+        mat = apply_noise(mat, noise, [0, a, b], nq, adjoint=True)
         mat = apply_local(mat, [fredkin_matrix()], [0, a, b], nq)
     return mat
 
@@ -938,7 +962,7 @@ def _noisy(noise, n):
     register, or the identity under the other kinds."""
     if noise.kind not in ("dephasing", "amplitude-damping"):
         return lambda x: x
-    return lambda x: apply_noise(x.copy(), noise, range(n), n, adjoint=True)
+    return lambda x: apply_noise(x, noise, range(n), n, adjoint=True)
 
 
 @pytest.mark.parametrize(
