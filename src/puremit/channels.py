@@ -4,10 +4,10 @@ States evolve through one local-contraction engine that never builds a
 register-wide operator:
 
 * ``linalg.contract`` applies a 4^k x 4^k superoperator (a fused step:
-  ``superoperator`` of a gate's Kraus stack, its local noise folded in,
-  with the pending one-qubit steps on its qubits taken in) to the
-  targets' row and column axes of the register's ``[2] * 2n`` tensor in
-  one matrix product. The register stays that tensor from step to step,
+  a gate's superoperator, its local noise folded in, with the pending
+  one-qubit steps on its qubits taken in) to the targets' row and
+  column axes of the register's ``[2] * 2n`` tensor in one matrix
+  product. The register stays that tensor from step to step,
   each product a transposed view, so a step makes one copy: the next
   step's reshape;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
@@ -26,13 +26,15 @@ transpose or a strided slice serves as well as any.
 ``dual_state`` runs the adjoint of the noisy inverse circuit backwards
 from the same projector: the circuit's own gates, each after its
 adjoint noise. Each gate and its local noise are one fused step
-(``_gate_steps``), whose noise part (``noise_superoperator``) is read
-off ``apply_noise``, which stays the only definition of noise; global
-depolarizing is one register-wide ``depolarize`` per evolution
-(``_global_layer``). Both wrap their result without the eigenvalue
-check, since an evolution keeps it PSD. A pipeline
-(``schemes.build_pipeline``) never contracts a composite: its readout
-blocks reduce to register matrices. Dual states are PSD but not
+(``_gate_steps``). A fixed gate's superoperator is a constant of the
+module, built once at import (``_FIXED_STEPS``); a rotation (RX, RY, RZ)
+builds its own with ``superoperator`` in each evolution. The noise part
+(``noise_superoperator``) is read off ``apply_noise``, which stays the
+only definition of noise; global depolarizing is one register-wide
+``depolarize`` per evolution (``_global_layer``). Both wrap their
+result without the eigenvalue check, since an evolution keeps it PSD.
+A pipeline (``schemes.build_pipeline``) never contracts a composite: its
+readout blocks reduce to register matrices. Dual states are PSD but not
 normalized in general (they are exactly trace-1 when every inserted
 channel is unital).
 
@@ -43,10 +45,11 @@ live in ``reference``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .circuits import GateCircuit
+from .circuits import ANGLE_GATES, GATE_ARITY, GateCircuit, gate_matrix
 from .linalg import DensityOperator, contract, zero_projector
 
 NOISE_KINDS = (
@@ -92,7 +95,26 @@ def superoperator(ops) -> np.ndarray:
     d = ops.shape[-1]
     # entry [(a, b), (c, d)] is sum_k op_k[a, c] conj(op_k[b, d])
     terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
+    if len(ops) == 1:
+        return terms.reshape(d * d, d * d)
     return terms.sum(axis=0).reshape(d * d, d * d)
+
+
+def _fixed_steps() -> MappingProxyType:
+    """A read-only {name: superoperator of the gate} for every gate
+    without an angle, each matrix read-only too."""
+    table = {}
+    for name in GATE_ARITY:
+        if name not in ANGLE_GATES:
+            sup = superoperator([gate_matrix(name)])
+            sup.setflags(write=False)
+            table[name] = sup
+    return MappingProxyType(table)
+
+
+# the fixed gates' superoperators are constants, built once here; only the
+# rotations build theirs per evolution (``_gate_steps``)
+_FIXED_STEPS = _fixed_steps()
 
 
 def depolarize(mat, p: float, targets, nq: int) -> np.ndarray:
@@ -185,9 +207,11 @@ def _gate_steps(gates, noise: NoiseModel, adjoint: bool):
 
     A gate's step is its superoperator with its local noise folded in:
     forward, the noise acts after the gate; adjoint, the adjoint noise
-    acts before it. Each distinct gate (name and angle) builds its step
-    once per call, and the noise superoperators once per gate size.
-    Global depolarizing is left to the caller.
+    acts before it. A fixed gate reads its superoperator from the
+    constant ``_FIXED_STEPS``, and a rotation builds its own; each distinct
+    gate (name and angle) folds in its noise once per call, and the noise
+    superoperators are built once per gate size. Global depolarizing is
+    left to the caller.
 
     A one-qubit step is held pending on its qubit, where later one-qubit
     steps multiply into it; the next step on more qubits that touches the
@@ -205,7 +229,9 @@ def _gate_steps(gates, noise: NoiseModel, adjoint: bool):
         k = len(g.qubits)
         sup = built.get((g.name, g.angle))
         if sup is None:
-            sup = superoperator([g.matrix()])
+            sup = _FIXED_STEPS.get(g.name)
+            if sup is None:
+                sup = superoperator([g.matrix()])
             if local:
                 if k not in derived:
                     derived[k] = noise_superoperator(noise, k, adjoint)

@@ -39,6 +39,8 @@ PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 _PHASE_FLOOR = 1e-12
 _TIE_RTOL = 1e-10
+# entries per block of the Hermiticity check (1 MB of complex)
+_HERMITIAN_BLOCK = 2**16
 
 
 class DimensionCapError(ValueError):
@@ -204,9 +206,19 @@ def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def _check_hermitian(mat: np.ndarray) -> None:
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if not dev <= HERMITICITY_ATOL:  # NaN fails too
-        raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+    """Raise unless max |mat - mat^dag| <= HERMITICITY_ATOL; NaN fails.
+
+    Read one block of columns at a time against the matching rows, in a
+    buffer of about ``_HERMITIAN_BLOCK`` entries, so no register-size
+    difference is formed and each block stays in cache.
+    """
+    step = max(1, _HERMITIAN_BLOCK // mat.shape[0])
+    for i in range(0, mat.shape[0], step):
+        block = mat[:, i : i + step].conj()
+        np.subtract(block, mat[i : i + step].T, out=block)
+        dev = float(np.max(np.abs(block)))
+        if not dev <= HERMITICITY_ATOL:  # NaN fails too
+            raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
 
 
 def _unit_vector(psi, name: str) -> np.ndarray:

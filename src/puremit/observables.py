@@ -8,6 +8,7 @@ string means coefficient 1. All strings in a sum must share a width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +23,8 @@ _PAULI_PHASES = {
     "Y": np.array([1j, -1j]),
     "Z": np.array([1.0, -1.0]),
 }
+# the empty product, complex so that a string without Y has a complex phase too
+_ONE = np.ones((), dtype=complex)
 
 
 class ObservableFormatError(ValueError):
@@ -114,14 +117,14 @@ def pauli_permutation(string: str):
     vector instead of a dense 2^n x 2^n product.
     """
     string = string.upper()
-    n = len(string)
-    basis = np.arange(2**n)
     flips = 0
-    phase = np.ones(2**n, dtype=complex)
-    for q, letter in enumerate(string):
-        flips |= (letter in "XY") << (n - 1 - q)
-        phase *= _PAULI_PHASES[letter][(basis >> (n - 1 - q)) & 1]
-    return basis ^ flips, phase
+    for letter in string:
+        flips = flips << 1 | (letter in "XY")
+    # the phase of |j> is the product of each letter's phase on its bit of
+    # j, qubit 0 the slowest axis; every factor is 1, -1, i or -i, so the
+    # products are exact
+    phase = reduce(np.multiply.outer, [_PAULI_PHASES[letter] for letter in string], _ONE)
+    return np.arange(2 ** len(string)) ^ flips, phase.reshape(-1)
 
 
 def pauli_traces(perms, a, b=None) -> np.ndarray:

@@ -348,18 +348,16 @@ def _phase_terms(noise: NoiseModel, n: int) -> list:
 
 
 def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr_2[T_key(F (x) G) (I (x) rho)] for n-qubit F, G and rho.
+    """Tr_2[T_key(F (x) G) (I (x) rho)] for n-qubit F, G and rho, the
+    key's traced columns already traced out of F and G (``_traced``).
 
-    A traced column is I/2 (x) Tr_i on each factor, and then reads the
-    same kept or swapped. With every other column kept this is
-    F Tr(G rho), with every one swapped G Tr(F rho); otherwise one einsum
-    over the ``[2] * 2n`` tensors, qubit i labelled i and n + i on the
-    output's rows and columns and 2n + i and 3n + i inside the trace.
+    A traced column then reads the same kept or swapped. With every other
+    column kept this is F Tr(G rho), with every one swapped G Tr(F rho);
+    otherwise one einsum over the ``[2] * 2n`` tensors, qubit i labelled
+    i and n + i on the output's rows and columns and 2n + i and 3n + i
+    inside the trace.
     """
     n = f.shape[0].bit_length() - 1
-    traced = [i for i, state in enumerate(key) if state == _TRACED]
-    if traced:
-        f, g = (depolarize(x, 1.0, traced, n) for x in (f, g))
     moved = set(key) - {_TRACED}
     if _SWAPPED not in moved:
         return f * np.einsum("ij,ji->", g, rho)
@@ -378,12 +376,27 @@ def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np
     ).reshape(f.shape)
 
 
-def _phase(terms: list, f: np.ndarray, pair: list, rho: np.ndarray) -> list:
+def _traced(x: np.ndarray, traced: tuple) -> np.ndarray:
+    """I/2 (x) Tr_i X for each listed column i of an n-qubit X; X itself
+    when none is listed."""
+    n = x.shape[0].bit_length() - 1
+    return depolarize(x, 1.0, traced, n) if traced else x
+
+
+def _phase(groups: list, pair: list, rho: np.ndarray) -> list:
     """The even pair [Y_0, Y_1] after one phase, register r + 1 traced
-    against rho, from the noised pair [N(Y_0), N(Y_1)] (``_phase_terms``)."""
+    against rho, from the noised pair [N(Y_0), N(Y_1)].
+
+    ``groups`` holds the terms of ``_phase_terms`` by the columns they
+    trace, as (columns, F traced on them, terms). Tracing is linear, so
+    each set traces Y_0 and Y_1 once and a term's G is w_0 Y_0 + w_1 Y_1
+    of the traced pair.
+    """
     out = [0.0, 0.0]
-    for j, key, w in terms:
-        out[j] = out[j] + _pair_trace(key, f, w[0] * pair[0] + w[1] * pair[1], rho)
+    for traced, f, terms in groups:
+        y_0, y_1 = (_traced(x, traced) for x in pair)
+        for j, key, w in terms:
+            out[j] = out[j] + _pair_trace(key, f, w[0] * y_0 + w[1] * y_1, rho)
     return out
 
 
@@ -410,13 +423,19 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
         return apply_noise(x, noise, range(n), n, adjoint=True) if per_qubit else x
 
     f = noisy(rbar)
-    terms = _phase_terms(noise, n) if verify and m > 1 else []
+    # the phase's terms by the columns they trace, F traced on each set
+    # once for every phase
+    by_traced = {}
+    for term in _phase_terms(noise, n) if verify and m > 1 else []:
+        traced = tuple(i for i, state in enumerate(term[1]) if state == _TRACED)
+        by_traced.setdefault(traced, []).append(term)
+    groups = [(traced, _traced(f, traced), terms) for traced, terms in by_traced.items()]
     y, pair = rbar, [rbar, rbar]
     for _ in range(m - 1):
         if per_qubit:
             y = f @ (rho @ noisy(y))
         if verify:
-            pair = _phase(terms, f, [noisy(x) for x in pair], rho)
+            pair = _phase(groups, [noisy(x) for x in pair], rho)
     return (y if per_qubit else None), pair
 
 

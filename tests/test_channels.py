@@ -17,12 +17,15 @@ from puremit.channels import (
     superoperator,
 )
 from puremit.circuits import (
+    ANGLE_GATES,
+    GATE_ARITY,
     SWAP_GATE,
     Gate,
     GateCircuit,
     circuit_state,
     circuit_unitary,
     embed_operator,
+    gate_matrix,
     inverse_circuit,
     random_circuit,
 )
@@ -438,6 +441,43 @@ def test_register_evolution_makes_one_contraction_per_fused_step(monkeypatch, ev
             assert ndims == [2 * circ.n_qubits] * _fused_steps(circ), (kind, circ)
     # 13 gates: 3 two-qubit steps and one-qubit steps trailing on qubits 0 and 2
     assert _fused_steps(_FUSION_CIRCUITS[0]) == 5
+
+
+def test_fixed_gates_read_their_steps_from_a_constant_table(monkeypatch):
+    # a fixed gate's superoperator is built once at import; an evolution
+    # builds one only per distinct rotation, and never writes the table
+    table = channels._FIXED_STEPS
+    assert set(table) == set(GATE_ARITY) - ANGLE_GATES
+    before = {}
+    for name, sup in table.items():
+        assert not sup.flags.writeable, name
+        want = superoperator([gate_matrix(name)])
+        assert sup.dtype == want.dtype and np.array_equal(sup, want), name
+        before[name] = sup.copy()
+
+    built = []
+
+    def counting(ops):
+        built.append(np.asarray(ops).tobytes())
+        return superoperator(ops)
+
+    monkeypatch.setattr(channels, "superoperator", counting)
+    mixed = _FUSION_CIRCUITS[0]
+    fixed = GateCircuit(3, tuple(g for g in mixed.gates if g.angle is None))
+    distinct = {(g.name, g.angle) for g in mixed.gates if g.angle is not None}
+    # RZ(0.9) four times, RX and RY once each
+    assert len(distinct) == 3 and len(fixed.gates) == 7
+    for kind in NOISE_KINDS:
+        noise = NoiseModel(kind, 0.05)
+        for evolve in (prepare_noisy_state, dual_state):
+            built.clear()
+            evolve(fixed, noise)
+            assert built == [], (kind, evolve.__name__)
+            evolve(mixed, noise)
+            assert len(built) == len(distinct), (kind, evolve.__name__)
+            assert len(set(built)) == len(distinct), (kind, evolve.__name__)
+    for name, sup in table.items():
+        assert np.array_equal(sup, before[name]), name
 
 
 def test_contract_needs_no_argsort(monkeypatch):

@@ -141,3 +141,17 @@ def test_pauli_permutation_is_the_dense_string():
             (pauli_sandwiches(perms, v, a), np.trace(v @ dense @ a @ dense.conj().T)),
         ):
             assert np.max(np.abs(reads - want)) <= 1e-12, string
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_permutation_phases_are_exact(n):
+    # every phase is 1, -1, i or -i, so the signed permutation equals the
+    # dense string entry for entry, for every string of the width
+    dim = 2**n
+    for letters in product("IXYZ", repeat=n):
+        string = "".join(letters)
+        perm, phase = pauli_permutation(string)
+        assert np.issubdtype(perm.dtype, np.integer), string
+        assert phase.dtype == complex and phase.shape == (dim,), string
+        assert np.array_equal(pauli_string_matrix(string)[perm, np.arange(dim)], phase), string
+        assert np.array_equal(np.sort(perm), np.arange(dim)), string

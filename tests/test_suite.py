@@ -110,3 +110,80 @@ def test_only_checked_ratio_guards_a_denominator(path):
     # alone, which NaN and infinities fail; every other ratio goes through it
     lines = list(_guarded_lines(ast.parse(path.read_text(encoding="utf-8"))))
     assert not lines, f"{path.name} guards a denominator itself on lines {lines}"
+
+
+_MEMOS = {"cache", "lru_cache", "cached_property"}
+# the one memo the package keeps: the CLI's argument parser, built on the
+# first call of a process; it holds no result of an experiment
+_ALLOWED_MEMOS = {("cli.py", "_parser")}
+
+
+def _memo_lines(path: Path):
+    """Lines that name a functools memo in a source module, outside the
+    decorators of the functions in _ALLOWED_MEMOS."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (path.name, fn.name) in _ALLOWED_MEMOS
+        for decorator in fn.decorator_list
+        for node in ast.walk(decorator)
+    }
+    # the names functools is bound to, and the memos imported from it
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        imported = isinstance(node, ast.ImportFrom) and node.module == "functools" and any(
+            alias.name in _MEMOS for alias in node.names
+        )
+        read = (
+            isinstance(node, ast.Attribute)
+            and node.attr in _MEMOS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+        if imported or read:
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda p: p.name)
+def test_no_source_module_memoizes_across_calls(path):
+    # a memo keyed on a gate, a noise model, an observable or a value
+    # would carry work from one experiment into the next, so a repeated
+    # study would time a different program than a single run
+    lines = list(_memo_lines(path))
+    assert not lines, f"{path.name} names a functools memo on lines {lines}"
+
+
+def test_the_memo_guard_sees_a_memo(tmp_path):
+    # the guard flags each way of naming a memo, and the allowed parser
+    # memo only where it is allowed
+    src = tmp_path / "cli.py"
+    src.write_text(
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import lru_cache, reduce\n"
+        "@functools.cache\n"
+        "def _parser():\n"
+        "    pass\n"
+        "@ft.lru_cache(maxsize=None)\n"
+        "def steps(gate):\n"
+        "    pass\n"
+        "class Obs:\n"
+        "    @functools.cached_property\n"
+        "    def perms(self):\n"
+        "        pass\n",
+        encoding="utf-8",
+    )
+    assert sorted(_memo_lines(src)) == [3, 7, 11]
+    other = tmp_path / "channels.py"
+    other.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
+    assert sorted(_memo_lines(other)) == [3, 4, 7, 11]
