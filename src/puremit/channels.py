@@ -95,8 +95,6 @@ def superoperator(ops) -> np.ndarray:
     d = ops.shape[-1]
     # entry [(a, b), (c, d)] is sum_k op_k[a, c] conj(op_k[b, d])
     terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
-    if len(ops) == 1:
-        return terms.reshape(d * d, d * d)
     return terms.sum(axis=0).reshape(d * d, d * d)
 
 

@@ -35,6 +35,7 @@ MAX_QUBITS = 13
 MAX_DIM = 2**MAX_QUBITS
 
 HERMITICITY_ATOL = 1e-10
+UNITARITY_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 _PHASE_FLOOR = 1e-12
@@ -110,15 +111,13 @@ def kron_power(a: np.ndarray, m: int) -> np.ndarray:
     return kron_all([a] * m)
 
 
-def hermitian_eig(a: np.ndarray, atol: float = HERMITICITY_ATOL):
+def hermitian_eig(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix with a deterministic basis.
 
     Parameters
     ----------
     a : ndarray
-        Square matrix, Hermitian within ``atol``.
-    atol : float
-        Hermiticity tolerance.
+        Square matrix, Hermitian within ``HERMITICITY_ATOL``.
 
     Returns
     -------
@@ -132,14 +131,12 @@ def hermitian_eig(a: np.ndarray, atol: float = HERMITICITY_ATOL):
     Raises
     ------
     ValueError
-        If ``a`` is not square or not Hermitian within ``atol``.
+        If ``a`` is not square or not Hermitian within ``HERMITICITY_ATOL``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if not dev <= atol:  # NaN fails too
-        raise ValueError(f"matrix is not Hermitian: max |a - a^dag| = {dev:.3e} > {atol:.1e}")
+    _check_hermitian(a)
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -218,7 +215,14 @@ def _check_hermitian(mat: np.ndarray) -> None:
         np.subtract(block, mat[i : i + step].T, out=block)
         dev = float(np.max(np.abs(block)))
         if not dev <= HERMITICITY_ATOL:  # NaN fails too
-            raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
+            raise ValueError(f"matrix not Hermitian: max |a - a^dag| = {dev:.3e}")
+
+
+def _check_unitary(u: np.ndarray) -> None:
+    """Raise unless max |U^dag U - I| <= UNITARITY_ATOL; NaN fails."""
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if not dev <= UNITARITY_ATOL:  # NaN fails too
+        raise ValueError(f"matrix is not unitary: |U^dag U - I| = {dev:.3e}")
 
 
 def _unit_vector(psi, name: str) -> np.ndarray:

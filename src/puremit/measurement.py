@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import HADAMARD, I2, PAULI_X, PAULI_Y
-from .linalg import as_matrix, check_dimension, zero_projector
+from .linalg import _check_unitary, as_matrix, check_dimension, zero_projector
 from .observables import PauliObservable
 from .schemes import _registers, checked_ratio
 
-_UNITARY_ATOL = 1e-10
 _INVOLUTION_ATOL = 1e-10
 
 
@@ -47,9 +46,7 @@ def hadamard_test(unitary: np.ndarray, companion, state, part: str = "real") -> 
     # the ancilla doubles the register: refuse a composite past the cap
     # before any matrix of its size exists
     check_dimension(2 * d)
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if dev > _UNITARY_ATOL:
-        raise ValueError(f"matrix is not unitary: |U^dag U - I| = {dev:.3e}")
+    _check_unitary(u)
     p0 = zero_projector(2)
     composite = np.kron(p0, rho)
     h = np.kron(HADAMARD, np.eye(d, dtype=complex))

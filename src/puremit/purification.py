@@ -82,8 +82,8 @@ def decompose_noisy_state(state, gap_atol: float = GAP_ATOL) -> NoisyDecompositi
         return NoisyDecomposition(
             DensityOperator(dominant), DensityOperator(residual), 0.0
         )
+    # DensityOperator stores the symmetrised matrix
     residual = (rho - float(w[0]) * dominant) / p
-    residual = (residual + residual.conj().T) / 2.0
     return NoisyDecomposition(
         DensityOperator(dominant), DensityOperator(residual), p
     )
@@ -94,9 +94,7 @@ def purified_state(state, order: int) -> DensityOperator:
     if order < 1:
         raise ValueError(f"purification order must be >= 1, got {order}")
     v, powered, total = _powered_eig(as_matrix(state), order)
-    mat = (v * (powered / total)) @ v.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityOperator(mat)
+    return DensityOperator((v * (powered / total)) @ v.conj().T)
 
 
 def purified_infidelity_bound(error_weight: float, order: int) -> float:

@@ -30,7 +30,9 @@ import numpy as np
 
 from .channels import NoiseModel, apply_noise, prepare_noisy_state, superoperator
 from .circuits import I2, PAULI_Z, GateCircuit, embed_operator, gate_matrix, inverse_circuit
-from .linalg import DensityOperator, check_dimension, contract, kron_all, kron_power, zero_projector
+from .linalg import (
+    DensityOperator, _check_unitary, check_dimension, contract, kron_all, kron_power, zero_projector,
+)
 from .observables import pauli_string_matrix
 
 COMPLETENESS_ATOL = 1e-10
@@ -94,9 +96,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > COMPLETENESS_ATOL:
-        raise ValueError(f"matrix is not unitary: |U^dag U - I| = {dev:.3e}")
+    _check_unitary(u)
     return KrausChannel(u[None, :, :], True)
 
 

@@ -351,29 +351,41 @@ def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np
     """Tr_2[T_key(F (x) G) (I (x) rho)] for n-qubit F, G and rho, the
     key's traced columns already traced out of F and G (``_traced``).
 
-    A traced column then reads the same kept or swapped. With every other
-    column kept this is F Tr(G rho), with every one swapped G Tr(F rho);
-    otherwise one einsum over the ``[2] * 2n`` tensors, qubit i labelled
-    i and n + i on the output's rows and columns and 2n + i and 3n + i
-    inside the trace.
+    A traced column then reads the same kept or swapped, so it counts as
+    kept. Swapping every column exchanges the registers, T_S(F (x) G) =
+    T_K(G (x) F) for S the swapped columns and K the rest, so with more
+    columns swapped than kept F and G trade places, and the swapped
+    columns trade with the kept untraced ones. With no column swapped
+    this is F Tr(G rho); otherwise two tensordots over the ``[2] * 2n``
+    tensors (axis i a row, n + i a column): G against rho over the kept
+    columns, then F against that over the swapped ones.
     """
-    n = f.shape[0].bit_length() - 1
-    moved = set(key) - {_TRACED}
-    if _SWAPPED not in moved:
+    moved = _SWAPPED
+    if key.count(_SWAPPED) > key.count(_KEPT):
+        f, g, moved = g, f, _KEPT
+    if moved not in key:
         return f * np.einsum("ij,ji->", g, rho)
-    if _KEPT not in moved:
-        return g * np.einsum("ij,ji->", f, rho)
-    # a row label plus n is its column's
-    swapped = [state == _SWAPPED for state in key]
-    f_rows = [2 * n + i if s else i for i, s in enumerate(swapped)]
-    g_rows = [i if s else 2 * n + i for i, s in enumerate(swapped)]
+    n = len(key)
+    swapped = [i for i, state in enumerate(key) if state == moved]
+    kept = [i for i in range(n) if i not in swapped]
     shape = (2,) * (2 * n)
-    return np.einsum(
-        f.reshape(shape), f_rows + [r + n for r in f_rows],
-        g.reshape(shape), g_rows + [r + n for r in g_rows],
-        rho.reshape(shape), [*range(3 * n, 4 * n), *range(2 * n, 3 * n)],
-        [*range(2 * n)], optimize=True,
-    ).reshape(f.shape)
+    # G's kept rows meet rho's kept columns, its kept columns rho's kept
+    # rows; h keeps G's swapped rows and columns, then rho's
+    h = np.tensordot(
+        g.reshape(shape), rho.reshape(shape),
+        (kept + [n + i for i in kept], [n + i for i in kept] + kept),
+    )
+    s = len(swapped)
+    # F's swapped rows meet rho's swapped columns, its swapped columns rho's
+    # swapped rows
+    out = np.tensordot(
+        f.reshape(shape), h,
+        (swapped + [n + i for i in swapped], [*range(3 * s, 4 * s), *range(2 * s, 3 * s)]),
+    )
+    order = kept + [n + i for i in kept] + swapped + [n + i for i in swapped]
+    # the inverse permutation, in Python: np.argsort would first convert the list
+    back = sorted(range(len(order)), key=order.__getitem__)
+    return out.transpose(back).reshape(f.shape)
 
 
 def _traced(x: np.ndarray, traced: tuple) -> np.ndarray:
@@ -390,7 +402,8 @@ def _phase(groups: list, pair: list, rho: np.ndarray) -> list:
     ``groups`` holds the terms of ``_phase_terms`` by the columns they
     trace, as (columns, F traced on them, terms). Tracing is linear, so
     each set traces Y_0 and Y_1 once and a term's G is w_0 Y_0 + w_1 Y_1
-    of the traced pair.
+    of the traced pair. ``_pair_trace`` reduces each term, in closed form
+    or by two tensordots in a fixed order.
     """
     out = [0.0, 0.0]
     for traced, f, terms in groups:

@@ -1037,6 +1037,38 @@ def test_phase_terms_match_the_composite_after_one_register_pair(machinery, n):
         assert np.max(np.abs(want[j, :, j] - got[j])) <= 1e-13, j
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_trace_matches_the_dense_term(n):
+    # every key, those with more columns swapped than kept included (they
+    # exchange the registers), on random F, G and rho, F and G traced on
+    # the key's traced columns as _phase traces them
+    rng = np.random.default_rng([31, n])
+    d = 2**n
+    for key in iproduct(range(3), repeat=n):
+        f, g, rho = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3))
+        traced = tuple(i for i, state in enumerate(key) if state == schemes._TRACED)
+        got = schemes._pair_trace(key, schemes._traced(f, traced), schemes._traced(g, traced), rho)
+        full = _term_matrix(key, f, g, n) @ np.kron(np.eye(d), rho)
+        want = linalg.partial_trace(full, [d, d], [0])
+        assert np.max(np.abs(got - want)) <= 1e-13, key
+
+
+def test_combined_build_searches_no_einsum_path(monkeypatch):
+    # each even-pair term is contracted in a fixed order, so no build asks
+    # numpy for a contraction path
+    def refuse(*args, **kwargs):
+        raise AssertionError("called einsum_path")
+
+    monkeypatch.setattr(np, "einsum_path", refuse)
+    # np.einsum reads einsum_path from its own module
+    monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", refuse)
+    build_pipeline(
+        "combined", random_circuit(np.random.default_rng(3), 3, 8),
+        NoiseModel("depolarizing-local", 0.02), parse_observable("0.5*XYZ + 0.5*ZZI"),
+        n_copies=3, machinery_noise=NoiseModel("depolarizing-local", 0.05),
+    )
+
+
 @pytest.mark.parametrize(
     "kind,copies",
     [
