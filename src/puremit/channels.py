@@ -29,10 +29,11 @@ adjoint noise. Each gate and its local noise are one fused step
 (``_gate_steps``). A fixed gate's superoperator is a constant of the
 module, built once at import (``_FIXED_STEPS``); a rotation (RX, RY, RZ)
 builds its own with ``superoperator`` in each evolution. The noise part
-(``noise_superoperator``) is read off ``apply_noise``, which stays the
-only definition of noise; global depolarizing is one register-wide
-``depolarize`` per evolution (``_global_layer``). Both wrap their
-result without the eigenvalue check, since an evolution keeps it PSD.
+(``noise_superoperator``) is a closed form: ``_qubit_superoperator`` on
+every qubit, or the depolarizing ``(1-p) I + p/2^k |vec I><vec I|``;
+global depolarizing is one register-wide ``depolarize`` per evolution
+(``_global_layer``). Both wrap their result without the eigenvalue
+check, since an evolution keeps it PSD.
 A pipeline (``schemes.build_pipeline``) never contracts a composite: its
 readout blocks reduce to register matrices. Dual states are PSD but not
 normalized in general (they are exactly trace-1 when every inserted
@@ -45,6 +46,7 @@ live in ``reference``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -52,13 +54,9 @@ import numpy as np
 from .circuits import ANGLE_GATES, GATE_ARITY, GateCircuit, gate_matrix
 from .linalg import DensityOperator, contract, zero_projector
 
-NOISE_KINDS = (
-    "none",
-    "depolarizing-local",
-    "depolarizing-global",
-    "dephasing",
-    "amplitude-damping",
-)
+# the kinds that act independently on each target qubit
+PER_QUBIT_KINDS = ("dephasing", "amplitude-damping")
+NOISE_KINDS = ("none", "depolarizing-local", "depolarizing-global", *PER_QUBIT_KINDS)
 
 
 @dataclass(frozen=True)
@@ -158,22 +156,20 @@ def _qubit_superoperator(noise: NoiseModel, adjoint: bool) -> np.ndarray:
     return sup.T if adjoint else sup
 
 
-def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint: bool = False):
+def apply_noise(mat, noise: NoiseModel, targets, nq: int, adjoint: bool = False):
     """Noise inserted after a gate on ``targets`` of an nq-qubit matrix, as a new matrix.
 
     Local depolarizing acts jointly on the targets; dephasing and
     amplitude damping act independently per target qubit, one
-    ``linalg.contract`` each; global depolarizing hits every qubit of
-    ``register`` (all nq qubits when None) regardless of targets.
-    ``adjoint`` applies the Heisenberg-picture adjoint {K^dag} instead.
-    ``mat`` is only read; trivial noise returns it as it is.
+    ``linalg.contract`` each; global depolarizing hits all nq qubits
+    regardless of targets. ``adjoint`` applies the Heisenberg-picture
+    adjoint {K^dag} instead. ``mat`` is only read; trivial noise returns
+    it as it is.
     """
     if noise.is_trivial:
         return mat
-    if noise.kind == "depolarizing-global":
-        register = range(nq) if register is None else register
-        return depolarize(mat, noise.strength, register, nq)
-    if noise.kind == "depolarizing-local":
+    if noise.kind not in PER_QUBIT_KINDS:
+        targets = range(nq) if noise.kind == "depolarizing-global" else targets
         return depolarize(mat, noise.strength, targets, nq)
     sup = _qubit_superoperator(noise, adjoint)
     t = mat.reshape((2,) * (2 * nq))
@@ -185,19 +181,22 @@ def apply_noise(mat, noise: NoiseModel, targets, nq: int, register=None, adjoint
 def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.ndarray:
     """The superoperator of ``noise`` after a gate on all qubits of a k-qubit matrix.
 
-    Read off ``apply_noise`` (forward or adjoint), so it stays the only
-    definition of noise. One call acts on the first k of 2k qubits of
-    |phi><phi| = sum_ij E_ij (x) E_ij, with |phi> = sum_i |ii>, which
-    holds every basis matrix E_ij of the k qubits as a block. The
-    result sum_ij N(E_ij) (x) E_ij has entry [(a, i), (b, j)] equal to
-    entry [(a, b), (i, j)] of the superoperator. Global depolarizing here
-    acts on the k qubits alone.
+    Per-qubit noise is the k-fold Kronecker product of
+    ``_qubit_superoperator``, whose axes interleave each qubit's row and
+    column bit, regrouped into the row bits, then the column bits.
+    Depolarizing, local or global alike, acts on all k qubits:
+    (1-p) I + p/2^k |vec I><vec I|, since Tr X = <vec I, vec X>.
     """
     d = 2**k
-    phi = np.eye(d, dtype=complex).reshape(-1)
-    choi = np.outer(phi, phi)
-    choi = apply_noise(choi, noise, range(k), 2 * k, register=range(k), adjoint=adjoint)
-    return choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    if noise.is_trivial:
+        return np.eye(d * d)
+    if noise.kind not in PER_QUBIT_KINDS:
+        vec = np.eye(d).reshape(-1)
+        return (1.0 - noise.strength) * np.eye(d * d) + noise.strength / d * np.outer(vec, vec)
+    sup = reduce(np.kron, [_qubit_superoperator(noise, adjoint)] * k)
+    bits = [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]
+    sup = sup.reshape([2] * (4 * k)).transpose(bits + [2 * k + b for b in bits])
+    return sup.reshape(d * d, d * d)
 
 
 def _gate_steps(gates, noise: NoiseModel, adjoint: bool):

@@ -25,14 +25,14 @@ import io
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .channels import NOISE_KINDS, NoiseModel, dual_state, prepare_noisy_state
 from .circuits import inverse_circuit, load_circuit, random_circuit
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, set_fields
 from .linalg import (
     DensityOperator,
     kron_power,
@@ -232,18 +232,14 @@ def _run_config(
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    """The set fields but the output path, shots ``exact`` when unset and a
-    noise model as {kind, strength}."""
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name == "shots" and value is None:
-            value = "exact"
-        if isinstance(value, NoiseModel):
-            value = {"kind": value.kind, "strength": value.strength}
-        if value is not None and f.name != "output":
-            out[f.name] = value
-    return out
+    """The set fields (``set_fields``) but the output path, a noise model
+    as {kind, strength}."""
+    return {
+        name: {"kind": value.kind, "strength": value.strength}
+        if isinstance(value, NoiseModel) else value
+        for name, value in set_fields(config)
+        if name != "output"
+    }
 
 
 def _emit(text: str, output: str | None):

@@ -141,18 +141,24 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def format_config(config: ExperimentConfig) -> str:
-    """A line per set field; shots ``exact`` when unset, a noise model two."""
-    lines = []
+def set_fields(config: ExperimentConfig):
+    """(name, value) per set field in field order, shots ``exact`` when unset."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.name == "shots" and value is None:
             value = "exact"
+        if value is not None:
+            yield f.name, value
+
+
+def format_config(config: ExperimentConfig) -> str:
+    """A line per set field (``set_fields``), a noise model two."""
+    lines = []
+    for name, value in set_fields(config):
         if isinstance(value, NoiseModel):
-            lines.append(f"{f.name}.kind = {value.kind}")
-            lines.append(f"{f.name}.strength = {value.strength!r}")
-        elif value is not None:
-            lines.append(f"{f.name} = {value}")
+            lines += [f"{name}.kind = {value.kind}", f"{name}.strength = {value.strength!r}"]
+        else:
+            lines.append(f"{name} = {value}")
     return "\n".join(lines) + "\n"
 
 

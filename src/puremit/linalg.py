@@ -229,7 +229,7 @@ def _unit_vector(psi, name: str) -> np.ndarray:
     """``psi`` as a flat complex vector; raises unless its norm is 1."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise ValueError(f"{name} norm {nrm!r} != 1")
     return psi
 

@@ -127,7 +127,7 @@ def purified_expectation(state, observable, order: int) -> float:
         raise ValueError(f"dimension mismatch: state {rho.shape}, observable {obs.shape}")
     v, powered, total = _powered_eig(rho, order)
     diag = np.einsum("ij,jk,ki->i", v.conj().T, obs, v)
-    if float(np.max(np.abs(diag.imag))) > _IMAG_ATOL:
+    if not float(np.max(np.abs(diag.imag))) <= _IMAG_ATOL:
         raise ValueError("observable is not Hermitian in the state eigenbasis")
     return float((powered @ diag.real) / total)
 

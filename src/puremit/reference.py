@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import NoiseModel, apply_noise, prepare_noisy_state, superoperator
+from .channels import NoiseModel, apply_noise, depolarize, prepare_noisy_state, superoperator
 from .circuits import I2, PAULI_Z, GateCircuit, embed_operator, gate_matrix, inverse_circuit
 from .linalg import (
     DensityOperator, _check_unitary, check_dimension, contract, kron_all, kron_power, zero_projector,
@@ -388,8 +388,11 @@ def forward_outcomes(
             for g in inverse_circuit(circ).gates:
                 targets = [offset + q for q in g.qubits]
                 mat = apply_local(mat, [g.matrix()], targets, nq)
-                register = range(offset, offset + n)
-                mat = apply_noise(mat, inverse_noise, targets, nq, register=register)
+                if inverse_noise.kind == "depolarizing-global":
+                    # global noise on the inverse circuits hits their register alone
+                    mat = depolarize(mat, inverse_noise.strength, range(offset, offset + n), nq)
+                else:
+                    mat = apply_noise(mat, inverse_noise, targets, nq)
         mat = apply_noise(apply_local(mat, [gate_matrix("H")], [0], nq), machinery, [0], nq)
         pops = np.diagonal(mat).real.reshape(2, -1)
         kept = pops[:, 0] if verify else pops.sum(axis=1)

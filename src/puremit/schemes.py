@@ -54,6 +54,7 @@ import numpy as np
 
 from .channels import (
     NO_NOISE,
+    PER_QUBIT_KINDS,
     NoiseModel,
     _global_layer,
     apply_noise,
@@ -428,9 +429,7 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
     """
     n = rho.shape[0].bit_length() - 1
     # the noise acts on the Fredkins, and one register has none
-    per_qubit = (
-        m > 1 and not noise.is_trivial and noise.kind in ("dephasing", "amplitude-damping")
-    )
+    per_qubit = m > 1 and not noise.is_trivial and noise.kind in PER_QUBIT_KINDS
 
     def noisy(x):
         return apply_noise(x, noise, range(n), n, adjoint=True) if per_qubit else x

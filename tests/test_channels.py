@@ -421,9 +421,9 @@ def _fused_steps(circ) -> int:
 
 @pytest.mark.parametrize("evolve", [prepare_noisy_state, dual_state], ids=lambda f: f.__name__)
 def test_register_evolution_makes_one_contraction_per_fused_step(monkeypatch, evolve):
-    # folding two steps and reading a noise superoperator off its Choi
-    # matrix contract too, on tensors that may look like a register, so
-    # only the contractions _evolve makes are counted
+    # folding a pending one-qubit step into a two-qubit one contracts too,
+    # on an 8-axis view of the step, as many axes as an n = 4 register has,
+    # so only the contractions _evolve makes are counted
     ndims = []
 
     def counting(tensor, op, axes):
@@ -644,7 +644,7 @@ def test_register_evolution_peaks_under_three_and_a_half_registers(evolve):
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_noise_superoperator_matches_the_kraus_sum(kind, adjoint):
-    for k in (1, 2):
+    for k in (1, 2, 3):
         for p in (0.0, 0.15, 1.0):
             noise = NoiseModel(kind, p)
             channel = noise_channel(noise, range(k), k) or identity_channel(2**k)
@@ -653,6 +653,23 @@ def test_noise_superoperator_matches_the_kraus_sum(kind, adjoint):
             got = noise_superoperator(noise, k, adjoint)
             want = superoperator(channel.ops)
             assert np.max(np.abs(got - want)) <= 1e-14, (k, p)
+
+
+@pytest.mark.parametrize("evolve", [prepare_noisy_state, dual_state], ids=lambda f: f.__name__)
+def test_register_evolution_runs_no_noise_function(monkeypatch, evolve):
+    # an evolution folds each gate's noise into its step as a closed-form
+    # superoperator and never applies noise to a matrix
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[1])
+        return apply_noise(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "apply_noise", recording)
+    circ = random_circuit(np.random.default_rng(21), 3, 10)
+    for kind in NOISE_KINDS:
+        evolve(circ, NoiseModel(kind, 0.1))
+    assert calls == []
 
 
 def test_superoperator_acts_on_row_major_matrices():

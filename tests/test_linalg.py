@@ -211,6 +211,10 @@ def test_pure_fidelity():
     zero = DensityOperator.computational_zero(1)
     assert abs(pure_fidelity(plus, zero) - 0.5) < 1e-12
     assert abs(pure_fidelity(np.array([1.0, 0.0]), zero) - 1.0) < 1e-12
+    # a NaN norm is not 1
+    for psi in ([np.nan, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="norm"):
+            pure_fidelity(np.array(psi), zero)
 
 
 def test_random_unitary_is_unitary():

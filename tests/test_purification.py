@@ -115,6 +115,15 @@ def test_purified_expectation_matches_power_ratio():
         assert purified_expectation(rho, obs, order) == pytest.approx(want, abs=1e-10)
 
 
+def test_a_nan_observable_entry_is_refused():
+    # a NaN entry makes every eigenbasis diagonal entry NaN, which the
+    # Hermiticity check must not pass
+    rho = np.diag([0.9, 0.1]).astype(complex)
+    obs = np.array([[1.0, np.nan], [np.nan, -1.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        purified_expectation(rho, obs, 2)
+
+
 def test_coherent_mismatch():
     # dominant eigenvector |0>, reference |+>: mismatch is 1 - 1/2
     rho = np.diag([0.9, 0.1]).astype(complex)
@@ -123,6 +132,9 @@ def test_coherent_mismatch():
     assert coherent_mismatch(rho, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DegenerateSpectrumError):
         coherent_mismatch(np.eye(2) / 2, plus)
+    # a NaN norm is not 1
+    with pytest.raises(ValueError, match="norm"):
+        coherent_mismatch(np.diag([0.7, 0.1, 0.1, 0.1]), [np.nan, 0, 0, 0])
 
 
 def test_purification_approaches_dominant_eigenvector():

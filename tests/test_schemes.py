@@ -14,6 +14,7 @@ from puremit import channels, circuits, linalg, observables, reference, sampling
 from puremit.channels import (
     NO_NOISE,
     NOISE_KINDS,
+    PER_QUBIT_KINDS,
     NoiseModel,
     apply_noise,
     dual_state,
@@ -960,7 +961,7 @@ _SWEPT_KINDS = ["none", "depolarizing-local", "dephasing", "amplitude-damping"]
 def _noisy(noise, n):
     """N, the per-qubit adjoint machinery noise on every qubit of an n-qubit
     register, or the identity under the other kinds."""
-    if noise.kind not in ("dephasing", "amplitude-damping"):
+    if noise.kind not in PER_QUBIT_KINDS:
         return lambda x: x
     return lambda x: apply_noise(x, noise, range(n), n, adjoint=True)
 
