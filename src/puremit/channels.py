@@ -12,7 +12,8 @@ register-wide operator:
   step's reshape;
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
-  4^k-operator Pauli Kraus sum;
+  4^k-operator Pauli Kraus sum, through linalg's one partial trace and
+  its embedding;
 * ``apply_noise`` maps a ``NoiseModel`` onto ``depolarize`` and, for
   dephasing and amplitude damping, one 4 x 4 superoperator per target
   (``_qubit_superoperator``) contracted into its row and column axes, in
@@ -52,7 +53,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .circuits import ANGLE_GATES, GATE_ARITY, GateCircuit, gate_matrix
-from .linalg import DensityOperator, contract, zero_projector
+from .linalg import DensityOperator, _add_embedded, contract, partial_trace, zero_projector
 
 # the kinds that act independently on each target qubit
 PER_QUBIT_KINDS = ("dephasing", "amplitude-damping")
@@ -117,23 +118,15 @@ def depolarize(mat, p: float, targets, nq: int) -> np.ndarray:
     """(1-p) X + p I/d_k (x) Tr_targets X for the listed qubits, as a new matrix.
 
     Exact for the 4^k-operator Pauli Kraus form of
-    ``reference.depolarizing_channel(k, p)``, at the cost of one partial
-    trace, which is added into the target-diagonal entries of a scaled
-    copy of ``mat``. Self-adjoint, so it serves the Heisenberg picture
-    unchanged.
+    ``reference.depolarizing_channel(k, p)``, at the cost of one
+    ``linalg.partial_trace``: the reduced matrix, times p/d_k, goes into
+    the target-diagonal entries of (1-p) X (``linalg._add_embedded``).
+    Self-adjoint, so it serves the Heisenberg picture unchanged.
     """
-    targets = sorted({int(t) for t in targets})
-    rest = [q for q in range(nq) if q not in targets]
-    kept = rest + [nq + q for q in rest]
-    shape = (2,) * (2 * nq)
-    # row q is axis label q and column q is nq + q, except that a target's
-    # column shares its row's label
-    label = list(range(nq)) + [q if q in targets else nq + q for q in range(nq)]
-    reduced = np.einsum(mat.reshape(shape), label, kept)
+    dims = [2] * nq
+    rest = sorted(set(range(nq)).difference(map(int, targets)))
     out = mat * (1.0 - p)
-    # writable view of the copy's entries diagonal in the targets
-    diagonal = np.einsum(out.reshape(shape), label, targets + kept)
-    diagonal += reduced * (p / 2 ** len(targets))
+    _add_embedded(out, partial_trace(mat, dims, rest) * (p / 2 ** (nq - len(rest))), dims, rest)
     return out
 
 

@@ -2,10 +2,12 @@
 
 Everything in this package works on explicit density matrices, so the
 helpers here are deliberately plain: validated Hermitian
-eigendecompositions, Kronecker products, partial traces, the one local
-tensor contraction every gate is applied through (``contract``), and a
-thin ``DensityOperator`` wrapper that checks physicality once at
-construction and then hands out a read-only array.
+eigendecompositions, Kronecker products, the one local tensor
+contraction every gate is applied through (``contract``), the one
+partial trace (``partial_trace``) and its embedding back, I_T (x) S
+added in place (``_add_embedded``), and a thin ``DensityOperator``
+wrapper that checks physicality once at construction and then hands
+out a read-only array.
 
 Conventions
 -----------
@@ -20,6 +22,12 @@ Conventions
   for a vector, ``[2] * 2n`` (row bits, then column bits) for a matrix.
   ``contract`` returns a transposed view of one; the next reshape that
   needs row-major storage makes the copy.
+* Every partial trace in the package is ``partial_trace``: one einsum
+  over that tensor with each traced subsystem's column labelled as its
+  row, so nothing is transposed. ``_add_embedded`` adds into the same
+  diagonal view, so a reduced operator goes back in without I_T (x) S
+  being formed. Both take a stack of operators along leading axes, so
+  a pair of registers is reduced or embedded in one call.
 * Dense simulation is capped at ``MAX_DIM = 2**13``; anything larger
   raises ``DimensionCapError`` before memory blows up.
 """
@@ -165,14 +173,28 @@ def hermitian_eig(a: np.ndarray):
     return w, v
 
 
+def _trace_labels(n: int, keep) -> list:
+    """einsum labels of a stack of operators on n subsystems: the stack's
+    axes are the leading ellipsis, row i is label i and column i label
+    n + i, except that a column not in ``keep`` shares its row's label,
+    which reads that subsystem on its diagonal."""
+    return [..., *range(n)] + [n + i if i in keep else i for i in range(n)]
+
+
 def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out all subsystems not listed in ``keep``.
+
+    One einsum over the ``dims + dims`` view of ``a`` in which each traced
+    subsystem's column shares its row's label (``_trace_labels``), so no
+    transposed copy is made; with nothing traced the result is a view of
+    ``a``. Axes of ``a`` before its last two hold a stack of operators,
+    each reduced alike.
 
     Parameters
     ----------
     a : ndarray
         Operator on the tensor product of subsystems with dimensions
-        ``dims`` (leftmost factor most significant).
+        ``dims`` (leftmost factor most significant), or a stack of them.
     dims : sequence of int
         Subsystem dimensions; their product must match ``a``'s size.
     keep : iterable of int
@@ -181,25 +203,30 @@ def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
     Returns
     -------
     ndarray
-        Operator on the kept subsystems.
+        Operator on the kept subsystems, stacked as ``a`` is.
     """
     a = np.asarray(a, dtype=complex)
-    dims = [int(d) for d in dims]
-    total = prod(dims)
-    if a.shape != (total, total):
-        raise ValueError(f"operator shape {a.shape} does not match dims {dims}")
     n = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= n for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    traced = [i for i in range(n) if i not in keep]
-    t = a.reshape(dims + dims)
-    perm = keep + traced + [n + i for i in keep] + [n + i for i in traced]
-    t = np.transpose(t, perm)
-    dk = prod(dims[i] for i in keep) if keep else 1
-    dt = prod(dims[i] for i in traced) if traced else 1
-    t = t.reshape(dk, dt, dk, dt)
-    return np.einsum("itjt->ij", t)
+    keep = sorted(set(keep))
+    if a.shape[-2:] != (prod(dims),) * 2 or keep and not 0 <= keep[0] <= keep[-1] < n:
+        raise ValueError(f"operator shape {a.shape} or keep indices {keep} do not fit dims {dims}")
+    kept = [..., *keep] + [n + i for i in keep]
+    out = np.einsum(a.reshape((*a.shape[:-2], *dims, *dims)), _trace_labels(n, keep), kept)
+    return out.reshape((*a.shape[:-2], prod([dims[i] for i in keep]), -1))
+
+
+def _add_embedded(out: np.ndarray, s: np.ndarray, dims: list, keep) -> None:
+    """Add I_T (x) S into ``out`` in place: S, an operator on the ``keep``
+    subsystems (sorted), into every block of ``out`` diagonal in the rest,
+    the traced set T. The blocks are a writable einsum view of ``out``,
+    whose reshape only splits axes, so a transposed or strided ``out``
+    is written too. Leading axes stack as in ``partial_trace``.
+    """
+    n = len(dims)
+    # the traced axes lead, so S broadcasts over them
+    axes = [i for i in range(n) if i not in keep] + [..., *keep] + [n + i for i in keep]
+    diag = np.einsum(out.reshape((*out.shape[:-2], *dims, *dims)), _trace_labels(n, keep), axes)
+    diag += s.reshape(diag.shape[n - len(keep) :])
 
 
 def _check_hermitian(mat: np.ndarray) -> None:

@@ -58,13 +58,12 @@ from .channels import (
     NoiseModel,
     _global_layer,
     apply_noise,
-    depolarize,
     dual_state,
     noise_superoperator,
     prepare_noisy_state,
 )
 from .circuits import GateCircuit, circuit_state, gate_matrix
-from .linalg import as_matrix, check_dimension, zero_projector
+from .linalg import _add_embedded, as_matrix, check_dimension, partial_trace, zero_projector
 from .observables import PauliObservable, pauli_sandwiches, pauli_traces
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
@@ -349,17 +348,16 @@ def _phase_terms(noise: NoiseModel, n: int) -> list:
 
 
 def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr_2[T_key(F (x) G) (I (x) rho)] for n-qubit F, G and rho, the
-    key's traced columns already traced out of F and G (``_traced``).
+    """Tr_2[T_key(F (x) G) (I (x) rho)] for F, G and rho on the key's
+    columns, each kept or swapped; ``_phase`` has reduced away the traced ones.
 
-    A traced column then reads the same kept or swapped, so it counts as
-    kept. Swapping every column exchanges the registers, T_S(F (x) G) =
-    T_K(G (x) F) for S the swapped columns and K the rest, so with more
-    columns swapped than kept F and G trade places, and the swapped
-    columns trade with the kept untraced ones. With no column swapped
-    this is F Tr(G rho); otherwise two tensordots over the ``[2] * 2n``
-    tensors (axis i a row, n + i a column): G against rho over the kept
-    columns, then F against that over the swapped ones.
+    Swapping every column exchanges the registers, T_S(F (x) G) =
+    T_K(G (x) F) for S the swapped columns and K the kept ones, so with
+    more columns swapped than kept F and G trade places, and so do the
+    swapped and kept columns. With no column swapped this is F Tr(G rho);
+    otherwise two tensordots over the ``[2] * 2n`` tensors (axis i a row,
+    n + i a column): G against rho over the kept columns, then F against
+    that over the swapped ones.
     """
     moved = _SWAPPED
     if key.count(_SWAPPED) > key.count(_KEPT):
@@ -389,29 +387,53 @@ def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np
     return out.transpose(back).reshape(f.shape)
 
 
-def _traced(x: np.ndarray, traced: tuple) -> np.ndarray:
-    """I/2 (x) Tr_i X for each listed column i of an n-qubit X; X itself
-    when none is listed."""
-    n = x.shape[0].bit_length() - 1
-    return depolarize(x, 1.0, traced, n) if traced else x
-
-
-def _phase(groups: list, pair: list, rho: np.ndarray) -> list:
+def _phase(groups: dict, pair: np.ndarray) -> np.ndarray:
     """The even pair [Y_0, Y_1] after one phase, register r + 1 traced
-    against rho, from the noised pair [N(Y_0), N(Y_1)].
+    against rho, from the noised pair [N(Y_0), N(Y_1)] stacked in one array.
 
-    ``groups`` holds the terms of ``_phase_terms`` by the columns they
-    trace, as (columns, F traced on them, terms). Tracing is linear, so
-    each set traces Y_0 and Y_1 once and a term's G is w_0 Y_0 + w_1 Y_1
-    of the traced pair. ``_pair_trace`` reduces each term, in closed form
-    or by two tensordots in a fixed order.
+    A term that traces the columns T is I_T (x) the same term, on the
+    kept columns, of Tr_T F, Tr_T G and Tr_T rho, over 4^|T|: a traced
+    column is I/2 on both registers, that of register r + 1 traced
+    against rho and that of register r left in place. ``groups`` holds
+    the terms by the columns they keep (``_groups``). Tracing is linear,
+    so each set reduces Y_0 and Y_1 in one partial trace and a term's G
+    is w_0 Y_0 + w_1 Y_1 of the reduced pair. ``_pair_trace`` reduces
+    each term; the set's terms are summed per block on the kept columns,
+    and each sum is embedded once (``linalg._add_embedded``), except
+    that the set that traces nothing sums straight into the full
+    registers.
     """
-    out = [0.0, 0.0]
-    for traced, f, terms in groups:
-        y_0, y_1 = (_traced(x, traced) for x in pair)
+    dims = [2] * (pair.shape[-1].bit_length() - 1)
+    out = np.zeros(pair.shape, dtype=complex)
+    for kept, (f, rho, terms) in groups.items():
+        whole = len(kept) == len(dims)
+        y = pair if whole else partial_trace(pair, dims, kept)
+        blocks = out if whole else np.zeros(y.shape, dtype=complex)
         for j, key, w in terms:
-            out[j] = out[j] + _pair_trace(key, f, w[0] * y_0 + w[1] * y_1, rho)
+            blocks[j] += _pair_trace(key, f, w[0] * y[0] + w[1] * y[1], rho)
+        if not whole:
+            _add_embedded(out, blocks / 4 ** (len(dims) - len(kept)), dims, kept)
     return out
+
+
+def _groups(noise: NoiseModel, f: np.ndarray, rho: np.ndarray, n: int) -> dict:
+    """The terms of ``_phase_terms`` by the columns they keep, as {kept:
+    (Tr_T F, Tr_T rho, terms)} with each key cut to the kept columns, T
+    the rest; the set that traces nothing holds F and rho themselves.
+
+    F and rho are stacked once, so each set reduces both in one partial
+    trace; the stack is dropped on return, and the reduced copies take
+    2 * 5^n entries over all 2^n sets.
+    """
+    both = np.array([f, rho])
+    groups = {}
+    for j, key, w in _phase_terms(noise, n):
+        kept = tuple(i for i, state in enumerate(key) if state != _TRACED)
+        if kept not in groups:
+            reduced = (f, rho) if len(kept) == n else partial_trace(both, [2] * n, kept)
+            groups[kept] = (*reduced, [])
+        groups[kept][2].append((j, tuple(key[i] for i in kept), w))
+    return groups
 
 
 def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify: bool):
@@ -420,12 +442,15 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
     backward sweep over register pairs, the ancilla's scalar on V_01
     aside. V_01 is None when N, the per-qubit adjoint machinery noise, is
     the identity or M = 1, since it is then the chain's tail; the even
-    pair is [rbar, rbar] unless ``verify``.
+    pair is [rbar, rbar] unless ``verify`` and M > 1, and then one
+    (2, d, d) array.
 
     The Fredkins of pair (r, r + 1) run together, r = M-2 first, and no
     later one touches register r + 1, so each phase traces it against rho
     and leaves d x d blocks on register r. The odd block's phase is
-    y = N(rbar) rho N(y), the even pair's ``_phase``.
+    y = N(rbar) rho N(y), the even pair's ``_phase``, whose terms
+    ``_groups`` sorts by the columns they keep, with F = N(rbar) and rho
+    reduced on each set once for every phase.
     """
     n = rho.shape[0].bit_length() - 1
     # the noise acts on the Fredkins, and one register has none
@@ -435,19 +460,13 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
         return apply_noise(x, noise, range(n), n, adjoint=True) if per_qubit else x
 
     f = noisy(rbar)
-    # the phase's terms by the columns they trace, F traced on each set
-    # once for every phase
-    by_traced = {}
-    for term in _phase_terms(noise, n) if verify and m > 1 else []:
-        traced = tuple(i for i, state in enumerate(term[1]) if state == _TRACED)
-        by_traced.setdefault(traced, []).append(term)
-    groups = [(traced, _traced(f, traced), terms) for traced, terms in by_traced.items()]
+    groups = _groups(noise, f, rho, n) if verify and m > 1 else {}
     y, pair = rbar, [rbar, rbar]
     for _ in range(m - 1):
         if per_qubit:
             y = f @ (rho @ noisy(y))
         if verify:
-            pair = _phase(groups, [noisy(x) for x in pair], rho)
+            pair = _phase(groups, np.array([noisy(x) for x in pair]))
     return (y if per_qubit else None), pair
 
 

@@ -680,8 +680,9 @@ def test_outcome_probabilities_match_a_forward_evolution(machinery):
         ("combined", 2), ("combined", 3),
     )
     # the inverse circuits under the state's noise, and under noise of
-    # another kind and strength
-    for (kind, copies), dual in iproduct(cases, (None, NoiseModel("dephasing", 0.07))):
+    # another kind and strength, local or global
+    duals = (None, NoiseModel("dephasing", 0.07), NoiseModel("depolarizing-global", 0.07))
+    for (kind, copies), dual in iproduct(cases, duals):
         pipe = build_pipeline(
             kind, circ, noise, obs, n_copies=copies, machinery_noise=mach, dual_noise=dual
         )
@@ -1041,17 +1042,39 @@ def test_phase_terms_match_the_composite_after_one_register_pair(machinery, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pair_trace_matches_the_dense_term(n):
     # every key, those with more columns swapped than kept included (they
-    # exchange the registers), on random F, G and rho, F and G traced on
-    # the key's traced columns as _phase traces them
+    # exchange the registers), on random F, G and rho, reduced as _phase
+    # reduces them: the term on the kept columns of Tr_T F, Tr_T G and
+    # Tr_T rho, over 4^|T|, embedded as I_T (x) that term
     rng = np.random.default_rng([31, n])
     d = 2**n
+    dims = [2] * n
     for key in iproduct(range(3), repeat=n):
         f, g, rho = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3))
-        traced = tuple(i for i, state in enumerate(key) if state == schemes._TRACED)
-        got = schemes._pair_trace(key, schemes._traced(f, traced), schemes._traced(g, traced), rho)
+        kept = [i for i, state in enumerate(key) if state != schemes._TRACED]
+        f_t, g_t, rho_t = (linalg.partial_trace(x, dims, kept) for x in (f, g, rho))
+        reduced = schemes._pair_trace(tuple(key[i] for i in kept), f_t, g_t, rho_t)
+        reduced /= 4 ** (n - len(kept))
+        got = np.zeros((d, d), dtype=complex)
+        linalg._add_embedded(got, reduced, dims, kept)
         full = _term_matrix(key, f, g, n) @ np.kron(np.eye(d), rho)
         want = linalg.partial_trace(full, [d, d], [0])
         assert np.max(np.abs(got - want)) <= 1e-13, key
+
+
+def test_local_depolarizing_phase_holds_reduced_registers():
+    # a set T of traced columns holds Tr_T F and Tr_T rho on its kept
+    # columns, 2 * 5^n entries over all 2^n sets, not a full register per
+    # set (8^n entries): one M = 2 sweep at n = 7 peaks under 20 registers
+    register = 16 * 4**7
+    rng = np.random.default_rng(7)
+    rho, rbar = (random_density(rng, 2**7).matrix for _ in range(2))
+    tracemalloc.start()
+    try:
+        schemes._sweep(NoiseModel("depolarizing-local", 0.01), rho, rbar, 2, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * register, peak / register
 
 
 def test_combined_build_searches_no_einsum_path(monkeypatch):

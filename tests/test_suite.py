@@ -187,3 +187,39 @@ def test_the_memo_guard_sees_a_memo(tmp_path):
     other = tmp_path / "channels.py"
     other.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
     assert sorted(_memo_lines(other)) == [3, 4, 7, 11]
+
+
+def _sublist_einsum_lines(path: Path):
+    """Lines that call einsum in its operand/sublist form, with a first
+    argument that is not a subscripts string."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_name(node.func, "einsum"):
+            first = node.args[0] if node.args else None
+            if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+                yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCE_MODULES if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_only_linalg_calls_einsum_on_sublists(path):
+    # a partial trace here is an einsum over the [2] * 2n tensor with each
+    # traced column labelled as its row, which takes the sublist form;
+    # linalg.partial_trace is the one such trace and linalg._add_embedded
+    # its embedding back, so no other module traces qubits out itself
+    lines = list(_sublist_einsum_lines(path))
+    assert not lines, f"{path.name} calls einsum on sublists on lines {lines}"
+
+
+def test_the_einsum_guard_sees_a_sublist_call(tmp_path):
+    src = tmp_path / "channels.py"
+    src.write_text(
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "a = np.einsum('ij,ji->', x, y)\n"
+        "b = np.einsum(t, [0, 1, 0, 2], [1, 2])\n"
+        "c = einsum(t, labels, kept)\n",
+        encoding="utf-8",
+    )
+    assert sorted(_sublist_einsum_lines(src)) == [4, 5]
