@@ -304,47 +304,42 @@ def _sign_units(observable: PauliObservable, kept, t: np.ndarray, rest=None) -> 
 # registers: as they were, swapped, or each traced to I/2
 _KEPT, _SWAPPED, _TRACED = range(3)
 
-
-def _with(key: tuple, i: int, state: int) -> tuple:
-    return key[:i] + (state,) + key[i + 1 :]
-
-
-def _summed(items) -> dict:
-    """The (key, weights) items, weights of equal keys added."""
-    out = {}
-    for key, w in items:
-        out[key] = out.get(key, 0.0) + w
-    return out
+# the blocks a term adds into, by the state of its column 0: W_00 when
+# kept, W_11 when swapped, both when traced
+_BLOCKS = ((0,), (1,), (0, 1))
 
 
-def _phase_terms(noise: NoiseModel, n: int) -> list:
+def _phase_terms(noise: NoiseModel, n: int) -> dict:
     """The even pair after one phase of the sweep, the n backward Fredkins
-    of registers r and r + 1, as terms (j, key, w): block W_jj gains
-    T_key(F (x) G), F = N(rbar) on register r and G = N(w_0 Y_0 + w_1 Y_1)
-    on register r + 1, for the blocks rbar (x) Y_0 and rbar (x) Y_1 the
-    phase starts from; N is the per-qubit adjoint machinery noise, or the
-    identity. T_key keeps, swaps or traces each column (``_KEPT``...).
+    of registers r and r + 1, as terms {key: (w_0, w_1)}: T_key(F (x) G),
+    F = N(rbar) on register r and G = N(w_0 Y_0 + w_1 Y_1) on register
+    r + 1, for the blocks rbar (x) Y_0 and rbar (x) Y_1 the phase starts
+    from, added into the blocks ``_BLOCKS[key[0]]``. N is the per-qubit
+    adjoint machinery noise, or the identity. T_key keeps, swaps or traces
+    each column (``_KEPT``...).
 
     Per column, last first: local depolarizing p maps each block to
     (1-p) W_jj + p/2 T(W_00 + W_11), T the column traced; amplitude
     damping's ancilla mix adds g W_00 into (1-g) W_11; then the Fredkin
-    swaps the column of W_11. N reaches every qubit once, before any swap
-    that moves it, so it acts on F and G.
+    swaps the column of W_11. So after each column a term lies in W_00
+    when that column is kept, in W_11 when swapped, and in both, with
+    equal weights, when traced, and each column is one step of a chain:
+    ``steps[r][s]`` weighs a column in state s after one in state r
+    (kept, swapped, traced). The last column starts from kept with Y_0
+    and from swapped with Y_1; terms of weight zero are dropped as the
+    chain grows. N reaches every qubit once, before any swap that moves
+    it, so it acts on F and G.
     """
     p = noise.strength if noise.kind == "depolarizing-local" else 0.0
     g = noise.strength if noise.kind == "amplitude-damping" else 0.0
-    blocks = [{(_KEPT,) * n: w} for w in np.eye(2)]
-    for i in reversed(range(n)):
-        if p:
-            traced = [(_with(key, i, _TRACED), p / 2 * w) for b in blocks for key, w in b.items()]
-            blocks = [_summed([(key, (1 - p) * w) for key, w in b.items()] + traced) for b in blocks]
-        if g:
-            mixed = [(key, (1 - g) * w) for key, w in blocks[1].items()]
-            blocks[1] = _summed(mixed + [(key, g * w) for key, w in blocks[0].items()])
-        blocks[1] = {
-            _with(key, i, _SWAPPED) if key[i] == _KEPT else key: w for key, w in blocks[1].items()
+    steps = [[1 - p, g, p / 2], [0.0, (1 - p) * (1 - g), p / 2], [1 - p, 1 - p, p]]
+    terms = {(s,): (steps[0][s], steps[1][s]) for s in range(3) if steps[0][s] or steps[1][s]}
+    for _ in range(n - 1):
+        terms = {
+            (s, *key): (a * w[0], a * w[1])
+            for key, w in terms.items() for s, a in enumerate(steps[key[0]]) if a
         }
-    return [(j, key, w) for j, b in enumerate(blocks) for key, w in b.items()]
+    return terms
 
 
 def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -387,30 +382,35 @@ def _pair_trace(key: tuple, f: np.ndarray, g: np.ndarray, rho: np.ndarray) -> np
     return out.transpose(back).reshape(f.shape)
 
 
-def _phase(groups: dict, pair: np.ndarray) -> np.ndarray:
+def _phase(groups: dict, pair) -> np.ndarray:
     """The even pair [Y_0, Y_1] after one phase, register r + 1 traced
-    against rho, from the noised pair [N(Y_0), N(Y_1)] stacked in one array.
+    against rho, from the noised pair [N(Y_0), N(Y_1)].
 
     A term that traces the columns T is I_T (x) the same term, on the
     kept columns, of Tr_T F, Tr_T G and Tr_T rho, over 4^|T|: a traced
     column is I/2 on both registers, that of register r + 1 traced
     against rho and that of register r left in place. ``groups`` holds
     the terms by the columns they keep (``_groups``). Tracing is linear,
-    so each set reduces Y_0 and Y_1 in one partial trace and a term's G
-    is w_0 Y_0 + w_1 Y_1 of the reduced pair. ``_pair_trace`` reduces
-    each term; the set's terms are summed per block on the kept columns,
-    and each sum is embedded once (``linalg._add_embedded``), except
-    that the set that traces nothing sums straight into the full
-    registers.
+    so each set reduces Y_0 and Y_1 in one partial trace of the pair,
+    stacked once when some set traces a column, and a term's G is
+    w_0 Y_0 + w_1 Y_1 of the reduced pair. ``_pair_trace`` reduces each
+    term once, and the result is added into each of its blocks; the
+    set's blocks are summed on the kept columns and embedded once
+    (``linalg._add_embedded``), except that the set that traces nothing
+    sums straight into the full registers.
     """
-    dims = [2] * (pair.shape[-1].bit_length() - 1)
-    out = np.zeros(pair.shape, dtype=complex)
+    d = pair[0].shape[0]
+    dims = [2] * (d.bit_length() - 1)
+    out = np.zeros((2, d, d), dtype=complex)
+    stack = np.array(pair) if any(len(kept) < len(dims) for kept in groups) else None
     for kept, (f, rho, terms) in groups.items():
         whole = len(kept) == len(dims)
-        y = pair if whole else partial_trace(pair, dims, kept)
+        y = pair if whole else partial_trace(stack, dims, kept)
         blocks = out if whole else np.zeros(y.shape, dtype=complex)
-        for j, key, w in terms:
-            blocks[j] += _pair_trace(key, f, w[0] * y[0] + w[1] * y[1], rho)
+        for into, key, w in terms:
+            term = _pair_trace(key, f, w[0] * y[0] + w[1] * y[1], rho)
+            for j in into:
+                blocks[j] += term
         if not whole:
             _add_embedded(out, blocks / 4 ** (len(dims) - len(kept)), dims, kept)
     return out
@@ -418,21 +418,23 @@ def _phase(groups: dict, pair: np.ndarray) -> np.ndarray:
 
 def _groups(noise: NoiseModel, f: np.ndarray, rho: np.ndarray, n: int) -> dict:
     """The terms of ``_phase_terms`` by the columns they keep, as {kept:
-    (Tr_T F, Tr_T rho, terms)} with each key cut to the kept columns, T
-    the rest; the set that traces nothing holds F and rho themselves.
+    (Tr_T F, Tr_T rho, [(blocks, key, w)])} with each key cut to the kept
+    columns and its blocks read off its column 0 (``_BLOCKS``), T the
+    rest; the set that traces nothing holds F and rho themselves.
 
-    F and rho are stacked once, so each set reduces both in one partial
-    trace; the stack is dropped on return, and the reduced copies take
-    2 * 5^n entries over all 2^n sets.
+    F and rho are stacked once when some set traces a column, so each
+    such set reduces both in one partial trace; the stack is dropped on
+    return, and the reduced copies take 2 * 5^n entries over all 2^n sets.
     """
-    both = np.array([f, rho])
+    terms = _phase_terms(noise, n)
+    both = np.array([f, rho]) if any(_TRACED in key for key in terms) else None
     groups = {}
-    for j, key, w in _phase_terms(noise, n):
+    for key, w in terms.items():
         kept = tuple(i for i, state in enumerate(key) if state != _TRACED)
         if kept not in groups:
             reduced = (f, rho) if len(kept) == n else partial_trace(both, [2] * n, kept)
             groups[kept] = (*reduced, [])
-        groups[kept][2].append((j, tuple(key[i] for i in kept), w))
+        groups[kept][2].append((_BLOCKS[key[0]], tuple(key[i] for i in kept), w))
     return groups
 
 
@@ -448,9 +450,12 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
     The Fredkins of pair (r, r + 1) run together, r = M-2 first, and no
     later one touches register r + 1, so each phase traces it against rho
     and leaves d x d blocks on register r. The odd block's phase is
-    y = N(rbar) rho N(y), the even pair's ``_phase``, whose terms
-    ``_groups`` sorts by the columns they keep, with F = N(rbar) and rho
-    reduced on each set once for every phase.
+    y = N(rbar) rho N(y), the even pair's ``_phase``, whose terms, one per
+    key of the column chain (``_phase_terms``), ``_groups`` sorts by the
+    columns they keep, with F = N(rbar) and rho reduced on each set once
+    for every phase. F, rho and the pair are stacked only when some term
+    traces a column, as under local depolarizing; otherwise the noised
+    pair is read as it is.
     """
     n = rho.shape[0].bit_length() - 1
     # the noise acts on the Fredkins, and one register has none
@@ -466,7 +471,7 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
         if per_qubit:
             y = f @ (rho @ noisy(y))
         if verify:
-            pair = _phase(groups, np.array([noisy(x) for x in pair]))
+            pair = _phase(groups, [noisy(x) for x in pair])
     return (y if per_qubit else None), pair
 
 
@@ -587,9 +592,12 @@ def build_pipeline(
         # global machinery is the folded layers alone, any other kind local
         local_noise = NO_NOISE if machinery.kind == "depolarizing-global" else machinery
         final = _global_layer(machinery, 1)
+        # the ancilla's local machinery noise, each way, as 4 x 4
+        # superoperators; entry [(x, y), (u, v)] is |x><y| out of |u><v|
+        sup, sup_adj = (noise_superoperator(local_noise, 1, adjoint=a) for a in (False, True))
         # the prefix A (x) rho^(x)M, kept as its factors
         ancilla = gate_matrix("H") @ zero_projector(2) @ gate_matrix("H")
-        ancilla = apply_noise(ancilla, local_noise, [0], 1)
+        ancilla = (sup @ ancilla.reshape(4)).reshape(2, 2)
         # Tr(A (x) rho^(x)M), which the identity reads off every unit
         unit_trace = float(np.trace(ancilla).real) * rho_trace**copies
         # multi-copy is the verified readout with rbar = I and Pi = I
@@ -611,8 +619,8 @@ def build_pipeline(
             # the final layer: (1-q) W + q Tr(W)/2^nq I on the composite; Tr Pi
             # = 1 when verifying, and multi-copy reads only Z, of trace 0
             c = final * diag.sum() / 2**nq
-            effect = np.diag((1.0 - final) * diag).astype(complex)
-            diag = np.diagonal(apply_noise(effect, local_noise, [0], 1, adjoint=True)).real
+            effect = np.diag((1.0 - final) * diag)
+            diag = (sup_adj @ effect.reshape(4))[[0, 3]].real
             # H diag(z0, z1) H = (z0 + z1)/2 I + (z0 - z1)/2 X; the suffix is
             # trace-preserving, so every adjoint leaves c I alone
             return c, (diag[0] + diag[1]) / 2, (diag[0] - diag[1]) / 2
@@ -622,8 +630,8 @@ def build_pipeline(
         fredkins = (copies - 1) * n
         scale = 1.0 - _global_layer(machinery, fredkins + 1)
         # the scalar each Fredkin's noise leaves on O: the ancilla's |0><1|
-        # entry under it, entry [(x, y), (u, v)] being |x><y| out of |u><v|
-        odd_factor = noise_superoperator(local_noise, 1, adjoint=True)[1, 1].real
+        # entry under it
+        odd_factor = sup_adj[1, 1].real
         v_01, (v_00, v_11) = _sweep(local_noise, rho_mat, rbar, copies, verify)
         # Tr(V_01 P rho) per string; with N the identity V_01 is the chain's tail
         forward = chain if v_01 is None else pauli_traces(perms, rho_mat, v_01)

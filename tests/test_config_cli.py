@@ -203,15 +203,15 @@ def test_cmd_verify_passes(capsys):
 
 
 def test_cmd_verify_fails_a_sweep_that_never_swaps(monkeypatch, capsys):
-    # the pipeline check reads the outcomes of a build whose even pair
-    # keeps every column of W_11 in place, as if the Fredkins were absent
-    phase_terms = schemes._phase_terms
+    # the pipeline check reads the outcomes of a build whose even-pair
+    # terms keep every swapped column in place, as if the Fredkins were
+    # absent, each term still added into the blocks its column 0 names
+    pair_trace = schemes._pair_trace
 
-    def unswapped(noise, n):
-        kept = tuple(schemes._KEPT for _ in range(n))
-        return [(j, kept, w) for j, _, w in phase_terms(noise, n)]
+    def unswapped(key, *args):
+        return pair_trace((schemes._KEPT,) * len(key), *args)
 
-    monkeypatch.setattr(schemes, "_phase_terms", unswapped)
+    monkeypatch.setattr(schemes, "_pair_trace", unswapped)
     assert main(["verify", "--seed", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [l.split()[0] for l in lines if "FAIL" in l] == ["pipeline-outcomes"]

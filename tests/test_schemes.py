@@ -701,12 +701,15 @@ def test_forward_outcomes_refuse_a_composite_past_seven_qubits():
 @pytest.mark.parametrize("kind", ["state-verification", "combined"])
 def test_one_register_build_noises_only_the_ancilla(monkeypatch, kind, machinery):
     # one register has no Fredkin, so per-qubit machinery noise reaches the
-    # ancilla's Hadamards alone and the odd block is the chain's tail
-    widths = []
+    # ancilla's Hadamards alone, read off its 4 x 4 superoperators, and the
+    # odd block is the chain's tail: no matrix goes through apply_noise.
+    # test_outcome_probabilities_match_a_forward_evolution checks the
+    # ancilla's noise itself
+    calls = []
 
-    def recording(mat, noise, targets, nq, *args, **kwargs):
-        widths.append(nq)
-        return apply_noise(mat, noise, targets, nq, *args, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return apply_noise(*args, **kwargs)
 
     monkeypatch.setattr(schemes, "apply_noise", recording)
     build_pipeline(
@@ -714,7 +717,7 @@ def test_one_register_build_noises_only_the_ancilla(monkeypatch, kind, machinery
         NoiseModel("depolarizing-local", 0.02), parse_observable("0.5*XYZ + 0.5*ZZI"),
         n_copies=1, machinery_noise=NoiseModel(machinery, 0.05),
     )
-    assert widths and set(widths) == {1}, widths
+    assert not calls, [args[3] for args in calls]
 
 
 def test_pipeline_build_is_independent_of_the_number_of_terms(monkeypatch):
@@ -1032,9 +1035,14 @@ def test_phase_terms_match_the_composite_after_one_register_pair(machinery, n):
     zero = np.zeros((half, half), dtype=complex)
     pair = np.block([[np.kron(rbar, y_0), zero], [zero, np.kron(rbar, y_1)]])
     want = _composite_steps(pair, noise, _backward_fredkins(n, 2), nq).reshape(2, half, 2, half)
+    # a term lands in W_00 when its column 0 is kept, W_11 when swapped,
+    # and in both when traced
+    blocks = {schemes._KEPT: (0,), schemes._SWAPPED: (1,), schemes._TRACED: (0, 1)}
     got = [zero.copy(), zero.copy()]
-    for j, key, w in schemes._phase_terms(noise, n):
-        got[j] += _term_matrix(key, noisy(rbar), noisy(w[0] * y_0 + w[1] * y_1), n)
+    for key, w in schemes._phase_terms(noise, n).items():
+        term = _term_matrix(key, noisy(rbar), noisy(w[0] * y_0 + w[1] * y_1), n)
+        for j in blocks[key[0]]:
+            got[j] += term
     for j in (0, 1):
         assert np.max(np.abs(want[j, :, j] - got[j])) <= 1e-13, j
 
@@ -1075,6 +1083,41 @@ def test_local_depolarizing_phase_holds_reduced_registers():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * register, peak / register
+
+
+@pytest.mark.parametrize("n,terms", [(4, 41), (6, 239)])
+def test_even_pair_phase_reduces_each_key_once(monkeypatch, n, terms):
+    # a key whose column 0 is traced lies in both blocks, and is reduced
+    # once and added into each, so one M = 2 local-depolarizing sweep makes
+    # one _pair_trace call per key of the column chain
+    calls = []
+    pair_trace = schemes._pair_trace
+
+    def counting(*args):
+        calls.append(args[0])
+        return pair_trace(*args)
+
+    monkeypatch.setattr(schemes, "_pair_trace", counting)
+    noise = NoiseModel("depolarizing-local", 0.05)
+    rng = np.random.default_rng([28, n])
+    rho, rbar = (random_density(rng, 2**n).matrix for _ in range(2))
+    schemes._sweep(noise, rho, rbar, 2, True)
+    assert len(calls) == len(schemes._phase_terms(noise, n)) == terms
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("machinery", ["none", "dephasing", "depolarizing-local"])
+def test_unital_even_pair_keeps_its_trace(machinery, n, copies):
+    # unital machinery noise and the Fredkins keep Tr(W_00) + Tr(W_11) =
+    # 2 Tr(rbar)^M, and with rho = I/d each traced register reads it over
+    # d: a check of the even pair where no dense composite reaches
+    d = 2**n
+    rbar = random_density(np.random.default_rng([29, n]), d).matrix
+    noise = NoiseModel(machinery, 0.1)
+    _, (v_00, v_11) = schemes._sweep(noise, np.eye(d) / d, rbar, copies, True)
+    want = 2 * np.trace(rbar).real ** copies / d ** (copies - 1)
+    assert abs(np.trace(v_00) + np.trace(v_11) - want) <= 1e-12
 
 
 def test_combined_build_searches_no_einsum_path(monkeypatch):
