@@ -1,44 +1,57 @@
-"""Gate-level noise models, the local-contraction engine and the dual state.
+"""Gate-level noise models, the register evolution and the dual state.
 
-States evolve through one local-contraction engine that never builds a
+A register evolves as a real tensor of Pauli coefficients and never as a
 register-wide operator:
 
-* ``linalg.contract`` applies a 4^k x 4^k superoperator (a fused step:
-  a gate's superoperator, its local noise folded in, with the pending
-  one-qubit steps on its qubits taken in) to the targets' row and
-  column axes of the register's ``[2] * 2n`` tensor in one matrix
-  product. The register stays that tensor from step to step,
-  each product a transposed view, so a step makes one copy: the next
-  step's reshape;
+* the register is the ``[4] * n`` tensor r of rho = sum_P r_P P, each
+  qubit's axis ordered I, X, Y, Z, qubit 0 most significant; the start
+  state |0...0><0...0| is the outer product of [1/2, 0, 0, 1/2];
+* each fused step (``_gate_steps``: a gate, its local noise folded in,
+  with the pending one-qubit steps on its qubits taken in) is a real
+  Pauli transfer matrix (PTM), R[P, Q] = Tr(P E(Q)) / 2^k, applied to
+  its targets' axes by ``linalg.contract`` in one real matrix product: a
+  two-qubit step is a 16 x 16 GEMM. The tensor stays a transposed view
+  from step to step, so a step makes one copy: the next step's reshape;
+* at the end, ceil(n/2) contractions with the constant C (x) C, where C
+  (``_PAULI_ENTRIES``) maps a qubit's I, X, Y, Z to its 2 x 2 entries
+  00, 01, 10 and 11, and one transpose-copy give the row-major complex
+  matrix.
+
+A fixed gate's PTM is a constant of the module, built once at import
+(``_FIXED_STEPS``) as the basis change of its superoperator; a
+rotation's is a closed-form plane rotation (``_rotation_ptm``), and the
+noise a step folds in is a closed form too (``_noise_ptm``). Global
+depolarizing is one register-wide layer per evolution
+(``_global_layer``), which scales every coefficient but the all-I one.
+So an evolution calls neither ``superoperator`` nor a noise function,
+and both states are wrapped without the eigenvalue check, since an
+evolution keeps them PSD.
+
+``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
+``dual_state`` runs the adjoint of the noisy inverse circuit backwards
+from the same projector: the circuit's own gates, each after its
+adjoint noise, whose PTM is the transpose. Dual states are PSD but not
+normalized in general (they are exactly trace-1 when every inserted
+channel is unital).
+
+Noise on a matrix, outside the evolution:
+
 * ``depolarize`` applies depolarizing noise on any qubit subset in
   closed form, ``(1-p) X + p I/d_k (x) Tr_targets X``, which equals the
   4^k-operator Pauli Kraus sum, through linalg's one partial trace and
   its embedding;
 * ``apply_noise`` maps a ``NoiseModel`` onto ``depolarize`` and, for
-  dephasing and amplitude damping, one 4 x 4 superoperator per target
-  (``_qubit_superoperator``) contracted into its row and column axes, in
-  the Schrodinger or (``adjoint=True``) the Heisenberg picture.
+  dephasing and amplitude damping, one 4 x 4 ``noise_superoperator``
+  per target contracted into its row and column axes, in the
+  Schrodinger or (``adjoint=True``) the Heisenberg picture;
+* ``noise_superoperator`` is ``_noise_ptm`` changed back to the
+  row-major basis, so each noise kind is defined once.
 
 Every noise function returns its result as a new matrix (trivial noise
 returns the input) and never writes its input, so a read-only matrix, a
-transpose or a strided slice serves as well as any.
-
-``prepare_noisy_state`` runs the noisy circuit on |0...0><0...0| and
-``dual_state`` runs the adjoint of the noisy inverse circuit backwards
-from the same projector: the circuit's own gates, each after its
-adjoint noise. Each gate and its local noise are one fused step
-(``_gate_steps``). A fixed gate's superoperator is a constant of the
-module, built once at import (``_FIXED_STEPS``); a rotation (RX, RY, RZ)
-builds its own with ``superoperator`` in each evolution. The noise part
-(``noise_superoperator``) is a closed form: ``_qubit_superoperator`` on
-every qubit, or the depolarizing ``(1-p) I + p/2^k |vec I><vec I|``;
-global depolarizing is one register-wide ``depolarize`` per evolution
-(``_global_layer``). Both wrap their result without the eigenvalue
-check, since an evolution keeps it PSD.
-A pipeline (``schemes.build_pipeline``) never contracts a composite: its
-readout blocks reduce to register matrices. Dual states are PSD but not
-normalized in general (they are exactly trace-1 when every inserted
-channel is unital).
+transpose or a strided slice serves as well as any. A pipeline
+(``schemes.build_pipeline``) never contracts a composite: its readout
+blocks reduce to register matrices.
 
 The dense whole-register Kraus channels the engine is checked against
 live in ``reference``.
@@ -53,7 +66,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .circuits import ANGLE_GATES, GATE_ARITY, GateCircuit, gate_matrix
-from .linalg import DensityOperator, _add_embedded, contract, partial_trace, zero_projector
+from .linalg import DensityOperator, _add_embedded, contract, partial_trace
 
 # the kinds that act independently on each target qubit
 PER_QUBIT_KINDS = ("dephasing", "amplitude-damping")
@@ -97,21 +110,108 @@ def superoperator(ops) -> np.ndarray:
     return terms.sum(axis=0).reshape(d * d, d * d)
 
 
+# a qubit's Pauli coefficients (I, X, Y, Z) to its 2 x 2 entries 00, 01, 10
+# and 11 (row bit, column bit): column P is P flattened row-major
+_PAULI_ENTRIES = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+# the same for two qubits, C (x) C, one contraction per pair of axes
+_PAIR_ENTRIES = np.kron(_PAULI_ENTRIES, _PAULI_ENTRIES)
+_PAULI_ENTRIES.setflags(write=False)
+_PAIR_ENTRIES.setflags(write=False)
+
+
+def _rows_first(k: int) -> list:
+    """The axis order that takes k interleaved (row, column) axis pairs to
+    the k row axes, then the k column axes."""
+    return [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]
+
+
+def _pauli_basis(k: int) -> np.ndarray:
+    """B, the 4^k x 4^k matrix whose column P is the k-qubit Pauli string P
+    flattened row-major, qubit 0 most significant in both.
+
+    The k-fold Kronecker product of ``_PAULI_ENTRIES`` indexes its rows by
+    each qubit's (row, column) bits in turn; they are regrouped into the
+    row bits, then the column bits. B^dag B = 2^k I.
+    """
+    basis = reduce(np.kron, [_PAULI_ENTRIES] * k).reshape([2] * (2 * k) + [4**k])
+    return basis.transpose([*_rows_first(k), 2 * k]).reshape(4**k, 4**k)
+
+
 def _fixed_steps() -> MappingProxyType:
-    """A read-only {name: superoperator of the gate} for every gate
-    without an angle, each matrix read-only too."""
+    """A read-only {name: PTM of the gate} for every gate without an
+    angle, each matrix read-only too: B^dag S B / 2^k of the gate's
+    superoperator S (``_pauli_basis``), real, since S maps Hermitian
+    matrices to Hermitian ones."""
+    bases = {k: _pauli_basis(k) for k in set(GATE_ARITY.values())}
     table = {}
-    for name in GATE_ARITY:
+    for name, k in GATE_ARITY.items():
         if name not in ANGLE_GATES:
-            sup = superoperator([gate_matrix(name)])
-            sup.setflags(write=False)
-            table[name] = sup
+            basis = bases[k]
+            ptm = (basis.conj().T @ superoperator([gate_matrix(name)]) @ basis).real / 2**k
+            ptm.setflags(write=False)
+            table[name] = ptm
     return MappingProxyType(table)
 
 
-# the fixed gates' superoperators are constants, built once here; only the
-# rotations build theirs per evolution (``_gate_steps``)
+# the fixed gates' PTMs are constants, built once here; a rotation's is a
+# closed form (``_rotation_ptm``)
 _FIXED_STEPS = _fixed_steps()
+
+# the two Pauli axes each rotation turns, in order: RX(theta) takes Y to
+# cos(theta) Y + sin(theta) Z, RY takes Z towards X and RZ X towards Y
+_ROTATION_PLANES = {"RX": (2, 3), "RY": (3, 1), "RZ": (1, 2)}
+
+
+def _rotation_ptm(name: str, theta: float) -> np.ndarray:
+    """The PTM of RX, RY or RZ(theta) = exp(-i theta P / 2): a plane
+    rotation by theta of the two Pauli axes other than P, fixing I and P."""
+    a, b = _ROTATION_PLANES[name]
+    c, s = np.cos(theta), np.sin(theta)
+    ptm = np.eye(4)
+    ptm[a, a] = ptm[b, b] = c
+    ptm[b, a], ptm[a, b] = s, -s
+    return ptm
+
+
+def _noise_ptm(noise: NoiseModel, k: int, adjoint: bool) -> np.ndarray:
+    """The PTM of ``noise`` after a gate on all qubits of a k-qubit register.
+
+    Per-qubit noise is the k-fold Kronecker product, qubit 0 most
+    significant as in the Pauli order, of one qubit's
+    [[1, 0, 0, 0], [0, s, 0, 0], [0, 0, s, 0], [g, 0, 0, 1 - g]]: X and Y
+    scale by s, Z by 1 - g, and I gains g Z. Dephasing, (1-p) X + p Z X Z,
+    is s = 1 - 2p and g = 0; amplitude damping, K0 = diag(1, sqrt(1-g))
+    and K1 = sqrt(g) |0><1|, is s = sqrt(1-g). Depolarizing, local or
+    global alike, acts on all k qubits: every string but I scales by
+    1 - p. The PTM is real, so the adjoint is its transpose.
+    """
+    if noise.is_trivial:
+        return np.eye(4**k)
+    if noise.kind not in PER_QUBIT_KINDS:
+        scale = np.full(4**k, 1.0 - noise.strength)
+        scale[0] = 1.0
+        return np.diag(scale)
+    if noise.kind == "dephasing":
+        s, g = 1.0 - 2.0 * noise.strength, 0.0
+    else:
+        g = noise.strength
+        s = np.sqrt(1.0 - g)
+    one = np.diag([1.0, s, s, 1.0 - g])
+    one[3, 0] = g
+    # axes (out_0, in_0, out_1, in_1, ...), regrouped outputs first
+    ptm = reduce(np.multiply.outer, [one] * k).transpose(_rows_first(k)).reshape(4**k, 4**k)
+    return ptm.T if adjoint else ptm
+
+
+def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.ndarray:
+    """The superoperator of ``noise`` after a gate on all qubits of a k-qubit matrix.
+
+    ``_noise_ptm`` in the row-major basis, B R B^dag / 2^k
+    (``_pauli_basis``). Every noise kind maps a real matrix to a real
+    one, so the superoperator is real.
+    """
+    basis = _pauli_basis(k)
+    return (basis @ _noise_ptm(noise, k, adjoint) @ basis.conj().T).real / 2**k
 
 
 def depolarize(mat, p: float, targets, nq: int) -> np.ndarray:
@@ -130,86 +230,45 @@ def depolarize(mat, p: float, targets, nq: int) -> np.ndarray:
     return out
 
 
-def _qubit_superoperator(noise: NoiseModel, adjoint: bool) -> np.ndarray:
-    """The 4 x 4 superoperator of dephasing or amplitude damping on one qubit.
-
-    On the 2x2 blocks X_rc of row bit r and column bit c, X_01 and X_10
-    scale by s, X_11 by 1 - g, and X_00 gains g X_11. Dephasing,
-    (1-p) X + p Z X Z, is s = 1 - 2p and g = 0; amplitude damping,
-    K0 = diag(1, sqrt(1-g)) and K1 = sqrt(g) |0><1|, is s = sqrt(1-g).
-    The matrix is real, so the adjoint is its transpose: X_11 gains g X_00.
-    """
-    if noise.kind == "dephasing":
-        s, g = 1.0 - 2.0 * noise.strength, 0.0
-    else:
-        g = noise.strength
-        s = np.sqrt(1.0 - g)
-    sup = np.diag([1.0, s, s, 1.0 - g])
-    sup[0, 3] = g
-    return sup.T if adjoint else sup
-
-
 def apply_noise(mat, noise: NoiseModel, targets, nq: int, adjoint: bool = False):
     """Noise inserted after a gate on ``targets`` of an nq-qubit matrix, as a new matrix.
 
     Local depolarizing acts jointly on the targets; dephasing and
-    amplitude damping act independently per target qubit, one
-    ``linalg.contract`` each; global depolarizing hits all nq qubits
-    regardless of targets. ``adjoint`` applies the Heisenberg-picture
-    adjoint {K^dag} instead. ``mat`` is only read; trivial noise returns
-    it as it is.
+    amplitude damping act independently per target qubit, one 4 x 4
+    ``noise_superoperator`` contracted into its row and column axes;
+    global depolarizing hits all nq qubits regardless of targets.
+    ``adjoint`` applies the Heisenberg-picture adjoint {K^dag} instead.
+    ``mat`` is only read; trivial noise returns it as it is.
     """
     if noise.is_trivial:
         return mat
     if noise.kind not in PER_QUBIT_KINDS:
         targets = range(nq) if noise.kind == "depolarizing-global" else targets
         return depolarize(mat, noise.strength, targets, nq)
-    sup = _qubit_superoperator(noise, adjoint)
+    sup = noise_superoperator(noise, 1, adjoint)
     t = mat.reshape((2,) * (2 * nq))
     for q in targets:
         t = contract(t, sup, [q, nq + q])
     return t.reshape(mat.shape)
 
 
-def noise_superoperator(noise: NoiseModel, k: int, adjoint: bool = False) -> np.ndarray:
-    """The superoperator of ``noise`` after a gate on all qubits of a k-qubit matrix.
-
-    Per-qubit noise is the k-fold Kronecker product of
-    ``_qubit_superoperator``, whose axes interleave each qubit's row and
-    column bit, regrouped into the row bits, then the column bits.
-    Depolarizing, local or global alike, acts on all k qubits:
-    (1-p) I + p/2^k |vec I><vec I|, since Tr X = <vec I, vec X>.
-    """
-    d = 2**k
-    if noise.is_trivial:
-        return np.eye(d * d)
-    if noise.kind not in PER_QUBIT_KINDS:
-        vec = np.eye(d).reshape(-1)
-        return (1.0 - noise.strength) * np.eye(d * d) + noise.strength / d * np.outer(vec, vec)
-    sup = reduce(np.kron, [_qubit_superoperator(noise, adjoint)] * k)
-    bits = [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]
-    sup = sup.reshape([2] * (4 * k)).transpose(bits + [2 * k + b for b in bits])
-    return sup.reshape(d * d, d * d)
-
-
 def _gate_steps(gates, noise: NoiseModel, adjoint: bool):
-    """Fused (superoperator, targets) steps equal to ``gates`` in the order listed.
+    """Fused (PTM, targets) steps equal to ``gates`` in the order listed.
 
-    A gate's step is its superoperator with its local noise folded in:
-    forward, the noise acts after the gate; adjoint, the adjoint noise
-    acts before it. A fixed gate reads its superoperator from the
-    constant ``_FIXED_STEPS``, and a rotation builds its own; each distinct
-    gate (name and angle) folds in its noise once per call, and the noise
-    superoperators are built once per gate size. Global depolarizing is
-    left to the caller.
+    A gate's step is its PTM with its local noise folded in: forward, the
+    noise acts after the gate; adjoint, the adjoint noise acts before it.
+    A fixed gate reads its PTM from the constant ``_FIXED_STEPS`` and a
+    rotation's is ``_rotation_ptm``; each distinct gate (name and angle)
+    folds in its noise once per call, and the noise PTMs are built once
+    per gate size. Global depolarizing is left to the caller.
 
     A one-qubit step is held pending on its qubit, where later one-qubit
     steps multiply into it; the next step on more qubits that touches the
-    qubit takes it in, right-multiplied on that qubit's input axes, and
-    the steps still pending at the end come out as they are. Steps on
-    disjoint qubits commute, so the fused steps make the same map with
-    one contraction per two-qubit gate and one per qubit whose last gate
-    acts on it alone.
+    qubit takes it in, right-multiplied on that qubit's input axis by a
+    reshape and a matmul, and the steps still pending at the end come out
+    as they are. Steps on disjoint qubits commute, so the fused steps make
+    the same map with one contraction per two-qubit gate and one per qubit
+    whose last gate acts on it alone.
     """
     local = not noise.is_trivial and noise.kind != "depolarizing-global"
     derived = {}
@@ -217,28 +276,28 @@ def _gate_steps(gates, noise: NoiseModel, adjoint: bool):
     pending = {}
     for g in gates:
         k = len(g.qubits)
-        sup = built.get((g.name, g.angle))
-        if sup is None:
-            sup = _FIXED_STEPS.get(g.name)
-            if sup is None:
-                sup = superoperator([g.matrix()])
+        ptm = built.get((g.name, g.angle))
+        if ptm is None:
+            ptm = _FIXED_STEPS.get(g.name)
+            if ptm is None:
+                ptm = _rotation_ptm(g.name, g.angle)
             if local:
                 if k not in derived:
-                    derived[k] = noise_superoperator(noise, k, adjoint)
-                sup = sup @ derived[k] if adjoint else derived[k] @ sup
-            built[g.name, g.angle] = sup
+                    derived[k] = _noise_ptm(noise, k, adjoint)
+                ptm = ptm @ derived[k] if adjoint else derived[k] @ ptm
+            built[g.name, g.angle] = ptm
         if k == 1:
             q = g.qubits[0]
-            pending[q] = sup @ pending[q] if q in pending else sup
+            pending[q] = ptm @ pending[q] if q in pending else ptm
             continue
         for i, q in enumerate(g.qubits):
             if q in pending:
-                # input axes 2k + i and 3k + i hold qubit i's row and column bits
-                view = sup.reshape([2] * (4 * k))
-                sup = contract(view, pending.pop(q).T, [2 * k + i, 3 * k + i]).reshape(sup.shape)
-        yield sup, g.qubits
-    for q, sup in pending.items():
-        yield sup, (q,)
+                # qubit i's input axis splits the columns into (4^i, 4, 4^(k-1-i))
+                cols = ptm.reshape(-1, 4, 4 ** (k - 1 - i))
+                ptm = (pending.pop(q).T @ cols).reshape(ptm.shape)
+        yield ptm, g.qubits
+    for q, ptm in pending.items():
+        yield ptm, (q,)
 
 
 def _global_layer(noise: NoiseModel, gates: int) -> float:
@@ -254,16 +313,32 @@ def _global_layer(noise: NoiseModel, gates: int) -> float:
 
 
 def _evolve(n: int, gates, noise: NoiseModel, adjoint: bool) -> np.ndarray:
-    """|0...0><0...0| on n qubits through ``gates`` in the order listed,
-    one contraction per fused step (``_gate_steps``) on the ``[2] * 2n``
-    tensor; global noise is one layer at the end (``_global_layer``), on
-    the row-major matrix the tensor is reshaped into."""
-    t = zero_projector(2**n).reshape([2] * (2 * n))
-    for sup, targets in _gate_steps(gates, noise, adjoint):
-        t = contract(t, sup, [*targets, *(n + q for q in targets)])
-    mat = t.reshape(2**n, 2**n)
+    """|0...0><0...0| on n qubits through ``gates`` in the order listed, as
+    a row-major complex matrix.
+
+    The register is its real ``[4] * n`` Pauli tensor, with one
+    contraction per fused step (``_gate_steps``). Global noise is one
+    layer at the end (``_global_layer``): every coefficient but the all-I
+    one scales by 1 - p, and the all-I one is put back rather than
+    divided by 1 - p, which fails at p = 1. Then ceil(n/2) contractions with
+    ``_PAIR_ENTRIES`` (``_PAULI_ENTRIES`` for a last odd qubit) turn each
+    qubit's axis into its (row, column) bits, and one transpose-copy
+    orders them rows first.
+    """
+    # the outer product of [1/2, 0, 0, 1/2]: 2^-n where every axis reads I or Z
+    r = np.zeros([4] * n)
+    r[(slice(None, None, 3),) * n] = 0.5**n
+    for ptm, targets in _gate_steps(gates, noise, adjoint):
+        r = contract(r, ptm, targets)
     p = _global_layer(noise, len(gates))
-    return depolarize(mat, p, range(n), n) if p else mat
+    if p:
+        ident = r[(0,) * n]
+        r *= 1.0 - p
+        r[(0,) * n] = ident
+    for q in range(0, n, 2):
+        pair = q + 1 < n
+        r = contract(r, _PAIR_ENTRIES if pair else _PAULI_ENTRIES, [q, q + 1] if pair else [q])
+    return r.reshape([2] * (2 * n)).transpose(_rows_first(n)).reshape(2**n, 2**n)
 
 
 def prepare_noisy_state(circ: GateCircuit, noise: NoiseModel) -> DensityOperator:

@@ -20,8 +20,10 @@ Conventions
   lexicographically.
 * A register is also a tensor of size-2 axes in qubit order: ``[2] * n``
   for a vector, ``[2] * 2n`` (row bits, then column bits) for a matrix.
-  ``contract`` returns a transposed view of one; the next reshape that
-  needs row-major storage makes the copy.
+  An evolving register is the real ``[4] * n`` tensor of its Pauli
+  coefficients, each axis ordered I, X, Y, Z (``channels._evolve``).
+  ``contract`` returns a transposed view of either; the next reshape
+  that needs row-major storage makes the copy.
 * Every partial trace in the package is ``partial_trace``: one einsum
   over that tensor with each traced subsystem's column labelled as its
   row, so nothing is transposed. ``_add_embedded`` adds into the same
@@ -86,10 +88,11 @@ def zero_projector(dim: int) -> np.ndarray:
 
 
 def contract(tensor: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
-    """``op`` applied to the listed axes of a tensor whose axes all have size 2.
+    """``op`` applied to the listed axes of a tensor whose axes all have one size.
 
     The listed axes are transposed to the front, in ``axes`` order, and
-    the tensor is reshaped to (2^k, rest): one ``op @ x`` product. The
+    the tensor is reshaped to (d^k, rest), d the shared axis size (2 for
+    a matrix's bits, 4 for a Pauli tensor): one ``op @ x`` product. The
     result comes back as a view in the input's axis order, not copied
     back into row-major storage.
     """

@@ -1,5 +1,6 @@
-import sys
 import tracemalloc
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -392,19 +393,21 @@ _FUSION_CIRCUITS = [
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 def test_engine_states_match_dense_channel_oracles(kind):
     rng = np.random.default_rng(13)
-    noise = NoiseModel(kind, 0.15)
     # the dual's noise may differ from the forward noise in kind and strength
     dual_noise = NoiseModel(NOISE_KINDS[NOISE_KINDS.index(kind) - 1], 0.1)
     circuits = [random_circuit(rng, n, 6) for n in (1, 2, 3)] + _FUSION_CIRCUITS
-    for circ in circuits:
-        zero = DensityOperator.computational_zero(circ.n_qubits).matrix
-        want = apply_channel(noisy_circuit_channel(circ, noise), zero).matrix
-        got = prepare_noisy_state(circ, noise).matrix
-        assert np.max(np.abs(got - want)) < 1e-12, circ
-        for dual in (noise, dual_noise):
-            adj = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), dual))
-            got = dual_state(circ, noise, dual_noise=dual).matrix
-            assert np.max(np.abs(got - _act(adj, zero))) < 1e-12, (circ, dual)
+    # the edge strengths too: global depolarizing at 1 keeps only the
+    # identity's coefficient
+    for noise in (NoiseModel(kind, p) for p in (0.0, 0.15, 1.0)):
+        for circ in circuits:
+            zero = DensityOperator.computational_zero(circ.n_qubits).matrix
+            want = apply_channel(noisy_circuit_channel(circ, noise), zero).matrix
+            got = prepare_noisy_state(circ, noise).matrix
+            assert np.max(np.abs(got - want)) < 1e-12, (circ, noise)
+            for dual in (noise, dual_noise):
+                adj = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), dual))
+                got = dual_state(circ, noise, dual_noise=dual).matrix
+                assert np.max(np.abs(got - _act(adj, zero))) < 1e-12, (circ, noise, dual)
 
 
 # --- fused gate steps on the hot path ----------------------------------------
@@ -421,14 +424,12 @@ def _fused_steps(circ) -> int:
 
 @pytest.mark.parametrize("evolve", [prepare_noisy_state, dual_state], ids=lambda f: f.__name__)
 def test_register_evolution_makes_one_contraction_per_fused_step(monkeypatch, evolve):
-    # folding a pending one-qubit step into a two-qubit one contracts too,
-    # on an 8-axis view of the step, as many axes as an n = 4 register has,
-    # so only the contractions _evolve makes are counted
+    # one contraction per fused step, then ceil(n/2) that turn the Pauli
+    # tensor into matrix entries, each on the register's n axes
     ndims = []
 
     def counting(tensor, op, axes):
-        if sys._getframe(1).f_code is channels._evolve.__code__:
-            ndims.append(tensor.ndim)
+        ndims.append(tensor.ndim)
         return contract(tensor, op, axes)
 
     monkeypatch.setattr(channels, "contract", counting)
@@ -436,48 +437,62 @@ def test_register_evolution_makes_one_contraction_per_fused_step(monkeypatch, ev
     circuits = _FUSION_CIRCUITS + [random_circuit(rng, n, 14) for n in (1, 2, 3, 4, 5, 6)]
     for kind in ("dephasing", "amplitude-damping", "depolarizing-local"):
         for circ in circuits:
+            n = circ.n_qubits
             ndims.clear()
             evolve(circ, NoiseModel(kind, 0.05))
-            assert ndims == [2 * circ.n_qubits] * _fused_steps(circ), (kind, circ)
+            assert ndims == [n] * (_fused_steps(circ) + (n + 1) // 2), (kind, circ)
     # 13 gates: 3 two-qubit steps and one-qubit steps trailing on qubits 0 and 2
     assert _fused_steps(_FUSION_CIRCUITS[0]) == 5
 
 
+def _pauli_transfer(sup):
+    """B^dag S B / 2^k, B's columns each k-qubit Pauli string flattened
+    row-major, qubit 0 most significant: the PTM of the superoperator S."""
+    k = sup.shape[0].bit_length() // 2
+    paulis = [np.eye(2), *(gate_matrix(name) for name in ("X", "Y", "Z"))]
+    basis = np.stack(
+        [reduce(np.kron, string).reshape(-1) for string in product(paulis, repeat=k)], axis=1
+    )
+    return basis.conj().T @ sup @ basis / 2**k
+
+
 def test_fixed_gates_read_their_steps_from_a_constant_table(monkeypatch):
-    # a fixed gate's superoperator is built once at import; an evolution
-    # builds one only per distinct rotation, and never writes the table
+    # a fixed gate's PTM is built once at import, and an evolution neither
+    # builds a superoperator nor writes the table
     table = channels._FIXED_STEPS
     assert set(table) == set(GATE_ARITY) - ANGLE_GATES
     before = {}
-    for name, sup in table.items():
-        assert not sup.flags.writeable, name
-        want = superoperator([gate_matrix(name)])
-        assert sup.dtype == want.dtype and np.array_equal(sup, want), name
-        before[name] = sup.copy()
+    for name, ptm in table.items():
+        assert not ptm.flags.writeable, name
+        want = _pauli_transfer(superoperator([gate_matrix(name)]))
+        assert ptm.dtype == np.float64 and np.max(np.abs(ptm - want)) <= 1e-15, name
+        before[name] = ptm.copy()
 
     built = []
 
     def counting(ops):
-        built.append(np.asarray(ops).tobytes())
+        built.append(ops)
         return superoperator(ops)
 
     monkeypatch.setattr(channels, "superoperator", counting)
     mixed = _FUSION_CIRCUITS[0]
-    fixed = GateCircuit(3, tuple(g for g in mixed.gates if g.angle is None))
-    distinct = {(g.name, g.angle) for g in mixed.gates if g.angle is not None}
-    # RZ(0.9) four times, RX and RY once each
-    assert len(distinct) == 3 and len(fixed.gates) == 7
+    assert {g.name for g in mixed.gates} >= {"RX", "RY", "RZ", "CNOT", "H"}
     for kind in NOISE_KINDS:
         noise = NoiseModel(kind, 0.05)
         for evolve in (prepare_noisy_state, dual_state):
-            built.clear()
-            evolve(fixed, noise)
-            assert built == [], (kind, evolve.__name__)
             evolve(mixed, noise)
-            assert len(built) == len(distinct), (kind, evolve.__name__)
-            assert len(set(built)) == len(distinct), (kind, evolve.__name__)
-    for name, sup in table.items():
-        assert np.array_equal(sup, before[name]), name
+            assert built == [], (kind, evolve.__name__)
+    for name, ptm in table.items():
+        assert np.array_equal(ptm, before[name]), name
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_GATES))
+def test_rotation_steps_equal_the_basis_change(name):
+    # the closed-form plane rotation, sign convention included
+    for theta in (0.0, 0.3, -1.1, np.pi / 2, 2.5, -np.pi):
+        got = channels._rotation_ptm(name, theta)
+        want = _pauli_transfer(superoperator([gate_matrix(name, theta)]))
+        assert np.max(np.abs(got - want)) <= 1e-14, theta
 
 
 def test_contract_needs_no_argsort(monkeypatch):
@@ -626,10 +641,12 @@ def test_fused_register_steps_match_gate_then_noise(kind, adjoint):
 
 @pytest.mark.parametrize("evolve", [prepare_noisy_state, dual_state], ids=lambda f: f.__name__)
 def test_register_evolution_peaks_under_three_and_a_half_registers(evolve):
-    # each gate reads the register's transposed view into one row-major copy
-    # and writes one product, which stays a view, and the Hermiticity check
-    # holds two more temporaries: the peak stays under 3.5 register matrices
-    # at n = 8, where copying every product back would reach 4
+    # each step reads the Pauli tensor's transposed view (half a register
+    # matrix) into one row-major copy and writes one product, which stays a
+    # view; the peak is the first conversion to matrix entries, where the
+    # tensor and its copy sit beside that copy cast to complex and the
+    # complex product: 3 register matrices at n = 8, where copying every
+    # product back would reach 4
     register = 16 * 4**8
     circ = random_circuit(np.random.default_rng(0), 8, 12)
     tracemalloc.start()
@@ -653,6 +670,10 @@ def test_noise_superoperator_matches_the_kraus_sum(kind, adjoint):
             got = noise_superoperator(noise, k, adjoint)
             want = superoperator(channel.ops)
             assert np.max(np.abs(got - want)) <= 1e-14, (k, p)
+            # the closed-form PTM an evolution folds in: the adjoint is its
+            # transpose, which amplitude damping alone tells apart
+            got = channels._noise_ptm(noise, k, adjoint)
+            assert np.max(np.abs(got - _pauli_transfer(want))) <= 1e-14, (k, p)
 
 
 @pytest.mark.parametrize("evolve", [prepare_noisy_state, dual_state], ids=lambda f: f.__name__)
