@@ -237,15 +237,18 @@ def _check_hermitian(mat: np.ndarray) -> None:
 
     Read one block of columns at a time against the matching rows, in a
     buffer of about ``_HERMITIAN_BLOCK`` entries, so no register-size
-    difference is formed and each block stays in cache.
+    difference is formed and each block stays in cache. An infinite
+    entry fails too: off the diagonal its difference is infinite, and on
+    it inf - inf is NaN, taken without numpy's invalid-value warning.
     """
     step = max(1, _HERMITIAN_BLOCK // mat.shape[0])
-    for i in range(0, mat.shape[0], step):
-        block = mat[:, i : i + step].conj()
-        np.subtract(block, mat[i : i + step].T, out=block)
-        dev = float(np.max(np.abs(block)))
-        if not dev <= HERMITICITY_ATOL:  # NaN fails too
-            raise ValueError(f"matrix not Hermitian: max |a - a^dag| = {dev:.3e}")
+    with np.errstate(invalid="ignore"):
+        for i in range(0, mat.shape[0], step):
+            block = mat[:, i : i + step].conj()
+            np.subtract(block, mat[i : i + step].T, out=block)
+            dev = float(np.max(np.abs(block)))
+            if not dev <= HERMITICITY_ATOL:  # NaN fails too
+                raise ValueError(f"matrix not Hermitian: max |a - a^dag| = {dev:.3e}")
 
 
 def _check_unitary(u: np.ndarray) -> None:

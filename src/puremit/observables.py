@@ -8,23 +8,21 @@ string means coefficient 1. All strings in a sum must share a width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .circuits import I2, PAULI_X, PAULI_Y, PAULI_Z
-from .linalg import check_dimension, kron_all
+from .linalg import MAX_QUBITS, check_dimension, kron_all
 
 _PAULI = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-# the phase a Pauli letter puts on |b>: Y|b> = i (-1)^b |1-b>, Z|b> = (-1)^b |b>
-_PAULI_PHASES = {
-    "I": np.ones(2),
-    "X": np.ones(2),
-    "Y": np.array([1j, -1j]),
-    "Z": np.array([1.0, -1.0]),
-}
-# the empty product, complex so that a string without Y has a complex phase too
-_ONE = np.ones((), dtype=complex)
+# (-1)^parity(j) for every j under the dense cap, 8 KB, built once here
+# by doubling: the upper half of each step is the lower half negated
+_PARITY_SIGN = np.ones(1, dtype=np.int8)
+for _ in range(MAX_QUBITS):
+    _PARITY_SIGN = np.concatenate([_PARITY_SIGN, -_PARITY_SIGN])
+_PARITY_SIGN.setflags(write=False)
+# i^k for the number k of Y letters, mod 4
+_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 class ObservableFormatError(ValueError):
@@ -115,16 +113,21 @@ def pauli_permutation(string: str):
     phase) with P|j> = phase[j] |perm[j]>; perm flips the X and Y qubits,
     so it is its own inverse. Applying P this way costs O(2^n) per
     vector instead of a dense 2^n x 2^n product.
+
+    Y|b> = i (-1)^b |1-b> and Z|b> = (-1)^b |b>, so one pass over the
+    letters gives the flip mask (X, Y), the sign mask (Y, Z) and the Y
+    count, and phase[j] = i^#Y (-1)^parity(j & signs), the parity read
+    from a constant table. Every phase is 1, -1, i or -i, so it is exact.
     """
-    string = string.upper()
-    flips = 0
-    for letter in string:
+    flips = signs = n_y = 0
+    for letter in string.upper():
         flips = flips << 1 | (letter in "XY")
-    # the phase of |j> is the product of each letter's phase on its bit of
-    # j, qubit 0 the slowest axis; every factor is 1, -1, i or -i, so the
-    # products are exact
-    phase = reduce(np.multiply.outer, [_PAULI_PHASES[letter] for letter in string], _ONE)
-    return np.arange(2 ** len(string)) ^ flips, phase.reshape(-1)
+        signs = signs << 1 | (letter in "YZ")
+        n_y += letter == "Y"
+    index = np.arange(2 ** len(string))
+    # complex128 named, since numpy 1.x would type int8 times a complex scalar complex64
+    phase = np.multiply(_PARITY_SIGN[index & signs], _I_POWERS[n_y % 4], dtype=complex)
+    return index ^ flips, phase
 
 
 def pauli_traces(perms, a, b=None) -> np.ndarray:

@@ -9,11 +9,14 @@ The estimators all measure a ratio. At operator level:
 * combined: Tr(O (rho rho_bar)^M) / Tr((rho rho_bar)^M), degree 2M from
   M registers.
 
-Each is a register chain rho^(M-k) (rho rho_bar)^k (``_chain``), read as
-Tr(P rho tail) so its last product is never formed: every Pauli string
-of O, and the all-I string of the denominator, is read against the
-chain by ``observables.pauli_traces``. The three estimators share one
-register check (``_registers``) and one chain report (``_chain_report``).
+Each is a register chain rho^(M-k) (rho rho_bar)^k (``_chain``), formed
+as two halves a and b and read as Tr(P a b), so the product a b is never
+formed: for k = 0 or k = M the chain is a power of X = rho or
+rho rho_bar, and a and b are its two half powers, which share the
+lower one. Every Pauli string of O, and the all-I string of the
+denominator, is read against the halves by ``observables.pauli_traces``.
+The three estimators share one register check (``_registers``) and one
+chain report (``_chain_report``).
 Every exact ratio, theirs, a pipeline's operator ratio and exact readout,
 and ``measurement.symmetrized_verified_estimate``, divides through one
 guard, ``checked_ratio``: a denominator under ``DENOMINATOR_FLOOR``, or a
@@ -63,7 +66,14 @@ from .channels import (
     prepare_noisy_state,
 )
 from .circuits import GateCircuit, circuit_state, gate_matrix
-from .linalg import _add_embedded, as_matrix, check_dimension, partial_trace, zero_projector
+from .linalg import (
+    DensityOperator,
+    _add_embedded,
+    as_matrix,
+    check_dimension,
+    partial_trace,
+    zero_projector,
+)
 from .observables import PauliObservable, pauli_sandwiches, pauli_traces
 from .reports import EstimateReport
 from .resources import ResourceProfile, check_scheme_kind, resource_profile
@@ -96,8 +106,11 @@ def _denominator_name(kind: str, m: int) -> str:
 
 def _registers(state, dual, observable: PauliObservable, kind: str, m: int):
     """(rho, rbar, n): the state and, unless None, the dual as matrices,
-    checked before any product to be finite 2^n x 2^n registers of the
-    observable's width; a non-finite entry fails the ``kind`` ratio's guard."""
+    checked before any product to be 2^n x 2^n registers of the
+    observable's width. A raw array is scanned for a non-finite entry,
+    which fails the ``kind`` ratio's guard; a ``DensityOperator`` is not,
+    since both its constructors run the Hermiticity check, which NaN and
+    infinities fail."""
     rho = as_matrix(state)
     rbar = None if dual is None else as_matrix(dual)
     dim = rho.shape[0]
@@ -111,7 +124,8 @@ def _registers(state, dual, observable: PauliObservable, kind: str, m: int):
             f"dimension mismatch: state {rho.shape}, observable "
             f"{(observable.dim, observable.dim)}"
         )
-    if not all(np.isfinite(x).all() for x in (rho, rbar) if x is not None):
+    raw = [x for x, given in ((rho, state), (rbar, dual)) if not isinstance(given, DensityOperator)]
+    if not all(np.isfinite(x).all() for x in raw if x is not None):
         checked_ratio(math.nan, math.nan, _denominator_name(kind, m))
     return rho, rbar, n
 
@@ -123,20 +137,32 @@ def _term_sum(observable: PauliObservable, traces: np.ndarray):
 
 
 def _chain(rho: np.ndarray, rbar, m: int, k: int):
-    """The chain rho^(m-k) (rho rbar)^k, 0 <= k <= m, as its tail: the
-    product after the first rho, or None when rho is the whole chain.
-    ``pauli_traces(perms, rho, tail)`` reads Tr(P chain) = Tr(P rho tail)
-    at O(d^2) per string. ``rbar`` is read only when k >= 1."""
-    factors = ([rho] * (m - k) + [rho, rbar] * k)[1:]
-    return reduce(np.matmul, factors) if factors else None
+    """The chain rho^(m-k) (rho rbar)^k, 0 <= k <= m, as two halves (a, b)
+    with a b the chain, b None when a is the whole chain;
+    ``pauli_traces(perms, a, b)`` reads Tr(P chain) = Tr(P a b) at O(d^2)
+    per string. For k = 0 or k = m the chain is X^m, X = rho or rho rbar:
+    a = X^ceil(m/2) and b = X^floor(m/2), the same array when m is even,
+    and verification (k = m = 1) is (rho, rbar) with no product. The
+    mixed family 0 < k < m is (rho, tail), the tail the product after
+    the first rho. ``rbar`` is read only when k >= 1."""
+    if k == m == 1:
+        return rho, rbar
+    if 0 < k < m:
+        return rho, reduce(np.matmul, ([rho] * (m - k) + [rho, rbar] * k)[1:])
+    x = rho if k == 0 else rho @ rbar
+    if m == 1:
+        return x, None
+    low = np.linalg.matrix_power(x, m // 2)
+    return (low @ x if m % 2 else low), low
 
 
 def _chain_report(
     kind: str, observable: PauliObservable, rho, rbar, m: int, k: int, resources, **extra
 ) -> EstimateReport:
     """The estimate Re Tr(O X) / Re Tr X for the chain X = rho^(m-k)
-    (rho rbar)^k, every string of O and the all-I string read once."""
-    traces = pauli_traces(observable.permutations(), rho, _chain(rho, rbar, m, k))
+    (rho rbar)^k, every string of O and the all-I string read once
+    against the chain's halves (``_chain``)."""
+    traces = pauli_traces(observable.permutations(), *_chain(rho, rbar, m, k))
     num, den = _term_sum(observable, traces)
     ratio = checked_ratio(num.real, den.real, _denominator_name(kind, m))
     return EstimateReport(
@@ -156,8 +182,8 @@ def multicopy_estimate(
 ) -> EstimateReport:
     """Purified expectation from M copies: Tr(O rho^M) / Tr(rho^M).
 
-    Read as Tr(O rho rho^(M-1)), so rho^M is never formed; this equals the
-    cyclic permutation contraction on the M-copy composite
+    Read as Tr(O rho^ceil(M/2) rho^floor(M/2)), so rho^M is never formed;
+    this equals the cyclic permutation contraction on the M-copy composite
     (``reference.permutation_contraction``). ``kind`` may be
     "multi-copy-recycled" to account two registers with serialized swaps
     instead of M registers in depth 1.
@@ -443,7 +469,8 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
     of M = ``m`` registers, reduced against rho on registers 2..M by one
     backward sweep over register pairs, the ancilla's scalar on V_01
     aside. V_01 is None when N, the per-qubit adjoint machinery noise, is
-    the identity or M = 1, since it is then the chain's tail; the even
+    the identity or M = 1, since it is then the chain after its first
+    rho, rbar (rho rbar)^(M-1) or rho^(M-1); the even
     pair is [rbar, rbar] unless ``verify`` and M > 1, and then one
     (2, d, d) array.
 
@@ -526,8 +553,8 @@ def build_pipeline(
     excepted. A term's controlled Pauli string P touches register 1 only,
     so each block W_ba reduces to the d x d block
     V_ba = Tr_{2..M}[W_ba (I (x) rho^(x)(M-1))]. With no per-qubit noise,
-    O = R C_M reduces to the operator chain's tail (``_chain``),
-    rbar (rho rbar)^(M-1) or rho^(M-1), and without machinery noise
+    O = R C_M reduces to the operator chain (``_chain``) after its first
+    rho, rbar (rho rbar)^(M-1) or rho^(M-1), and without machinery noise
     W_00 = W_11 = R reduce to
     Tr(rbar rho)^(M-1) rbar. A unit X is scored at O(d^2) per term as
 
@@ -548,9 +575,9 @@ def build_pipeline(
     ``ideal_value`` is Tr(O |psi><psi|) for the circuit's output state
     vector psi (``circuits.circuit_state``), read against psi as a column
     and a row; ``raw_value`` is Tr(O rho). ``operator_ratio`` is the
-    operator-level estimate: the ratio of the chain traces Tr(P rho tail)
-    the estimators read, which with no per-qubit noise are also the odd
-    traces Tr(V_01 P rho).
+    operator-level estimate: the ratio of the chain traces Tr(P a b)
+    over the chain's halves, as the estimators read them, which with no
+    per-qubit noise are also the odd traces Tr(V_01 P rho).
 
     ``noise`` afflicts the state-preparation circuits (and, unless
     ``dual_noise`` overrides it, the inverse circuits of the verification
@@ -605,9 +632,9 @@ def build_pipeline(
             dual_state(circuit, noise, dual_noise).matrix if verify
             else np.eye(2**n, dtype=complex)
         )
-        # the operator chain Tr(P rho tail): rho^M, or (rho rbar)^M when verifying
-        tail = _chain(rho_mat, rbar, copies, copies if verify else 0)
-        chain = pauli_traces(perms, rho_mat, tail)
+        # the operator chain Tr(P a b) over its halves: rho^M, or (rho rbar)^M
+        # when verifying
+        chain = pauli_traces(perms, *_chain(rho_mat, rbar, copies, copies if verify else 0))
         num, den = _term_sum(observable, chain)
         operator_ratio = checked_ratio(num.real, den.real, _denominator_name(kind, copies))
         # the adjoint of the inverse circuits maps Pi to R = rbar^(x)M
@@ -633,7 +660,8 @@ def build_pipeline(
         # entry under it
         odd_factor = sup_adj[1, 1].real
         v_01, (v_00, v_11) = _sweep(local_noise, rho_mat, rbar, copies, verify)
-        # Tr(V_01 P rho) per string; with N the identity V_01 is the chain's tail
+        # Tr(V_01 P rho) per string; with N the identity V_01 is the chain
+        # after its first rho, so these are the chain traces
         forward = chain if v_01 is None else pauli_traces(perms, rho_mat, v_01)
         # Tr(V_10 rho P) = conj Tr(V_01 P rho), since P and rho are Hermitian
         odd = ancilla[1, 0] * forward + ancilla[0, 1] * forward.conj()

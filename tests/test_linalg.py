@@ -177,6 +177,21 @@ def test_validity_checks_reject_a_nan_matrix():
         hermitian_eig(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 2), (2, 2)], ids=["off-diagonal", "diagonal"])
+def test_density_operators_hold_no_non_finite_entry(bad, entry):
+    # both constructors run the Hermiticity check, which one NaN or
+    # infinite entry fails, so the estimators need not scan a
+    # DensityOperator for one
+    mat = random_density(np.random.default_rng(5), 4).matrix.copy()
+    mat[entry] = bad
+    for normalized in (True, False):
+        with pytest.raises(ValueError):
+            DensityOperator(mat, normalized=normalized)
+        with pytest.raises(ValueError):
+            DensityOperator._trusted(mat.copy(), normalized=normalized)
+
+
 def test_density_operator_is_read_only():
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -155,3 +156,31 @@ def test_pauli_permutation_phases_are_exact(n):
         assert phase.dtype == complex and phase.shape == (dim,), string
         assert np.array_equal(pauli_string_matrix(string)[perm, np.arange(dim)], phase), string
         assert np.array_equal(np.sort(perm), np.arange(dim)), string
+
+
+# the phase a Pauli letter puts on |b>: Y|b> = i (-1)^b |1-b>, Z|b> = (-1)^b |b>
+_LETTER_PHASES = {
+    "I": np.ones(2), "X": np.ones(2), "Y": np.array([1j, -1j]), "Z": np.array([1.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("n", [6, 9, 13])
+def test_pauli_permutation_closed_form_matches_the_letters_to_the_cap(n):
+    # the flip mask, the parity table and i^#Y against the string built
+    # letter by letter: perm flips each X and Y bit, and phase is one outer
+    # product of the letters' phases, qubit 0 the slowest axis
+    rng = np.random.default_rng([17, n])
+    strings = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)]
+    for string in strings + ["Y" * n, "Z" * n, "I" * n]:
+        perm, phase = pauli_permutation(string)
+        # bit i of j, qubit i, sits at place n - 1 - i
+        places = np.arange(n - 1, -1, -1)
+        bits = (np.arange(2**n)[:, None] >> places) & 1
+        flips = np.array([letter in "XY" for letter in string], dtype=int)
+        want_perm = ((bits ^ flips) << places).sum(axis=1)
+        want_phase = reduce(
+            np.multiply.outer, [_LETTER_PHASES[letter] for letter in string], np.ones((), complex)
+        ).reshape(-1)
+        assert np.issubdtype(perm.dtype, np.integer) and phase.dtype == complex, string
+        assert np.array_equal(perm, want_perm), string
+        assert np.array_equal(phase, want_phase), string

@@ -271,6 +271,43 @@ def test_estimators_raise_on_a_non_finite_chain(kind, operand, bad):
             _ESTIMATORS[kind](rho, rbar, PauliObservable(((0.5, "XZ"), (0.5, "ZZ"))))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_chain_halves_multiply_to_the_chain(m):
+    # a b (or a alone when b is None) is rho^(m-k) (rho rbar)^k for every k
+    rng = np.random.default_rng([31, m])
+    rho, rbar = (random_density(rng, 8).matrix for _ in range(2))
+    for k in range(m + 1):
+        a, b = schemes._chain(rho, rbar, m, k)
+        want = reduce(np.matmul, [rho] * (m - k) + [rho, rbar] * k)
+        got = a if b is None else a @ b
+        assert np.max(np.abs(got - want)) <= 1e-13, k
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("verified", [False, True], ids=["k=0", "k=m"])
+def test_even_chain_halves_are_one_array(m, verified):
+    # X^m for even m, X = rho or rho rbar, is X^(m/2) twice, formed once
+    rng = np.random.default_rng([32, m])
+    rho, rbar = (random_density(rng, 8).matrix for _ in range(2))
+    a, b = schemes._chain(rho, rbar, m, m if verified else 0)
+    assert a is b
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["state-verification", "combined"])
+def test_a_raw_dual_beside_a_density_operator_is_scanned(kind, bad):
+    # only a DensityOperator skips the scan for non-finite entries, so a
+    # raw dual with one bad entry still fails the guard, before any
+    # product, next to a checked state
+    rng = np.random.default_rng(4)
+    rho, rbar = random_density(rng, 4), random_density(rng, 4).matrix.copy()
+    rbar[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VanishingDenominatorError, match="numerator .* is not finite"):
+            _ESTIMATORS[kind](rho, rbar, PauliObservable(((0.5, "XZ"), (0.5, "ZZ"))))
+
+
 def test_checked_ratio_is_the_one_denominator_guard():
     assert schemes.checked_ratio(0.25, 0.5, "x") == 0.5
     assert schemes.checked_ratio(-1e-3, -2e-12, "x") == -1e-3 / -2e-12
@@ -977,7 +1014,8 @@ def _noisy(noise, n):
 def test_register_reductions_match_the_composite(machinery, n, copies):
     # the sweep's V_01, V_00 and V_11 against the reduction of the
     # composite effect after the whole backward Fredkin list, on random
-    # full-rank states. V_01 is the chain's tail unless N writes it, and
+    # full-rank states. V_01 is the chain after its first rho, the tail,
+    # unless N writes it, and
     # every written kind moves the even pair off rbar Tr(rbar rho)^(M-1)
     rng = np.random.default_rng([24, n, copies])
     noise = NoiseModel(machinery, 0.07)
@@ -992,7 +1030,7 @@ def test_register_reductions_match_the_composite(machinery, n, copies):
     odd = np.block([[zero, registers], [registers, zero]])
     want = _composite_steps(odd, noise, fredkins, nq).reshape(2, half, 2, half)
     want = _composite_reduction(want[0, :, 1], rho, n, copies)
-    tail = schemes._chain(rho, rbar, copies, copies)
+    tail = reduce(np.matmul, ([rho, rbar] * copies)[1:])
     assert (v_01 is None) == (_noisy(noise, n)(rbar) is rbar)
     got = tail if v_01 is None else v_01
     assert np.max(np.abs(want - odd_factor ** len(fredkins) * got)) <= 1e-13
