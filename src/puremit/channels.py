@@ -65,7 +65,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuits import ANGLE_GATES, GATE_ARITY, GateCircuit, gate_matrix
+from .circuits import ANGLE_GATES, GATE_ARITY, I2, PAULI_X, PAULI_Y, PAULI_Z, GateCircuit, gate_matrix
 from .linalg import DensityOperator, _add_embedded, contract, partial_trace
 
 # the kinds that act independently on each target qubit
@@ -112,7 +112,7 @@ def superoperator(ops) -> np.ndarray:
 
 # a qubit's Pauli coefficients (I, X, Y, Z) to its 2 x 2 entries 00, 01, 10
 # and 11 (row bit, column bit): column P is P flattened row-major
-_PAULI_ENTRIES = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+_PAULI_ENTRIES = np.ascontiguousarray(np.array([I2, PAULI_X, PAULI_Y, PAULI_Z]).reshape(4, 4).T)
 # the same for two qubits, C (x) C, one contraction per pair of axes
 _PAIR_ENTRIES = np.kron(_PAULI_ENTRIES, _PAULI_ENTRIES)
 _PAULI_ENTRIES.setflags(write=False)

@@ -8,8 +8,8 @@ Subcommands:
   otherwise.
 * ``run``: execute one configured experiment, exact or sampled, and emit
   a JSON report.
-* ``sweep``: repeat a run while varying the copy count or the noise
-  strength; emits RFC 4180 CSV.
+* ``sweep``: repeat a run over the values of one config key, any key
+  ``run`` reads from a config file; emits RFC 4180 CSV.
 * ``resources``: print the resource accounting table for the schemes.
 
 Exit codes: 0 success, 1 failed checks or unstable estimates, 2 usage,
@@ -32,7 +32,14 @@ import numpy as np
 
 from .channels import NOISE_KINDS, NoiseModel, dual_state, prepare_noisy_state
 from .circuits import inverse_circuit, load_circuit, random_circuit
-from .config import ConfigError, ExperimentConfig, load_config, set_fields
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    format_config,
+    load_config,
+    parse_config,
+    set_fields,
+)
 from .linalg import (
     DensityOperator,
     kron_power,
@@ -303,35 +310,26 @@ def cmd_sweep(args) -> int:
     values_text = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values_text:
         raise ConfigError("sweep needs at least one value")
-    if args.parameter == "noise.strength" and config.noise.kind == "none":
-        raise ConfigError(
-            "cannot sweep noise.strength with noise.kind = none: "
-            "every strength would give the noiseless result"
-        )
+    # a point is the config with the swept key's line replaced, parsed again:
+    # any key sweeps, and a bad key or value gets the parser's own message
+    key = args.parameter.strip().lower()
+    kept = [line for line in format_config(config).splitlines() if not line.startswith(f"{key} = ")]
+    points = []
+    for text in values_text:
+        line = f"{args.parameter} = {text}"
+        points.append(parse_config("\n".join([line, *kept]), source=f"{args.config} with {line}"))
     config_dir = Path(args.config).parent
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_SWEEP_COLUMNS)
-    for text in values_text:
-        if args.parameter == "M":
-            try:
-                value = int(text)
-            except ValueError:
-                raise ConfigError(f"sweep value {text!r} is not an integer") from None
-            point = replace(config, m=value)
-        else:
-            try:
-                value = float(text)
-            except ValueError:
-                raise ConfigError(f"sweep value {text!r} is not a number") from None
-            point = replace(config, noise=NoiseModel(config.noise.kind, value))
+    for text, point in zip(values_text, points):
         pipeline, report = _run_config(point, config_dir, args.exact)
         # an exact report draws no shots; a sampled point reads the exact one too
         exact = report if report.shots_used == 0 else pipeline.exact_report()
         writer.writerow(
             [
                 args.parameter,
-                value,
+                text,
                 # the profile's fields in field order, its kind the report's
                 *report.resources.as_dict().values(),
                 repr(report.ratio),
@@ -391,13 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="sweep the copy count or the noise strength")
+    p = sub.add_parser("sweep", help="repeat a run over the values of one config key")
     p.add_argument("--config", required=True)
-    p.add_argument(
-        "--parameter",
-        choices=("M", "noise.strength"),
-        default="M",
-    )
+    p.add_argument("--parameter", default="M", help="the config key to sweep (default M)")
     p.add_argument("--values", required=True, help="comma-separated sweep values")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--shots", type=int, default=None, help="override the shot budget")

@@ -3,9 +3,10 @@
 Plain ``key = value`` lines with ``#`` comments. The keys are the fields
 of ``ExperimentConfig``, and a key a file leaves out takes the field's
 default. A noise model is two dotted keys, its ``kind`` and its
-``strength`` (``noise.kind``, ``machinery_noise.strength``). ``shots`` is
-a positive integer or the word ``exact``. Parsing and serialization
-round-trip exactly.
+``strength`` (``noise.kind``, ``machinery_noise.strength``). Kind
+``none`` takes strength 0 only, since no other strength would be applied.
+``shots`` is a positive integer or the word ``exact``. Parsing and
+serialization round-trip exactly.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def _noise_from(values: dict, prefix: str) -> NoiseModel | None:
             f"field {prefix}.kind: unknown noise kind {kind!r}; choose from {NOISE_KINDS}"
         )
     s = _to_float(f"{prefix}.strength", strength) if strength is not None else 0.0
+    if kind == "none" and s != 0.0:
+        raise ConfigError(f"field {prefix}.strength: {prefix}.kind = none takes 0, got {s!r}")
     try:
         return NoiseModel(kind, s)
     except ValueError as exc:

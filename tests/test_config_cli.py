@@ -178,6 +178,20 @@ def test_parse_config_field_errors_name_the_source(line):
     assert str(err.value).startswith("exp.cfg: field ")
 
 
+@pytest.mark.parametrize("field", ["noise", "machinery_noise", "dual_noise"])
+def test_parse_config_kind_none_takes_strength_zero_only(field):
+    # kind none applies no strength, so a config naming one would echo a
+    # strength its run never applies
+    base = f"scheme = raw\ncircuit = a\nobservable = Z\n{field}.kind = none\n"
+    for text in (base, f"{base}{field}.strength = 0\n", f"{base}{field}.strength = 0.0\n"):
+        cfg = parse_config(text)
+        assert getattr(cfg, field) == NO_NOISE
+        assert parse_config(format_config(cfg)) == cfg
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"{base}{field}.strength = 0.3\n", source="exp.cfg")
+    assert str(err.value).startswith(f"exp.cfg: field {field}.strength: {field}.kind = none")
+
+
 def test_parse_config_reports_line_numbers():
     with pytest.raises(ConfigError) as err:
         parse_config("scheme = raw\nbogus line\n", source="exp.cfg")
@@ -396,6 +410,15 @@ def test_cmd_run_m1_multicopy_degrades_to_raw(tmp_path, capsys):
     assert report["ratio"] == pytest.approx(0.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("field", ["noise", "machinery_noise", "dual_noise"])
+def test_cmd_run_refuses_a_strength_on_kind_none(tmp_path, capsys, field):
+    cfg = _base_config(tmp_path, **{f"{field}.kind": "none", f"{field}.strength": "0.3"})
+    assert main(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field}.kind = none" in captured.err
+
+
 # --- sweep ------------------------------------------------------------------
 
 
@@ -519,6 +542,68 @@ def test_cmd_sweep_rejects_bad_values(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--values", "x"]) == 2
     assert main(["sweep", "--config", str(cfg), "--values", " , "]) == 2
     capsys.readouterr()
+
+
+def _run_report(tmp_path, capsys, *extra, **lines):
+    """The report of ``run`` on the base config with these lines set."""
+    cfg = _base_config(tmp_path, **lines)
+    assert main(["run", "--config", str(cfg), *extra]) == 0
+    return json.loads(capsys.readouterr().out)["report"]
+
+
+@pytest.mark.parametrize("shots", ["exact", "2000"])
+@pytest.mark.parametrize(
+    "parameter, values, lines",
+    [
+        ("machinery_noise.strength", "0,0.05", {"machinery_noise.kind": "amplitude-damping"}),
+        ("dual_noise.strength", "0.02,0.1", {"dual_noise.kind": "amplitude-damping"}),
+        ("noise.kind", "dephasing,amplitude-damping", {}),
+        ("seed", "1,2", {}),
+    ],
+)
+def test_cmd_sweep_rows_match_run_on_the_config_with_that_line(
+    tmp_path, capsys, parameter, values, lines, shots
+):
+    # a sweep point is the config with the swept key's line replaced; its
+    # exact_ratio column is the exact run's ratio, which machinery noise moves
+    lines = {"scheme": "combined", "shots": shots, **lines}
+    cfg = _base_config(tmp_path, **lines)
+    argv = ["sweep", "--config", str(cfg), "--parameter", parameter, "--values", values]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["parameter"], r["value"]) for r in rows] == [
+        (parameter, value) for value in values.split(",")
+    ]
+    for row in rows:
+        run = _run_report(tmp_path, capsys, **lines, **{parameter: row["value"]})
+        exact = _run_report(tmp_path, capsys, "--exact", **lines, **{parameter: row["value"]})
+        assert float(row["ratio"]) == run["ratio"]
+        assert float(row["exact_ratio"]) == exact["ratio"]
+        assert int(row["shots_used"]) == run["shots_used"]
+    # each key takes effect; an exact run reads no seed
+    distinct = 1 if (parameter, shots) == ("seed", "exact") else 2
+    assert len({r["ratio"] for r in rows}) == distinct
+
+
+@pytest.mark.parametrize("key", ["noise.flavor", "dual_noise.strength"])
+def test_cmd_sweep_refuses_what_the_config_parser_refuses(tmp_path, capsys, key):
+    # an unknown key, and a strength whose model has no kind (the base
+    # config sets no dual_noise.kind)
+    cfg = _base_config(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--parameter", key, "--values", "0.1,0.2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+
+
+def test_cmd_sweep_value_column_holds_the_value_as_given(tmp_path, capsys):
+    cfg = _base_config(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--parameter", "noise.strength"]
+    assert main(argv + ["--values", "0.10, 1e-1"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["value"] for r in rows] == ["0.10", "1e-1"]
+    assert rows[0]["ratio"] == rows[1]["ratio"]
 
 
 # --- resources --------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Checks on the test suite itself."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
+from puremit.cli import build_parser
+from puremit.config import _KNOWN
+
 TEST_MODULES = sorted(Path(__file__).parent.glob("test_*.py"))
-SOURCE_MODULES = sorted(
-    path
-    for path in (Path(__file__).parent.parent / "src" / "puremit").glob("*.py")
-    if path.name != "__init__.py"
-)
+SOURCE_ROOT = Path(__file__).parent.parent / "src" / "puremit"
+SOURCE_MODULES = sorted(path for path in SOURCE_ROOT.glob("*.py") if path.name != "__init__.py")
 
 
 def _top_level_names(tree: ast.Module):
@@ -223,3 +224,40 @@ def test_the_einsum_guard_sees_a_sublist_call(tmp_path):
         encoding="utf-8",
     )
     assert sorted(_sublist_einsum_lines(src)) == [4, 5]
+
+
+def _config_keys_named(source: str, function: str) -> list:
+    """The string constants in ``function`` that are config keys, compared
+    case-insensitively, as the config parser reads keys (``M`` is ``m``)."""
+    tree = ast.parse(source)
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function)
+    return sorted(
+        node.value
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.lower() in _KNOWN
+    )
+
+
+def test_cmd_sweep_names_no_config_key():
+    # a sweep point is the config with the swept key's line replaced and
+    # parsed again, so any key sweeps and the sweep names none of its own
+    source = (SOURCE_ROOT / "cli.py").read_text(encoding="utf-8")
+    assert _config_keys_named(source, "cmd_sweep") == []
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    sweep = commands.choices["sweep"]
+    (parameter,) = [a for a in sweep._actions if "--parameter" in a.option_strings]
+    assert parameter.choices is None
+
+
+def test_the_sweep_key_guard_sees_a_key():
+    source = (
+        "def cmd_sweep(args):\n"
+        "    if args.parameter == 'M':\n"
+        "        return 'copies'\n"
+        "    if args.parameter == 'noise.strength':\n"
+        "        return f'{args.parameter} = strength'\n"
+    )
+    assert _config_keys_named(source, "cmd_sweep") == ["M", "noise.strength"]
