@@ -2,14 +2,16 @@
 
 Subcommands:
 
-* ``verify``: seeded self-checks of the core identities and of a
-  pipeline's outcome probabilities against a forward composite, one
-  PASS/FAIL line each. Exit 0 when every residual is below tolerance, 1
-  otherwise.
+* ``verify``: print the seeded self-checks of ``reference.self_checks``
+  (the core identities, and a pipeline's outcome probabilities against a
+  forward composite), one PASS/FAIL line each. Exit 0 when every residual
+  is below tolerance, 1 otherwise.
 * ``run``: execute one configured experiment, exact or sampled, and emit
   a JSON report.
 * ``sweep``: repeat a run over the values of one config key, any key
-  ``run`` reads from a config file; emits RFC 4180 CSV.
+  ``run`` reads from a config file; emits RFC 4180 CSV. A key no point
+  reads is refused before any point runs: ``output``, or one the scheme
+  never reads (``schemes.PIPELINE_READS``).
 * ``resources``: print the resource accounting table for the schemes.
 
 Exit codes: 0 success, 1 failed checks or unstable estimates, 2 usage,
@@ -28,10 +30,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .channels import NOISE_KINDS, NoiseModel, dual_state, prepare_noisy_state
-from .circuits import inverse_circuit, load_circuit, random_circuit
+from .channels import NoiseModel
+from .circuits import load_circuit
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -40,169 +40,23 @@ from .config import (
     parse_config,
     set_fields,
 )
-from .linalg import (
-    DensityOperator,
-    kron_power,
-    random_density,
-    random_hermitian,
-    random_unitary,
-)
-from .measurement import (
-    antisymmetric_product_measure,
-    hadamard_test,
-    product_expectation,
-    symmetric_product_measure,
-)
-from .observables import PauliObservable, parse_observable
+from .observables import parse_observable
 from .reports import EstimateReport
-from .reference import (
-    adjoint_channel,
-    apply_channel,
-    forward_outcomes,
-    kraus_sum,
-    noisy_circuit_channel,
-    permutation_contraction,
-    verified_composite_contraction,
-)
+from .reference import self_checks
 from .resources import resource_profile
 from .sampling import ShotConfig, UnstableDenominatorError, scheme_shot_experiment
-from .schemes import SchemePipeline, VanishingDenominatorError, build_pipeline
-
-
-def _verify_checks(seed: int):
-    """Yield (name, max_residual) for the identity self-checks."""
-    rng = np.random.default_rng(seed)
-
-    res = 0.0
-    for _ in range(25):
-        d = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 5))
-        if d**m > 256:
-            continue
-        rho = random_density(rng, d).matrix
-        obs = random_hermitian(rng, d)
-        got = permutation_contraction(obs, [rho] * m)
-        power = np.linalg.matrix_power(rho, m)
-        want = complex(np.trace(obs @ power))
-        res = max(res, abs(got - want))
-    yield "cyclic-contraction", res
-
-    res = 0.0
-    for _ in range(25):
-        d = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 4))
-        if d**m > 256:
-            continue
-        rho = random_density(rng, d).matrix
-        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rbar = z @ z.conj().T / d  # PSD, deliberately not normalized
-        obs = random_hermitian(rng, d)
-        chain = np.linalg.matrix_power(rho @ rbar, m)
-        want = complex(np.trace(obs @ chain))
-        got = verified_composite_contraction(kron_power(rbar, m), obs, rho, m)
-        res = max(res, abs(got - want))
-    yield "verified-contraction", res
-
-    res = 0.0
-    for _ in range(25):
-        n = int(rng.integers(1, 3))
-        circ = random_circuit(rng, n, 4)
-        d = circ.dim
-        noise = NoiseModel("depolarizing-local", 0.05)
-        ch = noisy_circuit_channel(circ, noise)
-        adj = adjoint_channel(ch)
-        a = random_hermitian(rng, d)
-        b = random_hermitian(rng, d)
-        lhs = np.trace(kraus_sum(adj, a) @ b)
-        rhs = np.trace(a @ kraus_sum(ch, b))
-        res = max(res, abs(complex(lhs - rhs)))
-    yield "adjoint-pairing", res
-
-    res_state = 0.0
-    res_dual = 0.0
-    for kind in NOISE_KINDS * 2:
-        # n = 3 and 8 gates reach a one-qubit step carried past a disjoint gate
-        n = int(rng.integers(1, 4))
-        circ = random_circuit(rng, n, 8)
-        noise = NoiseModel(kind, 0.1)
-        zero = DensityOperator.computational_zero(n).matrix
-        rho = prepare_noisy_state(circ, noise).matrix
-        want = apply_channel(noisy_circuit_channel(circ, noise), zero).matrix
-        res_state = max(res_state, float(np.max(np.abs(rho - want))))
-        rbar = dual_state(circ, noise).matrix
-        ch = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), noise))
-        want = kraus_sum(ch, zero)
-        res_dual = max(res_dual, float(np.max(np.abs(rbar - want))))
-    yield "noisy-state-reconstruction", res_state
-    yield "dual-state-reconstruction", res_dual
-
-    res_sym = 0.0
-    res_rot = 0.0
-    res_prod = 0.0
-    letters = "IXYZ"
-    for _ in range(25):
-        n = int(rng.integers(1, 3))
-        d = 2**n
-        string = "".join(letters[rng.integers(4)] for _ in range(n))
-        g = PauliObservable.single(string)
-        s = random_hermitian(rng, d)
-        rho = random_density(rng, d).matrix
-        gm = g.matrix()
-        sym = symmetric_product_measure(s, g, rho)
-        want_sym = complex(np.trace((s @ gm + gm @ s) / 2.0 @ rho))
-        res_sym = max(res_sym, abs(sym - want_sym))
-        anti = antisymmetric_product_measure(s, g, rho)
-        want_anti = 1j * complex(np.trace((s @ gm - gm @ s) / 2.0 @ rho))
-        res_rot = max(res_rot, abs(anti - want_anti))
-        prod = product_expectation(s, g, rho)
-        res_prod = max(res_prod, abs(prod - complex(np.trace(s @ gm @ rho))))
-    yield "projective-split", res_sym
-    yield "rotation-split", res_rot
-    yield "product-reconstruction", res_prod
-
-    res = 0.0
-    for _ in range(25):
-        d = int(2 ** rng.integers(1, 4))
-        u = random_unitary(rng, d)
-        s = random_hermitian(rng, d)
-        rho = random_density(rng, d).matrix
-        re = hadamard_test(u, s, rho, "real")
-        im = hadamard_test(u, s, rho, "imag")
-        res = max(res, abs(complex(re, im) - complex(np.trace(s @ u @ rho))))
-    yield "hadamard-test", res
-
-    # every unit's outcome probabilities against a forward evolution of
-    # the composite, nq = 7 at most, under every machinery kind, with the
-    # inverse circuits under the state's noise and under other noise
-    res = 0.0
-    circ = random_circuit(rng, 2, 6)
-    noise = NoiseModel("amplitude-damping", 0.1)
-    obs = parse_observable("0.6*ZY + 0.4*XI")
-    for kind, copies in (("multi-copy", 3), ("state-verification", 1), ("combined", 3)):
-        for machinery in (NoiseModel(k, 0.05) for k in NOISE_KINDS):
-            for dual in (None, NoiseModel("dephasing", 0.07)):
-                pipe = build_pipeline(kind, circ, noise, obs, copies, machinery, dual)
-                want = forward_outcomes(kind, circ, noise, obs, copies, machinery, dual)
-                for unit, probs in zip((*pipe.numerator_terms, pipe.denominator), want):
-                    res = max(res, float(np.max(np.abs(unit.state - probs))))
-    yield "pipeline-outcomes", res
+from .schemes import PIPELINE_READS, SchemePipeline, VanishingDenominatorError, build_pipeline
 
 
 def cmd_verify(args) -> int:
-    tol = args.tolerance
     failed = 0
-    for name, residual in _verify_checks(args.seed):
-        ok = residual <= tol
+    for name, residual in self_checks(args.seed):
+        ok = residual <= args.tolerance
         if not ok:
             failed += 1
         print(f"{name:<28} max residual {residual:.3e}  {'PASS' if ok else 'FAIL'}")
     print(f"{'all checks passed' if failed == 0 else f'{failed} check(s) failed'}")
     return 0 if failed == 0 else 1
-
-
-def _resolve_path(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base / p
 
 
 def _effective(scheme: str, copies: int):
@@ -212,26 +66,21 @@ def _effective(scheme: str, copies: int):
     return scheme, copies
 
 
-def _build_from_config(config: ExperimentConfig, config_dir: Path):
-    circuit = load_circuit(_resolve_path(config_dir, config.circuit))
-    observable = parse_observable(config.observable)
+def _run_config(
+    config: ExperimentConfig, config_dir: Path, exact: bool
+) -> tuple[SchemePipeline, EstimateReport]:
+    """The config's pipeline, built once, and its exact or sampled report.
+    A relative circuit path is read from the config's directory."""
     scheme, copies = _effective(config.scheme, config.m)
-    return build_pipeline(
+    pipeline = build_pipeline(
         scheme,
-        circuit,
+        load_circuit(config_dir / config.circuit),
         config.noise,
-        observable,
+        parse_observable(config.observable),
         n_copies=copies,
         machinery_noise=config.machinery_noise,
         dual_noise=config.dual_noise,
     )
-
-
-def _run_config(
-    config: ExperimentConfig, config_dir: Path, exact: bool
-) -> tuple[SchemePipeline, EstimateReport]:
-    """The config's pipeline, built once, and its exact or sampled report."""
-    pipeline = _build_from_config(config, config_dir)
     if exact or config.shots is None:
         return pipeline, pipeline.exact_report()
     shot_config = ShotConfig(shots=config.shots, trials=config.trials, seed=config.seed)
@@ -304,6 +153,22 @@ _SWEEP_COLUMNS = [
 ]
 
 
+def _check_read(config: ExperimentConfig, key: str, parameter: str):
+    """Refuse a sweep over ``key`` (``parameter`` lowered) when no point
+    reads it: the output path, or a key that sets a pipeline argument the
+    config's scheme never reads (``schemes.PIPELINE_READS``). M decides
+    whether a multi-copy run is raw (``_effective``), so its own sweep is
+    checked against the scheme as written."""
+    if key == "m":
+        scheme, argument = config.scheme, "n_copies"
+    else:
+        # a noise model's keys set the pipeline argument of its field's name
+        scheme, argument = _effective(config.scheme, config.m)[0], key.partition(".")[0]
+    readers = PIPELINE_READS.get(argument)
+    if key == "output" or readers is not None and scheme not in readers:
+        raise ConfigError(f"sweep over {parameter!r}: no {scheme} point reads it")
+
+
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     config = _apply_overrides(config, args)
@@ -318,6 +183,8 @@ def cmd_sweep(args) -> int:
     for text in values_text:
         line = f"{args.parameter} = {text}"
         points.append(parse_config("\n".join([line, *kept]), source=f"{args.config} with {line}"))
+    # every point parses before the refusal, so a bad key gets the parser's message
+    _check_read(config, key, args.parameter)
     config_dir = Path(args.config).parent
     buf = io.StringIO()
     writer = csv.writer(buf)

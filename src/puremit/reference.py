@@ -16,7 +16,12 @@ and the tests):
   contractions the estimators' reduced chains equal
   (``permutation_contraction``, ``verified_composite_contraction``);
 * ``forward_outcomes``, a pipeline's outcome probabilities from a forward
-  evolution of its whole composite circuit.
+  evolution of its whole composite circuit;
+* ``self_checks``, the seeded engine-against-oracle checks that
+  ``puremit verify`` prints: the two contractions, the adjoint pairing,
+  the noisy and dual states, the ``measurement`` protocols and every
+  unit of a pipeline against ``forward_outcomes``, each the largest
+  residual over its trials.
 
 ``channels``, ``schemes`` and ``sampling`` do not import this module.
 """
@@ -28,12 +33,22 @@ from itertools import product
 
 import numpy as np
 
-from .channels import NoiseModel, apply_noise, depolarize, prepare_noisy_state, superoperator
-from .circuits import I2, PAULI_Z, GateCircuit, embed_operator, gate_matrix, inverse_circuit
-from .linalg import (
-    DensityOperator, _check_unitary, check_dimension, contract, kron_all, kron_power, zero_projector,
+from .channels import (
+    NOISE_KINDS, NoiseModel, apply_noise, depolarize, dual_state, prepare_noisy_state,
+    superoperator,
 )
-from .observables import pauli_string_matrix
+from .circuits import (
+    I2, PAULI_Z, GateCircuit, embed_operator, gate_matrix, inverse_circuit, random_circuit,
+)
+from .linalg import (
+    DensityOperator, _check_unitary, check_dimension, contract, kron_all, kron_power,
+    random_density, random_hermitian, random_unitary, zero_projector,
+)
+from .measurement import (
+    antisymmetric_product_measure, hadamard_test, product_expectation, symmetric_product_measure,
+)
+from .observables import PauliObservable, parse_observable, pauli_string_matrix
+from .schemes import build_pipeline
 
 COMPLETENESS_ATOL = 1e-10
 _COMPRESS_TOL = 1e-12
@@ -398,3 +413,123 @@ def forward_outcomes(
         kept = pops[:, 0] if verify else pops.sum(axis=1)
         out.append([kept[0], kept[1]] + ([pops.sum() - kept.sum()] if verify else []))
     return out
+
+
+def _worst(trials) -> list:
+    """Each residual's largest value over the trials, 0.0 at least;
+    ``trials`` yields one tuple of residuals per trial."""
+    return [max(0.0, *column) for column in zip(*trials)]
+
+
+def _cyclic_trial(rng):
+    """Tr(C_M O_1 rho^(x)M) against Tr(O rho^M)."""
+    d = int(rng.integers(2, 5))
+    m = int(rng.integers(2, 5))
+    if d**m > 256:
+        return (0.0,)
+    rho = random_density(rng, d).matrix
+    obs = random_hermitian(rng, d)
+    got = permutation_contraction(obs, [rho] * m)
+    want = complex(np.trace(obs @ np.linalg.matrix_power(rho, m)))
+    return (abs(got - want),)
+
+
+def _verified_trial(rng):
+    """Tr(rbar^(x)M C_M O_1 rho^(x)M) against Tr(O (rho rbar)^M), rbar
+    positive but not normalized."""
+    d = int(rng.integers(2, 5))
+    m = int(rng.integers(1, 4))
+    if d**m > 256:
+        return (0.0,)
+    rho = random_density(rng, d).matrix
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rbar = z @ z.conj().T / d
+    obs = random_hermitian(rng, d)
+    want = complex(np.trace(obs @ np.linalg.matrix_power(rho @ rbar, m)))
+    got = verified_composite_contraction(kron_power(rbar, m), obs, rho, m)
+    return (abs(got - want),)
+
+
+def _adjoint_trial(rng):
+    """Tr(N^dag(a) b) against Tr(a N(b)) for a noisy circuit's channel N."""
+    circ = random_circuit(rng, int(rng.integers(1, 3)), 4)
+    ch = noisy_circuit_channel(circ, NoiseModel("depolarizing-local", 0.05))
+    a = random_hermitian(rng, circ.dim)
+    b = random_hermitian(rng, circ.dim)
+    lhs = np.trace(kraus_sum(adjoint_channel(ch), a) @ b)
+    return (abs(complex(lhs - np.trace(a @ kraus_sum(ch, b)))),)
+
+
+def _reconstruction_trial(rng, kind: str):
+    """The noisy and dual states against the whole-register channels."""
+    # n = 3 and 8 gates reach a one-qubit step carried past a disjoint gate
+    n = int(rng.integers(1, 4))
+    circ = random_circuit(rng, n, 8)
+    noise = NoiseModel(kind, 0.1)
+    zero = DensityOperator.computational_zero(n).matrix
+    rho = prepare_noisy_state(circ, noise).matrix
+    want = apply_channel(noisy_circuit_channel(circ, noise), zero).matrix
+    rbar = dual_state(circ, noise).matrix
+    ch = adjoint_channel(noisy_circuit_channel(inverse_circuit(circ), noise))
+    return float(np.max(np.abs(rho - want))), float(np.max(np.abs(rbar - kraus_sum(ch, zero))))
+
+
+def _split_trial(rng):
+    """The symmetric, antisymmetric and product measurements of S and a
+    Pauli string against their traces."""
+    n = int(rng.integers(1, 3))
+    g = PauliObservable.single("".join("IXYZ"[rng.integers(4)] for _ in range(n)))
+    s = random_hermitian(rng, 2**n)
+    rho = random_density(rng, 2**n).matrix
+    gm = g.matrix()
+    want_sym = complex(np.trace((s @ gm + gm @ s) / 2.0 @ rho))
+    want_anti = 1j * complex(np.trace((s @ gm - gm @ s) / 2.0 @ rho))
+    return (
+        abs(symmetric_product_measure(s, g, rho) - want_sym),
+        abs(antisymmetric_product_measure(s, g, rho) - want_anti),
+        abs(product_expectation(s, g, rho) - complex(np.trace(s @ gm @ rho))),
+    )
+
+
+def _hadamard_trial(rng):
+    """The real and imaginary Hadamard tests against Tr(S U rho)."""
+    d = int(2 ** rng.integers(1, 4))
+    u = random_unitary(rng, d)
+    s = random_hermitian(rng, d)
+    rho = random_density(rng, d).matrix
+    got = complex(hadamard_test(u, s, rho, "real"), hadamard_test(u, s, rho, "imag"))
+    return (abs(got - complex(np.trace(s @ u @ rho))),)
+
+
+def _outcome_trials(circ: GateCircuit):
+    """Every unit's outcome probabilities against ``forward_outcomes``, nq = 7
+    at most, under every machinery kind, with the inverse circuits under the
+    state's noise and under other noise."""
+    noise = NoiseModel("amplitude-damping", 0.1)
+    obs = parse_observable("0.6*ZY + 0.4*XI")
+    kinds = (("multi-copy", 3), ("state-verification", 1), ("combined", 3))
+    duals = (None, NoiseModel("dephasing", 0.07))
+    for (kind, copies), machinery_kind, dual in product(kinds, NOISE_KINDS, duals):
+        machinery = NoiseModel(machinery_kind, 0.05)
+        pipe = build_pipeline(kind, circ, noise, obs, copies, machinery, dual)
+        want = forward_outcomes(kind, circ, noise, obs, copies, machinery, dual)
+        for unit, probs in zip((*pipe.numerator_terms, pipe.denominator), want):
+            yield (float(np.max(np.abs(unit.state - probs))),)
+
+
+def self_checks(seed: int):
+    """Yield (name, max residual) for each engine-against-oracle check, the
+    ten in a fixed order, each check's trials drawn from one
+    ``default_rng(seed)`` in turn."""
+    rng = np.random.default_rng(seed)
+    trials = range(25)
+    yield "cyclic-contraction", *_worst(_cyclic_trial(rng) for _ in trials)
+    yield "verified-contraction", *_worst(_verified_trial(rng) for _ in trials)
+    yield "adjoint-pairing", *_worst(_adjoint_trial(rng) for _ in trials)
+    state, dual = _worst(_reconstruction_trial(rng, kind) for kind in NOISE_KINDS * 2)
+    yield "noisy-state-reconstruction", state
+    yield "dual-state-reconstruction", dual
+    names = ("projective-split", "rotation-split", "product-reconstruction")
+    yield from zip(names, _worst(_split_trial(rng) for _ in trials))
+    yield "hadamard-test", *_worst(_hadamard_trial(rng) for _ in trials)
+    yield "pipeline-outcomes", *_worst(_outcome_trials(random_circuit(rng, 2, 6)))

@@ -502,6 +502,16 @@ def _sweep(noise: NoiseModel, rho: np.ndarray, rbar: np.ndarray, m: int, verify:
     return (y if per_qubit else None), pair
 
 
+# the arguments of build_pipeline past the circuit, noise and observable
+# that each scheme kind reads; raw reads none of them, and the kinds that
+# read the dual are the verified ones
+PIPELINE_READS = {
+    "n_copies": (*_MULTICOPY_KINDS, "combined"),
+    "dual_noise": ("state-verification", "combined"),
+    "machinery_noise": (*_MULTICOPY_KINDS, "state-verification", "combined"),
+}
+
+
 def build_pipeline(
     kind: str,
     circuit: GateCircuit,
@@ -592,8 +602,8 @@ def build_pipeline(
         raise ValueError(
             f"observable width {observable.n_qubits} does not match circuit width {n}"
         )
-    verify = kind in ("state-verification", "combined")
-    copies = 1 if kind in ("raw", "state-verification") else n_copies
+    verify = kind in PIPELINE_READS["dual_noise"]
+    copies = n_copies if kind in PIPELINE_READS["n_copies"] else 1
     if kind == "combined" and copies < 1:
         raise ValueError(f"need n_copies >= 1, got {n_copies}")
     if kind in _MULTICOPY_KINDS and copies < 2:

@@ -15,6 +15,7 @@ from puremit.config import (
     load_config,
     parse_config,
 )
+from puremit.reference import self_checks
 from puremit.reports import EstimateReport
 from puremit.resources import resource_profile
 
@@ -244,6 +245,26 @@ def test_cmd_verify_impossible_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+def test_self_checks_yield_the_ten_checks_verify_prints(capsys):
+    checks = list(self_checks(2))
+    assert [name for name, _ in checks] == [
+        "cyclic-contraction",
+        "verified-contraction",
+        "adjoint-pairing",
+        "noisy-state-reconstruction",
+        "dual-state-reconstruction",
+        "projective-split",
+        "rotation-split",
+        "product-reconstruction",
+        "hadamard-test",
+        "pipeline-outcomes",
+    ]
+    # verify prints each check as self_checks yields it, residual and all
+    assert main(["verify", "--seed", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"{name:<28} max residual {r:.3e}  PASS" for name, r in checks]
+
+
 # --- run --------------------------------------------------------------------
 
 
@@ -258,6 +279,19 @@ def test_cmd_run_exact_report(tmp_path, capsys):
     assert report["resources"]["registers"] == 2
     assert "wall_time_s" in payload
     assert payload["wall_time_s"] >= 0.0
+
+
+def test_cmd_run_reads_the_circuit_path_relative_to_the_config_or_absolute(tmp_path, capsys):
+    circuit = _write(tmp_path, "plus.circ", PLUS_CIRCUIT)
+    (tmp_path / "cfg").mkdir()
+    reports = []
+    for path in ("../plus.circ", str(circuit)):
+        text = f"scheme = raw\ncircuit = {path}\nobservable = X\n"
+        cfg = _write(tmp_path / "cfg", "exp.cfg", text)
+        assert main(["run", "--config", str(cfg)]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cmd_run_noiseless_hits_ideal(tmp_path, capsys):
@@ -595,6 +629,52 @@ def test_cmd_sweep_refuses_what_the_config_parser_refuses(tmp_path, capsys, key)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+@pytest.mark.parametrize(
+    "key, values, lines",
+    [
+        ("M", "1,2,3", {"scheme": "state-verification"}),
+        ("dual_noise.strength", "0.02,0.1", {"dual_noise.kind": "dephasing"}),
+        (
+            "machinery_noise.strength",
+            "0,0.05",
+            {"scheme": "raw", "machinery_noise.kind": "dephasing"},
+        ),
+        ("output", "a.csv,b.csv", {}),
+    ],
+)
+def test_cmd_sweep_refuses_a_key_no_point_reads(tmp_path, capsys, key, values, lines):
+    # every point would run the same pipeline and write the same row; each
+    # model's kind is set, so the config parser takes every point
+    cfg = _base_config(tmp_path, **lines)
+    argv = ["sweep", "--config", str(cfg), "--parameter", key, "--values", values]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(key) in captured.err
+    assert lines.get("scheme", "multi-copy") in captured.err
+
+
+def test_cmd_sweep_checks_m_against_the_scheme_as_written(tmp_path, capsys):
+    # multi-copy at M = 1 runs as raw, which reads no machinery noise; M
+    # itself decides that, so its sweep runs
+    cfg = _base_config(tmp_path, m="1", **{"machinery_noise.kind": "dephasing"})
+    assert main(["sweep", "--config", str(cfg), "--parameter", "M", "--values", "1,2"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["scheme"] for r in rows] == ["raw", "multi-copy"]
+    argv = ["sweep", "--config", str(cfg), "--parameter", "machinery_noise.strength"]
+    assert main(argv + ["--values", "0,0.05"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no raw point" in captured.err
+
+
+def test_cmd_sweep_takes_the_scheme_itself(tmp_path, capsys):
+    cfg = _base_config(tmp_path, **{"machinery_noise.kind": "dephasing"})
+    argv = ["sweep", "--config", str(cfg), "--parameter", "scheme"]
+    assert main(argv + ["--values", "raw,state-verification,combined"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["scheme"] for r in rows] == ["raw", "state-verification", "combined"]
 
 
 def test_cmd_sweep_value_column_holds_the_value_as_given(tmp_path, capsys):

@@ -261,3 +261,54 @@ def test_the_sweep_key_guard_sees_a_key():
         "        return f'{args.parameter} = strength'\n"
     )
     assert _config_keys_named(source, "cmd_sweep") == ["M", "noise.strength"]
+
+
+# what cli.py may import from each module it must not reach into: it
+# prints reference.self_checks and calls no measurement protocol
+_CLI_IMPORTS = {"measurement": set(), "reference": {"self_checks"}}
+
+
+def _cli_import_violations(source: str) -> list:
+    """(line, name) per name the source imports from puremit.measurement or
+    puremit.reference beyond _CLI_IMPORTS, or per such module it imports whole."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            if module in _CLI_IMPORTS:
+                names = [a.name for a in node.names if a.name not in _CLI_IMPORTS[module]]
+            elif (node.module or "puremit") == "puremit":
+                # from . import reference, from puremit import measurement
+                names = [a.name for a in node.names if a.name in _CLI_IMPORTS]
+            else:
+                names = []
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.rpartition(".")[2] in _CLI_IMPORTS]
+        else:
+            names = []
+        found += [(node.lineno, name) for name in names]
+    return found
+
+
+def test_cli_prints_the_self_checks_of_reference():
+    # the engine-against-oracle checks and the protocols they read live
+    # behind reference.self_checks; the command line only prints them
+    source = (SOURCE_ROOT / "cli.py").read_text(encoding="utf-8")
+    assert _cli_import_violations(source) == []
+
+
+def test_the_cli_import_guard_sees_an_import():
+    source = (
+        "from .reference import self_checks, forward_outcomes\n"
+        "from .measurement import hadamard_test\n"
+        "from puremit.reference import self_checks\n"
+        "from . import measurement, config\n"
+        "import puremit.reference\n"
+        "from .schemes import build_pipeline\n"
+    )
+    assert _cli_import_violations(source) == [
+        (1, "forward_outcomes"),
+        (2, "hadamard_test"),
+        (4, "measurement"),
+        (5, "puremit.reference"),
+    ]
