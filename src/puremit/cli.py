@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resources", help="print the scheme resource table")
     p.add_argument("--qubits", type=int, default=1, help="register width")
     p.add_argument("--max-degree", type=int, default=4, help="largest degree to list")
-    p.add_argument("--seed", type=int, default=None, help="accepted for uniformity")
     p.add_argument("--output", default=None, help="write CSV instead of a table")
     p.set_defaults(func=cmd_resources)
     return parser

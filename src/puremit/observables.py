@@ -55,7 +55,7 @@ class PauliObservable:
                     f"Pauli strings must share a width: {s!r} vs width {width}"
                 )
             if not s or any(ch not in _PAULI for ch in s):
-                raise ValueError(f"invalid Pauli string {s!r} (letters must be I/X/Y/Z)")
+                raise ValueError(f"bad Pauli string {s!r} (letters must be I/X/Y/Z)")
             if not np.isfinite(c):
                 raise ValueError(f"coefficient {c!r} is not finite")
         check_dimension(2**width)
@@ -180,8 +180,11 @@ def pauli_sandwiches(perms, v, x) -> np.ndarray:
 def parse_observable(text: str) -> PauliObservable:
     """Parse observable text into a PauliObservable.
 
-    Raises ObservableFormatError naming the offending token on any
-    malformed input.
+    The parser reads the signs, coefficients and term boundaries, and
+    raises ObservableFormatError naming the offending token. The values
+    are ``PauliObservable``'s to check (the letters I/X/Y/Z in either
+    case, a common width, finite coefficients); its errors are raised
+    here as ObservableFormatError too.
     """
     src = text.replace("−", "-").strip()
     if not src:
@@ -226,11 +229,7 @@ def parse_observable(text: str) -> PauliObservable:
                 ) from None
         else:
             coeff, string = 1.0, token
-        if not string or any(ch not in _PAULI for ch in string.upper()):
-            raise ObservableFormatError(
-                f"bad Pauli string {string!r} in term {token!r} (letters must be I/X/Y/Z)"
-            )
-        terms.append((sign * coeff, string.upper()))
+        terms.append((sign * coeff, string))
         first = False
     if not terms:
         raise ObservableFormatError(f"no terms found in {text!r}")

@@ -371,8 +371,9 @@ def verified_composite_contraction(rb_m, obs_mat, rho, n_copies):
 def forward_outcomes(
     kind: str, circ: GateCircuit, noise: NoiseModel, obs, copies: int, machinery, dual_noise=None
 ):
-    """Outcome probabilities (+1, -1 and, verified, 0) of every unit of an
-    ancilla-scheme pipeline, the denominator last, from a forward
+    """Outcome probabilities of every unit of an ancilla-scheme pipeline,
+    the denominator last, in the order a unit holds them: +1, then 0 when
+    verifying, then -1 (``schemes.MeasurableTerm``), from a forward
     evolution of the whole composite circuit: prefix Hadamard, controlled
     Pauli string, noisy Fredkins, inverse circuits when verifying (under
     ``dual_noise`` when given, else ``noise``), final Hadamard. The oracle
@@ -411,7 +412,7 @@ def forward_outcomes(
         mat = apply_noise(apply_local(mat, [gate_matrix("H")], [0], nq), machinery, [0], nq)
         pops = np.diagonal(mat).real.reshape(2, -1)
         kept = pops[:, 0] if verify else pops.sum(axis=1)
-        out.append([kept[0], kept[1]] + ([pops.sum() - kept.sum()] if verify else []))
+        out.append([kept[0], *([pops.sum() - kept.sum()] if verify else []), kept[1]])
     return out
 
 

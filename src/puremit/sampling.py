@@ -4,11 +4,12 @@ Sampling is exact Born-rule sampling. Each measurable unit of a
 pipeline (one numerator term or the denominator) is a computational-basis
 readout whose outcome probabilities the pipeline already holds: +1 or -1
 (the ancilla, or for ``raw`` the sign of the Pauli string), and for the
-verified schemes 0 when a register does not project to zero. They are
-grouped by readout value into at most three outcomes, and counts are
-drawn with a counter-based seeding scheme so results are reproducible
-and independent across trials and units. ``sample_expectation`` takes an
-arbitrary observable and draws in its eigenbasis instead.
+verified schemes 0 when a register does not project to zero. A unit holds
+its outcomes in the order they are drawn (``MeasurableTerm``), so its
+probabilities are summed as they stand. Counts are drawn with a
+counter-based seeding scheme so results are reproducible and independent
+across trials and units. ``sample_expectation`` takes an arbitrary
+observable and draws in its eigenbasis instead.
 
 ``bin_outcomes`` turns a batch of uniform draws into outcome counts by
 counting the draws below each interior cut of the cumulative
@@ -25,7 +26,7 @@ import numpy as np
 
 from .linalg import as_matrix, hermitian_eig
 from .reports import EstimateReport
-from .schemes import MeasurableTerm, SchemePipeline
+from .schemes import SchemePipeline
 
 _NEG_PROB_ATOL = 1e-6
 _SUM_PROB_ATOL = 1e-6
@@ -79,13 +80,6 @@ def _distribution(state_mat: np.ndarray, obs_mat: np.ndarray):
     w, v = hermitian_eig(obs_mat)
     probs = np.einsum("ij,jk,ki->i", v.conj().T, state_mat, v).real
     return w, np.cumsum(_normalized(probs))
-
-
-def _readout_distribution(term: MeasurableTerm):
-    """Distinct readout values, descending, and their cumulative probabilities."""
-    values, outcome = np.unique(term.observable, return_inverse=True)
-    probs = np.bincount(outcome, weights=_normalized(term.state), minlength=values.size)
-    return values[::-1], np.cumsum(probs[::-1])
 
 
 def bin_outcomes(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -175,7 +169,7 @@ def scheme_shot_experiment(pipeline: SchemePipeline, config: ShotConfig) -> Esti
     per_unit = config.shots // n_units
     extra = config.shots % n_units
     allocation = [per_unit + (1 if i < extra else 0) for i in range(n_units)]
-    dists = [_readout_distribution(t) for t in units]
+    dists = [(t.observable, np.cumsum(_normalized(t.state))) for t in units]
 
     # per trial: ratio, its stderr, and the numerator's and denominator's
     # mean and stderr

@@ -247,10 +247,10 @@ class MeasurableTerm:
     """One measurement setting: coefficient * observable . state.
 
     ``state`` holds the probabilities of the setting's outcomes and
-    ``observable`` the value each outcome reads. Every unit has the
-    outcomes +1 and -1 and, for the verified schemes, 0 (some register
-    did not project to |0...0>), with probabilities (T + Re t)/2,
-    (T - Re t)/2 and the rest (``_sign_units``). A build makes one unit
+    ``observable`` the value each outcome reads, in the order the sampler
+    draws them: +1, then 0 for the verified schemes (some register did
+    not project to |0...0>), then -1, with probabilities (T + Re t)/2,
+    the rest and (T - Re t)/2 (``_sign_units``). A build makes one unit
     per term and one for the denominator, the all-I string. For an
     ancilla-scheme unit, +1 and -1 are the ancilla reading 0 or 1,
     t = Tr(W_Z X) for the unit's prefix state X and the readout effect W_Z
@@ -304,22 +304,23 @@ class SchemePipeline:
         )
 
 
-# outcome values of a unit: +1, -1 (for an ancilla scheme the ancilla
-# reads 0 or 1), and for the verified schemes some register off |0...0>
+# outcome values of a unit, descending, the order the sampler draws them:
+# +1 and -1 (for an ancilla scheme the ancilla reads 0 or 1) and between
+# them, for the verified schemes, 0 for some register off |0...0>
 _ANCILLA_VALUES = np.array([1.0, -1.0])
-_VERIFIED_VALUES = np.array([1.0, -1.0, 0.0])
+_VERIFIED_VALUES = np.array([1.0, 0.0, -1.0])
 
 
 def _sign_units(observable: PauliObservable, kept, t: np.ndarray, rest=None) -> list:
     """One unit per string of ``observable.permutations()``, the
     denominator last: Re t read as +1 or -1 out of the weight ``kept``,
-    plus the outcome 0 of weight ``rest`` when given."""
+    with the outcome 0 of weight ``rest`` between them when given."""
     values = _ANCILLA_VALUES if rest is None else _VERIFIED_VALUES
     rows = np.empty((len(t), len(values)))
     rows[:, 0] = (kept + t.real) / 2
-    rows[:, 1] = (kept - t.real) / 2
+    rows[:, -1] = (kept - t.real) / 2
     if rest is not None:
-        rows[:, 2] = rest
+        rows[:, 1] = rest
     return [
         MeasurableTerm(float(c), row, values, float(abs(residual)))
         for c, row, residual in zip([*observable.coefficients, 1.0], rows, t.imag)

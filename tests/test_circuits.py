@@ -176,6 +176,19 @@ def test_parse_circuit_reports_line_numbers():
     assert str(err.value).startswith("f.circ:3:")
 
 
+def test_parse_circuit_names_the_line_of_a_gate_the_gate_refuses():
+    # the arity check is Gate's; the parser adds the source and line
+    with pytest.raises(CircuitFormatError) as err:
+        parse_circuit("qubits 2\nCNOT 0\n", source="f.circ")
+    assert str(err.value).startswith("f.circ:2:")
+    assert "expects 2 target(s)" in str(err.value)
+
+
+def test_circuit_qubit_count_message():
+    with pytest.raises(ValueError, match=r"^qubit count must be >= 1, got 0$"):
+        GateCircuit(0)
+
+
 def test_random_circuit_respects_bounds():
     rng = np.random.default_rng(4)
     circ = random_circuit(rng, 3, 20)

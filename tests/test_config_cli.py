@@ -689,6 +689,12 @@ def test_cmd_sweep_value_column_holds_the_value_as_given(tmp_path, capsys):
 # --- resources --------------------------------------------------------------
 
 
+def test_cmd_resources_takes_no_seed(capsys):
+    # the table draws nothing, so a seed is a usage error
+    assert main(["resources", "--seed", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cmd_resources_table(capsys):
     assert main(["resources", "--qubits", "2", "--max-degree", "4"]) == 0
     out = capsys.readouterr().out

@@ -46,12 +46,19 @@ def test_observable_validation():
         PauliObservable(((float("nan"), "X"),))
 
 
+def test_pauli_observable_names_a_bad_string():
+    # the parser leaves the letter check to the observable, whose message it passes on
+    with pytest.raises(ValueError, match=r"^bad Pauli string 'XB' \(letters must be I/X/Y/Z\)$"):
+        PauliObservable(((1.0, "XB"),))
+
+
 @pytest.mark.parametrize(
     "text,terms",
     [
         ("Z", ((1.0, "Z"),)),
         ("-Z", ((-1.0, "Z"),)),
         ("xy", ((1.0, "XY"),)),
+        ("0.5*zx", ((0.5, "ZX"),)),
         ("0.5*XX + 0.5*YY", ((0.5, "XX"), (0.5, "YY"))),
         ("ZZ - 2*XI", ((1.0, "ZZ"), (-2.0, "XI"))),
         ("1e-2*Z", ((0.01, "Z"),)),

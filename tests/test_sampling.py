@@ -333,14 +333,16 @@ def test_import_does_not_load_numba():
     assert out.stdout.strip() == "False False"
 
 
-def test_readout_outcomes_are_grouped_by_value():
+def test_units_hold_their_outcomes_in_draw_order():
     # a verified readout has three outcomes: ancilla +1 or -1 with the
-    # registers at zero, and everything else reading 0
-    pipe = _generic_pipeline("combined", 2)
-    values, cum = sampling._readout_distribution(pipe.denominator)
-    assert values.tolist() == [1.0, 0.0, -1.0]
-    assert cum[-1] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(cum) >= 0)
+    # registers at zero, and everything else reading 0; the sampler draws
+    # them as each unit holds them, +1 first and -1 last
+    for kind, values in (("combined", [1.0, 0.0, -1.0]), ("multi-copy", [1.0, -1.0])):
+        pipe = _generic_pipeline(kind, 2)
+        for unit in (*pipe.numerator_terms, pipe.denominator):
+            assert unit.observable.tolist() == values
+            assert abs(unit.state.sum() - 1.0) <= 1e-12
+            assert np.all(unit.state >= -1e-12)
 
 
 def test_unstable_denominator_names_the_failing_trial():
